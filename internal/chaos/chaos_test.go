@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
@@ -60,6 +61,7 @@ func TestGenerateDeterministic(t *testing.T) {
 // TestCampaignShortClean is the blocking-CI campaign: a short seeded
 // walk over both real targets must be violation-free.
 func TestCampaignShortClean(t *testing.T) {
+	before := runtime.NumGoroutine()
 	c := &Campaign{Seed: 1, N: 16, Targets: DefaultTargets()}
 	n, v := c.Run()
 	if v != nil {
@@ -67,6 +69,17 @@ func TestCampaignShortClean(t *testing.T) {
 	}
 	if n != 16 {
 		t.Errorf("campaign walked %d points, want 16", n)
+	}
+	// Every point closes its kernels, so the walk leaves no process
+	// goroutine behind (each point used to leave four parked for good,
+	// and campaigns sharing a process slowed down as they piled up). A
+	// closed kernel's processes have handed back their last token but
+	// may still be returning.
+	for i := 0; i < 1000 && runtime.NumGoroutine() > before; i++ {
+		runtime.Gosched()
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Errorf("%d goroutines before the campaign, %d after", before, after)
 	}
 }
 

@@ -45,6 +45,10 @@ func runSched(spec string) (string, []string) {
 		return "", []string{fmt.Sprintf("parse: %v", err)}
 	}
 	k := sim.NewKernel()
+	// A campaign runs hundreds of kernels in one process, and each leaves
+	// daemons and stranded ranks parked. Deferred, so that the digest with
+	// its metrics report is taken first: unwinding must not move it.
+	defer k.Close()
 	sys, err := vscc.NewSystem(k, vscc.Config{Devices: 2, Scheme: vscc.SchemeVDMA, Faults: fcfg})
 	if err != nil {
 		return "", []string{fmt.Sprintf("system: %v", err)}
@@ -125,6 +129,10 @@ func runTaskrt(spec string) (string, []string) {
 		return "", []string{fmt.Sprintf("parse: %v", err)}
 	}
 	k := sim.NewKernel()
+	// A campaign runs hundreds of kernels in one process, and each leaves
+	// daemons and stranded ranks parked. Deferred, so that the digest with
+	// its metrics report is taken first: unwinding must not move it.
+	defer k.Close()
 	sys, err := vscc.NewSystem(k, vscc.Config{Devices: 2, Scheme: vscc.SchemeVDMA, Faults: fcfg})
 	if err != nil {
 		return "", []string{fmt.Sprintf("system: %v", err)}

@@ -29,6 +29,7 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 )
@@ -614,6 +615,35 @@ func (p *Proc) Kill(err error) {
 	if p.state == procBlocked {
 		p.unpark()
 	}
+}
+
+// errClosed is the kill Close delivers.
+var errClosed = errors.New("sim: kernel closed")
+
+// Close ends every process that has not finished — a daemon parked
+// forever once the real work drained, a rank stranded by a lost peer or a
+// failed run — and returns once each has unwound. Every such process
+// otherwise keeps its goroutine, and whatever its stack references,
+// alive for the life of the program: a leak that grows with every
+// simulation a long-lived process runs. Call it when the run is over and
+// its results have been read; the kernel must not be running and cannot
+// be used again.
+func (k *Kernel) Close() {
+	for _, p := range k.procs {
+		p.Kill(errClosed)
+	}
+	// A killed process panics at its next resume point and at every one
+	// after it, so it cannot block again: one dispatch each unwinds it. A
+	// process that never started has no goroutine. Whatever is still
+	// queued belongs to a simulation that is over, and is dropped unrun
+	// (a self-rescheduling callback would never drain).
+	for _, p := range k.procs {
+		if p.state == procRunnable {
+			_ = k.dispatch(p) // a panic raised while unwinding has no run left to fail
+		}
+		p.state = procDone
+	}
+	k.queue, k.bucket, k.head = nil, nil, 0
 }
 
 // checkKill delivers a pending kill at a resume point.

@@ -155,3 +155,38 @@ func TestKillIdempotence(t *testing.T) {
 	}
 	p.Kill(err2) // after procDone: must be a no-op
 }
+
+// TestCloseUnwindsEveryUnfinishedProcess: Close ends a parked daemon, a
+// process left in a Delay by a bounded run and one that never started,
+// runs their deferred handlers, and runs no queued callback.
+func TestCloseUnwindsEveryUnfinishedProcess(t *testing.T) {
+	k := NewKernel()
+	unwound := map[string]bool{}
+	body := func(block func(p *Proc)) func(*Proc) {
+		return func(p *Proc) {
+			defer func() { unwound[p.Name()] = true }()
+			block(p)
+			t.Errorf("%s resumed past its block", p.Name())
+		}
+	}
+	k.SpawnDaemon("daemon", body(func(p *Proc) { p.Park("forever") }))
+	k.Spawn("sleeper", body(func(p *Proc) { p.Delay(1000) }))
+	k.SpawnAt(500, "unstarted", body(func(p *Proc) {}))
+	k.Spawn("finished", func(p *Proc) { p.Delay(1) })
+	k.At(200, func() { t.Error("Close ran a queued callback") })
+	if err := k.RunUntil(100); err != nil {
+		t.Fatal(err)
+	}
+	k.Close()
+	if !unwound["daemon"] || !unwound["sleeper"] || unwound["unstarted"] {
+		t.Errorf("unwound %v, want the daemon and the sleeper only", unwound)
+	}
+	for _, p := range k.procs {
+		if p.state != procDone {
+			t.Errorf("%s left %s", p.Name(), p.state)
+		}
+	}
+	if k.Pending() != 0 {
+		t.Errorf("%d events pending after Close", k.Pending())
+	}
+}

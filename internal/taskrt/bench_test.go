@@ -10,8 +10,7 @@ import (
 // graph construction, the simulated execution with stealing and
 // argument movement, and the state hash — on the vDMA scheme over two
 // devices and four ranks, the taskrt-identity configuration. Recorded
-// in BENCH_kernel.json under "taskrt" and compared by the CI
-// bench-regression job.
+// in BENCH_kernel.json under "taskrt".
 func BenchmarkTaskrtWorkloads(b *testing.B) {
 	for _, wl := range Workloads() {
 		b.Run(wl, func(b *testing.B) {

@@ -14,6 +14,7 @@ package vscc
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 
 	"vscc/internal/host"
@@ -34,7 +35,7 @@ type AsyncEngine struct {
 // session's wire protocol is a vSCC vDMA configuration.
 func NewAsyncEngine(r *rcce.Rank) (*AsyncEngine, error) {
 	ip, ok := r.Session().Protocol().(*interDeviceProtocol)
-	if !ok || ip.scheme != SchemeVDMA {
+	if !ok || ip.desc.flow != flowSeq {
 		return nil, fmt.Errorf("vscc: async engine requires the vDMA scheme, session runs %q", r.Session().Protocol().Name())
 	}
 	return &AsyncEngine{
@@ -78,73 +79,74 @@ func (q *AsyncRequest) Done() bool { return q.state == asDone }
 
 // Isend starts a non-blocking send to a rank on another device.
 func (e *AsyncEngine) Isend(dest int, data []byte) (*AsyncRequest, error) {
-	if e.r.Session().SameDevice(e.r.ID(), dest) {
-		return nil, fmt.Errorf("vscc: async isend to same-device rank %d; use the iRCCE engine on-chip", dest)
-	}
-	st := e.ip.pair(e.r.ID(), dest)
-	q := &AsyncRequest{eng: e, send: true, peer: dest, rest: data, total: len(data)}
-	if len(data) == 0 {
-		q.state = asDone
-		return q, nil
-	}
-	q.firstSeq = st.out + 1
-	q.lastSeq = st.out + chunksFor(len(data), e.ip.slotBytes())
-	q.seq = q.firstSeq
-	st.out = q.lastSeq
-	q.state = asWaitGrant
-	e.sendQ[dest] = append(e.sendQ[dest], q)
-	e.Push()
-	return q, nil
+	return e.start(true, dest, data)
 }
 
 // Irecv starts a non-blocking receive from a rank on another device.
 func (e *AsyncEngine) Irecv(src int, buf []byte) (*AsyncRequest, error) {
-	if e.r.Session().SameDevice(e.r.ID(), src) {
-		return nil, fmt.Errorf("vscc: async irecv from same-device rank %d; use the iRCCE engine on-chip", src)
+	return e.start(false, src, buf)
+}
+
+// start queues one request. It claims the request's chunk numbers from
+// the pair's counter at once, so requests on a pair complete in order.
+func (e *AsyncEngine) start(send bool, peer int, buf []byte) (*AsyncRequest, error) {
+	if e.r.Session().SameDevice(e.r.ID(), peer) {
+		return nil, fmt.Errorf("vscc: async transfer with same-device rank %d; use the iRCCE engine on-chip", peer)
 	}
-	st := e.ip.pair(src, e.r.ID())
-	q := &AsyncRequest{eng: e, send: false, peer: src, rest: buf, total: len(buf)}
+	q := &AsyncRequest{eng: e, send: send, peer: peer, rest: buf, total: len(buf), state: asDone}
 	if len(buf) == 0 {
-		q.state = asDone
 		return q, nil
 	}
-	q.firstSeq = st.in + 1
-	q.lastSeq = st.in + chunksFor(len(buf), e.ip.slotBytes())
-	q.seq = q.firstSeq
-	st.in = q.lastSeq
+	queue, count := e.recvQ, &e.ip.pair(peer, e.r.ID()).in
 	q.state = arWaitData
-	// Issue the first grant immediately: the sender cannot move before it.
-	e.publishGrant(q)
-	e.recvQ[src] = append(e.recvQ[src], q)
+	if send {
+		queue, count = e.sendQ, &e.ip.pair(e.r.ID(), peer).out
+		q.state = asWaitGrant
+	}
+	q.firstSeq = *count + 1
+	q.lastSeq = *count + chunksFor(len(buf), e.ip.slot)
+	q.seq = q.firstSeq
+	*count = q.lastSeq
+	if !send {
+		// Issue the first grant immediately: the sender cannot move before it.
+		e.publishGrant(q)
+	}
+	queue[peer] = append(queue[peer], q)
 	e.Push()
 	return q, nil
 }
 
-// publishGrant posts the receiver's buffer credit for the chunk q.seq
-// (covering one chunk of lookahead, bounded by the message).
+// publishGrant posts the receiver's buffer credit for the chunk q.seq.
 func (e *AsyncEngine) publishGrant(q *AsyncRequest) {
-	grantTo := q.seq + 1
-	if grantTo > q.lastSeq {
-		grantTo = q.lastSeq
+	e.ip.grantThrough(e.r, q.peer, q.seq, q.lastSeq)
+}
+
+// queues lists the send queues before the receive queues; with each
+// walked by ascending peer that is the one order every scan below uses.
+func (e *AsyncEngine) queues() [2]map[int][]*AsyncRequest {
+	return [2]map[int][]*AsyncRequest{e.sendQ, e.recvQ}
+}
+
+// heads returns the head of every non-empty queue.
+func (e *AsyncEngine) heads() []*AsyncRequest {
+	var heads []*AsyncRequest
+	for _, m := range e.queues() {
+		for _, peer := range asyncSortedPeers(m) {
+			heads = append(heads, m[peer][0])
+		}
 	}
-	srcDev, srcTile, srcBase := e.r.MPBOf(q.peer)
-	ctx := e.r.Ctx()
-	ctx.WriteMPB(srcDev, srcTile, srcBase+rcce.FlagByteAt(rcce.FlagGrant, e.r.ID()), []byte{seqVal(grantTo)})
-	ctx.FlushWCB()
+	return heads
 }
 
 // Push advances every queue head as far as possible without blocking
 // and reports whether anything progressed.
 func (e *AsyncEngine) Push() bool {
 	progressed := false
-	for _, peer := range asyncSortedPeers(e.sendQ) {
-		if e.pushQueue(e.sendQ, peer) {
-			progressed = true
-		}
-	}
-	for _, peer := range asyncSortedPeers(e.recvQ) {
-		if e.pushQueue(e.recvQ, peer) {
-			progressed = true
+	for _, m := range e.queues() {
+		for _, peer := range asyncSortedPeers(m) {
+			if e.pushQueue(m, peer) {
+				progressed = true
+			}
 		}
 	}
 	return progressed
@@ -249,15 +251,9 @@ func (e *AsyncEngine) lostPeerDev() int {
 	if e.ip.mem == nil {
 		return -1
 	}
-	s := e.r.Session()
 	lost := -1
-	for _, peer := range asyncSortedPeers(e.sendQ) {
-		if d := s.PlaceOf(peer).Dev; e.ip.mem.Lost(d) && (lost < 0 || d < lost) {
-			lost = d
-		}
-	}
-	for _, peer := range asyncSortedPeers(e.recvQ) {
-		if d := s.PlaceOf(peer).Dev; e.ip.mem.Lost(d) && (lost < 0 || d < lost) {
+	for _, q := range e.heads() {
+		if d := e.r.Session().PlaceOf(q.peer).Dev; e.ip.mem.Lost(d) && (lost < 0 || d < lost) {
 			lost = d
 		}
 	}
@@ -271,16 +267,14 @@ func (e *AsyncEngine) lostPeerDev() int {
 // stale re-issued command could overwrite newer values.
 func (e *AsyncEngine) rearmStalled() {
 	dev, _, _ := e.r.MPBOf(e.r.ID())
-	for _, peer := range asyncSortedPeers(e.sendQ) {
-		q := e.sendQ[peer][0]
-		if !q.haveCmd || e.ip.degraded(e.r, peer) {
-			continue
+	for _, q := range e.heads() {
+		switch {
+		case !q.send:
+			e.publishGrant(q)
+		case q.haveCmd && !e.ip.degraded(e.r, q.peer):
+			e.ip.faults.RecordRecovery("vdma-rearm", "vscc.async", dev)
+			e.ip.mmio(e.r, q.cmd)
 		}
-		e.ip.faults.RecordRecovery("vdma-rearm", "vscc.async", dev)
-		e.ip.mmio(e.r, q.cmd)
-	}
-	for _, peer := range asyncSortedPeers(e.recvQ) {
-		e.publishGrant(e.recvQ[peer][0])
 	}
 }
 
@@ -288,13 +282,12 @@ func (e *AsyncEngine) rearmStalled() {
 // the lost-completion failure.
 func (e *AsyncEngine) describeStalled() string {
 	var parts []string
-	for _, peer := range asyncSortedPeers(e.sendQ) {
-		q := e.sendQ[peer][0]
-		parts = append(parts, fmt.Sprintf("send->%d %s seq %d of %d..%d", peer, asyncStateName(q.state), q.seq, q.firstSeq, q.lastSeq))
-	}
-	for _, peer := range asyncSortedPeers(e.recvQ) {
-		q := e.recvQ[peer][0]
-		parts = append(parts, fmt.Sprintf("recv<-%d %s seq %d of %d..%d", peer, asyncStateName(q.state), q.seq, q.firstSeq, q.lastSeq))
+	for _, q := range e.heads() {
+		dir := "recv<-"
+		if q.send {
+			dir = "send->"
+		}
+		parts = append(parts, fmt.Sprintf("%s%d %s seq %d of %d..%d", dir, q.peer, asyncStateNames[q.state], q.seq, q.firstSeq, q.lastSeq))
 	}
 	if len(parts) == 0 {
 		return "no queued requests"
@@ -302,30 +295,21 @@ func (e *AsyncEngine) describeStalled() string {
 	return strings.Join(parts, "; ")
 }
 
-func asyncStateName(s int) string {
-	switch s {
-	case asWaitGrant:
-		return "wait-grant"
-	case asWaitSlot:
-		return "wait-slot"
-	case asWaitDrain:
-		return "wait-drain"
-	case arWaitData:
-		return "wait-data"
-	case asDone:
-		return "done"
-	}
-	return "invalid"
+var asyncStateNames = [...]string{
+	asWaitGrant: "wait-grant",
+	asWaitSlot:  "wait-slot",
+	asWaitDrain: "wait-drain",
+	arWaitData:  "wait-data",
+	asDone:      "done",
 }
 
 // Pending reports incomplete requests.
 func (e *AsyncEngine) Pending() int {
 	n := 0
-	for _, q := range e.sendQ {
-		n += len(q)
-	}
-	for _, q := range e.recvQ {
-		n += len(q)
+	for _, m := range e.queues() {
+		for _, q := range m {
+			n += len(q)
+		}
 	}
 	return n
 }
@@ -333,13 +317,8 @@ func (e *AsyncEngine) Pending() int {
 // anyActionable peeks all stalled heads without yielding, closing the
 // race between the last poll and sleeping.
 func (e *AsyncEngine) anyActionable() bool {
-	for _, peer := range asyncSortedPeers(e.sendQ) {
-		if e.sendQ[peer][0].flagReady() {
-			return true
-		}
-	}
-	for _, peer := range asyncSortedPeers(e.recvQ) {
-		if e.recvQ[peer][0].flagReady() {
+	for _, q := range e.heads() {
+		if q.flagReady() {
 			return true
 		}
 	}
@@ -351,16 +330,13 @@ func (q *AsyncRequest) flagReady() bool {
 	r := q.eng.r
 	switch q.state {
 	case asWaitGrant:
-		b := r.PeekFlagByte(rcce.FlagGrant, q.peer)
-		return b == seqVal(q.seq) || b == seqVal(q.seq+1)
+		return reached(r.PeekFlagByte(rcce.FlagGrant, q.peer), q.seq)
 	case asWaitSlot:
-		b := r.PeekFlagByte(rcce.FlagDMAC, q.peer)
-		return b == seqVal(q.seq-2) || b == seqVal(q.seq-1)
+		return reached(r.PeekFlagByte(rcce.FlagDMAC, q.peer), q.seq-2)
 	case asWaitDrain:
 		return r.PeekFlagByte(rcce.FlagReady, q.peer) == seqVal(q.lastSeq)
 	case arWaitData:
-		b := r.PeekFlagByte(rcce.FlagSent, q.peer)
-		return b == seqVal(q.seq) || b == seqVal(q.seq+1)
+		return reached(r.PeekFlagByte(rcce.FlagSent, q.peer), q.seq)
 	}
 	return false
 }
@@ -376,92 +352,43 @@ func (q *AsyncRequest) push() bool {
 	return progressed
 }
 
-// step performs one state transition (the flag condition holds).
+// step performs one state transition (the flag condition holds), with
+// the chunk moves of the blocking protocol: putAndProgram on the send
+// side, drainAndAck on the receive side.
 func (q *AsyncRequest) step() {
 	e := q.eng
 	r := e.r
 	ctx := r.Ctx()
-	ip := e.ip
-	slotSize := ip.slotBytes()
-	switch {
-	case q.send && q.state == asWaitGrant:
-		if q.seq-q.firstSeq >= 2 {
-			q.state = asWaitSlot
-			return
-		}
-		q.armChunk()
-	case q.send && q.state == asWaitSlot:
-		q.armChunk()
-	case q.send && q.state == asWaitDrain:
-		ctx.Delay(ctx.Params().FlagPollCycles)
-		r.Session().ReportTraffic(r.ID(), q.peer, q.total)
-		q.state = asDone
-	case !q.send:
-		// Drain the chunk from our local slot.
-		ctx.Delay(ctx.Params().FlagPollCycles)
-		n := len(q.rest)
-		if n > slotSize {
-			n = slotSize
-		}
-		myDev, myTile, myBase := r.MPBOf(r.ID())
-		slot := int((q.seq - 1) % 2 * uint64(slotSize))
-		ctx.InvalidateMPB()
-		ctx.ReadMPB(myDev, myTile, myBase+slot, q.rest[:n])
-		ctx.CopyPrivate(n)
-		srcDev, srcTile, srcBase := r.MPBOf(q.peer)
-		ctx.WriteMPB(srcDev, srcTile, srcBase+rcce.FlagByteAt(rcce.FlagReady, r.ID()), []byte{seqVal(q.seq)})
-		ctx.FlushWCB()
-		q.rest = q.rest[n:]
-		if len(q.rest) == 0 {
-			q.state = asDone
-			return
-		}
-		q.seq++
-		q.publishNextGrant()
-	}
-}
-
-// armChunk puts the current chunk into the local slot and programs the
-// vDMA controller, then advances to the next chunk or the drain wait.
-func (q *AsyncRequest) armChunk() {
-	e := q.eng
-	r := e.r
-	ctx := r.Ctx()
-	ip := e.ip
-	slotSize := ip.slotBytes()
-	ctx.Delay(ctx.Params().FlagPollCycles)
-	n := len(q.rest)
-	if n > slotSize {
-		n = slotSize
-	}
-	myDev, myTile, myBase := r.MPBOf(r.ID())
-	dstDev, dstTile, dstBase := r.MPBOf(q.peer)
-	slot := int((q.seq - 1) % 2 * uint64(slotSize))
-	ctx.CopyPrivate(n)
-	ctx.WriteMPB(myDev, myTile, myBase+slot, q.rest[:n])
-	ctx.FlushWCB()
-	cmd := host.BankCommand{
-		Cmd:    host.CmdCopy,
-		DstDev: dstDev, DstTile: dstTile, DstOff: dstBase + slot,
-		SrcOff: myBase + slot, Count: n,
-		Flags:     host.FlagNotifyDest | host.FlagCompletion,
-		NotifyOff: dstBase + rcce.FlagByteAt(rcce.FlagSent, r.ID()), NotifyVal: seqVal(q.seq),
-		ComplOff: myBase + rcce.FlagByteAt(rcce.FlagDMAC, q.peer), ComplVal: seqVal(q.seq),
-	}
-	ip.mmio(r, cmd)
-	q.cmd, q.haveCmd = cmd, true
-	q.rest = q.rest[n:]
-	if len(q.rest) == 0 {
-		q.state = asWaitDrain
+	if q.send && q.state == asWaitGrant && q.seq-q.firstSeq >= 2 {
+		q.state = asWaitSlot
 		return
 	}
-	q.seq++
-	q.state = asWaitGrant
-}
-
-// publishNextGrant posts the credit for the receiver's next chunk.
-func (q *AsyncRequest) publishNextGrant() {
-	q.eng.publishGrant(q)
+	ctx.Delay(ctx.Params().FlagPollCycles)
+	if q.state == asWaitDrain {
+		r.Session().ReportTraffic(r.ID(), q.peer, q.total)
+		q.state = asDone
+		return
+	}
+	n := min(len(q.rest), e.ip.slot)
+	chunk := q.rest[:n]
+	q.rest = q.rest[n:]
+	if q.send {
+		q.cmd, q.haveCmd = e.ip.putAndProgram(r, q.peer, q.seq, chunk), true
+	} else {
+		e.ip.drainAndAck(r, q.peer, q.seq, chunk)
+	}
+	switch {
+	case len(q.rest) == 0 && q.send:
+		q.state = asWaitDrain
+	case len(q.rest) == 0:
+		q.state = asDone
+	case q.send:
+		q.seq++
+		q.state = asWaitGrant
+	default:
+		q.seq++
+		e.publishGrant(q) // the credit for the next chunk
+	}
 }
 
 func asyncSortedPeers(m map[int][]*AsyncRequest) []int {
@@ -471,10 +398,6 @@ func asyncSortedPeers(m map[int][]*AsyncRequest) []int {
 			peers = append(peers, p)
 		}
 	}
-	for i := 1; i < len(peers); i++ {
-		for j := i; j > 0 && peers[j-1] > peers[j]; j-- {
-			peers[j-1], peers[j] = peers[j], peers[j-1]
-		}
-	}
+	sort.Ints(peers)
 	return peers
 }

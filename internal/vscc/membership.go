@@ -35,9 +35,7 @@ package vscc
 
 import (
 	"fmt"
-	"strconv"
 
-	"vscc/internal/ckpt"
 	"vscc/internal/fault"
 	"vscc/internal/host"
 	"vscc/internal/pcie"
@@ -46,57 +44,14 @@ import (
 	"vscc/internal/trace"
 )
 
-// DevState is one device's membership state.
-type DevState int
-
-// The membership states, in lifecycle order.
-const (
-	// DevUp: fully operational.
-	DevUp DevState = iota
-	// DevDraining: a fault fired; committed in-flight traffic still
-	// lands (the wire stays usable) but crashed cores are already
-	// frozen. Lasts fault.DefaultDrainCycles.
-	DevDraining
-	// DevDown: the device is gone — memory wiped (crash) or the link
-	// dead (link-down); all frames toward and from it are held in the
-	// senders' journals.
-	DevDown
-	// DevRejoining: the checkpoint image is being restored; passed
-	// through atomically on the way back to DevUp.
-	DevRejoining
-)
-
-// String names the state for test failures and traces.
-func (s DevState) String() string {
-	switch s {
-	case DevUp:
-		return "up"
-	case DevDraining:
-		return "draining"
-	case DevDown:
-		return "down"
-	case DevRejoining:
-		return "rejoining"
-	}
-	return "invalid"
-}
-
-// devRecord is the membership state of one device.
+// devRecord is the membership state of one device: its lifecycle
+// (lifecycle.go, shared with the PDES engine) plus what only the
+// single-kernel engine needs — peers parked on the rejoin, and the
+// journal replay that follows it.
 type devRecord struct {
-	state DevState
-	epoch uint8
-	// gate is the chip lifecycle gate: closed while the device is
-	// crashed, so its cores freeze at their next memory operation and
-	// thaw on rejoin (the core image rides along with the checkpoint).
-	gate *sim.Gate
+	devLifecycle
 	// up wakes peers blocked in AwaitUp on every return to DevUp.
 	up *sim.Cond
-	// log is the device's crash-consistent checkpoint state.
-	log *ckpt.Log
-	// img is the restore image captured at the crash point, with the
-	// journal-replay totals for the replay.* counters.
-	img                 [][]byte
-	imgWrites, imgBytes int
 	// replaying is set from the moment the device leaves DevUp until its
 	// rejoin's journal replay has finished, so AfterReplay hooks
 	// registered anywhere in that window fire only once the restored
@@ -113,15 +68,12 @@ type devRecord struct {
 // a nil manager on byte-identical code paths.
 type Membership struct {
 	k      *sim.Kernel
-	chips  []*scc.Chip
 	fabric *pcie.Fabric
 	task   *host.Task
 	inj    *fault.Injector
 
 	devs   []*devRecord
-	drain  sim.Cycles
 	rejoin sim.Cycles
-	sink   *trace.Sink
 
 	// pending counts scheduled device faults that have not finished
 	// their lifecycle. The periodic checkpoint timers stop once it hits
@@ -138,36 +90,15 @@ var _ pcie.DeviceView = (*Membership)(nil)
 // every device, and schedules the configured device faults.
 func newMembership(k *sim.Kernel, chips []*scc.Chip, fabric *pcie.Fabric, task *host.Task, inj *fault.Injector) *Membership {
 	cfg := inj.Config()
-	m := &Membership{
-		k: k, chips: chips, fabric: fabric, task: task, inj: inj,
-		drain:  fault.DefaultDrainCycles,
-		rejoin: cfg.RejoinCycles,
-	}
-	if m.rejoin <= 0 {
-		m.rejoin = fault.DefaultRejoinCycles
-	}
-	interval := cfg.CkptInterval
-	if interval <= 0 {
-		interval = fault.DefaultCkptInterval
-	}
+	rejoin, interval := outageTimes(cfg)
+	m := &Membership{k: k, fabric: fabric, task: task, inj: inj, rejoin: rejoin}
 	for d, chip := range chips {
 		rec := &devRecord{
-			gate: sim.NewGate(k, fmt.Sprintf("dev%d.alive", d)),
-			up:   sim.NewCond(k, fmt.Sprintf("dev%d.rejoin", d)),
-			log:  ckpt.NewLog(),
+			devLifecycle: devLifecycle{k: k, dev: d, chip: chip},
+			up:           sim.NewCond(k, fmt.Sprintf("dev%d.rejoin", d)),
 		}
-		rec.gate.Open()
+		rec.arm()
 		m.devs = append(m.devs, rec)
-		chip.SetLifecycleGate(rec.gate)
-		chip.SetWriteObserver(func(tile, off int, data []byte) {
-			rec.log.Note(tile, off, data)
-		})
-		// Checkpoint zero: the boot image. It guarantees a restore base
-		// exists even for a crash before the first interval tick — the
-		// journal then replays the whole history, which is correct if
-		// slow; the periodic checkpoints exist to truncate it.
-		rec.log.Checkpoint(chip.SnapshotLMB())
-		d, chip := d, chip
 		// Periodic checkpoints run as a self-rescheduling timer chain,
 		// not a Delay-looping daemon: the chain stops once every
 		// scheduled fault has completed, so the kernel's event queue can
@@ -177,7 +108,7 @@ func newMembership(k *sim.Kernel, chips []*scc.Chip, fabric *pcie.Fabric, task *
 			if m.pending == 0 {
 				return
 			}
-			m.checkpoint(d, chip)
+			rec.checkpoint()
 			k.After(interval, tick)
 		}
 		k.After(interval, tick)
@@ -185,11 +116,9 @@ func newMembership(k *sim.Kernel, chips []*scc.Chip, fabric *pcie.Fabric, task *
 	fabric.SetMembership(m)
 	m.pending = len(cfg.DevCrashAt) + len(cfg.DevLinkDownAt)
 	for _, df := range cfg.DevCrashAt {
-		df := df
 		k.At(df.At, func() { m.fail(df, true) })
 	}
 	for _, df := range cfg.DevLinkDownAt {
-		df := df
 		k.At(df.At, func() { m.fail(df, false) })
 	}
 	return m
@@ -201,17 +130,9 @@ func (m *Membership) Instrument(s *trace.Sink) {
 	if m == nil {
 		return
 	}
-	m.sink = s
-}
-
-// count records a membership counter and its per-device mirror. The
-// dynamic per-device name is only built once the sink is known enabled.
-func (m *Membership) count(name string, dev int, v int64) {
-	if !m.sink.Enabled() {
-		return
+	for _, rec := range m.devs {
+		rec.sink = s
 	}
-	m.sink.Add(name, v)
-	m.sink.Add(name+".d"+strconv.Itoa(dev), v)
 }
 
 // Usable implements pcie.DeviceView: frames may use the wire while the
@@ -227,10 +148,7 @@ func (m *Membership) Epoch(dev int) uint8 { return m.devs[dev].epoch }
 // Lost reports whether the device is currently unreachable — the
 // condition the protocol recovery ladders distinguish from an ordinary
 // lost flag write.
-func (m *Membership) Lost(dev int) bool {
-	s := m.devs[dev].state
-	return s == DevDown || s == DevRejoining
-}
+func (m *Membership) Lost(dev int) bool { return m.devs[dev].lost() }
 
 // State returns the device's membership state (test hook).
 func (m *Membership) State(dev int) DevState { return m.devs[dev].state }
@@ -261,33 +179,16 @@ func (m *Membership) AwaitUp(p *sim.Proc, dev int) {
 // kernel event at the current cycle. Hooks run in registration order,
 // in kernel context.
 func (m *Membership) AfterReplay(dev int, fn func()) {
-	rec := m.devs[dev]
-	if rec.state == DevUp && !rec.replaying {
+	if m.Quiesced(dev) {
 		m.k.At(m.k.Now(), fn)
 		return
 	}
-	rec.afterReplay = append(rec.afterReplay, fn)
+	m.devs[dev].afterReplay = append(m.devs[dev].afterReplay, fn)
 }
 
-// checkpoint takes one periodic snapshot of an up device. A draining or
-// down device is skipped: its image is frozen at the crash point.
-func (m *Membership) checkpoint(d int, chip *scc.Chip) {
-	rec := m.devs[d]
-	if rec.state != DevUp {
-		return
-	}
-	banks := chip.SnapshotLMB()
-	rec.log.Checkpoint(banks)
-	total := 0
-	for _, b := range banks {
-		total += len(b)
-	}
-	m.count("ckpt.take", d, 1)
-	m.count("ckpt.bytes", d, int64(total))
-}
-
-// fail starts the drain phase of one scheduled device fault. A fault
-// scheduled while the device is not up (overlapping windows) is void.
+// fail runs one scheduled device fault through the device's lifecycle.
+// Once the device is down the host marks it unreachable, and every frame
+// toward or from it is held in the senders' journals until the rejoin.
 func (m *Membership) fail(df fault.DeviceFault, wipe bool) {
 	d := df.Dev
 	if d < 0 || d >= len(m.devs) {
@@ -295,7 +196,10 @@ func (m *Membership) fail(df fault.DeviceFault, wipe bool) {
 		return
 	}
 	rec := m.devs[d]
-	if rec.state != DevUp {
+	started := rec.crash(downFor(df, m.rejoin), wipe,
+		func() { m.task.DeviceDown(d) },
+		func() { m.rejoined(rec, wipe) })
+	if !started {
 		m.pending-- // void fault (overlapping schedule) still retires
 		return
 	}
@@ -304,54 +208,14 @@ func (m *Membership) fail(df fault.DeviceFault, wipe bool) {
 		kind = "devcrash"
 	}
 	m.inj.RecordInjection(kind, "vscc.device", d)
-	rec.state = DevDraining
 	rec.replaying = true // until the rejoin replay completes
-	if wipe {
-		// Cores freeze at their next memory operation; a link-down
-		// leaves them computing on intact local memory.
-		rec.gate.Close()
-	}
-	down := df.Down
-	if down <= 0 {
-		down = m.rejoin
-	}
-	m.k.After(m.drain, func() { m.down(d, down, wipe) })
 }
 
-// down completes the crash: the epoch advances, the crash-point image
-// is captured from the checkpoint log (before the wipe destroys the
-// live one), on-chip memory is lost, and the host marks the device
-// unreachable. From here every frame toward or from the device is held
-// in the senders' journals.
-func (m *Membership) down(d int, downFor sim.Cycles, wipe bool) {
-	rec := m.devs[d]
-	rec.state = DevDown
-	rec.epoch++
-	m.count("epoch.advance", d, 1)
-	if wipe {
-		rec.img, rec.imgWrites, rec.imgBytes = rec.log.Restore()
-		m.chips[d].WipeLMB()
-	}
-	m.task.DeviceDown(d)
-	m.k.After(downFor, func() { m.rejoinDev(d, wipe) })
-}
-
-// rejoinDev brings the device back: restore the checkpoint image, open
-// the gates, wake blocked peers, and replay the held PCIe journals in
-// the new epoch.
-func (m *Membership) rejoinDev(d int, wipe bool) {
-	rec := m.devs[d]
-	rec.state = DevRejoining
-	if wipe {
-		m.chips[d].LoadLMB(rec.img)
-		m.count("replay.writes", d, int64(rec.imgWrites))
-		m.count("replay.bytes", d, int64(rec.imgBytes))
-		rec.img = nil
-		// Rebase the journal on the restored image so a second crash
-		// replays from here, not from the pre-crash snapshot.
-		rec.log.Checkpoint(m.chips[d].SnapshotLMB())
-	}
-	rec.state = DevUp
+// rejoined finishes the rejoin of a device whose memory is restored:
+// open the gates, wake blocked peers, and replay the held PCIe journals
+// in the new epoch.
+func (m *Membership) rejoined(rec *devRecord, wipe bool) {
+	d := rec.dev
 	if wipe {
 		rec.gate.Open()
 	}
@@ -361,8 +225,8 @@ func (m *Membership) rejoinDev(d int, wipe bool) {
 	rec.up.Broadcast()
 	m.k.Spawn(fmt.Sprintf("replay.d%d", d), func(p *sim.Proc) {
 		frames, bytes := m.fabric.ReplayDevice(p, d)
-		m.count("replay.frames", d, int64(frames))
-		m.count("replay.frame_bytes", d, int64(bytes))
+		rec.count("replay.frames", int64(frames))
+		rec.count("replay.frame_bytes", int64(bytes))
 		rec.replaying = false
 		hooks := rec.afterReplay
 		rec.afterReplay = nil

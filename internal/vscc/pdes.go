@@ -25,10 +25,7 @@ package vscc
 
 import (
 	"errors"
-	"fmt"
-	"strconv"
 
-	"vscc/internal/ckpt"
 	"vscc/internal/fault"
 	"vscc/internal/host"
 	"vscc/internal/mem"
@@ -112,11 +109,11 @@ func pdesUnsupportedFaults(f *fault.Config) error {
 // NewPDESSystem assembles a domain-decomposed vSCC driven by `workers`
 // goroutines (1 = the serial identity reference).
 func NewPDESSystem(cfg Config, workers int) (*PDESSystem, error) {
-	if cfg.Devices <= 0 {
-		return nil, fmt.Errorf("vscc: %d devices", cfg.Devices)
-	}
-	if cfg.Scheme == SchemeHWAccel && cfg.Devices > 2 {
-		return nil, fmt.Errorf("vscc: the hardware-accelerated scheme is unstable beyond 2 devices (§2.3); got %d", cfg.Devices)
+	// The host-task parameters go unused: the pdes host charges the pcie
+	// op costs only.
+	chipParams, fabricParams, _, err := cfg.resolve()
+	if err != nil {
+		return nil, err
 	}
 	if cfg.Check {
 		return nil, errors.New("vscc: the consistency checker is a cross-device oracle and cannot run under pdes")
@@ -124,22 +121,9 @@ func NewPDESSystem(cfg Config, workers int) (*PDESSystem, error) {
 	if err := pdesUnsupportedFaults(cfg.Faults); err != nil {
 		return nil, err
 	}
-	chipParams := scc.DefaultParams()
-	if cfg.ChipParams != nil {
-		chipParams = *cfg.ChipParams
-	}
-	fabricParams := pcie.DefaultParams()
-	if cfg.FabricParams != nil {
-		fabricParams = *cfg.FabricParams
-	}
 	if fabricParams.LinkLatency < 1 {
 		return nil, errors.New("vscc: pdes needs a positive PCIe link latency (the lookahead)")
 	}
-	hostParams := host.DefaultParams()
-	if cfg.HostParams != nil {
-		hostParams = *cfg.HostParams
-	}
-	_ = hostParams // reserved: the pdes host uses the pcie op costs only
 
 	s := &PDESSystem{
 		Config:  cfg,
@@ -155,21 +139,17 @@ func NewPDESSystem(cfg Config, workers int) (*PDESSystem, error) {
 		idx:   cfg.Devices,
 		h2d:   make([]pdesLink, cfg.Devices),
 		banks: make([]*host.Banks, cfg.Devices),
-		cache: make(map[pdesCacheKey]*pdesHostCopy),
+		cache: make(map[mpbHalf]*pdesHostCopy),
 	}
 	for d := 0; d < cfg.Devices; d++ {
 		s.eng.h2d[d] = pdesLink{bpc: fabricParams.LinkBytesPerCycle, lat: fabricParams.LinkLatency}
 		s.eng.banks[d] = host.NewBanks()
-		chip := scc.NewChip(s.PDES.Kernel(d), d, chipParams)
-		for _, core := range cfg.FailedCores[d] {
-			chip.SetAlive(core, false)
-		}
+		chip := cfg.newChip(s.PDES.Kernel(d), d, chipParams)
 		pt := &pdesPort{
-			sys:    s,
-			dev:    d,
-			chip:   chip,
-			d2h:    pdesLink{bpc: fabricParams.LinkBytesPerCycle, lat: fabricParams.LinkLatency},
-			stream: make(map[pdesStreamKey]*pdesStream),
+			devLifecycle: devLifecycle{k: s.PDES.Kernel(d), dev: d, chip: chip},
+			sys:          s,
+			d2h:          pdesLink{bpc: fabricParams.LinkBytesPerCycle, lat: fabricParams.LinkLatency},
+			stream:       make(map[mpbHalf]*pdesStream),
 		}
 		chip.OffChip = pt
 		s.Chips = append(s.Chips, chip)
@@ -186,10 +166,9 @@ func NewPDESSystem(cfg Config, workers int) (*PDESSystem, error) {
 // disable. Per-kernel sinks are mandatory under PDES because
 // trace.Sink is not concurrency-safe.
 func (s *PDESSystem) Instrument(sinks []*trace.Sink) {
-	for i := range s.sinks {
-		if sinks != nil && i < len(sinks) {
-			s.sinks[i] = sinks[i]
-		}
+	copy(s.sinks, sinks)
+	for d, pt := range s.ports {
+		pt.sink = s.sinks[d]
 	}
 }
 
@@ -200,13 +179,7 @@ func (s *PDESSystem) hostIdx() int { return s.Config.Devices }
 func (s *PDESSystem) Workers() int { return s.workers }
 
 // TotalCores returns the number of available cores across all devices.
-func (s *PDESSystem) TotalCores() int {
-	n := 0
-	for _, c := range s.Chips {
-		n += len(c.AliveCores())
-	}
-	return n
-}
+func (s *PDESSystem) TotalCores() int { return totalCores(s.Chips) }
 
 // Run drives the decomposed simulation to completion.
 func (s *PDESSystem) Run() error { return s.PDES.Run(s.workers) }
@@ -227,63 +200,29 @@ func (s *PDESSystem) NewSession(n int, opts ...rcce.Option) (*rcce.Session, erro
 // rank's observability to its own kernel, and the session runner is
 // the PDES barrier-window engine.
 func (s *PDESSystem) NewSessionAt(places []rcce.Place, opts ...rcce.Option) (*rcce.Session, error) {
-	base := s.Config.OnChipProtocol
-	if base == nil {
-		base = rcce.DefaultProtocol{}
+	proto, err := s.Config.newProtocol(s.Config.Scheme, len(places))
+	if err != nil {
+		return nil, err
 	}
-	threshold := s.Config.DirectThreshold
-	if threshold == 0 {
-		threshold = s.Config.Scheme.DirectThreshold()
-	}
-	slot := s.Config.VDMASlotBytes
-	if slot > rcce.PayloadBytes/2 {
-		return nil, fmt.Errorf("vscc: vDMA slot %d exceeds half the payload area (%d)", slot, rcce.PayloadBytes/2)
-	}
-	proto := &interDeviceProtocol{
-		base:      base,
-		scheme:    s.Config.Scheme,
-		threshold: threshold,
-		slot:      slot,
-		seqs:      make([]pairSeq, len(places)*len(places)),
-		nRanks:    len(places),
-		published: make([]int, len(places)),
-	}
+	// The host region table has no PDES counterpart — routing decisions
+	// live in Scheme.writePolicy.
 	opts = append([]rcce.Option{
-		rcce.WithProtocol(proto),
 		rcce.WithDeviceSinks(s.sinks[:s.Config.Devices]),
 		rcce.WithSink(s.sinks[s.hostIdx()]),
 		rcce.WithRunner(s.Run),
 	}, opts...)
-	session, err := rcce.NewSession(s.PDES.Kernel(s.hostIdx()), s.Chips, places, opts...)
-	if err != nil {
-		return nil, err
-	}
-	// Boot-time LUT mappings of remote on-chip memory (§2.1); the host
-	// region table has no PDES counterpart — routing decisions live in
-	// the port's write policy.
-	for _, pl := range places {
-		lut := s.Chips[pl.Dev].Cores[pl.Core].LUT
-		for d := range s.Chips {
-			if d == pl.Dev {
-				continue
-			}
-			if err := lut.MapRemoteDevice(d); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return session, nil
+	return newSession(s.PDES.Kernel(s.hostIdx()), s.Chips, places, proto, opts)
 }
 
 // --- device-side port ----------------------------------------------------
 
-// pdesStreamKey identifies the published MPB range of one core's MPB
-// half in a receiver's stream buffer. The half index (off divided by
-// the per-core LMB size) matters: two cores share a tile, and keying
-// by tile alone would let one core's publication clobber the
-// bookkeeping of its tile-mate's, leaving a peer's stale stream alive
-// across an invalidation.
-type pdesStreamKey struct{ dev, tile, half int }
+// mpbHalf identifies one core's MPB half: the key of its published range
+// in the host software cache and in a receiver's stream buffer. The half
+// index (off divided by the per-core LMB size) matters: two cores share
+// a tile, and keying by tile alone would let one core's publication
+// clobber the bookkeeping of its tile-mate's, leaving a peer's stale
+// stream alive across an invalidation.
+type mpbHalf struct{ dev, tile, half int }
 
 // pdesStream is a receiver-side copy of a published sender MPB range,
 // installed by a bulk host-cache response (the SIF prefetch streaming
@@ -304,99 +243,66 @@ type pdesHeld struct {
 // state is owned by that kernel; the only cross-kernel effects are
 // PDES.Post calls toward the host kernel.
 type pdesPort struct {
-	sys  *PDESSystem
-	dev  int
-	chip *scc.Chip
-	d2h  pdesLink
+	// The device's kernel, index and chip, and — armed only with a
+	// DevCrashAt schedule — its crash recovery: the lifecycle shared with
+	// Membership, here entirely on this device's kernel.
+	devLifecycle
+	// held is the host deliveries held while the device is down.
+	held []pdesHeld
+
+	sys *PDESSystem
+	d2h pdesLink
 
 	// stream holds host-pushed copies of published sender ranges;
 	// invalidations arrive on the same FIFO host-to-device link as any
 	// subsequent flag write, so a stale hit is impossible while the
 	// protocol's grant/ready handshake holds.
-	stream map[pdesStreamKey]*pdesStream
-
-	// Device-crash recovery (armed only with a DevCrashAt schedule).
-	state               DevState
-	epoch               uint8
-	gate                *sim.Gate
-	log                 *ckpt.Log
-	img                 [][]byte
-	imgWrites, imgBytes int
-	held                []pdesHeld
+	stream map[mpbHalf]*pdesStream
 }
-
-func (pt *pdesPort) k() *sim.Kernel { return pt.sys.PDES.Kernel(pt.dev) }
 
 // post sends fn to the host kernel, arriving at cycle at.
 func (pt *pdesPort) post(at sim.Cycles, fn func()) {
 	pt.sys.PDES.Post(pt.dev, at, pt.sys.hostIdx(), fn)
 }
 
-func (pt *pdesPort) sink() *trace.Sink { return pt.sys.sinks[pt.dev] }
-
-// count mirrors Membership.count: an aggregate counter plus its
-// per-device twin, on this device's own sink.
-func (pt *pdesPort) count(name string, v int64) {
-	sink := pt.sink()
-	if !sink.Enabled() {
-		return
-	}
-	sink.Add(name, v)
-	sink.Add(name+".d"+strconv.Itoa(pt.dev), v)
-}
-
-// ackPolicy is the write-acknowledgement class of one off-chip store.
-type ackPolicy int
-
-const (
-	ackPosted ackPolicy = iota // fire and forget (WCB absorbed)
-	ackFPGA                    // FPGA fast-ack: local SIF stall only
-	ackHost                    // blocks for the host's receipt
-	ackRemote                  // blocks for the remote apply (4 hops)
-)
-
-// writePolicy mirrors the classic engine's per-scheme ack mode and
-// region modes: routing acks remotely, hw-accel at the FPGA, and the
-// posted-payload schemes (remote put's write-combining window, vDMA's
-// posted region) split payload from flag area by offset.
-func (pt *pdesPort) writePolicy(off int) ackPolicy {
-	switch pt.sys.Config.Scheme {
-	case SchemeRouting:
-		return ackRemote
-	case SchemeHWAccel:
-		return ackFPGA
-	case SchemeRemotePut, SchemeVDMA:
-		if off%mem.CoreLMBSize < rcce.PayloadBytes {
-			return ackPosted
-		}
-		return ackHost
-	default:
-		return ackHost
-	}
-}
-
-// WriteLine implements scc.OffChipPort.
-func (pt *pdesPort) WriteLine(p *sim.Proc, srcDev, srcCore, dev, tile, off int, data []byte, mask uint32) {
-	// Copy the masked line out of the caller's WCB slot: that buffer is
-	// reused the moment this method returns, but the bytes cross a
-	// kernel boundary and land a window later.
-	var buf [mem.LineSize]byte
+// sendLine queues one masked line on the device-to-host link, stalling p
+// while the store occupies the SIF queue, and returns the line with its
+// arrival cycle at the host. The line is copied out of the caller's WCB
+// slot: that buffer is reused the moment the port method returns, but the
+// bytes cross a kernel boundary and land a window later.
+func (pt *pdesPort) sendLine(p *sim.Proc, data []byte) (buf [mem.LineSize]byte, arrive sim.Cycles) {
 	copy(buf[:], data)
 	now := p.Now()
 	done, arrive := pt.d2h.reserve(now, mem.LineSize)
 	//lint:ignore simapi proof: reserve returns done = max(now, free) + occupancy >= now
-	p.Delay(done - now) // the store occupies the SIF queue
-	eng := pt.sys.eng
-	switch pt.writePolicy(off) {
-	case ackPosted:
-		pt.post(arrive, func() { eng.write(srcDev, dev, tile, off, buf, mask, ackPosted, nil) })
+	p.Delay(done - now)
+	return buf, arrive
+}
+
+// roundTrip sends a line-sized request up the link, parks p until the
+// host's response comes back, and copies it into buf.
+func (pt *pdesPort) roundTrip(p *sim.Proc, why string, buf []byte, serve func(wake func([]byte))) {
+	_, arrive := pt.d2h.reserve(p.Now(), pdesReqBytes)
+	var resp []byte
+	wake := func(data []byte) { resp = data; p.Unpark() }
+	pt.post(arrive, func() { serve(wake) })
+	p.Park(why)
+	copy(buf, resp)
+}
+
+// WriteLine implements scc.OffChipPort.
+func (pt *pdesPort) WriteLine(p *sim.Proc, srcDev, srcCore, dev, tile, off int, data []byte, mask uint32) {
+	buf, arrive := pt.sendLine(p, data)
+	pol := pt.sys.Config.Scheme.writePolicy(off)
+	var wake func()
+	if pol == ackHost || pol == ackRemote {
+		wake = func() { p.Unpark() }
+	}
+	pt.post(arrive, func() { pt.sys.eng.write(srcDev, dev, tile, off, buf, mask, pol, wake) })
+	switch pol {
 	case ackFPGA:
-		pt.post(arrive, func() { eng.write(srcDev, dev, tile, off, buf, mask, ackFPGA, nil) })
 		p.Delay(pt.sys.params.SIFAckCycles)
 	case ackHost, ackRemote:
-		pol := pt.writePolicy(off)
-		wake := func() { p.Unpark() }
-		pt.post(arrive, func() { eng.write(srcDev, dev, tile, off, buf, mask, pol, wake) })
 		p.Park("pcie write ack")
 	}
 }
@@ -405,50 +311,30 @@ func (pt *pdesPort) WriteLine(p *sim.Proc, srcDev, srcCore, dev, tile, off int, 
 func (pt *pdesPort) ReadLine(p *sim.Proc, srcDev, srcCore, dev, tile, off int, buf []byte) {
 	// Stream-buffer hit: the host cache already pushed this published
 	// range here; the read is a local SIF access.
-	if s := pt.stream[pdesStreamKey{dev, tile, off / mem.CoreLMBSize}]; s != nil && off >= s.off && off+len(buf) <= s.off+len(s.data) {
+	if s := pt.stream[mpbHalf{dev, tile, off / mem.CoreLMBSize}]; s != nil && off >= s.off && off+len(buf) <= s.off+len(s.data) {
 		p.Delay(pt.sys.params.SIFAckCycles)
 		copy(buf, s.data[off-s.off:])
 		return
 	}
-	now := p.Now()
-	_, arrive := pt.d2h.reserve(now, pdesReqBytes)
-	eng := pt.sys.eng
-	var resp []byte
-	wake := func(data []byte) { resp = data; p.Unpark() }
-	pt.post(arrive, func() { eng.read(srcDev, dev, tile, off, len(buf), wake) })
-	p.Park("pcie read")
-	copy(buf, resp)
+	pt.roundTrip(p, "pcie read", buf, func(wake func([]byte)) { pt.sys.eng.read(srcDev, dev, tile, off, len(buf), wake) })
 }
 
 // MMIOWriteLine implements scc.OffChipPort: fused register writes are
 // posted (the WCB already absorbed them on-core).
 func (pt *pdesPort) MMIOWriteLine(p *sim.Proc, srcDev, srcCore, hostDev, off int, data []byte, mask uint32) {
-	var buf [mem.LineSize]byte
-	copy(buf[:], data)
-	now := p.Now()
-	done, arrive := pt.d2h.reserve(now, mem.LineSize)
-	//lint:ignore simapi proof: reserve returns done = max(now, free) + occupancy >= now
-	p.Delay(done - now)
-	eng := pt.sys.eng
-	pt.post(arrive, func() { eng.mmioWrite(hostDev, off, buf, mask) })
+	buf, arrive := pt.sendLine(p, data)
+	pt.post(arrive, func() { pt.sys.eng.mmioWrite(hostDev, off, buf, mask) })
 }
 
 // MMIORead implements scc.OffChipPort: a blocking register read.
 func (pt *pdesPort) MMIORead(p *sim.Proc, srcDev, srcCore, hostDev, off int, buf []byte) {
-	now := p.Now()
-	_, arrive := pt.d2h.reserve(now, pdesReqBytes)
-	eng := pt.sys.eng
-	var resp []byte
-	wake := func(data []byte) { resp = data; p.Unpark() }
-	pt.post(arrive, func() { eng.mmioRead(srcDev, hostDev, off, len(buf), wake) })
-	p.Park("pcie mmio read")
-	copy(buf, resp)
+	pt.roundTrip(p, "pcie mmio read", buf, func(wake func([]byte)) { pt.sys.eng.mmioRead(srcDev, hostDev, off, len(buf), wake) })
 }
 
 // deliver applies (or holds, while the device is down) one
 // LMB-mutating delivery from the host.
 func (pt *pdesPort) deliver(bytes int, fn func()) {
-	if pt.state == DevDown || pt.state == DevRejoining {
+	if pt.lost() {
 		pt.held = append(pt.held, pdesHeld{fn: fn, bytes: bytes})
 		return
 	}
@@ -472,159 +358,74 @@ func (pt *pdesPort) applyMasked(tile, off int, data [mem.LineSize]byte, mask uin
 	}
 }
 
-// dropStream discards the receiver-side copy of a published range
-// (pushed by the host on CmdInvalidate). Never held: a crashed
-// device's streams were already lost in the wipe.
-func (pt *pdesPort) dropStream(dev, tile, half int) {
-	delete(pt.stream, pdesStreamKey{dev, tile, half})
-}
-
-// installStream lands a bulk cache response.
-func (pt *pdesPort) installStream(dev, tile, off int, data []byte) {
-	pt.stream[pdesStreamKey{dev, tile, off / mem.CoreLMBSize}] = &pdesStream{off: off, data: data}
-}
-
 // --- device-crash lifecycle ---------------------------------------------
 
-// armDeviceFaults wires the checkpoint journal, lifecycle gate and
-// crash/rejoin schedule of every device onto its own kernel, mirroring
-// newMembership (same counters, same drain/down/rejoin phases) without
-// any cross-kernel state.
+// armDeviceFaults arms every device's lifecycle on its own kernel and
+// schedules the crashes, as newMembership does (same counters, same
+// drain/down/rejoin phases) without any cross-kernel state.
 func (s *PDESSystem) armDeviceFaults(cfg fault.Config) {
-	drain := fault.DefaultDrainCycles
-	rejoin := cfg.RejoinCycles
-	if rejoin <= 0 {
-		rejoin = fault.DefaultRejoinCycles
-	}
-	interval := cfg.CkptInterval
-	if interval <= 0 {
-		interval = fault.DefaultCkptInterval
-	}
+	rejoin, interval := outageTimes(cfg)
 	// The periodic checkpoint chains stop at a statically computed
 	// horizon (end of the last scheduled outage) instead of a shared
 	// pending counter: a cross-kernel counter would race.
 	var horizon sim.Cycles
 	for _, df := range cfg.DevCrashAt {
-		down := df.Down
-		if down <= 0 {
-			down = rejoin
-		}
-		if end := df.At + drain + down; end > horizon {
-			horizon = end
-		}
+		horizon = max(horizon, df.At+fault.DefaultDrainCycles+downFor(df, rejoin))
 	}
 	for _, pt := range s.ports {
-		pt := pt
-		k := pt.k()
-		pt.gate = sim.NewGate(k, fmt.Sprintf("dev%d.alive", pt.dev))
-		pt.gate.Open()
-		pt.log = ckpt.NewLog()
-		pt.chip.SetLifecycleGate(pt.gate)
-		pt.chip.SetWriteObserver(func(tile, off int, data []byte) {
-			pt.log.Note(tile, off, data)
-		})
-		// Checkpoint zero: the boot image (see newMembership).
-		pt.log.Checkpoint(pt.chip.SnapshotLMB())
+		pt.arm()
 		var tick func()
 		tick = func() {
 			pt.checkpoint()
-			if k.Now()+interval <= horizon+interval {
-				k.After(interval, tick)
+			if pt.k.Now() <= horizon {
+				pt.k.After(interval, tick)
 			}
 		}
-		if horizon > 0 {
-			k.After(interval, tick)
-		}
+		pt.k.After(interval, tick)
 	}
 	for _, df := range cfg.DevCrashAt {
-		df := df
 		if df.Dev < 0 || df.Dev >= len(s.ports) {
 			continue
 		}
 		pt := s.ports[df.Dev]
-		down := df.Down
-		if down <= 0 {
-			down = rejoin
-		}
-		pt.k().At(df.At, func() { pt.fail(drain, down) })
+		pt.k.At(df.At, func() { pt.fail(downFor(df, rejoin)) })
 	}
 }
 
-// checkpoint takes one periodic snapshot of an up device.
-func (pt *pdesPort) checkpoint() {
-	if pt.state != DevUp || pt.log == nil {
-		return
+// fail runs one scheduled crash through the device's lifecycle. While
+// the device is down every host delivery is held; the rejoin replays
+// them in arrival order, then reopens the lifecycle gate.
+func (pt *pdesPort) fail(outage sim.Cycles) {
+	started := pt.crash(outage, true,
+		func() {
+			// Device-side copies of published ranges die with the device.
+			for key := range pt.stream {
+				delete(pt.stream, key)
+			}
+		},
+		func() {
+			held := pt.held
+			pt.held = nil
+			frames, bytes := 0, 0
+			for _, h := range held {
+				h.fn()
+				frames++
+				bytes += h.bytes
+			}
+			pt.count("replay.frames", int64(frames))
+			pt.count("replay.frame_bytes", int64(bytes))
+			pt.gate.Open()
+			pt.count("fault.recover.rejoin", 1)
+		})
+	if started {
+		// The injector's ledger names, emitted directly: the pdes fault
+		// path has no Injector instance, but the vscctrace recovery table
+		// keys on these counters.
+		pt.count("fault.inject.devcrash", 1)
 	}
-	banks := pt.chip.SnapshotLMB()
-	pt.log.Checkpoint(banks)
-	total := 0
-	for _, b := range banks {
-		total += len(b)
-	}
-	pt.count("ckpt.take", 1)
-	pt.count("ckpt.bytes", int64(total))
-}
-
-// fail starts the drain phase of one scheduled crash (mirrors
-// Membership.fail with wipe semantics).
-func (pt *pdesPort) fail(drain, down sim.Cycles) {
-	if pt.state != DevUp {
-		return // void fault: overlapping schedule
-	}
-	// The injector's ledger names, emitted directly: the pdes fault
-	// path has no Injector instance, but the vscctrace recovery table
-	// keys on these counters.
-	pt.count("fault.inject.devcrash", 1)
-	pt.state = DevDraining
-	pt.gate.Close()
-	pt.k().After(drain, func() { pt.goDown(down) })
-}
-
-// goDown completes the crash: epoch advance, crash-point image capture,
-// wipe, and every subsequent host delivery held.
-func (pt *pdesPort) goDown(downFor sim.Cycles) {
-	pt.state = DevDown
-	pt.epoch++
-	pt.count("epoch.advance", 1)
-	pt.img, pt.imgWrites, pt.imgBytes = pt.log.Restore()
-	pt.chip.WipeLMB()
-	// Device-side copies of published ranges die with the device.
-	for key := range pt.stream {
-		delete(pt.stream, key)
-	}
-	pt.k().After(downFor, func() { pt.rejoin() })
-}
-
-// rejoin restores the crash-point image, replays held deliveries in
-// arrival order, and reopens the lifecycle gate.
-func (pt *pdesPort) rejoin() {
-	pt.state = DevRejoining
-	pt.chip.LoadLMB(pt.img)
-	pt.count("replay.writes", int64(pt.imgWrites))
-	pt.count("replay.bytes", int64(pt.imgBytes))
-	pt.img = nil
-	// Rebase the journal on the restored image (second-crash safety).
-	pt.log.Checkpoint(pt.chip.SnapshotLMB())
-	held := pt.held
-	pt.held = nil
-	pt.state = DevUp
-	frames, bytes := 0, 0
-	for _, h := range held {
-		h.fn()
-		frames++
-		bytes += h.bytes
-	}
-	pt.count("replay.frames", int64(frames))
-	pt.count("replay.frame_bytes", int64(bytes))
-	pt.gate.Open()
-	pt.count("fault.recover.rejoin", 1)
 }
 
 // --- host/PCIe kernel ----------------------------------------------------
-
-// pdesCacheKey identifies one core's published MPB half in the host
-// software cache (same half-granularity rationale as pdesStreamKey).
-type pdesCacheKey struct{ dev, tile, half int }
 
 // pdesHostCopy is the host cache's copy of one published range.
 type pdesHostCopy struct {
@@ -644,7 +445,7 @@ type pdesHost struct {
 	busy  sim.Cycles
 	h2d   []pdesLink
 	banks []*host.Banks
-	cache map[pdesCacheKey]*pdesHostCopy
+	cache map[mpbHalf]*pdesHostCopy
 }
 
 func (e *pdesHost) sink() *trace.Sink { return e.sys.sinks[e.idx] }
@@ -686,8 +487,7 @@ func (e *pdesHost) write(srcDev, dev, tile, off int, data [mem.LineSize]byte, ma
 			dst.applyMasked(tile, off, data, mask)
 			if remoteWake != nil {
 				// Remote acknowledgement: back across both links.
-				ackDone, ackArrive := dst.d2h.reserve(dst.k().Now(), pdesAckBytes)
-				_ = ackDone
+				_, ackArrive := dst.d2h.reserve(dst.k.Now(), pdesAckBytes)
 				dst.post(ackArrive, func() {
 					done := e.op()
 					_, a := e.h2d[srcDev].reserve(done, pdesAckBytes)
@@ -698,10 +498,27 @@ func (e *pdesHost) write(srcDev, dev, tile, off int, data [mem.LineSize]byte, ma
 	})
 }
 
+// fetch reads n bytes of a device's LMB on the host's behalf: a request
+// down the link from cycle from, the read on the device (held while it
+// is down), the data back up. then runs on the host kernel as the data
+// arrives.
+func (e *pdesHost) fetch(from sim.Cycles, dev, tile, off, n int, then func(data []byte)) {
+	owner := e.sys.ports[dev]
+	_, arrive := e.h2d[dev].reserve(from, pdesReqBytes)
+	e.post(arrive, dev, func() {
+		owner.deliver(n, func() {
+			data := make([]byte, n)
+			owner.chip.HostReadLMB(tile, off, data)
+			_, back := owner.d2h.reserve(owner.k.Now(), n)
+			owner.post(back, func() { then(data) })
+		})
+	})
+}
+
 // read serves a device's foreign MPB line read.
 func (e *pdesHost) read(srcDev, dev, tile, off, n int, wake func([]byte)) {
 	done := e.op()
-	key := pdesCacheKey{dev, tile, off / mem.CoreLMBSize}
+	key := mpbHalf{dev, tile, off / mem.CoreLMBSize}
 	if c := e.cache[key]; c != nil && c.valid && off >= c.off && off+n <= c.off+c.n {
 		// Cache hit: push the whole published range to the reader (the
 		// prefetch stream), then serve the line out of it.
@@ -712,7 +529,7 @@ func (e *pdesHost) read(srcDev, dev, tile, off, n int, wake func([]byte)) {
 		_, arrive := e.h2d[srcDev].reserve(done, len(data))
 		rd := e.sys.ports[srcDev]
 		e.post(arrive, srcDev, func() {
-			rd.installStream(dev, tile, cOff, data)
+			rd.stream[key] = &pdesStream{off: cOff, data: data}
 			resp := make([]byte, n)
 			copy(resp, data[off-cOff:])
 			wake(resp)
@@ -721,19 +538,9 @@ func (e *pdesHost) read(srcDev, dev, tile, off, n int, wake func([]byte)) {
 	}
 	// Transparent forward to the owning device (4 hops).
 	e.sink().Add("pdes.cache.forwards", 1)
-	owner := e.sys.ports[dev]
-	_, arrive := e.h2d[dev].reserve(done, pdesReqBytes)
-	e.post(arrive, dev, func() {
-		owner.deliver(n, func() {
-			data := make([]byte, n)
-			owner.chip.HostReadLMB(tile, off, data)
-			_, respArrive := owner.d2h.reserve(owner.k().Now(), n)
-			owner.post(respArrive, func() {
-				done := e.op()
-				_, a := e.h2d[srcDev].reserve(done, n)
-				e.post(a, srcDev, func() { wake(data) })
-			})
-		})
+	e.fetch(done, dev, tile, off, n, func(data []byte) {
+		_, a := e.h2d[srcDev].reserve(e.op(), n)
+		e.post(a, srcDev, func() { wake(data) })
 	})
 }
 
@@ -779,27 +586,18 @@ func (e *pdesHost) mmioRead(srcDev, hostDev, off, n int, wake func([]byte)) {
 func (e *pdesHost) update(cmd host.BankCommand, done sim.Cycles) {
 	dev := cmd.SrcDev
 	tile := scc.CoreTile(cmd.SrcCore)
-	src := e.sys.ports[dev]
-	_, arrive := e.h2d[dev].reserve(done, pdesReqBytes)
-	e.post(arrive, dev, func() {
-		src.deliver(cmd.Count, func() {
-			data := make([]byte, cmd.Count)
-			src.chip.HostReadLMB(tile, cmd.SrcOff, data)
-			_, respArrive := src.d2h.reserve(src.k().Now(), cmd.Count)
-			src.post(respArrive, func() {
-				e.op()
-				key := pdesCacheKey{dev, tile, cmd.SrcOff / mem.CoreLMBSize}
-				c := e.cache[key]
-				if c == nil {
-					c = &pdesHostCopy{readers: make([]bool, len(e.sys.Chips))}
-					e.cache[key] = c
-				}
-				c.off, c.n, c.data, c.valid = cmd.SrcOff, cmd.Count, data, true
-				for i := range c.readers {
-					c.readers[i] = false
-				}
-			})
-		})
+	e.fetch(done, dev, tile, cmd.SrcOff, cmd.Count, func(data []byte) {
+		e.op()
+		key := mpbHalf{dev, tile, cmd.SrcOff / mem.CoreLMBSize}
+		c := e.cache[key]
+		if c == nil {
+			c = &pdesHostCopy{readers: make([]bool, len(e.sys.Chips))}
+			e.cache[key] = c
+		}
+		c.off, c.n, c.data, c.valid = cmd.SrcOff, cmd.Count, data, true
+		for i := range c.readers {
+			c.readers[i] = false
+		}
 	})
 }
 
@@ -811,8 +609,8 @@ func (e *pdesHost) update(cmd host.BankCommand, done sim.Cycles) {
 func (e *pdesHost) invalidate(cmd host.BankCommand, done sim.Cycles) {
 	dev := cmd.SrcDev
 	tile := scc.CoreTile(cmd.SrcCore)
-	half := cmd.SrcOff / mem.CoreLMBSize
-	c := e.cache[pdesCacheKey{dev, tile, half}]
+	key := mpbHalf{dev, tile, cmd.SrcOff / mem.CoreLMBSize}
+	c := e.cache[key]
 	if c == nil || !c.valid {
 		return
 	}
@@ -827,7 +625,9 @@ func (e *pdesHost) invalidate(cmd host.BankCommand, done sim.Cycles) {
 		c.readers[rd] = false
 		pt := e.sys.ports[rd]
 		_, arrive := e.h2d[rd].reserve(done, pdesAckBytes)
-		e.post(arrive, rd, func() { pt.dropStream(dev, tile, half) })
+		// Never held: a crashed device's streams were already lost in the
+		// wipe.
+		e.post(arrive, rd, func() { delete(pt.stream, key) })
 	}
 }
 
@@ -840,33 +640,24 @@ func (e *pdesHost) vdmaCopy(cmd host.BankCommand, done sim.Cycles) {
 	srcDev := cmd.SrcDev
 	srcTile := scc.CoreTile(cmd.SrcCore)
 	src := e.sys.ports[srcDev]
-	setup := done + e.sys.params.DMASetupCycles
-	_, arrive := e.h2d[srcDev].reserve(setup, pdesReqBytes)
-	e.post(arrive, srcDev, func() {
-		src.deliver(cmd.Count, func() {
-			data := make([]byte, cmd.Count)
-			src.chip.HostReadLMB(srcTile, cmd.SrcOff, data)
-			_, respArrive := src.d2h.reserve(src.k().Now(), cmd.Count)
-			src.post(respArrive, func() {
-				done := e.op()
-				if cmd.Flags&host.FlagCompletion != 0 {
-					_, ca := e.h2d[srcDev].reserve(done, pdesAckBytes)
-					e.post(ca, srcDev, func() {
-						src.deliver(1, func() {
-							src.chip.HostWriteLMB(srcTile, cmd.ComplOff, []byte{cmd.ComplVal})
-						})
-					})
-				}
-				dst := e.sys.ports[cmd.DstDev]
-				_, da := e.h2d[cmd.DstDev].reserve(done, cmd.Count)
-				e.post(da, cmd.DstDev, func() {
-					dst.deliver(cmd.Count, func() {
-						dst.chip.HostWriteLMB(cmd.DstTile, cmd.DstOff, data)
-						if cmd.Flags&host.FlagNotifyDest != 0 {
-							dst.chip.HostWriteLMB(cmd.DstTile, cmd.NotifyOff, []byte{cmd.NotifyVal})
-						}
-					})
+	e.fetch(done+e.sys.params.DMASetupCycles, srcDev, srcTile, cmd.SrcOff, cmd.Count, func(data []byte) {
+		done := e.op()
+		if cmd.Flags&host.FlagCompletion != 0 {
+			_, ca := e.h2d[srcDev].reserve(done, pdesAckBytes)
+			e.post(ca, srcDev, func() {
+				src.deliver(1, func() {
+					src.chip.HostWriteLMB(srcTile, cmd.ComplOff, []byte{cmd.ComplVal})
 				})
+			})
+		}
+		dst := e.sys.ports[cmd.DstDev]
+		_, da := e.h2d[cmd.DstDev].reserve(done, cmd.Count)
+		e.post(da, cmd.DstDev, func() {
+			dst.deliver(cmd.Count, func() {
+				dst.chip.HostWriteLMB(cmd.DstTile, cmd.DstOff, data)
+				if cmd.Flags&host.FlagNotifyDest != 0 {
+					dst.chip.HostWriteLMB(cmd.DstTile, cmd.NotifyOff, []byte{cmd.NotifyVal})
+				}
 			})
 		})
 	})

@@ -31,8 +31,10 @@ func seqVal(s uint64) byte { return byte((s-1)%255) + 1 }
 // pairs use the base (on-chip) protocol, cross-device pairs the
 // configured host-accelerated scheme.
 type interDeviceProtocol struct {
-	base      rcce.Protocol
-	scheme    Scheme
+	base rcce.Protocol
+	// desc is the scheme's row of the schemes table; threshold its direct
+	// cutoff, or the configured override.
+	desc      *schemeDesc
 	threshold int
 	// seqs holds the per-ordered-pair counters, pre-allocated as a flat
 	// nRanks×nRanks array rather than a lazily-grown map: under PDES a
@@ -42,8 +44,8 @@ type interDeviceProtocol struct {
 	// first use would race structurally.
 	seqs   []pairSeq
 	nRanks int
-	// slot overrides the vDMA double-buffer slot size (ablation knob;
-	// 0 = vdmaHalf). At most half the payload area.
+	// slot is the vDMA double-buffer slot size: vdmaHalf unless the
+	// ablation knob overrides it. At most half the payload area.
 	slot int
 	// published tracks, per sender rank, how many bytes of its MPB the
 	// host cache currently mirrors; the sender invalidates that range
@@ -58,6 +60,33 @@ type interDeviceProtocol struct {
 	// mem is the device membership manager; nil unless the fault
 	// schedule contains device crash/link-down faults.
 	mem *Membership
+}
+
+// newProtocol builds the wire protocol of an n-rank session running
+// scheme, with the fault machinery disarmed.
+func (cfg Config) newProtocol(scheme Scheme, n int) (*interDeviceProtocol, error) {
+	if cfg.VDMASlotBytes > rcce.PayloadBytes/2 {
+		return nil, fmt.Errorf("vscc: vDMA slot %d exceeds half the payload area (%d)", cfg.VDMASlotBytes, rcce.PayloadBytes/2)
+	}
+	ip := &interDeviceProtocol{
+		base:      cfg.OnChipProtocol,
+		desc:      scheme.desc(),
+		threshold: cfg.DirectThreshold,
+		slot:      vdmaHalf,
+		seqs:      make([]pairSeq, n*n),
+		nRanks:    n,
+		published: make([]int, n),
+	}
+	if ip.base == nil {
+		ip.base = rcce.DefaultProtocol{}
+	}
+	if ip.threshold == 0 {
+		ip.threshold = ip.desc.threshold
+	}
+	if cfg.VDMASlotBytes > 0 {
+		ip.slot = cfg.VDMASlotBytes
+	}
+	return ip, nil
 }
 
 // waitLadder runs one engaged wait under the recovery ladder: each
@@ -136,21 +165,12 @@ func (ip *interDeviceProtocol) LostPeer(r *rcce.Rank, peer int) error {
 // awaitReady and awaitSent are the clear-based handshake waits under the
 // ladder. Their flag writes recover at the host (write-verify) and on
 // the fabric (replay), so they carry no rearm action of their own.
-func (ip *interDeviceProtocol) awaitReady(r *rcce.Rank, dest int, rearm func()) {
-	ip.waitLadder(r, "vscc.ready", dest, func(b sim.Cycles) bool { return r.AwaitReadyFor(dest, b) }, rearm)
+func (ip *interDeviceProtocol) awaitReady(r *rcce.Rank, dest int) {
+	ip.waitLadder(r, "vscc.ready", dest, func(b sim.Cycles) bool { return r.AwaitReadyFor(dest, b) }, nil)
 }
 
-func (ip *interDeviceProtocol) awaitSent(r *rcce.Rank, src int, rearm func()) {
-	ip.waitLadder(r, "vscc.sent", src, func(b sim.Cycles) bool { return r.AwaitSentFor(src, b) }, rearm)
-}
-
-// waitFlag is a value-encoded flag wait under the ladder; peer is the
-// rank on the far side of the transfer.
-func (ip *interDeviceProtocol) waitFlag(r *rcce.Rank, site string, peer, tile, off int, pred func(byte) bool, rearm func()) {
-	ip.waitLadder(r, site, peer, func(b sim.Cycles) bool {
-		_, ok := r.Ctx().WaitFlagFor(tile, off, pred, b)
-		return ok
-	}, rearm)
+func (ip *interDeviceProtocol) awaitSent(r *rcce.Rank, src int) {
+	ip.waitLadder(r, "vscc.sent", src, func(b sim.Cycles) bool { return r.AwaitSentFor(src, b) }, nil)
 }
 
 // rearmVDMA returns the re-programming action for a pair's newest vDMA
@@ -171,20 +191,23 @@ func (ip *interDeviceProtocol) rearmVDMA(r *rcce.Rank, st *pairSeq) func() {
 // are flag-compatible with the unmodified receiver paths, so only the
 // sender changes behaviour.
 func (ip *interDeviceProtocol) degraded(r *rcce.Rank, peer int) bool {
-	if ip.faults == nil {
-		return false
-	}
 	return ip.faults.Degraded(r.Session().PlaceOf(r.ID()).Dev) ||
 		ip.faults.Degraded(r.Session().PlaceOf(peer).Dev)
 }
 
 // Name implements rcce.Protocol.
 func (ip *interDeviceProtocol) Name() string {
-	return fmt.Sprintf("vscc(%s, on-chip %s)", ip.scheme, ip.base.Name())
+	return fmt.Sprintf("vscc(%s, on-chip %s)", ip.desc.name, ip.base.Name())
 }
 
 func (ip *interDeviceProtocol) pair(src, dst int) *pairSeq {
 	return &ip.seqs[src*ip.nRanks+dst]
+}
+
+// engaged reports whether an n-byte message engages the host machinery:
+// at or below the threshold the core moves the payload itself.
+func (ip *interDeviceProtocol) engaged(n int) bool {
+	return ip.threshold <= 0 || n > ip.threshold
 }
 
 // Send implements rcce.Protocol.
@@ -196,45 +219,35 @@ func (ip *interDeviceProtocol) Send(r *rcce.Rank, dest int, data []byte) {
 	if len(data) == 0 {
 		return
 	}
+	engaged := ip.engaged(len(data))
 	// Per-scheme message-size histogram of the inter-device traffic, plus
 	// the direct-vs-engaged split of the §3.3 threshold. Recorded via the
 	// rank's own (per-device under PDES) sink.
 	if sink := r.Sink(); sink.Enabled() {
-		sink.Observe("vscc."+ip.scheme.Key()+".msg_size", float64(len(data)))
-		if ip.threshold > 0 && len(data) <= ip.threshold {
-			sink.Add("vscc.direct_sends", 1)
-		} else {
+		sink.Observe("vscc."+ip.desc.key+".msg_size", float64(len(data)))
+		if engaged {
 			sink.Add("vscc.engaged_sends", 1)
+		} else {
+			sink.Add("vscc.direct_sends", 1)
 		}
 	}
 	// Promotion hysteresis: a transfer that completes without any
 	// recovery on either endpoint device counts toward re-promoting a
 	// degraded device (fault.Injector.CleanTransfer).
-	var myDev, peerDev int
-	var recBase int
+	var myDev, peerDev, recBase int
 	if ip.faults != nil {
 		myDev = r.Session().PlaceOf(r.ID()).Dev
 		peerDev = r.Session().PlaceOf(dest).Dev
 		recBase = ip.faults.RecoveryCount(myDev) + ip.faults.RecoveryCount(peerDev)
 	}
-	if ip.threshold > 0 && len(data) <= ip.threshold {
-		ip.directSend(r, dest, data)
-	} else {
-		switch ip.scheme {
-		case SchemeRouting:
-			// The default RCCE protocol over the (slow) transparent path.
-			rcce.DefaultProtocol{}.Send(r, dest, data)
-		case SchemeHostRouted, SchemeHWAccel, SchemeRemotePut:
-			// Remote put; under SchemeHostRouted every line write stalls for
-			// a host round trip (the lower black curve of Fig. 6b), under
-			// SchemeHWAccel the FPGA acks it (upper curve), and under
-			// SchemeRemotePut the host write-combining buffer absorbs it.
-			ip.remotePutSend(r, dest, data)
-		case SchemeCachedGet:
-			ip.cachedSend(r, dest, data)
-		case SchemeVDMA:
-			ip.vdmaSend(r, dest, data)
-		}
+	switch {
+	case ip.desc.flow == flowSeq:
+		ip.seqSend(r, dest, data, engaged)
+	case ip.desc.flow == flowRCCE && engaged:
+		// The default RCCE protocol over the (slow) transparent path.
+		rcce.DefaultProtocol{}.Send(r, dest, data)
+	default:
+		ip.flagSend(r, dest, data, engaged)
 	}
 	if ip.faults != nil && ip.faults.RecoveryCount(myDev)+ip.faults.RecoveryCount(peerDev) == recBase {
 		ip.faults.CleanTransfer(myDev)
@@ -242,7 +255,9 @@ func (ip *interDeviceProtocol) Send(r *rcce.Rank, dest int, data []byte) {
 	}
 }
 
-// Recv implements rcce.Protocol.
+// Recv implements rcce.Protocol. Only the RCCE flow needs to know whether
+// the sender engaged: in both families a direct message reaches the
+// receiver exactly as an engaged one of that size would.
 func (ip *interDeviceProtocol) Recv(r *rcce.Rank, src int, buf []byte) {
 	if r.Session().SameDevice(r.ID(), src) {
 		ip.base.Recv(r, src, buf)
@@ -251,278 +266,127 @@ func (ip *interDeviceProtocol) Recv(r *rcce.Rank, src int, buf []byte) {
 	if len(buf) == 0 {
 		return
 	}
-	if ip.threshold > 0 && len(buf) <= ip.threshold {
-		ip.directRecv(r, src, buf)
-		return
-	}
-	switch ip.scheme {
-	case SchemeRouting:
+	switch {
+	case ip.desc.flow == flowSeq:
+		ip.seqRecv(r, src, buf)
+	case ip.desc.flow == flowRCCE && ip.engaged(len(buf)):
 		rcce.DefaultProtocol{}.Recv(r, src, buf)
-	case SchemeHostRouted, SchemeHWAccel, SchemeRemotePut:
-		ip.remotePutRecv(r, src, buf)
-	case SchemeCachedGet:
-		ip.cachedRecv(r, src, buf)
-	case SchemeVDMA:
-		ip.vdmaRecv(r, src, buf)
+	default:
+		ip.flagRecv(r, src, buf)
 	}
 }
 
-// --- direct small-message path ------------------------------------------
+// --- clear-flag family (Fig. 4b, 4c and the two bounds) -----------------
 
-// directSend transfers a small message without engaging the host
-// machinery: once the receiver grants its buffer, the payload is written
-// straight into the receiver's MPB, followed by the flag (§3.3: "to
-// recover low latency for small messages we have defined a threshold for
-// a core to directly transfer data"). Under the vDMA scheme the
-// handshake reuses the scheme's value-encoded counters (a one-chunk
-// message), so mixing direct and DMA transfers on one pair stays
-// consistent; the other schemes use the clear-based flags throughout.
-func (ip *interDeviceProtocol) directSend(r *rcce.Rank, dest int, data []byte) {
-	switch ip.scheme {
-	case SchemeVDMA:
-		ip.vdmaDirectSend(r, dest, data)
-		return
-	case SchemeCachedGet:
-		// Local-put direct: skip the update/invalidate commands — for a
-		// line or two, the receiver's transparent read beats warming the
-		// host cache.
-		ip.cachedDirectSend(r, dest, data)
-		return
-	}
-	ctx := r.Ctx()
-	dev, tile, base := r.MPBOf(dest)
-	ip.awaitReady(r, dest, nil) // buffer grant
-	ctx.CopyPrivate(len(data))
-	ctx.WriteMPB(dev, tile, base, data)
-	ctx.FlushWCB()
-	r.SignalSent(dest)
-	ip.awaitReady(r, dest, nil)
-}
-
-func (ip *interDeviceProtocol) directRecv(r *rcce.Rank, src int, buf []byte) {
-	switch ip.scheme {
-	case SchemeVDMA:
-		ip.vdmaDirectRecv(r, src, buf)
-		return
-	case SchemeCachedGet:
-		ip.cachedDirectRecv(r, src, buf)
-		return
-	}
-	ctx := r.Ctx()
-	dev, tile, base := r.MPBOf(r.ID())
-	r.SignalReady(src) // grant
-	ip.awaitSent(r, src, nil)
-	ctx.InvalidateMPB()
-	ctx.ReadMPB(dev, tile, base, buf)
-	ctx.CopyPrivate(len(buf))
-	r.SignalReady(src)
-}
-
-// cachedDirectSend/-Recv: the cached scheme's sub-threshold variant —
-// the usual local-put handshake without engaging the host cache. The
-// sender must still invalidate any previously published host copy, or
-// the receiver's reads could be served stale data from the cache.
-func (ip *interDeviceProtocol) cachedDirectSend(r *rcce.Rank, dest int, data []byte) {
-	ctx := r.Ctx()
-	myDev, myTile, myBase := r.MPBOf(r.ID())
-	if prev := ip.published[r.ID()]; prev > 0 {
-		ip.mmio(r, host.BankCommand{Cmd: host.CmdInvalidate, SrcOff: myBase, Count: prev})
-		ip.published[r.ID()] = 0
-	}
-	ctx.CopyPrivate(len(data))
-	ctx.WriteMPB(myDev, myTile, myBase, data)
-	ctx.FlushWCB()
-	r.SignalSent(dest)
-	ip.awaitReady(r, dest, nil)
-}
-
-func (ip *interDeviceProtocol) cachedDirectRecv(r *rcce.Rank, src int, buf []byte) {
-	ctx := r.Ctx()
-	srcDev, srcTile, srcBase := r.MPBOf(src)
-	ip.awaitSent(r, src, nil)
-	ctx.InvalidateMPB()
-	ctx.ReadMPB(srcDev, srcTile, srcBase, buf)
-	ctx.CopyPrivate(len(buf))
-	r.SignalReady(src)
-}
-
-// vdmaDirectSend is the sub-threshold path of the vDMA scheme: the same
-// counter flow as a one-chunk DMA transfer, but the core writes the
-// payload itself instead of programming the controller.
-func (ip *interDeviceProtocol) vdmaDirectSend(r *rcce.Rank, dest int, data []byte) {
-	ctx := r.Ctx()
-	st := ip.pair(r.ID(), dest)
-	_, myTile, myBase := r.MPBOf(r.ID())
-	dstDev, dstTile, dstBase := r.MPBOf(dest)
-	st.out++
-	seq := st.out
-	grantOff := myBase + rcce.FlagByteAt(rcce.FlagGrant, dest)
-	glo, ghi := seqVal(seq), seqVal(seq+1)
-	ip.waitFlag(r, "vscc.vdma.grant", dest, myTile, grantOff, func(b byte) bool { return b == glo || b == ghi }, nil)
-	slot := int((seq - 1) % 2 * uint64(ip.slotBytes()))
-	ctx.CopyPrivate(len(data))
-	ctx.WriteMPB(dstDev, dstTile, dstBase+slot, data)
-	ctx.FlushWCB()
-	// Raise the sent counter directly (flag write, fenced behind data).
-	ctx.WriteMPB(dstDev, dstTile, dstBase+rcce.FlagByteAt(rcce.FlagSent, r.ID()), []byte{seqVal(seq)})
-	ctx.FlushWCB()
-	readyOff := myBase + rcce.FlagByteAt(rcce.FlagReady, dest)
-	final := seqVal(seq)
-	ip.waitFlag(r, "vscc.vdma.ready", dest, myTile, readyOff, func(b byte) bool { return b == final }, nil)
-}
-
-func (ip *interDeviceProtocol) vdmaDirectRecv(r *rcce.Rank, src int, buf []byte) {
-	ctx := r.Ctx()
-	st := ip.pair(src, r.ID())
-	myDev, myTile, myBase := r.MPBOf(r.ID())
-	srcDev, srcTile, srcBase := r.MPBOf(src)
-	st.in++
-	seq := st.in
-	ctx.WriteMPB(srcDev, srcTile, srcBase+rcce.FlagByteAt(rcce.FlagGrant, r.ID()), []byte{seqVal(seq)})
-	ctx.FlushWCB()
-	sentOff := myBase + rcce.FlagByteAt(rcce.FlagSent, src)
-	lo, hi := seqVal(seq), seqVal(seq+1)
-	ip.waitFlag(r, "vscc.vdma.sent", src, myTile, sentOff, func(b byte) bool { return b == lo || b == hi }, nil)
-	slot := int((seq - 1) % 2 * uint64(ip.slotBytes()))
-	ctx.InvalidateMPB()
-	ctx.ReadMPB(myDev, myTile, myBase+slot, buf)
-	ctx.CopyPrivate(len(buf))
-	ctx.WriteMPB(srcDev, srcTile, srcBase+rcce.FlagByteAt(rcce.FlagReady, r.ID()), []byte{seqVal(seq)})
-	ctx.FlushWCB()
-}
-
-// --- remote put (Fig. 4c; also the hardware-accelerated upper bound) ---
-
-// remotePutSend streams chunks directly into the receiver's MPB. Under
-// SchemeRemotePut the host write-combining buffer absorbs the posted
-// lines and flushes bursts; under SchemeHWAccel the FPGA acks them.
-// The receiver's communication buffer is shared by every potential
-// sender, so each chunk is granted by the receiver (ready flag raised at
-// the start of the matching receive) before the sender may write it.
-func (ip *interDeviceProtocol) remotePutSend(r *rcce.Rank, dest int, data []byte) {
+// flagSend moves a message chunk by chunk over the clear-based sent/ready
+// flags. Under remote placement it streams into the receiver's MPB —
+// every line write stalls for a host round trip under SchemeHostRouted
+// (the lower curve of Fig. 6b), is acked by the FPGA under SchemeHWAccel
+// (upper curve) and is absorbed by the host write-combining buffer under
+// SchemeRemotePut — and each chunk awaits the receiver's grant. Under
+// local placement (SchemeCachedGet) it puts into its own MPB; engaged, it
+// then publishes: an update command tells the communication task where
+// the message lies, so it can prefetch the MPB into its cache and answer
+// the receiver's remote reads, and before reusing the buffer the sender
+// explicitly invalidates the outdated host copy (§3.1).
+//
+// A direct (not engaged) transfer is the same flow without the host
+// commands (§3.3: "to recover low latency for small messages we have
+// defined a threshold for a core to directly transfer data"): for a line
+// or two, the receiver's transparent read beats warming the host cache.
+func (ip *interDeviceProtocol) flagSend(r *rcce.Rank, dest int, data []byte, engaged bool) {
 	tl := r.Session().Timeline()
 	ctx := r.Ctx()
-	dev, tile, base := r.MPBOf(dest)
-	for len(data) > 0 {
-		n := len(data)
-		if n > rcce.ChunkBytes {
-			n = rcce.ChunkBytes
+	remote := ip.desc.place == placeRemote
+	holder, put := r.ID(), "put"
+	if remote {
+		holder, put = dest, "remoteput"
+	}
+	dev, tile, base := r.MPBOf(holder)
+	publish := engaged && ip.desc.publish
+	if publish && ip.degraded(r, dest) {
+		// Graceful degradation: past the fault threshold, stop publishing
+		// to the host cache — the receiver's remote gets then ride the
+		// transparent path automatically (a cold cache forwards the read),
+		// so only the sender changes behaviour.
+		publish = false
+		ip.faults.RecordRecovery("degraded-send", "vscc.cached-get", -1)
+	}
+	for first := true; len(data) > 0; first = false {
+		n := min(len(data), rcce.ChunkBytes)
+		if remote || !first {
+			t0 := r.Now()
+			ip.awaitReady(r, dest) // buffer grant / previous chunk drained
+			tl.Record("sender", "waitgrant", t0, r.Now())
+		}
+		if ip.desc.publish {
+			// Invalidate whatever the host cache still mirrors of this MPB
+			// — from the previous chunk or a previous message — before
+			// overwriting it. A message that does not publish must retire
+			// an earlier one's copy too, or the receiver's reads could be
+			// served stale data from the cache.
+			ip.unpublish(r, base)
 		}
 		t0 := r.Now()
-		ip.awaitReady(r, dest, nil) // buffer grant
-		tl.Record("sender", "waitgrant", t0, r.Now())
-		t0 = r.Now()
 		ctx.CopyPrivate(n)
 		ctx.WriteMPB(dev, tile, base, data[:n])
 		ctx.FlushWCB()
-		tl.Record("sender", "remoteput", t0, r.Now())
-		r.SignalSent(dest)
-		data = data[n:]
-	}
-	t0 := r.Now()
-	ip.awaitReady(r, dest, nil) // final drain acknowledgement
-	tl.Record("sender", "waitack", t0, r.Now())
-}
-
-func (ip *interDeviceProtocol) remotePutRecv(r *rcce.Rank, src int, buf []byte) {
-	tl := r.Session().Timeline()
-	ctx := r.Ctx()
-	dev, tile, base := r.MPBOf(r.ID())
-	for len(buf) > 0 {
-		n := len(buf)
-		if n > rcce.ChunkBytes {
-			n = rcce.ChunkBytes
-		}
-		r.SignalReady(src) // grant the buffer to this sender
-		t0 := r.Now()
-		ip.awaitSent(r, src, nil)
-		tl.Record("receiver", "waitdata", t0, r.Now())
-		t0 = r.Now()
-		ctx.InvalidateMPB()
-		ctx.ReadMPB(dev, tile, base, buf[:n])
-		ctx.CopyPrivate(n)
-		tl.Record("receiver", "localget", t0, r.Now())
-		buf = buf[n:]
-	}
-	r.SignalReady(src) // all chunks drained
-}
-
-// --- local put / remote get with the software cache (Fig. 4b) ----------
-
-// cachedSend performs the paper's optimized default scheme: local put,
-// then an update command telling the communication task where the
-// message lies, so it can prefetch the MPB into its cache and answer the
-// receiver's remote reads; before reusing the buffer, the sender
-// explicitly invalidates the outdated host copy (§3.1).
-func (ip *interDeviceProtocol) cachedSend(r *rcce.Rank, dest int, data []byte) {
-	tl := r.Session().Timeline()
-	ctx := r.Ctx()
-	myDev, myTile, myBase := r.MPBOf(r.ID())
-	// Graceful degradation: past the fault threshold, stop publishing to
-	// the host cache — the receiver's remote gets then ride the
-	// transparent path automatically (a cold cache forwards the read), so
-	// only the sender changes behaviour. One final invalidate retires any
-	// copy published before the fallback.
-	cached := !ip.degraded(r, dest)
-	if !cached {
-		ip.faults.RecordRecovery("degraded-send", "vscc.cached-get", -1)
-		if prev := ip.published[r.ID()]; prev > 0 {
-			ip.mmio(r, host.BankCommand{Cmd: host.CmdInvalidate, SrcOff: myBase, Count: prev})
-			ip.published[r.ID()] = 0
-		}
-	}
-	first := true
-	for len(data) > 0 {
-		n := len(data)
-		if n > rcce.ChunkBytes {
-			n = rcce.ChunkBytes
-		}
-		if !first {
-			ip.awaitReady(r, dest, nil)
-		}
-		first = false
-		// Invalidate whatever the host cache still mirrors of this MPB —
-		// from the previous chunk or a previous message — before
-		// overwriting it.
-		if prev := ip.published[r.ID()]; cached && prev > 0 {
-			ip.mmio(r, host.BankCommand{Cmd: host.CmdInvalidate, SrcOff: myBase, Count: prev})
-		}
-		t0 := r.Now()
-		ctx.CopyPrivate(n)
-		ctx.WriteMPB(myDev, myTile, myBase, data[:n])
-		ctx.FlushWCB()
-		tl.Record("sender", "put", t0, r.Now())
-		if cached {
-			ip.mmio(r, host.BankCommand{Cmd: host.CmdUpdate, SrcOff: myBase, Count: n})
+		tl.Record("sender", put, t0, r.Now())
+		if publish {
+			ip.mmio(r, host.BankCommand{Cmd: host.CmdUpdate, SrcOff: base, Count: n})
 			ip.published[r.ID()] = n
 		}
 		r.SignalSent(dest)
 		data = data[n:]
 	}
 	t0 := r.Now()
-	ip.awaitReady(r, dest, nil)
+	ip.awaitReady(r, dest) // final drain acknowledgement
 	tl.Record("sender", "waitack", t0, r.Now())
 }
 
-func (ip *interDeviceProtocol) cachedRecv(r *rcce.Rank, src int, buf []byte) {
+// unpublish invalidates the host copy of the sender's MPB, if one is
+// published.
+func (ip *interDeviceProtocol) unpublish(r *rcce.Rank, base int) {
+	if prev := ip.published[r.ID()]; prev > 0 {
+		ip.mmio(r, host.BankCommand{Cmd: host.CmdInvalidate, SrcOff: base, Count: prev})
+		ip.published[r.ID()] = 0
+	}
+}
+
+// flagRecv is flagSend's peer. Under remote placement it grants its own
+// buffer to this sender before every chunk, reads it locally and
+// acknowledges once at the end; under local placement it fetches every
+// chunk from the sender's MPB (served by the host cache and the SIF
+// stream when published) and acknowledges each.
+func (ip *interDeviceProtocol) flagRecv(r *rcce.Rank, src int, buf []byte) {
 	tl := r.Session().Timeline()
 	ctx := r.Ctx()
-	srcDev, srcTile, srcBase := r.MPBOf(src)
+	remote := ip.desc.place == placeRemote
+	holder, get := src, "remoteget"
+	if remote {
+		holder, get = r.ID(), "localget"
+	}
+	dev, tile, base := r.MPBOf(holder)
 	for len(buf) > 0 {
-		n := len(buf)
-		if n > rcce.ChunkBytes {
-			n = rcce.ChunkBytes
+		n := min(len(buf), rcce.ChunkBytes)
+		if remote {
+			r.SignalReady(src) // grant the buffer to this sender
 		}
 		t0 := r.Now()
-		ip.awaitSent(r, src, nil)
+		ip.awaitSent(r, src)
 		tl.Record("receiver", "waitdata", t0, r.Now())
 		t0 = r.Now()
 		ctx.InvalidateMPB()
-		ctx.ReadMPB(srcDev, srcTile, srcBase, buf[:n]) // served by cache + SIF stream
+		ctx.ReadMPB(dev, tile, base, buf[:n])
 		ctx.CopyPrivate(n)
-		tl.Record("receiver", "remoteget", t0, r.Now())
-		r.SignalReady(src)
+		tl.Record("receiver", get, t0, r.Now())
+		if !remote {
+			r.SignalReady(src)
+		}
 		buf = buf[n:]
+	}
+	if remote {
+		r.SignalReady(src) // all chunks drained
 	}
 }
 
@@ -535,7 +399,7 @@ func (ip *interDeviceProtocol) mmio(r *rcce.Rank, cmd host.BankCommand) {
 	ctx.FlushWCB()
 }
 
-// --- local put / local get through the vDMA controller (Fig. 4a/5) -----
+// --- counter family: local put / local get through the vDMA (Fig. 4a/5) -
 
 // vdmaHalf is the double-buffer slot size: both MPBs split into two
 // halves so the sender's put, the host copy, and the receiver's get
@@ -548,16 +412,85 @@ func chunksFor(n, slot int) uint64 {
 	return uint64((n + slot - 1) / slot)
 }
 
-// slotBytes returns the configured vDMA slot size.
-func (ip *interDeviceProtocol) slotBytes() int {
-	if ip.slot > 0 {
-		return ip.slot
-	}
-	return vdmaHalf
+// slotOf returns the offset of chunk seq's slot in an MPB payload area.
+func (ip *interDeviceProtocol) slotOf(seq uint64) int {
+	return int((seq - 1) % 2 * uint64(ip.slot))
 }
 
-// vdmaSend is the new local-access scheme: sender and receiver only
-// touch their own on-chip memory while the communication task acts as a
+// reached reports whether a counter byte reads seq or seq+1: every
+// counter below runs at most one chunk ahead of the side waiting on it.
+func reached(b byte, seq uint64) bool { return b == seqVal(seq) || b == seqVal(seq+1) }
+
+// waitCount waits under the ladder until this rank's own counter flag of
+// the given kind for peer satisfies pred.
+func (ip *interDeviceProtocol) waitCount(r *rcce.Rank, site string, kind, peer int, pred func(byte) bool, rearm func()) {
+	_, tile, base := r.MPBOf(r.ID())
+	ip.waitLadder(r, site, peer, func(b sim.Cycles) bool {
+		_, ok := r.Ctx().WaitFlagFor(tile, base+rcce.FlagByteAt(kind, peer), pred, b)
+		return ok
+	}, rearm)
+}
+
+// postCount writes this rank's counter flag of the given kind at peer (a
+// posted flag write, fenced behind whatever data preceded it).
+func (ip *interDeviceProtocol) postCount(r *rcce.Rank, peer, kind int, seq uint64) {
+	dev, tile, base := r.MPBOf(peer)
+	ctx := r.Ctx()
+	ctx.WriteMPB(dev, tile, base+rcce.FlagByteAt(kind, r.ID()), []byte{seqVal(seq)})
+	ctx.FlushWCB()
+}
+
+// putAndProgram puts chunk seq into the sender's own slot and programs
+// the vDMA controller to carry it to the receiver's: one fused 32 B
+// register write (address / count / control, Fig. 5). The command raises
+// the sent counter at the receiver and the dmac counter at the sender.
+func (ip *interDeviceProtocol) putAndProgram(r *rcce.Rank, dest int, seq uint64, chunk []byte) host.BankCommand {
+	tl := r.Session().Timeline()
+	ctx := r.Ctx()
+	myDev, myTile, myBase := r.MPBOf(r.ID())
+	dstDev, dstTile, dstBase := r.MPBOf(dest)
+	slot := ip.slotOf(seq)
+	t0 := r.Now()
+	ctx.CopyPrivate(len(chunk))
+	ctx.WriteMPB(myDev, myTile, myBase+slot, chunk)
+	ctx.FlushWCB()
+	tl.Record("sender", "put", t0, r.Now())
+	cmd := host.BankCommand{
+		Cmd:    host.CmdCopy,
+		DstDev: dstDev, DstTile: dstTile, DstOff: dstBase + slot,
+		SrcOff: myBase + slot, Count: len(chunk),
+		Flags:     host.FlagNotifyDest | host.FlagCompletion,
+		NotifyOff: dstBase + rcce.FlagByteAt(rcce.FlagSent, r.ID()), NotifyVal: seqVal(seq),
+		ComplOff: myBase + rcce.FlagByteAt(rcce.FlagDMAC, dest), ComplVal: seqVal(seq),
+	}
+	ip.mmio(r, cmd)
+	tl.Mark("sender", "dma-armed")
+	return cmd
+}
+
+// drainAndAck reads chunk seq out of the receiver's own slot (local get)
+// and publishes the drained count at the sender.
+func (ip *interDeviceProtocol) drainAndAck(r *rcce.Rank, src int, seq uint64, chunk []byte) {
+	tl := r.Session().Timeline()
+	ctx := r.Ctx()
+	myDev, myTile, myBase := r.MPBOf(r.ID())
+	t0 := r.Now()
+	ctx.InvalidateMPB()
+	ctx.ReadMPB(myDev, myTile, myBase+ip.slotOf(seq), chunk)
+	ctx.CopyPrivate(len(chunk))
+	tl.Record("receiver", "localget", t0, r.Now())
+	ip.postCount(r, src, rcce.FlagReady, seq)
+}
+
+// grantThrough posts the receiver's buffer credit while it works on chunk
+// seq: one chunk ahead, but never into the next message — the receive
+// slots are shared by all senders.
+func (ip *interDeviceProtocol) grantThrough(r *rcce.Rank, src int, seq, lastSeq uint64) {
+	ip.postCount(r, src, rcce.FlagGrant, min(seq+1, lastSeq))
+}
+
+// seqSend is the new local-access scheme: sender and receiver only touch
+// their own on-chip memory while the communication task acts as a
 // virtual DMA controller between the two MPBs. Flow control is
 // value-encoded and per pair:
 //
@@ -568,129 +501,79 @@ func (ip *interDeviceProtocol) slotBytes() int {
 //     blocking-send completion condition);
 //   - dmac[dest] at the sender carries the vDMA read-completion count,
 //     guarding the sender's own slot reuse.
-func (ip *interDeviceProtocol) vdmaSend(r *rcce.Rank, dest int, data []byte) {
+//
+// A direct (not engaged) transfer keeps the counter flow, so mixing
+// direct and DMA transfers on one pair stays consistent, but the core
+// writes each chunk straight into the receiver's slot and raises the
+// sent counter itself instead of programming the controller.
+func (ip *interDeviceProtocol) seqSend(r *rcce.Rank, dest int, data []byte, engaged bool) {
 	tl := r.Session().Timeline()
 	ctx := r.Ctx()
 	st := ip.pair(r.ID(), dest)
-	myDev, myTile, myBase := r.MPBOf(r.ID())
 	dstDev, dstTile, dstBase := r.MPBOf(dest)
-	grantOff := myBase + rcce.FlagByteAt(rcce.FlagGrant, dest)
-	readyOff := myBase + rcce.FlagByteAt(rcce.FlagReady, dest)
-	dmacOff := myBase + rcce.FlagByteAt(rcce.FlagDMAC, dest)
-	slotSize := ip.slotBytes()
 	firstSeq := st.out + 1
-	lastSeq := st.out + chunksFor(len(data), slotSize)
-	// Graceful degradation: past the fault threshold, the sender writes
-	// each chunk straight into the receiver's slot and raises the sent
-	// counter itself instead of programming the vDMA controller — the
-	// exact flag flow the unmodified receiver expects, minus the host
-	// machinery. The re-arm ladder is meaningless then (no command).
-	direct := ip.degraded(r, dest)
-	rearm := ip.rearmVDMA(r, st)
-	if direct {
+	if engaged && ip.degraded(r, dest) {
+		// Graceful degradation: past the fault threshold every message
+		// goes direct — the exact flag flow the unmodified receiver
+		// expects, minus the host machinery.
+		engaged = false
 		ip.faults.RecordRecovery("degraded-send", "vscc.vdma", -1)
+	}
+	rearm := ip.rearmVDMA(r, st)
+	if !engaged {
 		// A re-issued command from an earlier message would overwrite the
 		// directly-written counters with stale values; never re-arm here.
 		rearm = nil
 	}
 	for len(data) > 0 {
-		n := len(data)
-		if n > slotSize {
-			n = slotSize
-		}
+		n := min(len(data), ip.slot)
 		st.out++
 		seq := st.out
 		// Receiver grant for this chunk: the grant byte reads seq (the
 		// receiver is one chunk behind) or seq+1 (it caught up).
-		glo, ghi := seqVal(seq), seqVal(seq+1)
 		t0 := r.Now()
-		ip.waitFlag(r, "vscc.vdma.grant", dest, myTile, grantOff, func(b byte) bool { return b == glo || b == ghi }, rearm)
+		ip.waitCount(r, "vscc.vdma.grant", rcce.FlagGrant, dest, func(b byte) bool { return reached(b, seq) }, rearm)
 		tl.Record("sender", "waitgrant", t0, r.Now())
-		slot := int((seq - 1) % 2 * uint64(slotSize))
-		if direct {
+		if engaged {
+			if seq-firstSeq >= 2 {
+				// Slot reuse: the vDMA must have finished reading chunk
+				// seq-2 out of this MPB slot.
+				t0 = r.Now()
+				ip.waitCount(r, "vscc.vdma.dmac", rcce.FlagDMAC, dest, func(b byte) bool { return reached(b, seq-2) }, rearm)
+				tl.Record("sender", "waitdma", t0, r.Now())
+			}
+			st.cmd, st.haveCmd = ip.putAndProgram(r, dest, seq, data[:n]), true
+		} else {
 			t0 = r.Now()
 			ctx.CopyPrivate(n)
-			ctx.WriteMPB(dstDev, dstTile, dstBase+slot, data[:n])
+			ctx.WriteMPB(dstDev, dstTile, dstBase+ip.slotOf(seq), data[:n])
 			ctx.FlushWCB()
-			ctx.WriteMPB(dstDev, dstTile, dstBase+rcce.FlagByteAt(rcce.FlagSent, r.ID()), []byte{seqVal(seq)})
-			ctx.FlushWCB()
+			ip.postCount(r, dest, rcce.FlagSent, seq)
 			tl.Record("sender", "remoteput", t0, r.Now())
-			data = data[n:]
-			continue
 		}
-		if seq-firstSeq >= 2 {
-			// Slot reuse: the vDMA must have finished reading chunk
-			// seq-2 out of this MPB slot.
-			clo, chi := seqVal(seq-2), seqVal(seq-1)
-			t0 = r.Now()
-			ip.waitFlag(r, "vscc.vdma.dmac", dest, myTile, dmacOff, func(b byte) bool { return b == clo || b == chi }, rearm)
-			tl.Record("sender", "waitdma", t0, r.Now())
-		}
-		t0 = r.Now()
-		ctx.CopyPrivate(n)
-		ctx.WriteMPB(myDev, myTile, myBase+slot, data[:n])
-		ctx.FlushWCB()
-		tl.Record("sender", "put", t0, r.Now())
-		// Program the vDMA controller: one fused 32 B register write
-		// (address / count / control, Fig. 5).
-		cmd := host.BankCommand{
-			Cmd:    host.CmdCopy,
-			DstDev: dstDev, DstTile: dstTile, DstOff: dstBase + slot,
-			SrcOff: myBase + slot, Count: n,
-			Flags:     host.FlagNotifyDest | host.FlagCompletion,
-			NotifyOff: dstBase + rcce.FlagByteAt(rcce.FlagSent, r.ID()), NotifyVal: seqVal(seq),
-			ComplOff: dmacOff, ComplVal: seqVal(seq),
-		}
-		ip.mmio(r, cmd)
-		st.cmd = cmd
-		st.haveCmd = true
-		tl.Mark("sender", "dma-armed")
 		data = data[n:]
 	}
 	// Blocking semantics: the receiver drained everything.
-	final := seqVal(lastSeq)
+	final := seqVal(st.out)
 	t0 := r.Now()
-	ip.waitFlag(r, "vscc.vdma.ready", dest, myTile, readyOff, func(b byte) bool { return b == final }, rearm)
+	ip.waitCount(r, "vscc.vdma.ready", rcce.FlagReady, dest, func(b byte) bool { return b == final }, rearm)
 	tl.Record("sender", "waitack", t0, r.Now())
 }
 
-func (ip *interDeviceProtocol) vdmaRecv(r *rcce.Rank, src int, buf []byte) {
+// seqRecv is seqSend's peer; it cannot tell a direct chunk from a DMA one.
+func (ip *interDeviceProtocol) seqRecv(r *rcce.Rank, src int, buf []byte) {
 	tl := r.Session().Timeline()
-	ctx := r.Ctx()
 	st := ip.pair(src, r.ID())
-	myDev, myTile, myBase := r.MPBOf(r.ID())
-	srcDev, srcTile, srcBase := r.MPBOf(src)
-	sentOff := myBase + rcce.FlagByteAt(rcce.FlagSent, src)
-	slotSize := ip.slotBytes()
-	lastSeq := st.in + chunksFor(len(buf), slotSize)
+	lastSeq := st.in + chunksFor(len(buf), ip.slot)
 	for len(buf) > 0 {
-		n := len(buf)
-		if n > slotSize {
-			n = slotSize
-		}
+		n := min(len(buf), ip.slot)
 		st.in++
 		seq := st.in
-		// Grant up to one chunk ahead, but never into the next message:
-		// the receive slots are shared by all senders.
-		grantTo := seq + 1
-		if grantTo > lastSeq {
-			grantTo = lastSeq
-		}
-		ctx.WriteMPB(srcDev, srcTile, srcBase+rcce.FlagByteAt(rcce.FlagGrant, r.ID()), []byte{seqVal(grantTo)})
-		ctx.FlushWCB()
-		lo, hi := seqVal(seq), seqVal(seq+1)
+		ip.grantThrough(r, src, seq, lastSeq)
 		t0 := r.Now()
-		ip.waitFlag(r, "vscc.vdma.sent", src, myTile, sentOff, func(b byte) bool { return b == lo || b == hi }, nil)
+		ip.waitCount(r, "vscc.vdma.sent", rcce.FlagSent, src, func(b byte) bool { return reached(b, seq) }, nil)
 		tl.Record("receiver", "waitdata", t0, r.Now())
-		slot := int((seq - 1) % 2 * uint64(slotSize))
-		t0 = r.Now()
-		ctx.InvalidateMPB()
-		ctx.ReadMPB(myDev, myTile, myBase+slot, buf[:n]) // local get
-		ctx.CopyPrivate(n)
-		tl.Record("receiver", "localget", t0, r.Now())
-		// Publish the drained count at the sender (posted flag write).
-		ctx.WriteMPB(srcDev, srcTile, srcBase+rcce.FlagByteAt(rcce.FlagReady, r.ID()), []byte{seqVal(seq)})
-		ctx.FlushWCB()
+		ip.drainAndAck(r, src, seq, buf[:n])
 		buf = buf[n:]
 	}
 }

@@ -31,122 +31,6 @@ import (
 	"vscc/internal/trace"
 )
 
-// Scheme selects the inter-device communication scheme.
-type Scheme int
-
-// The available schemes; see the package comment.
-const (
-	SchemeRouting Scheme = iota
-	SchemeHostRouted
-	SchemeHWAccel
-	SchemeCachedGet
-	SchemeRemotePut
-	SchemeVDMA
-)
-
-// String names the scheme as in the paper's figures.
-func (s Scheme) String() string {
-	switch s {
-	case SchemeRouting:
-		return "transparent-routing"
-	case SchemeHostRouted:
-		return "host-routed (lower bound)"
-	case SchemeHWAccel:
-		return "hw-accelerated (upper bound)"
-	case SchemeCachedGet:
-		return "local put/remote get + cache"
-	case SchemeRemotePut:
-		return "remote put + write combining"
-	case SchemeVDMA:
-		return "local put/local get + vDMA"
-	}
-	return "invalid"
-}
-
-// Key returns a short stable identifier for file names, metric names and
-// sweep labels (the String form carries spaces and slashes).
-func (s Scheme) Key() string {
-	switch s {
-	case SchemeRouting:
-		return "routing"
-	case SchemeHostRouted:
-		return "host-routed"
-	case SchemeHWAccel:
-		return "hw-accel"
-	case SchemeCachedGet:
-		return "cached-get"
-	case SchemeRemotePut:
-		return "remote-put"
-	case SchemeVDMA:
-		return "vdma"
-	}
-	return "invalid"
-}
-
-// SchemeByKey parses a Key back into a scheme.
-func SchemeByKey(key string) (Scheme, bool) {
-	for _, s := range []Scheme{
-		SchemeRouting, SchemeHostRouted, SchemeHWAccel,
-		SchemeCachedGet, SchemeRemotePut, SchemeVDMA,
-	} {
-		if s.Key() == key {
-			return s, true
-		}
-	}
-	return 0, false
-}
-
-// ackMode returns the write-acknowledge mode a scheme requires.
-func (s Scheme) ackMode() pcie.AckMode {
-	switch s {
-	case SchemeRouting:
-		return pcie.AckRemote
-	case SchemeHWAccel:
-		return pcie.AckFPGA
-	default:
-		return pcie.AckHost
-	}
-}
-
-// regionMode returns how the communication task treats payload regions.
-func (s Scheme) regionMode() host.Mode {
-	switch s {
-	case SchemeCachedGet:
-		return host.ModeCached
-	case SchemeRemotePut:
-		return host.ModeWriteCombining
-	case SchemeVDMA:
-		// The vDMA engine owns the bulk path; the direct small-message
-		// path posts its payload writes through the communication task.
-		return host.ModePosted
-	default:
-		return host.ModeTransparent
-	}
-}
-
-// DirectThreshold returns the scheme's default small-message cutoff: at
-// or below it, a core transfers the payload directly instead of engaging
-// the host machinery ("about 32 B to 128 B dependent on the
-// communication scheme", §3.3).
-func (s Scheme) DirectThreshold() int {
-	switch s {
-	case SchemeCachedGet:
-		return 32
-	case SchemeRemotePut:
-		return 128
-	case SchemeVDMA:
-		return 64
-	default:
-		return 0
-	}
-}
-
-// Compatible reports whether sessions of both schemes can share one
-// fabric: the PCIe acknowledgement mode is a fabric-wide property, so
-// only schemes with the same mode may coexist (NewTenantSession
-// enforces this at admission).
-func (s Scheme) Compatible(other Scheme) bool { return s.ackMode() == other.ackMode() }
-
 // Config describes a vSCC system.
 type Config struct {
 	// Devices is the number of coupled SCC boards (the paper's flagship
@@ -199,25 +83,42 @@ type System struct {
 	Membership *Membership
 }
 
-// NewSystem assembles a vSCC.
-func NewSystem(k *sim.Kernel, cfg Config) (*System, error) {
+// resolve validates the system shape and fills in the timing-model
+// defaults; both engines build from its result.
+func (cfg Config) resolve() (chip scc.Params, fabric pcie.Params, hostTask host.Params, err error) {
 	if cfg.Devices <= 0 {
-		return nil, fmt.Errorf("vscc: %d devices", cfg.Devices)
+		return chip, fabric, hostTask, fmt.Errorf("vscc: %d devices", cfg.Devices)
 	}
 	if cfg.Scheme == SchemeHWAccel && cfg.Devices > 2 {
-		return nil, fmt.Errorf("vscc: the hardware-accelerated scheme is unstable beyond 2 devices (§2.3); got %d", cfg.Devices)
+		return chip, fabric, hostTask, fmt.Errorf("vscc: the hardware-accelerated scheme is unstable beyond 2 devices (§2.3); got %d", cfg.Devices)
 	}
-	chipParams := scc.DefaultParams()
+	chip, fabric, hostTask = scc.DefaultParams(), pcie.DefaultParams(), host.DefaultParams()
 	if cfg.ChipParams != nil {
-		chipParams = *cfg.ChipParams
+		chip = *cfg.ChipParams
 	}
-	fabricParams := pcie.DefaultParams()
 	if cfg.FabricParams != nil {
-		fabricParams = *cfg.FabricParams
+		fabric = *cfg.FabricParams
 	}
-	hostParams := host.DefaultParams()
 	if cfg.HostParams != nil {
-		hostParams = *cfg.HostParams
+		hostTask = *cfg.HostParams
+	}
+	return chip, fabric, hostTask, nil
+}
+
+// newChip builds device d on kernel k, minus its silently failed cores.
+func (cfg Config) newChip(k *sim.Kernel, d int, params scc.Params) *scc.Chip {
+	chip := scc.NewChip(k, d, params)
+	for _, core := range cfg.FailedCores[d] {
+		chip.SetAlive(core, false)
+	}
+	return chip
+}
+
+// NewSystem assembles a vSCC.
+func NewSystem(k *sim.Kernel, cfg Config) (*System, error) {
+	chipParams, fabricParams, hostParams, err := cfg.resolve()
+	if err != nil {
+		return nil, err
 	}
 	var chips []*scc.Chip
 	var checker *scc.Checker
@@ -225,10 +126,7 @@ func NewSystem(k *sim.Kernel, cfg Config) (*System, error) {
 		checker = scc.NewChecker()
 	}
 	for d := 0; d < cfg.Devices; d++ {
-		chip := scc.NewChip(k, d, chipParams)
-		for _, core := range cfg.FailedCores[d] {
-			chip.SetAlive(core, false)
-		}
+		chip := cfg.newChip(k, d, chipParams)
 		if checker != nil {
 			chip.EnableConsistencyCheck(checker)
 		}
@@ -248,7 +146,6 @@ func NewSystem(k *sim.Kernel, cfg Config) (*System, error) {
 		fabric.SetFaults(k, inj)
 		task.SetFaults(inj)
 		for d, chip := range chips {
-			d := d
 			// Remote MPB flag writes (flag-sized host stores) can vanish;
 			// the host's write-verify path recovers them.
 			chip.SetHostWriteDropper(func(tile, off, n int) bool {
@@ -277,9 +174,11 @@ func (s *System) Instrument(sink *trace.Sink) {
 }
 
 // TotalCores returns the number of available cores across all devices.
-func (s *System) TotalCores() int {
+func (s *System) TotalCores() int { return totalCores(s.Chips) }
+
+func totalCores(chips []*scc.Chip) int {
 	n := 0
-	for _, c := range s.Chips {
+	for _, c := range chips {
 		n += len(c.AliveCores())
 	}
 	return n
@@ -324,37 +223,42 @@ func (s *System) NewTenantSession(places []rcce.Place, scheme Scheme, opts ...rc
 }
 
 func (s *System) newSessionAt(places []rcce.Place, scheme Scheme, opts ...rcce.Option) (*rcce.Session, error) {
-	base := s.Config.OnChipProtocol
-	if base == nil {
-		base = rcce.DefaultProtocol{}
+	proto, err := s.Config.newProtocol(scheme, len(places))
+	if err != nil {
+		return nil, err
 	}
-	threshold := s.Config.DirectThreshold
-	if threshold == 0 {
-		threshold = scheme.DirectThreshold()
-	}
-	slot := s.Config.VDMASlotBytes
-	if slot > rcce.PayloadBytes/2 {
-		return nil, fmt.Errorf("vscc: vDMA slot %d exceeds half the payload area (%d)", slot, rcce.PayloadBytes/2)
-	}
-	proto := &interDeviceProtocol{
-		base:      base,
-		scheme:    scheme,
-		threshold: threshold,
-		slot:      slot,
-		seqs:      make([]pairSeq, len(places)*len(places)),
-		nRanks:    len(places),
-		published: make([]int, len(places)),
-		faults:    s.Injector,
-		rec:       s.Injector.Recovery(),
-		mem:       s.Membership,
-	}
-	opts = append([]rcce.Option{rcce.WithProtocol(proto)}, opts...)
-	session, err := rcce.NewSession(s.Kernel, s.Chips, places, opts...)
+	proto.faults, proto.rec, proto.mem = s.Injector, s.Injector.Recovery(), s.Membership
+	session, err := newSession(s.Kernel, s.Chips, places, proto, opts)
 	if err != nil {
 		return nil, err
 	}
 	if err := s.registerRegions(places, scheme.regionMode()); err != nil {
 		return nil, err
+	}
+	return session, nil
+}
+
+// newSession builds the RCCE session of either engine: the placements on
+// kernel k running proto, with the LUT mappings of remote on-chip memory
+// installed for every placed core — the paper's §2.1
+// hardware-abstraction-layer extension. The mappings are idempotent and
+// identical for every session.
+func newSession(k *sim.Kernel, chips []*scc.Chip, places []rcce.Place, proto *interDeviceProtocol, opts []rcce.Option) (*rcce.Session, error) {
+	opts = append([]rcce.Option{rcce.WithProtocol(proto)}, opts...)
+	session, err := rcce.NewSession(k, chips, places, opts...)
+	if err != nil {
+		return nil, err
+	}
+	for _, pl := range places {
+		lut := chips[pl.Dev].Cores[pl.Core].LUT
+		for d := range chips {
+			if d == pl.Dev {
+				continue
+			}
+			if err := lut.MapRemoteDevice(d); err != nil {
+				return nil, err
+			}
+		}
 	}
 	return session, nil
 }
@@ -373,21 +277,8 @@ func (s *System) ReleaseRegions(places []rcce.Place) {
 }
 
 // registerRegions performs the boot-time registration of every rank's
-// communication buffer and flag area with the communication task, and
-// installs the LUT mappings of remote on-chip memory — the paper's §2.1
-// hardware-abstraction-layer extension.
+// communication buffer and flag area with the communication task.
 func (s *System) registerRegions(places []rcce.Place, mode host.Mode) error {
-	for _, pl := range places {
-		lut := s.Chips[pl.Dev].Cores[pl.Core].LUT
-		for d := range s.Chips {
-			if d == pl.Dev {
-				continue
-			}
-			if err := lut.MapRemoteDevice(d); err != nil {
-				return err
-			}
-		}
-	}
 	for _, pl := range places {
 		tile := scc.CoreTile(pl.Core)
 		base := scc.CoreLMBOffset(pl.Core)
@@ -400,11 +291,10 @@ func (s *System) registerRegions(places []rcce.Place, mode host.Mode) error {
 			Len:  mem.CoreLMBSize - rcce.PayloadBytes,
 			Kind: host.KindFlag, Mode: host.ModeTransparent, Owner: pl.Core,
 		}
-		if err := s.Task.Register(data); err != nil {
-			return err
-		}
-		if err := s.Task.Register(flags); err != nil {
-			return err
+		for _, region := range []*host.Region{data, flags} {
+			if err := s.Task.Register(region); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
