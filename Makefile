@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: all fmt build vet lint test race bench bench-kernel fault cover soak check
+.PHONY: all fmt build vet lint test race bench bench-kernel fault cover soak loc check
 
 all: check
 
@@ -72,5 +72,10 @@ cover:
 # Full 10k-transfer fault soak (the short 1x schedule runs in `fault`).
 soak:
 	$(GO) test -run FaultSoak -v ./internal/harness
+
+# Non-test Go lines per package, without bench/ and testdata/: the number
+# the ROADMAP's line-count target and the simplicity PRs quote. No gate.
+loc:
+	@./scripts/loc.sh
 
 check: fmt build vet lint fault race bench

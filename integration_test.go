@@ -143,8 +143,9 @@ func runBTChecksum(t *testing.T, failed map[int][]int) npb.Vec5 {
 }
 
 func TestMixedProtocolsOneSession(t *testing.T) {
-	// Blocking RCCE, the iRCCE engine (on-chip) and the async vDMA
-	// engine (cross-device) interoperate within one session.
+	// Blocking RCCE and the request engine — on-chip and cross-device
+	// requests through the one ircce.Engine — interoperate within one
+	// session.
 	k := sim.NewKernel()
 	sys, err := vscc.NewSystem(k, vscc.Config{Devices: 2, Scheme: vscc.SchemeVDMA})
 	if err != nil {
@@ -162,9 +163,17 @@ func TestMixedProtocolsOneSession(t *testing.T) {
 		}
 		return b
 	}
-	got1 := make([]byte, size) // on-chip via iRCCE engine
-	got2 := make([]byte, size) // cross-device via async engine
+	got1 := make([]byte, size) // on-chip request
+	got2 := make([]byte, size) // cross-device request
 	got3 := make([]byte, size) // cross-device blocking
+	irecv := func(r *rcce.Rank, buf []byte) {
+		eng := ircce.New(r)
+		q, err := eng.Irecv(0, buf)
+		if err != nil {
+			panic(err)
+		}
+		eng.Wait(q)
+	}
 	err = session.Run(func(r *rcce.Rank) {
 		switch r.ID() {
 		case 0:
@@ -174,33 +183,16 @@ func TestMixedProtocolsOneSession(t *testing.T) {
 				panic(err)
 			}
 			eng.Wait(q)
-			ae, err := vscc.NewAsyncEngine(r)
+			aq, err := eng.Isend(48, mk(2))
 			if err != nil {
 				panic(err)
 			}
-			aq, err := ae.Isend(48, mk(2))
-			if err != nil {
-				panic(err)
-			}
-			ae.Wait(aq)
+			eng.Wait(aq)
 			r.Send(49, mk(3))
 		case 1:
-			eng := ircce.New(r)
-			q, err := eng.Irecv(0, got1)
-			if err != nil {
-				panic(err)
-			}
-			eng.Wait(q)
+			irecv(r, got1)
 		case 48:
-			ae, err := vscc.NewAsyncEngine(r)
-			if err != nil {
-				panic(err)
-			}
-			aq, err := ae.Irecv(0, got2)
-			if err != nil {
-				panic(err)
-			}
-			ae.Wait(aq)
+			irecv(r, got2)
 		case 49:
 			r.Recv(0, got3)
 		}
@@ -227,13 +219,13 @@ func TestTrafficObserverSeesAsyncTransfers(t *testing.T) {
 	err = session.Run(func(r *rcce.Rank) {
 		switch r.ID() {
 		case 0:
-			ae, _ := vscc.NewAsyncEngine(r)
-			q, _ := ae.Isend(48, make([]byte, 5000))
-			ae.Wait(q)
+			eng := ircce.New(r)
+			q, _ := eng.Isend(48, make([]byte, 5000))
+			eng.Wait(q)
 		case 48:
-			ae, _ := vscc.NewAsyncEngine(r)
-			q, _ := ae.Irecv(0, make([]byte, 5000))
-			ae.Wait(q)
+			eng := ircce.New(r)
+			q, _ := eng.Irecv(0, make([]byte, 5000))
+			eng.Wait(q)
 		}
 	})
 	if err != nil {

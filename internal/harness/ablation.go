@@ -7,7 +7,6 @@ import (
 	"vscc/internal/npb"
 	"vscc/internal/rcce"
 	"vscc/internal/sim"
-	"vscc/internal/trace"
 	"vscc/internal/vscc"
 )
 
@@ -167,14 +166,4 @@ func AblateBTScheme(ranks, iters int, schemes []vscc.Scheme) (map[vscc.Scheme]fl
 		out[s] = gflops[i]
 	}
 	return out, nil
-}
-
-// TrafficBalance summarizes a matrix's device-boundary pressure — used
-// to quantify why topology-unaware linear rank mapping (§3) makes the
-// scheme choice matter.
-func TrafficBalance(m *trace.Matrix) (interShare float64) {
-	if m.Total() == 0 {
-		return 0
-	}
-	return float64(m.InterDeviceBytes()) / float64(m.Total())
 }

@@ -25,6 +25,3 @@ func SetFaultSpec(spec string) error {
 	faultConfig.Store(cfg)
 	return nil
 }
-
-// FaultSpecArmed reports whether a fault schedule is currently armed.
-func FaultSpecArmed() bool { return faultConfig.Load() != nil }

@@ -49,82 +49,72 @@ func LUSweep(cfg BTSweepConfig, counts []int) ([]BTPoint, error) {
 }
 
 // BTRun executes one BT configuration on a fresh vSCC.
-func BTRun(cfg BTSweepConfig, ranks int) (BTPoint, error) {
-	if cfg.Devices == 0 {
-		cfg.Devices = (ranks + 47) / 48
-		if cfg.Devices < 1 {
-			cfg.Devices = 1
-		}
-	}
-	if cfg.Iterations == 0 {
-		cfg.Iterations = 2
-	}
-	if w := PDESWorkers(); w > 0 {
-		return btRunPDES(cfg, ranks, w)
-	}
-	k := sim.NewKernel()
-	sys, err := vscc.NewSystem(k, sysConfig(vscc.Config{Devices: cfg.Devices, Scheme: cfg.Scheme}))
-	if err != nil {
-		return BTPoint{}, err
-	}
-	sink := observe(fmt.Sprintf("fig7/bt/%s/ranks=%03d", cfg.Scheme.Key(), ranks), k)
-	sys.Instrument(sink)
-	session, err := sys.NewSession(ranks, rcce.WithSink(sink))
-	if err != nil {
-		return BTPoint{}, err
-	}
-	d, err := npb.NewDecomp(cfg.Class.N, ranks)
-	if err != nil {
-		return BTPoint{}, err
-	}
-	res, err := npb.RunOn(session, d, npb.Config{
-		Class:      cfg.Class,
-		Iterations: cfg.Iterations,
-		Timing:     true,
-	})
-	if err != nil {
-		return BTPoint{}, fmt.Errorf("bt ranks=%d: %w", ranks, err)
-	}
-	return BTPoint{Ranks: ranks, GFlops: res.GFlops, Cycles: res.Cycles}, nil
-}
+func BTRun(cfg BTSweepConfig, ranks int) (BTPoint, error) { return npbPoint("bt", cfg, ranks) }
 
 // LURun executes the NPB LU extension workload (latency-bound wavefront
 // sweeps — the communication contrast to BT) on a fresh vSCC.
-func LURun(cfg BTSweepConfig, ranks int) (BTPoint, error) {
+func LURun(cfg BTSweepConfig, ranks int) (BTPoint, error) { return npbPoint("lu", cfg, ranks) }
+
+// npbPoint runs one NPB workload ("bt" or "lu") on a fresh vSCC of the
+// engine SetPDES selected. The engines differ in the system constructor
+// and in their sinks — one for the classic kernel, one per kernel under
+// PDES — and in how errors read: the classic engine names the point only
+// in a failed run, PDES in set-up errors too.
+func npbPoint(app string, cfg BTSweepConfig, ranks int) (BTPoint, error) {
 	if cfg.Devices == 0 {
-		cfg.Devices = (ranks + 47) / 48
-		if cfg.Devices < 1 {
-			cfg.Devices = 1
-		}
+		cfg.Devices = max((ranks+47)/48, 1)
 	}
 	if cfg.Iterations == 0 {
 		cfg.Iterations = 2
 	}
-	if w := PDESWorkers(); w > 0 {
-		return luRunPDES(cfg, ranks, w)
+	sysCfg := sysConfig(vscc.Config{Devices: cfg.Devices, Scheme: cfg.Scheme})
+	named := func(err error) error { return fmt.Errorf("%s ranks=%d: %w", app, ranks, err) }
+	setup := func(err error) error { return err }
+	var session *rcce.Session
+	if workers := PDESWorkers(); workers > 0 {
+		named = func(err error) error { return fmt.Errorf("%s pdes ranks=%d: %w", app, ranks, err) }
+		setup = named
+		sys, err := vscc.NewPDESSystem(sysCfg, workers)
+		if err != nil {
+			return BTPoint{}, setup(err)
+		}
+		// The label deliberately omits the worker count: PDES output is
+		// worker-count-invariant, and the CI identity gate byte-compares
+		// trace files across worker counts.
+		pdesSinks(fmt.Sprintf("fig7/%s/%s/pdes/ranks=%03d", app, cfg.Scheme.Key(), ranks), sys)
+		if session, err = sys.NewSession(ranks); err != nil {
+			return BTPoint{}, setup(err)
+		}
+	} else {
+		k := sim.NewKernel()
+		sys, err := vscc.NewSystem(k, sysCfg)
+		if err != nil {
+			return BTPoint{}, setup(err)
+		}
+		sink := observe(fmt.Sprintf("fig7/%s/%s/ranks=%03d", app, cfg.Scheme.Key(), ranks), k)
+		sys.Instrument(sink)
+		if session, err = sys.NewSession(ranks, rcce.WithSink(sink)); err != nil {
+			return BTPoint{}, setup(err)
+		}
 	}
-	k := sim.NewKernel()
-	sys, err := vscc.NewSystem(k, sysConfig(vscc.Config{Devices: cfg.Devices, Scheme: cfg.Scheme}))
-	if err != nil {
-		return BTPoint{}, err
+	npbCfg := npb.Config{Class: cfg.Class, Iterations: cfg.Iterations, Timing: true}
+	var res npb.Result
+	var err error
+	if app == "lu" {
+		d, derr := npb.NewLUDecomp(cfg.Class.N, ranks)
+		if derr != nil {
+			return BTPoint{}, setup(derr)
+		}
+		res, err = npb.RunLU(session, d, npbCfg)
+	} else {
+		d, derr := npb.NewDecomp(cfg.Class.N, ranks)
+		if derr != nil {
+			return BTPoint{}, setup(derr)
+		}
+		res, err = npb.RunOn(session, d, npbCfg)
 	}
-	sink := observe(fmt.Sprintf("fig7/lu/%s/ranks=%03d", cfg.Scheme.Key(), ranks), k)
-	sys.Instrument(sink)
-	session, err := sys.NewSession(ranks, rcce.WithSink(sink))
 	if err != nil {
-		return BTPoint{}, err
-	}
-	d, err := npb.NewLUDecomp(cfg.Class.N, ranks)
-	if err != nil {
-		return BTPoint{}, err
-	}
-	res, err := npb.RunLU(session, d, npb.Config{
-		Class:      cfg.Class,
-		Iterations: cfg.Iterations,
-		Timing:     true,
-	})
-	if err != nil {
-		return BTPoint{}, fmt.Errorf("lu ranks=%d: %w", ranks, err)
+		return BTPoint{}, named(err)
 	}
 	return BTPoint{Ranks: ranks, GFlops: res.GFlops, Cycles: res.Cycles}, nil
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync/atomic"
 
-	"vscc/internal/npb"
 	"vscc/internal/trace"
 	"vscc/internal/vscc"
 )
@@ -39,64 +38,4 @@ func pdesSinks(label string, sys *vscc.PDESSystem) []*trace.Sink {
 	sinks[n-1] = observe(label+"/khost", sys.PDES.Kernel(n-1))
 	sys.Instrument(sinks)
 	return sinks
-}
-
-// pdesPoint runs one NPB workload (BT or LU, selected by run) on a
-// fresh decomposed vSCC.
-func pdesPoint(app string, cfg BTSweepConfig, ranks, workers int,
-	run func(*vscc.PDESSystem) (npb.Result, error)) (BTPoint, error) {
-	sys, err := vscc.NewPDESSystem(sysConfig(vscc.Config{Devices: cfg.Devices, Scheme: cfg.Scheme}), workers)
-	if err != nil {
-		return BTPoint{}, fmt.Errorf("%s pdes ranks=%d: %w", app, ranks, err)
-	}
-	// The label deliberately omits the worker count: PDES output is
-	// worker-count-invariant, and the CI identity gate byte-compares
-	// trace files across worker counts.
-	pdesSinks(fmt.Sprintf("fig7/%s/%s/pdes/ranks=%03d", app, cfg.Scheme.Key(), ranks), sys)
-	res, err := run(sys)
-	if err != nil {
-		return BTPoint{}, fmt.Errorf("%s pdes ranks=%d: %w", app, ranks, err)
-	}
-	return BTPoint{Ranks: ranks, GFlops: res.GFlops, Cycles: res.Cycles}, nil
-}
-
-// btRunPDES is BTRun on the decomposed engine.
-func btRunPDES(cfg BTSweepConfig, ranks, workers int) (BTPoint, error) {
-	return pdesPoint("bt", cfg, ranks, workers, func(sys *vscc.PDESSystem) (npb.Result, error) {
-		session, err := sys.NewSession(ranks)
-		if err != nil {
-			return npb.Result{}, err
-		}
-		d, err := npb.NewDecomp(cfg.Class.N, ranks)
-		if err != nil {
-			return npb.Result{}, err
-		}
-		return npb.RunOn(session, d, npb.Config{Class: cfg.Class, Iterations: cfg.Iterations, Timing: true})
-	})
-}
-
-// luRunPDES is LURun on the decomposed engine.
-func luRunPDES(cfg BTSweepConfig, ranks, workers int) (BTPoint, error) {
-	return pdesPoint("lu", cfg, ranks, workers, func(sys *vscc.PDESSystem) (npb.Result, error) {
-		session, err := sys.NewSession(ranks)
-		if err != nil {
-			return npb.Result{}, err
-		}
-		d, err := npb.NewLUDecomp(cfg.Class.N, ranks)
-		if err != nil {
-			return npb.Result{}, err
-		}
-		return npb.RunLU(session, d, npb.Config{Class: cfg.Class, Iterations: cfg.Iterations, Timing: true})
-	})
-}
-
-// PDESWallClock measures one BT run's host wall-clock time on the
-// decomposed engine — the satellite metric behind the kernels-vs-wall-
-// clock scaling table (EXPERIMENTS.md E13). It returns the simulated
-// result plus the real elapsed nanoseconds as measured by the caller's
-// clock function (injected so the harness itself stays clock-free).
-func PDESWallClock(cfg BTSweepConfig, ranks, workers int, clock func() int64) (BTPoint, int64, error) {
-	start := clock()
-	pt, err := btRunPDES(cfg, ranks, workers)
-	return pt, clock() - start, err
 }

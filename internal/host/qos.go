@@ -338,15 +338,6 @@ func (q *drrQueue) pop(p *sim.Proc) deliverItem {
 	}
 }
 
-// QueueDepth reports the number of deliveries queued toward dev across
-// all tenants (testing hook).
-func (t *Task) QueueDepth(dev int) int {
-	if t.qos != nil {
-		return t.qos.drr[dev].total
-	}
-	return t.deliverQ[dev].Len()
-}
-
 // --- region teardown ----------------------------------------------------
 
 // UnregisterAt removes the region containing (dev, tile, off) from the

@@ -734,18 +734,9 @@ func (t *Task) runForwarder(p *sim.Proc, dev int) {
 // deliver lands a masked line write in a device's LMB and keeps host
 // copies consistent.
 func (t *Task) deliver(dev, tile, off int, data []byte, mask uint32) {
-	i := 0
-	for i < mem.LineSize && i < len(data) {
-		if mask&(1<<uint(i)) == 0 {
-			i++
-			continue
-		}
-		j := i
-		for j < mem.LineSize && j < len(data) && mask&(1<<uint(j)) != 0 {
-			j++
-		}
-		t.hostWrite(dev, tile, off+i, data[i:j])
-		i = j
+	n := min(mem.LineSize, len(data))
+	for lo, hi := mem.NextRun(mask, 0, n); lo < hi; lo, hi = mem.NextRun(mask, hi, n) {
+		t.hostWrite(dev, tile, off+lo, data[lo:hi])
 	}
 	t.invalidateHostCopies(dev, tile, off, mem.LineSize)
 }

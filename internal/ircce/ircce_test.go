@@ -345,15 +345,19 @@ func TestSelfRequestRejected(t *testing.T) {
 }
 
 func TestPendingCount(t *testing.T) {
+	// Two sends to different peers share the rank's one send buffer: they
+	// must both count as pending, and neither may overwrite the other's
+	// chunk in the MPB.
 	s := newSession(t, 3)
+	got := [3][]byte{nil, make([]byte, 20000), make([]byte, 20000)}
 	err := s.Run(func(r *rcce.Rank) {
 		eng := New(r)
 		switch r.ID() {
 		case 0:
 			q1, _ := eng.Isend(1, pattern(20000, 1))
 			q2, _ := eng.Isend(2, pattern(20000, 2))
-			if eng.Pending() == 0 {
-				t.Error("pending should be non-zero with unmatched sends")
+			if eng.Pending() != 2 {
+				t.Errorf("pending = %d with two unmatched sends", eng.Pending())
 			}
 			eng.WaitAll(q1, q2)
 			if eng.Pending() != 0 {
@@ -361,14 +365,19 @@ func TestPendingCount(t *testing.T) {
 			}
 		case 1:
 			r.Ctx().Delay(50_000)
-			r.Recv(0, make([]byte, 20000))
+			r.Recv(0, got[1])
 		case 2:
 			r.Ctx().Delay(90_000)
-			r.Recv(0, make([]byte, 20000))
+			r.Recv(0, got[2])
 		}
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	for peer := 1; peer <= 2; peer++ {
+		if !bytes.Equal(got[peer], pattern(20000, byte(peer))) {
+			t.Errorf("send to rank %d corrupted by the concurrent one", peer)
+		}
 	}
 }
 

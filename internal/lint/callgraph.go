@@ -185,20 +185,6 @@ func recvTypeName(e ast.Expr) string {
 	}
 }
 
-// Func looks up a plain function by package path and name.
-func (g *CallGraph) Func(pkgPath, name string) *FuncInfo {
-	return g.funcs[pkgPath][name]
-}
-
-// FuncOf returns the FuncInfo indexed for a declaration, or nil (test
-// files and bodyless declarations are not indexed).
-func (g *CallGraph) FuncOf(pkg *Package, fd *ast.FuncDecl) *FuncInfo {
-	if fd.Recv != nil && len(fd.Recv.List) > 0 {
-		return g.methods[pkg.Path][recvTypeName(fd.Recv.List[0].Type)][fd.Name.Name]
-	}
-	return g.funcs[pkg.Path][fd.Name.Name]
-}
-
 // builtinFuncs never resolve to module declarations and never carry
 // effects of their own.
 var builtinFuncs = map[string]bool{

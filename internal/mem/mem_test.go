@@ -2,6 +2,7 @@ package mem
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -330,5 +331,32 @@ func TestPropertyWCBNoByteLoss(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
+	}
+}
+
+func TestNextRunWalksMaskRuns(t *testing.T) {
+	runs := func(mask uint32, limit int) [][2]int {
+		var out [][2]int
+		for lo, hi := NextRun(mask, 0, limit); lo < hi; lo, hi = NextRun(mask, hi, limit) {
+			out = append(out, [2]int{lo, hi})
+		}
+		return out
+	}
+	for _, c := range []struct {
+		mask  uint32
+		limit int
+		want  [][2]int
+	}{
+		{0, LineSize, nil},
+		{0xFFFFFFFF, LineSize, [][2]int{{0, 32}}},
+		{0xFFFFFFFF, 5, [][2]int{{0, 5}}}, // a short delivery clips the line
+		{0b1, LineSize, [][2]int{{0, 1}}},
+		{0x80000000, LineSize, [][2]int{{31, 32}}},
+		{0b0111_0000_0110, LineSize, [][2]int{{1, 3}, {8, 11}}},
+		{0b0111_0000_0110, 9, [][2]int{{1, 3}, {8, 9}}},
+	} {
+		if got := runs(c.mask, c.limit); !reflect.DeepEqual(got, c.want) {
+			t.Errorf("mask %#x limit %d: runs %v, want %v", c.mask, c.limit, got, c.want)
+		}
 	}
 }

@@ -36,6 +36,23 @@ func (p Pending) Bytes() int {
 	return n
 }
 
+// NextRun returns the first run [lo, hi) of set bits of a line's byte
+// mask at or after bit from and below limit; lo == hi when none is left.
+// Whoever lands a masked line walks it run by run, in ascending order:
+//
+//	for lo, hi := NextRun(mask, 0, n); lo < hi; lo, hi = NextRun(mask, hi, n)
+func NextRun(mask uint32, from, limit int) (lo, hi int) {
+	lo = from
+	for lo < limit && mask&(1<<uint(lo)) == 0 {
+		lo++
+	}
+	hi = lo
+	for hi < limit && mask&(1<<uint(hi)) != 0 {
+		hi++
+	}
+	return lo, hi
+}
+
 // Write merges a store of data at byte offset off into the line keyed by
 // key. If the WCB currently holds a different line, that line drains and
 // is returned; otherwise drained is nil. len(data) must fit in the line.

@@ -59,13 +59,3 @@ const FlopsPerPointIter = 3210.0
 // cycles. 0.25 of the 533 MFLOP/s peak matches the per-core rates
 // Mattson et al. report for the SCC port.
 const FlopEfficiency = 0.25
-
-// TotalFlops returns the modelled operation count of a full run.
-func (c Class) TotalFlops() float64 {
-	n := float64(c.N)
-	return n * n * n * FlopsPerPointIter * float64(c.Iterations)
-}
-
-// VerifyClasses are the classes small enough to run with real arithmetic
-// inside the simulator.
-func VerifyClasses() []Class { return []Class{ClassS, ClassW} }

@@ -25,9 +25,6 @@ func (c *Ctx) Params() Params { return c.chip().Params }
 // Now returns the current simulated time.
 func (c *Ctx) Now() sim.Cycles { return c.Proc.Now() }
 
-// Device returns the device index this core belongs to.
-func (c *Ctx) Device() int { return c.chip().Index }
-
 // Delay advances simulated time — generic instruction work, expressed
 // at the 533 MHz reference clock and scaled to the tile's current
 // frequency island setting.

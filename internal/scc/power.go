@@ -132,9 +132,6 @@ func (c *Chip) EnergyJoules(now sim.Cycles) float64 {
 	return total
 }
 
-// TileDivider returns a tile's current frequency divider.
-func (c *Chip) TileDivider(tile int) int { return c.power.dividers[tile] }
-
 // TileFrequencyMHz returns a tile's current clock.
 func (c *Chip) TileFrequencyMHz(tile int) int {
 	return GlobalClockMHz / c.power.dividers[tile]

@@ -3,7 +3,6 @@ package taskrt
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -278,15 +277,4 @@ func strDigest(s string) uint64 {
 		d = splitmix64(d ^ uint64(s[i])<<((i%8)*8))
 	}
 	return d
-}
-
-// SortedRegionNames returns the spec's region names sorted — a helper
-// for reports that must not range over parser maps (detorder).
-func (sp *Spec) SortedRegionNames() []string {
-	names := make([]string, len(sp.Regions))
-	for i, r := range sp.Regions {
-		names[i] = r.Name
-	}
-	sort.Strings(names)
-	return names
 }

@@ -199,16 +199,18 @@ type MembershipView interface {
 	Lost(dev int) bool
 }
 
+// An idle worker's wait budget between queue scans starts at pollCycles,
+// doubles up to maxPollCycles and resets when work is found.
+const (
+	pollCycles    sim.Cycles = 500
+	maxPollCycles sim.Cycles = 8000
+)
+
 // Config parameterizes a runtime.
 type Config struct {
 	// Scheme is the vSCC communication scheme the session runs; it
 	// selects the move-class thresholds (vscc.ClassifyMove).
 	Scheme vscc.Scheme
-	// PollCycles is the idle worker's initial wait budget between queue
-	// scans (default 500); budgets double up to MaxPollCycles (default
-	// 8000) and reset when work is found.
-	PollCycles    sim.Cycles
-	MaxPollCycles sim.Cycles
 	// Reexec enables task re-execution on device loss: tasks stranded
 	// running on a lost device's workers are rolled back and re-issued
 	// on survivors from the last committed region versions, staging
@@ -247,15 +249,6 @@ type Runtime struct {
 
 // New creates an empty runtime.
 func New(cfg Config) *Runtime {
-	if cfg.PollCycles <= 0 {
-		cfg.PollCycles = 500
-	}
-	if cfg.MaxPollCycles < cfg.PollCycles {
-		cfg.MaxPollCycles = 8000
-		if cfg.MaxPollCycles < cfg.PollCycles {
-			cfg.MaxPollCycles = cfg.PollCycles
-		}
-	}
 	return &Runtime{cfg: cfg, byName: make(map[string]*Region)}
 }
 
@@ -491,7 +484,7 @@ func (rt *Runtime) worker(r *rcce.Rank) {
 		}
 	}()
 	w := r.ID()
-	backoff := rt.cfg.PollCycles
+	backoff := pollCycles
 	for rt.completed < len(rt.tasks) && !rt.failed {
 		id, stolen := rt.next(w)
 		if id < 0 {
@@ -503,12 +496,12 @@ func (rt *Runtime) worker(r *rcce.Rank) {
 			// Sleep until a store lands in our tile (a doorbell, or
 			// staging traffic) or the budget expires, then rescan.
 			r.WaitAnyLocalChangeFor(backoff)
-			if backoff *= 2; backoff > rt.cfg.MaxPollCycles {
-				backoff = rt.cfg.MaxPollCycles
+			if backoff *= 2; backoff > maxPollCycles {
+				backoff = maxPollCycles
 			}
 			continue
 		}
-		backoff = rt.cfg.PollCycles
+		backoff = pollCycles
 		if stolen {
 			rt.stats.Steals++
 			r.Sink().Add("taskrt.steals", 1)
@@ -915,14 +908,6 @@ func (tc *TaskCtx) Data(rg *Region) []byte {
 		}
 	}
 	panic(fmt.Sprintf("taskrt: task %q did not declare region %q", tc.t.name, rg.name))
-}
-
-// Worker returns the executing worker rank (-1 in the serial reference).
-func (tc *TaskCtx) Worker() int {
-	if tc.r == nil {
-		return -1
-	}
-	return tc.r.ID()
 }
 
 // ComputeFlops charges floating-point work to the executing core.

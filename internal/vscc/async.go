@@ -2,49 +2,25 @@ package vscc
 
 // Asynchronous inter-device communication — the paper's future work
 // ("For future work, we plan to extend our communication concept to
-// accelerate asynchronous communication", §5). AsyncEngine provides
-// non-blocking isend/irecv over the vDMA scheme: the sender puts a chunk,
-// programs the controller and returns to useful work while the host
-// moves the data; progress is cooperative (pushed during Test/Wait), as
-// on the bare-metal SCC.
+// accelerate asynchronous communication", §5). This file is the vDMA
+// scheme's request kind of ircce.Engine, the one non-blocking engine: the
+// sender puts a chunk, programs the controller and returns to useful work
+// while the host moves the data; the engine pushes progress cooperatively
+// (during Test/Wait), as on the bare-metal SCC.
 //
-// The engine shares the per-pair counter flags with the blocking vDMA
+// Requests share the per-pair counter flags with the blocking vDMA
 // protocol, so blocking and asynchronous transfers may alternate on a
 // pair — but must not overlap, exactly like iRCCE and blocking RCCE.
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"vscc/internal/host"
+	"vscc/internal/ircce"
 	"vscc/internal/rcce"
 	"vscc/internal/sim"
 )
-
-// AsyncEngine drives non-blocking cross-device requests for one rank.
-// The session must run the vDMA scheme.
-type AsyncEngine struct {
-	r     *rcce.Rank
-	ip    *interDeviceProtocol
-	sendQ map[int][]*AsyncRequest
-	recvQ map[int][]*AsyncRequest
-}
-
-// NewAsyncEngine creates the engine for rank r. It fails unless the
-// session's wire protocol is a vSCC vDMA configuration.
-func NewAsyncEngine(r *rcce.Rank) (*AsyncEngine, error) {
-	ip, ok := r.Session().Protocol().(*interDeviceProtocol)
-	if !ok || ip.desc.flow != flowSeq {
-		return nil, fmt.Errorf("vscc: async engine requires the vDMA scheme, session runs %q", r.Session().Protocol().Name())
-	}
-	return &AsyncEngine{
-		r:     r,
-		ip:    ip,
-		sendQ: map[int][]*AsyncRequest{},
-		recvQ: map[int][]*AsyncRequest{},
-	}, nil
-}
 
 // async request states.
 const (
@@ -55,9 +31,18 @@ const (
 	asDone
 )
 
-// AsyncRequest is one outstanding non-blocking vDMA transfer.
-type AsyncRequest struct {
-	eng  *AsyncEngine
+var asyncStateNames = [...]string{
+	asWaitGrant: "wait-grant",
+	asWaitSlot:  "wait-slot",
+	asWaitDrain: "wait-drain",
+	arWaitData:  "wait-data",
+	asDone:      "done",
+}
+
+// asyncTransfer is one outstanding non-blocking vDMA transfer.
+type asyncTransfer struct {
+	ip   *interDeviceProtocol
+	r    *rcce.Rank
 	send bool
 	peer int
 
@@ -74,260 +59,45 @@ type AsyncRequest struct {
 	haveCmd bool
 }
 
-// Done reports completion without progressing the request.
-func (q *AsyncRequest) Done() bool { return q.state == asDone }
-
-// Isend starts a non-blocking send to a rank on another device.
-func (e *AsyncEngine) Isend(dest int, data []byte) (*AsyncRequest, error) {
-	return e.start(true, dest, data)
-}
-
-// Irecv starts a non-blocking receive from a rank on another device.
-func (e *AsyncEngine) Irecv(src int, buf []byte) (*AsyncRequest, error) {
-	return e.start(false, src, buf)
-}
-
-// start queues one request. It claims the request's chunk numbers from
-// the pair's counter at once, so requests on a pair complete in order.
-func (e *AsyncEngine) start(send bool, peer int, buf []byte) (*AsyncRequest, error) {
-	if e.r.Session().SameDevice(e.r.ID(), peer) {
-		return nil, fmt.Errorf("vscc: async transfer with same-device rank %d; use the iRCCE engine on-chip", peer)
+// NewTransfer starts a non-blocking transfer of buf with a rank on
+// another device; ircce.Engine calls it for every such Isend and Irecv.
+// It claims the request's chunk numbers from the pair's counter at once,
+// so requests on a pair complete in order. Only the vDMA scheme has
+// flags a request can poll: the clear-flag schemes are refused before
+// they touch one.
+func (ip *interDeviceProtocol) NewTransfer(r *rcce.Rank, send bool, peer int, buf []byte) (ircce.Transfer, error) {
+	if ip.desc.flow != flowSeq {
+		return nil, fmt.Errorf("vscc: async engine requires the vDMA scheme, session runs %q", ip.Name())
 	}
-	q := &AsyncRequest{eng: e, send: send, peer: peer, rest: buf, total: len(buf), state: asDone}
-	if len(buf) == 0 {
-		return q, nil
-	}
-	queue, count := e.recvQ, &e.ip.pair(peer, e.r.ID()).in
+	q := &asyncTransfer{ip: ip, r: r, send: send, peer: peer, rest: buf, total: len(buf)}
+	count := &ip.pair(peer, r.ID()).in
 	q.state = arWaitData
 	if send {
-		queue, count = e.sendQ, &e.ip.pair(e.r.ID(), peer).out
+		count = &ip.pair(r.ID(), peer).out
 		q.state = asWaitGrant
 	}
 	q.firstSeq = *count + 1
-	q.lastSeq = *count + chunksFor(len(buf), e.ip.slot)
+	q.lastSeq = *count + chunksFor(len(buf), ip.slot)
 	q.seq = q.firstSeq
 	*count = q.lastSeq
 	if !send {
 		// Issue the first grant immediately: the sender cannot move before it.
-		e.publishGrant(q)
+		q.publishGrant()
 	}
-	queue[peer] = append(queue[peer], q)
-	e.Push()
 	return q, nil
 }
 
 // publishGrant posts the receiver's buffer credit for the chunk q.seq.
-func (e *AsyncEngine) publishGrant(q *AsyncRequest) {
-	e.ip.grantThrough(e.r, q.peer, q.seq, q.lastSeq)
+func (q *asyncTransfer) publishGrant() {
+	q.ip.grantThrough(q.r, q.peer, q.seq, q.lastSeq)
 }
 
-// queues lists the send queues before the receive queues; with each
-// walked by ascending peer that is the one order every scan below uses.
-func (e *AsyncEngine) queues() [2]map[int][]*AsyncRequest {
-	return [2]map[int][]*AsyncRequest{e.sendQ, e.recvQ}
-}
+// Done implements ircce.Transfer.
+func (q *asyncTransfer) Done() bool { return q.state == asDone }
 
-// heads returns the head of every non-empty queue.
-func (e *AsyncEngine) heads() []*AsyncRequest {
-	var heads []*AsyncRequest
-	for _, m := range e.queues() {
-		for _, peer := range asyncSortedPeers(m) {
-			heads = append(heads, m[peer][0])
-		}
-	}
-	return heads
-}
-
-// Push advances every queue head as far as possible without blocking
-// and reports whether anything progressed.
-func (e *AsyncEngine) Push() bool {
-	progressed := false
-	for _, m := range e.queues() {
-		for _, peer := range asyncSortedPeers(m) {
-			if e.pushQueue(m, peer) {
-				progressed = true
-			}
-		}
-	}
-	return progressed
-}
-
-func (e *AsyncEngine) pushQueue(m map[int][]*AsyncRequest, peer int) bool {
-	q := m[peer]
-	progressed := false
-	for len(q) > 0 && q[0].push() {
-		progressed = true
-		if q[0].state == asDone {
-			q = q[1:]
-		}
-	}
-	if len(q) > 0 && q[0].state == asDone {
-		q = q[1:]
-		progressed = true
-	}
-	m[peer] = q
-	return progressed
-}
-
-// Test pushes progress once and reports completion.
-func (e *AsyncEngine) Test(q *AsyncRequest) bool {
-	e.Push()
-	return q.state == asDone
-}
-
-// Wait blocks until the request completes, sleeping on local MPB
-// changes between progress rounds.
-func (e *AsyncEngine) Wait(q *AsyncRequest) { e.WaitAll(q) }
-
-// WaitAll blocks until every request completes. Fault-free, each sleep
-// waits indefinitely for a local MPB change (budget 0), as before.
-// Under fault injection every sleep carries a cycle budget; when it
-// expires without progress, the engine re-arms the vDMA commands of its
-// blocked senders and republishes outstanding grants (both idempotent —
-// the same bytes and flag values land again, and counters never move
-// backward), then retries with a doubled budget. Past the retry bound
-// the engine fails deterministically with a snapshot of the stalled
-// queue heads.
-func (e *AsyncEngine) WaitAll(reqs ...*AsyncRequest) {
-	ip := e.ip
-	budget := sim.Cycles(0)
-	if ip.faults != nil {
-		budget = ip.rec.WaitBudget
-	}
-	stalls := 0
-	for {
-		allDone := true
-		for _, q := range reqs {
-			if q.state != asDone {
-				allDone = false
-			}
-		}
-		if allDone {
-			return
-		}
-		if e.Push() {
-			stalls = 0
-			if ip.faults != nil {
-				budget = ip.rec.WaitBudget
-			}
-			continue
-		}
-		if e.anyActionable() {
-			continue
-		}
-		if e.r.WaitAnyLocalChangeFor(budget) {
-			continue
-		}
-		stalls++
-		// A stall against a crashed peer device is a device loss, not a
-		// lost flag: park until the rejoin (devretry=1) or fail with the
-		// deterministic sentinel.
-		if lost := e.lostPeerDev(); lost >= 0 {
-			if !ip.rec.DeviceRetry {
-				panic(fmt.Errorf("vscc: async engine rank %d: device %d lost at cycle %d: %w",
-					e.r.ID(), lost, e.r.Now(), rcce.ErrDeviceLost))
-			}
-			ip.faults.RecordRecovery("device-wait", "vscc.async", lost)
-			ip.mem.AwaitUp(e.r.Ctx().Proc, lost)
-			stalls = 0
-			budget = ip.rec.WaitBudget
-			e.rearmStalled()
-			continue
-		}
-		if stalls > ip.rec.MaxWaitRetries {
-			panic(fmt.Sprintf("vscc: async engine rank %d lost completion after %d retries at cycle %d: %s",
-				e.r.ID(), stalls-1, e.r.Now(), e.describeStalled()))
-		}
-		dev, _, _ := e.r.MPBOf(e.r.ID())
-		ip.faults.RecordRecovery("async-retry", "vscc.async", dev)
-		e.rearmStalled()
-		budget *= 2
-	}
-}
-
-// lostPeerDev returns the lowest currently-lost device among the
-// stalled queue heads' peers, or -1.
-func (e *AsyncEngine) lostPeerDev() int {
-	if e.ip.mem == nil {
-		return -1
-	}
-	lost := -1
-	for _, q := range e.heads() {
-		if d := e.r.Session().PlaceOf(q.peer).Dev; e.ip.mem.Lost(d) && (lost < 0 || d < lost) {
-			lost = d
-		}
-	}
-	return lost
-}
-
-// rearmStalled re-issues the newest vDMA command of every blocked send
-// head and republishes every blocked receiver's outstanding grant, so a
-// lost programming write or a lost credit flag cannot wedge the engine.
-// Degraded pairs are skipped: their counters are written directly and a
-// stale re-issued command could overwrite newer values.
-func (e *AsyncEngine) rearmStalled() {
-	dev, _, _ := e.r.MPBOf(e.r.ID())
-	for _, q := range e.heads() {
-		switch {
-		case !q.send:
-			e.publishGrant(q)
-		case q.haveCmd && !e.ip.degraded(e.r, q.peer):
-			e.ip.faults.RecordRecovery("vdma-rearm", "vscc.async", dev)
-			e.ip.mmio(e.r, q.cmd)
-		}
-	}
-}
-
-// describeStalled renders the blocked queue heads deterministically for
-// the lost-completion failure.
-func (e *AsyncEngine) describeStalled() string {
-	var parts []string
-	for _, q := range e.heads() {
-		dir := "recv<-"
-		if q.send {
-			dir = "send->"
-		}
-		parts = append(parts, fmt.Sprintf("%s%d %s seq %d of %d..%d", dir, q.peer, asyncStateNames[q.state], q.seq, q.firstSeq, q.lastSeq))
-	}
-	if len(parts) == 0 {
-		return "no queued requests"
-	}
-	return strings.Join(parts, "; ")
-}
-
-var asyncStateNames = [...]string{
-	asWaitGrant: "wait-grant",
-	asWaitSlot:  "wait-slot",
-	asWaitDrain: "wait-drain",
-	arWaitData:  "wait-data",
-	asDone:      "done",
-}
-
-// Pending reports incomplete requests.
-func (e *AsyncEngine) Pending() int {
-	n := 0
-	for _, m := range e.queues() {
-		for _, q := range m {
-			n += len(q)
-		}
-	}
-	return n
-}
-
-// anyActionable peeks all stalled heads without yielding, closing the
-// race between the last poll and sleeping.
-func (e *AsyncEngine) anyActionable() bool {
-	for _, q := range e.heads() {
-		if q.flagReady() {
-			return true
-		}
-	}
-	return false
-}
-
-// flagReady peeks whether the request's current wait condition holds.
-func (q *AsyncRequest) flagReady() bool {
-	r := q.eng.r
+// Ready peeks whether the request's current wait condition holds.
+func (q *asyncTransfer) Ready() bool {
+	r := q.r
 	switch q.state {
 	case asWaitGrant:
 		return reached(r.PeekFlagByte(rcce.FlagGrant, q.peer), q.seq)
@@ -341,23 +111,11 @@ func (q *AsyncRequest) flagReady() bool {
 	return false
 }
 
-// push advances the request while its conditions hold; returns whether
-// any step was taken.
-func (q *AsyncRequest) push() bool {
-	progressed := false
-	for q.state != asDone && q.flagReady() {
-		q.step()
-		progressed = true
-	}
-	return progressed
-}
-
-// step performs one state transition (the flag condition holds), with
+// Step performs one state transition (the flag condition holds), with
 // the chunk moves of the blocking protocol: putAndProgram on the send
 // side, drainAndAck on the receive side.
-func (q *AsyncRequest) step() {
-	e := q.eng
-	r := e.r
+func (q *asyncTransfer) Step() {
+	r := q.r
 	ctx := r.Ctx()
 	if q.send && q.state == asWaitGrant && q.seq-q.firstSeq >= 2 {
 		q.state = asWaitSlot
@@ -369,13 +127,13 @@ func (q *AsyncRequest) step() {
 		q.state = asDone
 		return
 	}
-	n := min(len(q.rest), e.ip.slot)
+	n := min(len(q.rest), q.ip.slot)
 	chunk := q.rest[:n]
 	q.rest = q.rest[n:]
 	if q.send {
-		q.cmd, q.haveCmd = e.ip.putAndProgram(r, q.peer, q.seq, chunk), true
+		q.cmd, q.haveCmd = q.ip.putAndProgram(r, q.peer, q.seq, chunk), true
 	} else {
-		e.ip.drainAndAck(r, q.peer, q.seq, chunk)
+		q.ip.drainAndAck(r, q.peer, q.seq, chunk)
 	}
 	switch {
 	case len(q.rest) == 0 && q.send:
@@ -387,17 +145,99 @@ func (q *AsyncRequest) step() {
 		q.state = asWaitGrant
 	default:
 		q.seq++
-		e.publishGrant(q) // the credit for the next chunk
+		q.publishGrant() // the credit for the next chunk
 	}
 }
 
-func asyncSortedPeers(m map[int][]*AsyncRequest) []int {
-	peers := make([]int, 0, len(m))
-	for p, q := range m {
-		if len(q) > 0 {
-			peers = append(peers, p)
+// AwaitChange is the sleep of a rank whose engine holds stalled vDMA
+// requests (stalled, the cross-device queue heads in the engine's scan
+// order). Fault-free it waits indefinitely for a local MPB change
+// (budget 0). Under fault injection every sleep carries a cycle budget,
+// doubled per consecutive expiry (stalls counts them; the engine zeroes
+// it on progress): when it expires, the blocked senders' vDMA commands
+// are re-armed and outstanding grants republished (both idempotent — the
+// same bytes and flag values land again, and counters never move
+// backward). Past the retry bound the rank fails deterministically with
+// a snapshot of the stalled heads.
+func (ip *interDeviceProtocol) AwaitChange(r *rcce.Rank, stalled []ircce.Transfer, stalls int) int {
+	budget := sim.Cycles(0)
+	if ip.faults != nil {
+		budget = ip.rec.WaitBudget << stalls
+	}
+	if r.WaitAnyLocalChangeFor(budget) {
+		return stalls
+	}
+	stalls++
+	heads := make([]*asyncTransfer, len(stalled))
+	for i, t := range stalled {
+		heads[i] = t.(*asyncTransfer)
+	}
+	// A stall against a crashed peer device is a device loss, not a
+	// lost flag: park until the rejoin (devretry=1) or fail with the
+	// deterministic sentinel.
+	if lost := ip.lostPeerDev(r, heads); lost >= 0 {
+		if !ip.rec.DeviceRetry {
+			panic(fmt.Errorf("vscc: async engine rank %d: device %d lost at cycle %d: %w",
+				r.ID(), lost, r.Now(), rcce.ErrDeviceLost))
+		}
+		ip.faults.RecordRecovery("device-wait", "vscc.async", lost)
+		ip.mem.AwaitUp(r.Ctx().Proc, lost)
+		ip.rearmStalled(r, heads)
+		return 0
+	}
+	if stalls > ip.rec.MaxWaitRetries {
+		panic(fmt.Sprintf("vscc: async engine rank %d lost completion after %d retries at cycle %d: %s",
+			r.ID(), stalls-1, r.Now(), describeStalled(heads)))
+	}
+	dev, _, _ := r.MPBOf(r.ID())
+	ip.faults.RecordRecovery("async-retry", "vscc.async", dev)
+	ip.rearmStalled(r, heads)
+	return stalls
+}
+
+// lostPeerDev returns the lowest currently-lost device among the
+// stalled heads' peers, or -1.
+func (ip *interDeviceProtocol) lostPeerDev(r *rcce.Rank, heads []*asyncTransfer) int {
+	if ip.mem == nil {
+		return -1
+	}
+	lost := -1
+	for _, q := range heads {
+		if d := r.Session().PlaceOf(q.peer).Dev; ip.mem.Lost(d) && (lost < 0 || d < lost) {
+			lost = d
 		}
 	}
-	sort.Ints(peers)
-	return peers
+	return lost
+}
+
+// rearmStalled re-issues the newest vDMA command of every blocked send
+// head and republishes every blocked receiver's outstanding grant, so a
+// lost programming write or a lost credit flag cannot wedge the engine.
+// Degraded pairs are skipped: their counters are written directly and a
+// stale re-issued command could overwrite newer values.
+func (ip *interDeviceProtocol) rearmStalled(r *rcce.Rank, heads []*asyncTransfer) {
+	dev, _, _ := r.MPBOf(r.ID())
+	for _, q := range heads {
+		switch {
+		case !q.send:
+			q.publishGrant()
+		case q.haveCmd && !ip.degraded(r, q.peer):
+			ip.faults.RecordRecovery("vdma-rearm", "vscc.async", dev)
+			ip.mmio(r, q.cmd)
+		}
+	}
+}
+
+// describeStalled renders the blocked heads deterministically for the
+// lost-completion failure.
+func describeStalled(heads []*asyncTransfer) string {
+	var parts []string
+	for _, q := range heads {
+		dir := "recv<-"
+		if q.send {
+			dir = "send->"
+		}
+		parts = append(parts, fmt.Sprintf("%s%d %s seq %d of %d..%d", dir, q.peer, asyncStateNames[q.state], q.seq, q.firstSeq, q.lastSeq))
+	}
+	return strings.Join(parts, "; ")
 }

@@ -121,9 +121,6 @@ func NewPDESSystem(cfg Config, workers int) (*PDESSystem, error) {
 	if err := pdesUnsupportedFaults(cfg.Faults); err != nil {
 		return nil, err
 	}
-	if fabricParams.LinkLatency < 1 {
-		return nil, errors.New("vscc: pdes needs a positive PCIe link latency (the lookahead)")
-	}
 
 	s := &PDESSystem{
 		Config:  cfg,
@@ -174,9 +171,6 @@ func (s *PDESSystem) Instrument(sinks []*trace.Sink) {
 
 // hostIdx returns the host kernel's index.
 func (s *PDESSystem) hostIdx() int { return s.Config.Devices }
-
-// Workers returns the configured worker count.
-func (s *PDESSystem) Workers() int { return s.workers }
 
 // TotalCores returns the number of available cores across all devices.
 func (s *PDESSystem) TotalCores() int { return totalCores(s.Chips) }
@@ -344,17 +338,8 @@ func (pt *pdesPort) deliver(bytes int, fn func()) {
 // applyMasked lands the valid runs of a masked line write through the
 // chip's host write path (journaled, flag waiters woken).
 func (pt *pdesPort) applyMasked(tile, off int, data [mem.LineSize]byte, mask uint32) {
-	for i := 0; i < mem.LineSize; {
-		if mask&(1<<uint(i)) == 0 {
-			i++
-			continue
-		}
-		j := i
-		for j < mem.LineSize && mask&(1<<uint(j)) != 0 {
-			j++
-		}
-		pt.chip.HostWriteLMB(tile, off+i, data[i:j])
-		i = j
+	for lo, hi := mem.NextRun(mask, 0, mem.LineSize); lo < hi; lo, hi = mem.NextRun(mask, hi, mem.LineSize) {
+		pt.chip.HostWriteLMB(tile, off+lo, data[lo:hi])
 	}
 }
 

@@ -69,16 +69,13 @@ func (cfg Config) newProtocol(scheme Scheme, n int) (*interDeviceProtocol, error
 		return nil, fmt.Errorf("vscc: vDMA slot %d exceeds half the payload area (%d)", cfg.VDMASlotBytes, rcce.PayloadBytes/2)
 	}
 	ip := &interDeviceProtocol{
-		base:      cfg.OnChipProtocol,
+		base:      rcce.DefaultProtocol{},
 		desc:      scheme.desc(),
 		threshold: cfg.DirectThreshold,
 		slot:      vdmaHalf,
 		seqs:      make([]pairSeq, n*n),
 		nRanks:    n,
 		published: make([]int, n),
-	}
-	if ip.base == nil {
-		ip.base = rcce.DefaultProtocol{}
 	}
 	if ip.threshold == 0 {
 		ip.threshold = ip.desc.threshold
@@ -144,22 +141,6 @@ func (ip *interDeviceProtocol) waitLadder(r *rcce.Rank, site string, peer int, w
 		}
 		budget *= 2
 	}
-}
-
-// LostPeer reports a deterministic device-loss error for a stalled
-// non-blocking engine (the ircce.Engine consults it before sleeping).
-// With transparent retry the engine just keeps sleeping: the rejoin
-// replay lands the missing flags and wakes it.
-func (ip *interDeviceProtocol) LostPeer(r *rcce.Rank, peer int) error {
-	if ip.mem == nil || ip.rec.DeviceRetry {
-		return nil
-	}
-	peerDev := r.Session().PlaceOf(peer).Dev
-	if peerDev != r.Session().PlaceOf(r.ID()).Dev && ip.mem.Lost(peerDev) {
-		return fmt.Errorf("vscc: rank %d: device %d lost at cycle %d: %w",
-			r.ID(), peerDev, r.Now(), rcce.ErrDeviceLost)
-	}
-	return nil
 }
 
 // awaitReady and awaitSent are the clear-based handshake waits under the

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"vscc/internal/host"
+	"vscc/internal/ircce"
 	"vscc/internal/mem"
 	"vscc/internal/pcie"
 	"vscc/internal/rcce"
@@ -126,12 +127,9 @@ func TestSchemeCyclesPinned(t *testing.T) {
 	got := make([]byte, len(msg))
 	var done [2]sim.Cycles
 	err = session.Run(func(r *rcce.Rank) {
-		eng, err := NewAsyncEngine(r)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		var q *AsyncRequest
+		eng := ircce.New(r)
+		var q *ircce.Request
+		var err error
 		if r.ID() == 0 {
 			q, err = eng.Isend(1, msg)
 		} else {

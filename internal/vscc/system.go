@@ -44,9 +44,6 @@ type Config struct {
 	// knob; 0 = half the MPB payload area). Must not exceed half the
 	// payload area.
 	VDMASlotBytes int
-	// OnChipProtocol handles same-device rank pairs; nil means the RCCE
-	// default (blocking local put / remote get).
-	OnChipProtocol rcce.Protocol
 	// FailedCores lists silently failed cores per device index, as the
 	// research system frequently exhibits at startup (§4).
 	FailedCores map[int][]int
@@ -62,10 +59,9 @@ type Config struct {
 	// exact same code paths.
 	Faults *fault.Config
 
-	// ChipParams, FabricParams and HostParams default when zero-valued.
-	ChipParams   *scc.Params
-	FabricParams *pcie.Params
-	HostParams   *host.Params
+	// HostParams overrides the communication task's timing model (the
+	// host ablations); nil means host.DefaultParams.
+	HostParams *host.Params
 }
 
 // System is a running vSCC: the chips, the fabric, and the communication
@@ -93,12 +89,6 @@ func (cfg Config) resolve() (chip scc.Params, fabric pcie.Params, hostTask host.
 		return chip, fabric, hostTask, fmt.Errorf("vscc: the hardware-accelerated scheme is unstable beyond 2 devices (§2.3); got %d", cfg.Devices)
 	}
 	chip, fabric, hostTask = scc.DefaultParams(), pcie.DefaultParams(), host.DefaultParams()
-	if cfg.ChipParams != nil {
-		chip = *cfg.ChipParams
-	}
-	if cfg.FabricParams != nil {
-		fabric = *cfg.FabricParams
-	}
 	if cfg.HostParams != nil {
 		hostTask = *cfg.HostParams
 	}
