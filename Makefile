@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: all fmt build vet lint test race bench bench-kernel fault cover soak loc check
+.PHONY: all fmt build vet lint test race bench bench-kernel bench-compare fault cover soak loc check
 
 all: check
 
@@ -41,9 +41,22 @@ bench:
 # The per-layer unit costs of the repository's benchmark (bench/README.md):
 # kernel event shapes, PDES rounds, mem/scc/noc/pcie/host primitives,
 # rcce/ircce/vscc messages, sched, taskrt, fault and trace. ≈ 95 s.
-# BENCH_kernel.json is the frozen PR 1–10 record these superseded.
 bench-kernel:
 	$(GO) run ./bench -layers
+
+# The repository's benchmark, every workload and layer driver (≈ 5 min),
+# judged against bench/baseline.json with the bounds of BENCHMARK.json;
+# fails on a `worse` row. CI's bench-regression job runs this target
+# (non-blocking there: the baseline is from another box). With
+# $GITHUB_STEP_SUMMARY set, the verdict table is also appended there.
+bench-compare:
+	$(GO) run ./bench -out new.json
+	@verdict=$$($(GO) run ./bench -compare bench/baseline.json new.json); rc=$$?; \
+	echo "$$verdict"; \
+	if [ -n "$${GITHUB_STEP_SUMMARY:-}" ]; then \
+		{ echo '### bench -compare bench/baseline.json new.json'; echo ''; \
+		  echo '```'; echo "$$verdict"; echo '```'; } >>"$$GITHUB_STEP_SUMMARY"; \
+	fi; exit $$rc
 
 # Fault-injection gate: injector unit tests, the fault matrix, the
 # recovery tests and the soak's 1x short schedule, all under the race

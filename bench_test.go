@@ -188,8 +188,8 @@ func BenchmarkSweepParallel(b *testing.B) {
 // engine on the same point. Output is byte-identical at every worker
 // count (TestPDESSerialParallelIdentity), so the only thing that moves
 // is ns/op; on a 1-CPU host the counts are roughly neutral and the
-// scaling shows on multi-core hosts. Recorded in BENCH_kernel.json
-// under "pdes".
+// scaling shows on multi-core hosts. The repository's benchmark records
+// the class B point as the bt_xdev_pdes workload (bench/baseline.json).
 func BenchmarkPDESBT(b *testing.B) {
 	cfg := harness.BTSweepConfig{
 		Class: npb.ClassW, Iterations: 1, Scheme: vscc.SchemeVDMA, Devices: 2,

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"strings"
 
+	"vscc/internal/fault"
 	"vscc/internal/sim"
 )
 
@@ -76,17 +77,12 @@ type Schedule struct {
 	Faults []Fault
 }
 
-// rng is splitmix64 — tiny, seedable, and stable across Go releases,
-// unlike math/rand, whose stream the standard library does not pin.
+// rng is a splitmix64 stream — tiny, seedable, and stable across Go
+// releases, unlike math/rand, whose stream the standard library does
+// not pin.
 type rng struct{ state uint64 }
 
-func (r *rng) next() uint64 {
-	r.state += 0x9e3779b97f4a7c15
-	z := r.state
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
+func (r *rng) next() uint64 { return fault.SplitMix64(&r.state) }
 
 func (r *rng) intn(n int) int { return int(r.next() % uint64(n)) }
 

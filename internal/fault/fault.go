@@ -245,7 +245,7 @@ type Injector struct {
 	rec  Recovery
 	sink *trace.Sink
 
-	streams   map[streamKey]*splitmix
+	streams   map[streamKey]*uint64
 	recovered map[int]int // per-device recovery count, feeds Degraded
 	clean     map[int]int // consecutive clean transfers, feeds re-promotion
 	stats     map[string]int64
@@ -269,7 +269,7 @@ func NewInjector(k *sim.Kernel, cfg Config) *Injector {
 		k:         k,
 		cfg:       cfg,
 		rec:       cfg.Recovery.withDefaults(),
-		streams:   make(map[streamKey]*splitmix),
+		streams:   make(map[streamKey]*uint64),
 		recovered: make(map[int]int),
 		clean:     make(map[int]int),
 		stats:     make(map[string]int64),
@@ -304,11 +304,12 @@ func (inj *Injector) Recovery() Recovery {
 // stream returns the decision stream for (site, dev), creating it from
 // the seed on first use. The per-site keying makes each site's decision
 // sequence independent of every other site's traffic.
-func (inj *Injector) stream(site string, dev int) *splitmix {
+func (inj *Injector) stream(site string, dev int) *uint64 {
 	key := streamKey{site, dev}
 	s, ok := inj.streams[key]
 	if !ok {
-		s = &splitmix{state: inj.cfg.Seed ^ hashSite(site) ^ (uint64(dev+1) * 0x9E3779B97F4A7C15)}
+		s = new(uint64)
+		*s = inj.cfg.Seed ^ hashSite(site) ^ (uint64(dev+1) * 0x9E3779B97F4A7C15)
 		inj.streams[key] = s
 	}
 	return s
@@ -319,7 +320,7 @@ func (inj *Injector) roll(site string, dev, per10k int) bool {
 	if per10k <= 0 {
 		return false
 	}
-	return inj.stream(site, dev).next()%10_000 < uint64(per10k)
+	return SplitMix64(inj.stream(site, dev))%10_000 < uint64(per10k)
 }
 
 // Pick returns a deterministic index in [0, n) for the site's next
@@ -328,7 +329,7 @@ func (inj *Injector) Pick(site string, dev, n int) int {
 	if inj == nil || n <= 0 {
 		return 0
 	}
-	return int(inj.stream(site+".pick", dev).next() % uint64(n))
+	return int(SplitMix64(inj.stream(site+".pick", dev)) % uint64(n))
 }
 
 // PacketFault decides the fate of one SIF packet at a site
@@ -508,14 +509,13 @@ func (inj *Injector) Summary() string {
 	return b.String()
 }
 
-// splitmix is splitmix64 (Steele et al., "Fast splittable pseudorandom
-// number generators"): one add and three xor-shifts per draw, chosen
-// over math/rand so model packages stay free of global PRNG state.
-type splitmix struct{ state uint64 }
-
-func (s *splitmix) next() uint64 {
-	s.state += 0x9E3779B97F4A7C15
-	z := s.state
+// SplitMix64 advances the splitmix64 stream at state (Steele et al.,
+// "Fast splittable pseudorandom number generators") and returns its
+// draw: one add and three xor-shifts, chosen over math/rand so model
+// packages stay free of global PRNG state.
+func SplitMix64(state *uint64) uint64 {
+	*state += 0x9E3779B97F4A7C15
+	z := *state
 	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
 	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
 	return z ^ (z >> 31)

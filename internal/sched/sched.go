@@ -679,25 +679,7 @@ func (s *Scheduler) requeue(j *job) {
 	j.retrying = false
 	j.retryDecided = false
 	t := s.tenants[j.spec.Tenant]
-	s.sys.ReleaseRegions(j.places)
-	for _, pl := range j.places {
-		s.sys.Task.UnbindCore(pl.Dev, pl.Core)
-		// Retire before wiping: any write the dead ranks (or the rejoin
-		// replay of their journaled frames) still have in flight must
-		// not land on these MPB bytes once a successor session owns them.
-		s.sys.Task.RetireCore(pl.Dev, pl.Core)
-		s.wipeFlags(pl)
-	}
-	s.mpbInUse -= len(j.places) * rcce.PayloadBytes
-	for _, pl := range j.places {
-		s.free[pl.Dev] = insertSorted(s.free[pl.Dev], pl.Core)
-	}
-	for d, n := range j.lutCharge {
-		s.lutFree[d] += n
-	}
-	j.lutCharge = nil
-	s.running--
-	s.sink.Gauge("sched.running", int64(s.running))
+	s.release(j)
 	j.retries++
 	j.res.Retries = j.retries
 	j.res.Status = StatusPending
@@ -753,17 +735,26 @@ func (s *Scheduler) finish(j *job, err error) {
 	}
 	s.sink.Add("sched.done", 1)
 	s.sink.Add(t.doneName, 1)
-	// Teardown: host regions, tenant bindings, then the pools. A reaped
-	// job keeps its regions and cores — parked ranks still own them.
+	s.release(j)
+	s.tryAdmit()
+}
+
+// release returns a job's capacity: host regions, tenant bindings, then
+// the pools. A reaped job keeps its regions and cores — parked ranks
+// still own them.
+func (s *Scheduler) release(j *job) {
 	if !j.res.Leaked {
 		if j.sess != nil {
 			s.sys.ReleaseRegions(j.places)
 		}
 		for _, pl := range j.places {
 			s.sys.Task.UnbindCore(pl.Dev, pl.Core)
-			// Even a clean finish can leave posted flag writes in flight
-			// (a sender never awaits its own final vDMA completion flag);
-			// retire the core so they cannot land on a successor session.
+			// Retire before wiping, so no write still in flight lands on
+			// these MPB bytes once a successor session owns them: even a
+			// clean finish leaves posted flag writes behind (a sender
+			// never awaits its own final vDMA completion flag), and a
+			// requeued job has its dead ranks' writes and the rejoin
+			// replay of their journaled frames.
 			s.sys.Task.RetireCore(pl.Dev, pl.Core)
 			s.wipeFlags(pl)
 		}
@@ -778,7 +769,6 @@ func (s *Scheduler) finish(j *job, err error) {
 	j.lutCharge = nil
 	s.running--
 	s.sink.Gauge("sched.running", int64(s.running))
-	s.tryAdmit()
 }
 
 // wipeFlags zeroes a released core's MPB flag area — the scheduler's

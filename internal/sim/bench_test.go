@@ -84,7 +84,7 @@ func BenchmarkKernelEventThroughput(b *testing.B) {
 	})
 
 	// process-delay: a single process advancing the clock b.N times.
-	// Exercises the yield/resume goroutine handshake plus the queue.
+	// Exercises the yield/resume coroutine switch plus the queue.
 	b.Run("process-delay", func(b *testing.B) {
 		k := NewKernel()
 		k.Spawn("p", func(p *Proc) {

@@ -1,12 +1,13 @@
 // Package sim provides a deterministic discrete-event simulation kernel.
 //
-// The kernel drives a set of processes — goroutines that model simulated
+// The kernel drives a set of processes — coroutines that model simulated
 // agents such as processor cores, host daemon threads or DMA engines.
-// Exactly one process executes at any instant; a process runs until it
-// yields by advancing the simulated clock (Delay), blocking on a Cond, or
+// Exactly one process executes at any instant: the run loop resumes a
+// process (iter.Pull's next) and the process runs until it suspends by
+// advancing the simulated clock (Delay), blocking on a Cond, or
 // finishing. Events scheduled for the same cycle are executed in the order
 // they were scheduled, so a simulation run is fully deterministic and
-// repeatable regardless of Go scheduler behaviour.
+// repeatable; the Go scheduler never chooses what runs next.
 //
 // Time is measured in Cycles. The interpretation of a cycle is up to the
 // user; the vSCC model uses core clock cycles of the 533 MHz P54C cores.
@@ -31,6 +32,7 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"iter"
 	"sort"
 )
 
@@ -167,19 +169,9 @@ type Kernel struct {
 	cancelled  map[uint64]struct{}
 	nCancelled int
 
-	// yield is the single token-return channel: whichever goroutine
-	// holds the execution token (a process, or the run loop itself)
-	// hands it back here when it cannot pass it directly to the next
-	// runnable process (see yieldTo). One channel instead of waiting on
-	// the dispatched process's own channel is what makes direct
-	// process-to-process handoff possible: the run loop does not care
-	// *who* returns the token, only that exactly one holder exists.
-	yield chan struct{}
-
 	// running/bounded/limit mirror the active run loop's state so the
-	// same-cycle and delay fast paths (Proc.Delay, yieldTo) can decide
-	// inline whether an event may be dispatched without handing the
-	// token back to the run loop.
+	// delay fast path (Proc.Delay) can decide inline whether its own
+	// wakeup may be consumed without suspending to the run loop.
 	running bool
 	bounded bool
 	limit   Cycles
@@ -187,7 +179,7 @@ type Kernel struct {
 
 // NewKernel returns an empty kernel at time zero.
 func NewKernel() *Kernel {
-	return &Kernel{yield: make(chan struct{})}
+	return &Kernel{}
 }
 
 // Now returns the current simulated time.
@@ -226,12 +218,12 @@ type Proc struct {
 	state procState
 	body  func(*Proc)
 
-	// run is the single handoff channel for this process: the kernel
-	// sends on it to hand the process the execution token, the process
-	// sends on it to hand the token back when it yields or finishes.
-	// Exactly one side is ever sending, because exactly one of
-	// {kernel, process} executes at any instant.
-	run chan struct{}
+	// next and yield are the two ends of the process's coroutine
+	// (iter.Pull), nil until its first dispatch: the run loop calls next
+	// to resume the body and gets control back when the body calls yield
+	// or returns. A process that never starts never has a coroutine.
+	next  func() (struct{}, bool)
+	yield func(struct{}) bool
 
 	daemon bool
 
@@ -269,7 +261,7 @@ func (k *Kernel) SpawnAt(at Cycles, name string, body func(*Proc)) *Proc {
 	if at < k.now {
 		panic(fmt.Sprintf("sim: SpawnAt(%d) in the past (now %d)", at, k.now))
 	}
-	p := &Proc{k: k, name: name, state: procNew, run: make(chan struct{}), body: body}
+	p := &Proc{k: k, name: name, state: procNew, body: body}
 	k.procs = append(k.procs, p)
 	k.live++
 	k.schedule(at, p, nil)
@@ -454,28 +446,31 @@ func (k *Kernel) run(limit Cycles, bounded bool) error {
 	}
 }
 
-// dispatch hands the execution token to process p and waits for it to
-// yield or finish.
+// dispatch resumes process p — creating its coroutine on the first
+// dispatch — and returns when it suspends or finishes.
 func (k *Kernel) dispatch(p *Proc) error {
 	switch p.state {
 	case procDone:
 		return nil // stale wakeup for a finished process
 	case procNew:
-		p.state = procRunning
-		go k.runBody(p)
+		p.next, _ = iter.Pull(func(yield func(struct{}) bool) {
+			p.yield = yield
+			k.runBody(p)
+		})
 	case procBlocked, procRunnable:
-		p.state = procRunning
-		p.run <- struct{}{}
 	default:
 		panic("sim: resuming a process in state " + p.state.String())
 	}
-	<-k.yield
+	p.state = procRunning
+	p.next()
 	if len(k.panics) > 0 {
 		return k.panics[0]
 	}
 	return nil
 }
 
+// runBody is the body of p's coroutine. It recovers every panic, so none
+// escapes through next: a crash becomes the run's error, naming p.
 func (k *Kernel) runBody(p *Proc) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -489,36 +484,9 @@ func (k *Kernel) runBody(p *Proc) {
 		if !p.daemon {
 			k.live--
 		}
-		// A finishing process always returns the token to the run loop —
-		// never a direct handoff — so panics surface immediately.
-		k.yield <- struct{}{}
 	}()
 	p.checkKill() // killed before its first dispatch: abort without running
 	p.body(p)
-}
-
-// yieldTo releases the execution token held by the current process.
-// When the next due event is a same-cycle resume of another process, the
-// token is handed to that process directly, skipping the round trip
-// through the run loop (two channel operations and a goroutine wakeup).
-// The dispatch order is exactly what the run loop would have produced:
-// the bucket is popped in (time, seq) order either way. Everything else
-// — callbacks (which must run on the kernel goroutine), new processes,
-// stale wakeups, pending cancellations, Stop — bails out to the run
-// loop.
-func (k *Kernel) yieldTo() {
-	if !k.stopped && k.nCancelled == 0 && k.head < len(k.bucket) {
-		e := k.bucket[k.head]
-		if e.p != nil && e.p.state == procRunnable {
-			k.bucket[k.head] = event{} // release fn/p for the GC
-			k.head++
-			k.dispatched++
-			e.p.state = procRunning
-			e.p.run <- struct{}{}
-			return
-		}
-	}
-	k.yield <- struct{}{}
 }
 
 // deadlockError builds a report naming every still-blocked process.
@@ -544,8 +512,8 @@ func (p *Proc) Delay(d Cycles) {
 	at := k.now + d
 	// Inline continuation fast path: when the process's own wakeup would
 	// be the very next event dispatched — no other same-cycle work is
-	// pending and nothing in the heap is due before at — the schedule,
-	// the two token handoffs and the goroutine round trip are all pure
+	// pending and nothing in the heap is due before at — the schedule
+	// and the coroutine round trip through the run loop are pure
 	// overhead. Bump the same counters the event would have consumed
 	// (seq for AfterCancel bookkeeping, dispatched for Events()) and
 	// keep running. The heap never holds events at the current time, so
@@ -566,8 +534,7 @@ func (p *Proc) Delay(d Cycles) {
 	p.state = procRunnable
 	p.blockReason = "delay"
 	k.schedule(at, p, nil)
-	k.yieldTo() // hand the token on
-	<-p.run     // wait for it again
+	p.yield(struct{}{}) // suspend until the run loop dispatches the wakeup
 	p.checkKill()
 }
 
@@ -577,8 +544,7 @@ func (p *Proc) park(reason string) {
 	p.checkKill()
 	p.state = procBlocked
 	p.blockReason = reason
-	p.k.yieldTo()
-	<-p.run
+	p.yield(struct{}{})
 	p.checkKill()
 }
 
@@ -623,7 +589,7 @@ var errClosed = errors.New("sim: kernel closed")
 // Close ends every process that has not finished — a daemon parked
 // forever once the real work drained, a rank stranded by a lost peer or a
 // failed run — and returns once each has unwound. Every such process
-// otherwise keeps its goroutine, and whatever its stack references,
+// otherwise keeps its coroutine, and whatever its stack references,
 // alive for the life of the program: a leak that grows with every
 // simulation a long-lived process runs. Call it when the run is over and
 // its results have been read; the kernel must not be running and cannot
@@ -634,7 +600,7 @@ func (k *Kernel) Close() {
 	}
 	// A killed process panics at its next resume point and at every one
 	// after it, so it cannot block again: one dispatch each unwinds it. A
-	// process that never started has no goroutine. Whatever is still
+	// process that never started has no coroutine. Whatever is still
 	// queued belongs to a simulation that is over, and is dropped unrun
 	// (a self-rescheduling callback would never drain).
 	for _, p := range k.procs {

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"errors"
+	"runtime"
 	"testing"
 )
 
@@ -157,9 +158,11 @@ func TestKillIdempotence(t *testing.T) {
 }
 
 // TestCloseUnwindsEveryUnfinishedProcess: Close ends a parked daemon, a
-// process left in a Delay by a bounded run and one that never started,
-// runs their deferred handlers, and runs no queued callback.
+// parked process, one left in a Delay by a bounded run, one killed but not
+// yet resumed and one that never started, runs their deferred handlers,
+// runs no queued callback, and leaves no goroutine behind.
 func TestCloseUnwindsEveryUnfinishedProcess(t *testing.T) {
+	goroutines := runtime.NumGoroutine()
 	k := NewKernel()
 	unwound := map[string]bool{}
 	body := func(block func(p *Proc)) func(*Proc) {
@@ -170,16 +173,25 @@ func TestCloseUnwindsEveryUnfinishedProcess(t *testing.T) {
 		}
 	}
 	k.SpawnDaemon("daemon", body(func(p *Proc) { p.Park("forever") }))
+	k.Spawn("parked", body(func(p *Proc) { p.Park("forever") }))
 	k.Spawn("sleeper", body(func(p *Proc) { p.Delay(1000) }))
+	killed := k.Spawn("killed", body(func(p *Proc) { p.Delay(1000) }))
+	k.At(50, func() { killed.Kill(errors.New("abort")) }) // delivered at cycle 1000, which never comes
 	k.SpawnAt(500, "unstarted", body(func(p *Proc) {}))
 	k.Spawn("finished", func(p *Proc) { p.Delay(1) })
 	k.At(200, func() { t.Error("Close ran a queued callback") })
 	if err := k.RunUntil(100); err != nil {
 		t.Fatal(err)
 	}
+	if len(unwound) != 0 {
+		t.Fatalf("unwound %v before Close", unwound)
+	}
 	k.Close()
 	if !unwound["daemon"] || !unwound["sleeper"] || unwound["unstarted"] {
 		t.Errorf("unwound %v, want the daemon and the sleeper only", unwound)
+	}
+	if !unwound["parked"] || !unwound["killed"] {
+		t.Errorf("unwound %v, want the parked and the killed process too", unwound)
 	}
 	for _, p := range k.procs {
 		if p.state != procDone {
@@ -188,5 +200,8 @@ func TestCloseUnwindsEveryUnfinishedProcess(t *testing.T) {
 	}
 	if k.Pending() != 0 {
 		t.Errorf("%d events pending after Close", k.Pending())
+	}
+	if n := runtime.NumGoroutine(); n != goroutines {
+		t.Errorf("%d goroutines after Close, %d before NewKernel", n, goroutines)
 	}
 }

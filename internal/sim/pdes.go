@@ -23,7 +23,7 @@ package sim
 // barrier makes determinism trivial to prove: delivery order depends
 // only on message content, never on worker scheduling.
 //
-// Determinism: each kernel is internally deterministic (one goroutine
+// Determinism: each kernel is internally deterministic (one process
 // at a time, FIFO same-cycle order). Outboxes are per-sender and
 // single-writer; the merge sort key is independent of wall-clock
 // interleaving. Therefore a run with W workers is byte-identical to a

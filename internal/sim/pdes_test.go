@@ -170,8 +170,8 @@ func TestPDESDaemonsDoNotDeadlock(t *testing.T) {
 // BenchmarkPDESThroughput measures cross-kernel event throughput of the
 // barrier-window engine at 1/2/4 workers over 4 kernels. On a 1-CPU
 // host the worker counts should be neutral (the harness serializes);
-// scaling shows on multi-core hosts. Recorded in BENCH_kernel.json
-// under "pdes".
+// scaling shows on multi-core hosts. The repository's benchmark records
+// this shape as sim.pdes_round_ns.w1/.w2 (bench/baseline.json).
 func BenchmarkPDESThroughput(b *testing.B) {
 	const nk = 4
 	const la = Cycles(100)

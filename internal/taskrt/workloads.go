@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+
+	"vscc/internal/fault"
 )
 
 // Build populates rt with one of the named workloads using harness-level
@@ -38,12 +40,8 @@ func putF(b []byte, i int, v float64) {
 	binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(v))
 }
 
-// splitmix64 is the same keyed generator the fault injector uses:
-// deterministic, allocation-free, and usable in model packages where
-// math/rand is off limits (kernelclock lint).
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
+// splitmix64 is the first draw of the fault injector's generator seeded
+// with x, used as a keyed hash: deterministic, allocation-free, and
+// usable in model packages where math/rand is off limits (kernelclock
+// lint).
+func splitmix64(x uint64) uint64 { return fault.SplitMix64(&x) }
