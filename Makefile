@@ -20,9 +20,8 @@ build:
 vet:
 	$(GO) vet ./...
 
-# Project-specific analyzers (kernelclock, detorder, goryorder,
-# flagdiscipline, tracealloc, simapi), interprocedural over the module
-# call graph — see `go run ./cmd/vsccvet -rules` and DESIGN.md. CI runs
+# Project-specific analyzers, interprocedural over the module call graph
+# — `go run ./cmd/vsccvet -rules` lists them; see DESIGN.md §7. CI runs
 # the same suite with -json and archives the report.
 lint:
 	$(GO) run ./cmd/vsccvet ./...
@@ -87,8 +86,10 @@ soak:
 	$(GO) test -run FaultSoak -v ./internal/harness
 
 # Non-test Go lines per package, without bench/ and testdata/: the number
-# the ROADMAP's line-count target and the simplicity PRs quote. No gate.
+# the ROADMAP's line-count target and the simplicity PRs quote. With
+# BASE=<revision> (make loc BASE=HEAD~1) each row is parent / change /
+# delta. No gate.
 loc:
-	@./scripts/loc.sh
+	@./scripts/loc.sh $(BASE)
 
 check: fmt build vet lint fault race bench

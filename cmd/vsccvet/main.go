@@ -1,17 +1,9 @@
 // vsccvet is the project-specific static analyzer for this repository.
-// It loads the module with the stdlib-only driver in internal/lint and
+// It loads and type-checks the module — test files and the standard
+// library included — with the stdlib-only driver in internal/lint and
 // runs the rule suite that machine-checks the paper's non-coherent-MPB
-// programming discipline and the simulator's own invariants:
-//
-//	kernelclock     model packages take time/concurrency from internal/sim only,
-//	                checked transitively over the module call graph
-//	detorder        no map iteration whose randomized order can reach
-//	                kernel-clock-visible state or pick a winner
-//	goryorder       flush before signalling, invalidate after waiting
-//	                (paper §3.1), checked across call boundaries
-//	flagdiscipline  raw flag-byte addressing only in protocol extensions
-//	tracealloc      no dynamic trace-label building at unguarded call sites
-//	simapi          no scheduling delays from subtractions that can wrap
+// programming discipline and the simulator's own invariants; -rules
+// lists the rules, lint.DefaultAnalyzers documents where each applies.
 //
 // Usage:
 //
@@ -23,8 +15,8 @@
 // (module, rule suite, findings with call chains, per-rule counts) whose
 // bytes are identical across runs on an unchanged tree. Under GitHub
 // Actions (GITHUB_ACTIONS=true) findings are additionally emitted as
-// ::error workflow annotations. Exit status: 0 clean, 1 findings, 2 load
-// or usage error. Findings are suppressed per line with //lint:ignore
+// ::error workflow annotations. Exit status: 0 clean, 1 findings, 2 load,
+// type or usage error. Findings are suppressed per line with //lint:ignore
 // <rule> <reason>; a suppression that covers nothing is itself a
 // finding.
 package main
@@ -72,6 +64,10 @@ func run(cwd string, args []string, out, errw io.Writer) int {
 	pr, err := lint.LoadModule(cwd)
 	if err != nil {
 		fmt.Fprintln(errw, "vsccvet:", err)
+		return 2
+	}
+	if n := len(pr.TypeErrors); n > 0 {
+		fmt.Fprintf(errw, "vsccvet: %d type error(s), first: %v\n", n, pr.TypeErrors[0])
 		return 2
 	}
 	pkgs, err := selectPackages(pr, cwd, fs.Args())

@@ -10,8 +10,8 @@ import (
 )
 
 // writeModule lays out a throwaway module on disk and returns its root.
-// vsccvet parses source directly (no go toolchain), so a go.mod plus Go
-// files is a complete fixture.
+// vsccvet parses and type-checks source directly (no go command), so a
+// go.mod plus Go files that compile is a complete fixture.
 func writeModule(t *testing.T, files map[string]string) string {
 	t.Helper()
 	root := t.TempDir()
@@ -104,6 +104,14 @@ func TestExitCodes(t *testing.T) {
 	if code := run(t.TempDir(), nil, &out, &errw); code != 2 {
 		t.Errorf("no go.mod: exit %d, want 2", code)
 	}
+	errw.Reset()
+	broken := writeModule(t, map[string]string{
+		"go.mod":              "module tmpmod\n\ngo 1.22\n",
+		"internal/noc/bad.go": "package noc\n\nfunc bad() int { return undefined }\n",
+	})
+	if code := run(broken, nil, &out, &errw); code != 2 || !strings.Contains(errw.String(), "undefined: undefined") {
+		t.Errorf("type error: exit %d, want 2 naming it (stderr: %s)", code, errw.String())
+	}
 }
 
 // TestGitHubAnnotations pins the ::error workflow-command emission under
@@ -135,7 +143,7 @@ func TestRulesFlag(t *testing.T) {
 	if code := run(cleanModule(t), []string{"-rules"}, &out, &bytes.Buffer{}); code != 0 {
 		t.Fatalf("exit code = %d, want 0", code)
 	}
-	for _, rule := range []string{"kernelclock", "detorder", "goryorder", "flagdiscipline", "tracealloc", "simapi"} {
+	for _, rule := range []string{"kernelclock", "detorder", "goryorder", "faultorder", "flagdiscipline", "tracealloc", "simapi"} {
 		if !strings.Contains(out.String(), rule) {
 			t.Errorf("-rules output misses %s:\n%s", rule, out.String())
 		}

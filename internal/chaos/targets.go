@@ -7,6 +7,7 @@ import (
 
 	"vscc/internal/fault"
 	"vscc/internal/rcce"
+	"vscc/internal/scc"
 	"vscc/internal/sched"
 	"vscc/internal/sim"
 	"vscc/internal/taskrt"
@@ -92,8 +93,8 @@ func runSched(spec string) (string, []string) {
 	}
 	if recovered {
 		for d, free := range s.Capacity().FreeCores {
-			if free != 48 {
-				problems = append(problems, fmt.Sprintf("device %d: %d free cores after recovery, want 48", d, free))
+			if free != scc.NumCores {
+				problems = append(problems, fmt.Sprintf("device %d: %d free cores after recovery, want %d", d, free, scc.NumCores))
 			}
 		}
 	}

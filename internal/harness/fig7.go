@@ -5,6 +5,7 @@ import (
 
 	"vscc/internal/npb"
 	"vscc/internal/rcce"
+	"vscc/internal/scc"
 	"vscc/internal/sim"
 	"vscc/internal/vscc"
 )
@@ -62,7 +63,7 @@ func LURun(cfg BTSweepConfig, ranks int) (BTPoint, error) { return npbPoint("lu"
 // in a failed run, PDES in set-up errors too.
 func npbPoint(app string, cfg BTSweepConfig, ranks int) (BTPoint, error) {
 	if cfg.Devices == 0 {
-		cfg.Devices = max((ranks+47)/48, 1)
+		cfg.Devices = max((ranks+scc.NumCores-1)/scc.NumCores, 1)
 	}
 	if cfg.Iterations == 0 {
 		cfg.Iterations = 2

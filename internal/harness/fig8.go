@@ -5,6 +5,7 @@ import (
 
 	"vscc/internal/npb"
 	"vscc/internal/rcce"
+	"vscc/internal/scc"
 	"vscc/internal/sim"
 	"vscc/internal/trace"
 	"vscc/internal/vscc"
@@ -32,13 +33,13 @@ func CaptureTraffic(cfg TrafficConfig) (*trace.Matrix, error) {
 		cfg.ScaleTo = cfg.Class.Iterations
 	}
 	k := sim.NewKernel()
-	devices := (cfg.Ranks + 47) / 48
+	devices := (cfg.Ranks + scc.NumCores - 1) / scc.NumCores
 	sys, err := vscc.NewSystem(k, sysConfig(vscc.Config{Devices: devices, Scheme: cfg.Scheme}))
 	if err != nil {
 		return nil, err
 	}
 	scale := cfg.ScaleTo / cfg.Iterations
-	m := trace.NewMatrix(cfg.Ranks, 48)
+	m := trace.NewMatrix(cfg.Ranks, scc.NumCores)
 	sink := observe(fmt.Sprintf("fig8/bt/%s/ranks=%03d", cfg.Scheme.Key(), cfg.Ranks), k)
 	sys.Instrument(sink)
 	session, err := sys.NewSession(cfg.Ranks, rcce.WithSink(sink), rcce.WithTrafficObserver(func(src, dest, bytes int) {

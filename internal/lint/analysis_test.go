@@ -1,4 +1,4 @@
-// analysistest.go is the golden-test harness for the analyzers, modeled
+// analysis_test.go is the golden-test harness for the analyzers, modeled
 // on golang.org/x/tools' analysistest but stdlib-only. A fixture package
 // under testdata/src/<rule>/ annotates the lines it expects diagnostics
 // on with trailing comments of the form
@@ -16,7 +16,6 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
-	"go/types"
 	"regexp"
 	"strconv"
 	"strings"
@@ -52,6 +51,9 @@ func RunAnalyzerTest(t *testing.T, a *Analyzer, dir, importPath string, deps ...
 	if a.Applies != nil && !a.Applies(importPath) {
 		t.Fatalf("fixture import path %q is filtered out by %s.Applies", importPath, a.Name)
 	}
+	for _, err := range pr.TypeErrors {
+		t.Errorf("fixture does not type-check: %v", err)
+	}
 	diags := RunPackage(pr, pkg, []*Analyzer{a})
 
 	wants := collectWants(t, pr.Fset, pkg)
@@ -62,17 +64,6 @@ func RunAnalyzerTest(t *testing.T, a *Analyzer, dir, importPath string, deps ...
 	}
 	for _, w := range wants.unmatched() {
 		t.Errorf("%s:%d: no diagnostic matched want %q", w.file, w.line, w.re)
-	}
-}
-
-// NewProgram returns an empty Program for loading fixture packages with
-// LoadDir, outside any module walk.
-func NewProgram() *Program {
-	return &Program{
-		Fset:     token.NewFileSet(),
-		pkgs:     map[string]*Package{},
-		stubs:    map[string]*types.Package{},
-		checking: map[string]bool{},
 	}
 }
 
@@ -162,7 +153,7 @@ func (pr *Program) ParseFixtureFile(filename, src, importPath string) (*Package,
 		pkg.Files = []*ast.File{f}
 	}
 	pr.pkgs[importPath] = pkg
-	pr.ensureChecked(pkg)
+	pr.check(pkg)
 	pr.cg = nil
 	return pkg, nil
 }

@@ -32,8 +32,7 @@ import (
 // bodies the analysis cannot prove carry a //lint:ignore detorder with
 // the proof.
 //
-// The check needs type information to know an expression is a map, so
-// test files (parsed but not type-checked) are not audited; the
+// Test files are not audited: they are not part of the model, and the
 // byte-identity gates cover the test harness dynamically.
 func DetOrderAnalyzer() *Analyzer {
 	return &Analyzer{
@@ -47,43 +46,25 @@ func DetOrderAnalyzer() *Analyzer {
 }
 
 func runDetOrder(pass *Pass) {
-	cg := pass.CallGraph()
 	for _, f := range pass.Files {
 		if pass.IsTestFile(f.Pos()) {
 			continue
 		}
-		imports := importTable(f)
 		ast.Inspect(f, func(n ast.Node) bool {
-			rs, ok := n.(*ast.RangeStmt)
-			if !ok || !isMapRange(pass, rs) {
-				return true
+			if rs, ok := n.(*ast.RangeStmt); ok {
+				if _, isMap := pass.Info.TypeOf(rs.X).Underlying().(*types.Map); isMap {
+					checkMapRange(pass, rs)
+				}
 			}
-			checkMapRange(pass, cg, imports, rs)
 			return true
 		})
 	}
 }
 
-// isMapRange reports whether the range expression is map-typed.
-func isMapRange(pass *Pass, rs *ast.RangeStmt) bool {
-	if pass.Info == nil {
-		return false
-	}
-	tv, ok := pass.Info.Types[rs.X]
-	if !ok || tv.Type == nil {
-		return false
-	}
-	t := tv.Type
-	if p, isPtr := t.Underlying().(*types.Pointer); isPtr {
-		t = p.Elem()
-	}
-	_, isMap := t.Underlying().(*types.Map)
-	return isMap
-}
-
 // checkMapRange applies the two order-sensitivity triggers to one
 // map-range statement.
-func checkMapRange(pass *Pass, cg *CallGraph, imports map[string]string, rs *ast.RangeStmt) {
+func checkMapRange(pass *Pass, rs *ast.RangeStmt) {
+	cg := pass.CallGraph()
 	// Trigger 1: early exit — the chosen iteration depends on order.
 	if exit := earlyExit(rs.Body); exit != nil {
 		pass.Reportf(rs.For,
@@ -107,7 +88,7 @@ func checkMapRange(pass *Pass, cg *CallGraph, imports map[string]string, rs *ast
 				"map iteration body performs %s via %s: iteration order is randomized per run and lands in kernel-clock-visible state; sort the keys first", what, name)
 			return false
 		}
-		callees, _ := cg.Resolve(pass.Pkg, imports, call)
+		callees, _ := cg.Resolve(pass.Info, call)
 		for _, c := range callees {
 			if w := cg.VisibleWitness(c); w != nil {
 				reported = true

@@ -2,7 +2,7 @@ package lint
 
 import (
 	"go/ast"
-	"strings"
+	"go/types"
 )
 
 // FlagDisciplineAnalyzer polices raw flag-byte addressing. The MPB flag
@@ -36,7 +36,6 @@ var flagAddrFuncs = map[string]bool{
 func runFlagDiscipline(pass *Pass) {
 	allowed := pkgPathIn(pass.Pkg.Path, goryPackages...)
 	for _, f := range pass.Files {
-		imports := importTable(f)
 		ast.Inspect(f, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
 			if !ok {
@@ -44,7 +43,7 @@ func runFlagDiscipline(pass *Pass) {
 			}
 			name := calleeName(call)
 			hasKind, isFlagFn := flagAddrFuncs[name]
-			if !isFlagFn || !isRCCEFlagCall(call, imports) {
+			if !isFlagFn || !isRCCEFlagCall(pass.Info, call) {
 				return true
 			}
 			if !allowed {
@@ -61,20 +60,16 @@ func runFlagDiscipline(pass *Pass) {
 }
 
 // isRCCEFlagCall filters out same-named functions from other packages:
-// a package-qualified call counts only when the qualifier imports
-// internal/rcce; bare calls (rcce-internal or fixture-local) and method
+// a package-qualified call counts only when the qualifier is an rcce
+// package; bare calls (rcce-internal or fixture-local) and method
 // calls on a value (r.PeekFlagByte) always count.
-func isRCCEFlagCall(call *ast.CallExpr, imports map[string]string) bool {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return true
-	}
-	id, ok := sel.X.(*ast.Ident)
-	if !ok {
-		return true
-	}
-	if path, isImport := imports[id.Name]; isImport {
-		return hasSuffixPath(path, "internal/rcce") || strings.HasSuffix(path, "/rcce") || path == "rcce"
+func isRCCEFlagCall(info *types.Info, call *ast.CallExpr) bool {
+	if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
+		if id, ok := sel.X.(*ast.Ident); ok {
+			if pn, ok := info.Uses[id].(*types.PkgName); ok {
+				return hasSuffixPath(pn.Imported().Path(), "rcce")
+			}
+		}
 	}
 	return true
 }

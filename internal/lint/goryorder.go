@@ -3,6 +3,7 @@ package lint
 import (
 	"go/ast"
 	"go/token"
+	"go/types"
 	"strings"
 )
 
@@ -33,9 +34,9 @@ import (
 // call graph — into the caller's state machine. A helper that signals
 // while the caller's data sits unflushed, or a callee that leaves an
 // unflushed write behind for the caller to signal over, is reported at
-// the call boundary with the offending call chain. Only uniquely
-// resolved calls are spliced (precision over recall: an ambiguous
-// interface dispatch contributes nothing rather than a wrong sequence);
+// the call boundary with the offending call chain. Only statically
+// resolved calls are spliced (precision over recall: an interface
+// dispatch contributes nothing rather than a wrong sequence);
 // violations wholly inside one callee are that callee's own findings
 // and are not re-reported at call sites.
 func GoryOrderAnalyzer() *Analyzer {
@@ -49,41 +50,10 @@ func GoryOrderAnalyzer() *Analyzer {
 	}
 }
 
-// Event classes, matched by callee name.
-var (
-	goryFlush = map[string]bool{
-		"FlushWCB": true,
-		// Put/PutV flush the WCB internally before returning (rank.go,
-		// gory.go), so at the call site they leave no combined data behind
-		// — including any earlier unflushed WriteMPB.
-		"Put": true, "PutV": true,
-	}
-	goryInval = map[string]bool{
-		"InvalidateMPB": true,
-		// Get/GetV invalidate internally before reading, so at the call
-		// site they behave like an invalidate (the L1 holds only fresh
-		// lines afterwards).
-		"Get": true, "GetV": true,
-	}
-	goryDataWrite = map[string]bool{"WriteMPB": true, "WriteV": true}
-	goryDataRead  = map[string]bool{"ReadMPB": true, "ReadV": true}
-	gorySignal    = map[string]bool{
-		"SignalSent": true, "SignalReady": true,
-		"setSent": true, "setReady": true, "FlagSet": true,
-	}
-	goryWait = map[string]bool{
-		"AwaitSent": true, "AwaitReady": true,
-		"waitSent": true, "waitReady": true, "waitClearFlag": true,
-		"WaitFlag": true, "FlagWait": true,
-		"ClearSent": true, "ClearReady": true,
-		"PeekSent": true, "PeekReady": true, "PeekFlagByte": true,
-	}
-)
-
 // goryEvent kinds, in the order the state machine consumes them.
 const (
 	evDataWrite = iota
-	evFlagWrite
+	evFlagWrite // a data write whose target is a flag byte; see isFlagWrite
 	evFlush
 	evInval
 	evDataRead
@@ -91,21 +61,52 @@ const (
 	evWait
 )
 
+// goryPrimitives are the event classes, matched by callee name.
+var goryPrimitives = map[string]int{
+	"FlushWCB": evFlush,
+	// Put/PutV flush the WCB internally before returning (rank.go,
+	// gory.go), so at the call site they leave no combined data behind
+	// — including any earlier unflushed WriteMPB.
+	"Put": evFlush, "PutV": evFlush,
+	"InvalidateMPB": evInval,
+	// Get/GetV invalidate internally before reading, so at the call
+	// site they behave like an invalidate (the L1 holds only fresh
+	// lines afterwards).
+	"Get": evInval, "GetV": evInval,
+	"WriteMPB": evDataWrite, "WriteV": evDataWrite,
+	"ReadMPB": evDataRead, "ReadV": evDataRead,
+	"SignalSent": evSignal, "SignalReady": evSignal,
+	"setSent": evSignal, "setReady": evSignal, "FlagSet": evSignal,
+	"AwaitSent": evWait, "AwaitReady": evWait,
+	"waitSent": evWait, "waitReady": evWait, "waitClearFlag": evWait,
+	"WaitFlag": evWait, "FlagWait": evWait,
+	"ClearSent": evWait, "ClearReady": evWait,
+	"PeekSent": evWait, "PeekReady": evWait, "PeekFlagByte": evWait,
+}
+
 // goryEvent is one abstract protocol action in a function's linearized
-// event stream: either a direct primitive call or an action spliced in
-// from a callee's summary.
+// event stream: a direct primitive call, or an action spliced in from a
+// callee's summary.
 type goryEvent struct {
 	kind int
 	// name is the primitive's callee name, for messages.
 	name string
-	// pos/site: pos is where a violation is reported; site identifies
-	// the top-level body node the event came from, so that a setter and
-	// a violator spliced from the SAME call are recognized as callee-
-	// internal (the callee's own scan reports those).
-	pos, site token.Pos
 	// chain names the call path for spliced events (outermost callee
 	// first); nil for direct primitive calls.
 	chain []string
+	// site is the call in the body being checked that the event came
+	// from — where a violation is reported, and how a setter and a
+	// violator spliced from the SAME call are recognized as callee-
+	// internal (the callee's own scan reports those).
+	site token.Pos
+}
+
+// String names a (possibly spliced) event for a diagnostic.
+func (ev goryEvent) String() string {
+	if len(ev.chain) > 0 {
+		return ev.name + " via " + FormatChain(ev.chain)
+	}
+	return ev.name
 }
 
 // gorySummaryScope are the packages whose functions get gory-effect
@@ -124,208 +125,113 @@ func inGorySummaryScope(pkgPath string) bool {
 // a truncated tail only costs recall, never precision.
 const goryEventCap = 64
 
-// sumEvent is one entry of a function's gory-effect summary.
-type sumEvent struct {
-	kind  int
-	name  string
-	chain []string // call path from the summarized function down
-}
-
-// GorySummary returns fi's ordered gory-effect sequence, splicing
-// uniquely resolved callees bottom-up. Memoized; recursion contributes
-// nothing (a cycle cannot order effects its members do not already
-// order).
-func (g *CallGraph) GorySummary(fi *FuncInfo) []sumEvent {
-	if s, ok := g.goryMemo[fi]; ok {
-		return s
-	}
-	if g.goryPath[fi] || !inGorySummaryScope(fi.Pkg.Path) {
-		return nil
-	}
-	g.goryPath[fi] = true
-	defer delete(g.goryPath, fi)
-
-	flagOffIdents := collectFlagOffsetIdents(fi.Decl)
-	var out []sumEvent
-	emit := func(kind int, name string, chain []string) {
-		if len(out) < goryEventCap {
-			out = append(out, sumEvent{kind: kind, name: name, chain: chain})
-		}
-	}
-	ast.Inspect(fi.Decl.Body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		name := calleeName(call)
-		switch {
-		case goryFlush[name]:
-			emit(evFlush, name, []string{fi.Name})
-		case goryInval[name]:
-			emit(evInval, name, []string{fi.Name})
-		case goryDataWrite[name]:
-			if isFlagWrite(call, flagOffIdents) {
-				emit(evFlagWrite, name, []string{fi.Name})
-			} else {
-				emit(evDataWrite, name, []string{fi.Name})
-			}
-		case gorySignal[name]:
-			emit(evSignal, name, []string{fi.Name})
-		case goryDataRead[name]:
-			emit(evDataRead, name, []string{fi.Name})
-		case goryWait[name]:
-			emit(evWait, name, []string{fi.Name})
-		default:
-			if callees, unique := g.Resolve(fi.Pkg, fi.imports, call); unique {
-				for _, ev := range g.GorySummary(callees[0]) {
-					emit(ev.kind, ev.name, appendChain(fi.Name, ev.chain))
-				}
-			}
-		}
-		return true
-	})
-	g.goryMemo[fi] = out
-	return out
-}
-
-func runGoryOrder(pass *Pass) {
-	for _, f := range pass.Files {
-		imports := importTable(f)
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			checkGoryFunc(pass, imports, fd)
-		}
-	}
-}
-
-// goryProv records which event set a state bit, for cross-boundary
-// attribution in diagnostics.
-type goryProv struct {
-	site  token.Pos
-	name  string
-	chain []string
-}
-
-func (p *goryProv) describe() string {
-	if len(p.chain) > 0 {
-		return p.name + " via " + FormatChain(p.chain)
-	}
-	return p.name
-}
-
-// checkGoryFunc runs the order state machine over one function's
-// linearized event stream: direct primitive calls in syntactic order,
-// with uniquely resolved callees expanded to their summaries. A
-// violation whose setter and violator came from the same call site is
-// callee-internal and skipped here — the callee's own scan reports it.
-func checkGoryFunc(pass *Pass, imports map[string]string, fd *ast.FuncDecl) {
+// goryStream linearizes one function body: it calls emit, in syntactic
+// order, for every primitive call and for every event of the summary of
+// every statically resolved callee, each stamped with the call's site.
+func (g *CallGraph) goryStream(info *types.Info, fd *ast.FuncDecl, emit func(goryEvent)) {
 	flagOffIdents := collectFlagOffsetIdents(fd)
-	cg := pass.CallGraph()
-
-	var dirty *goryProv // an MPB data write sitting unflushed in the WCB
-	var await *goryProv // a flag wait happened with no InvalidateMPB since
-	step := func(ev goryEvent) {
-		switch ev.kind {
-		case evFlush:
-			dirty = nil
-		case evInval:
-			await = nil
-		case evDataWrite:
-			dirty = &goryProv{site: ev.site, name: ev.name, chain: ev.chain}
-		case evFlagWrite:
-			// A raw flag-byte store is a signal: combined data must
-			// already be flushed. The flag byte itself then sits in the
-			// WCB until the next flush; it is not data, so dirty stays.
-			if dirty != nil && dirty.site != ev.site {
-				if len(ev.chain) > 0 || len(dirty.chain) > 0 {
-					pass.ReportChain(ev.pos, violationChain(ev, dirty),
-						"flag byte written (%s) before FlushWCB of the preceding MPB data write (%s) (paper §3.1: flush write-combined data before signalling)",
-						eventDesc(ev), dirty.describe())
-				} else {
-					pass.Reportf(ev.pos, "flag byte written before FlushWCB of the preceding MPB data write (paper §3.1: flush write-combined data before signalling)")
-				}
-			}
-		case evSignal:
-			if dirty != nil && dirty.site != ev.site {
-				if len(ev.chain) > 0 || len(dirty.chain) > 0 {
-					pass.ReportChain(ev.pos, violationChain(ev, dirty),
-						"%s before FlushWCB of the preceding MPB data write (%s) (paper §3.1: flush write-combined data before signalling)",
-						eventDesc(ev), dirty.describe())
-				} else {
-					pass.Reportf(ev.pos, "%s before FlushWCB of the preceding MPB data write (paper §3.1: flush write-combined data before signalling)", ev.name)
-				}
-				dirty = nil // one report per unflushed write
-			}
-		case evDataRead:
-			if await != nil && await.site != ev.site {
-				if len(ev.chain) > 0 || len(await.chain) > 0 {
-					pass.ReportChain(ev.pos, violationChain(ev, await),
-						"MPB read (%s) after a flag wait (%s) without InvalidateMPB: the L1 may serve stale MPBT lines (paper §3.1: invalidate before the remote get)",
-						eventDesc(ev), await.describe())
-				} else {
-					pass.Reportf(ev.pos, "MPB read after a flag wait without InvalidateMPB: the L1 may serve stale MPBT lines (paper §3.1: invalidate before the remote get)")
-				}
-				await = nil // one report per missing invalidate
-			}
-		case evWait:
-			await = &goryProv{site: ev.site, name: ev.name, chain: ev.chain}
-		}
-	}
-
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
 			return true
 		}
 		name := calleeName(call)
-		switch {
-		case goryFlush[name]:
-			step(goryEvent{kind: evFlush, name: name, pos: call.Pos(), site: call.Pos()})
-		case goryInval[name]:
-			step(goryEvent{kind: evInval, name: name, pos: call.Pos(), site: call.Pos()})
-		case goryDataWrite[name]:
-			kind := evDataWrite
-			if isFlagWrite(call, flagOffIdents) {
+		if kind, ok := goryPrimitives[name]; ok {
+			if kind == evDataWrite && isFlagWrite(call, flagOffIdents) {
 				kind = evFlagWrite
 			}
-			step(goryEvent{kind: kind, name: name, pos: call.Pos(), site: call.Pos()})
-		case gorySignal[name]:
-			step(goryEvent{kind: evSignal, name: name, pos: call.Pos(), site: call.Pos()})
-		case goryDataRead[name]:
-			step(goryEvent{kind: evDataRead, name: name, pos: call.Pos(), site: call.Pos()})
-		case goryWait[name]:
-			step(goryEvent{kind: evWait, name: name, pos: call.Pos(), site: call.Pos()})
-		default:
-			callees, unique := cg.Resolve(pass.Pkg, imports, call)
-			if !unique {
-				return true
-			}
-			for _, ev := range cg.GorySummary(callees[0]) {
-				step(goryEvent{kind: ev.kind, name: ev.name, pos: call.Pos(), site: call.Pos(), chain: ev.chain})
+			emit(goryEvent{kind: kind, name: name, site: call.Pos()})
+		} else if callees, static := g.Resolve(info, call); static {
+			for _, ev := range g.GorySummary(callees[0]) {
+				ev.site = call.Pos()
+				emit(ev)
 			}
 		}
 		return true
 	})
 }
 
-// eventDesc names a (possibly spliced) event for a diagnostic.
-func eventDesc(ev goryEvent) string {
-	if len(ev.chain) > 0 {
-		return ev.name + " via " + FormatChain(ev.chain)
+// GorySummary returns fi's ordered gory-effect sequence, splicing
+// statically resolved callees bottom-up.
+func (g *CallGraph) GorySummary(fi *FuncInfo) []goryEvent {
+	if !inGorySummaryScope(fi.Pkg.Path) {
+		return nil
 	}
-	return ev.name
+	return memoized(g.gory, fi, func() (out []goryEvent) {
+		g.goryStream(fi.Pkg.Info, fi.Decl, func(ev goryEvent) {
+			if len(out) < goryEventCap {
+				out = append(out, goryEvent{kind: ev.kind, name: ev.name, chain: appendChain(fi.Name, ev.chain)})
+			}
+		})
+		return out
+	})
 }
 
-// violationChain picks the machine-readable chain for a cross-boundary
-// violation: the violator's chain when it is spliced, else the setter's.
-func violationChain(ev goryEvent, set *goryProv) []string {
-	if len(ev.chain) > 0 {
-		return ev.chain
+func runGoryOrder(pass *Pass) {
+	pass.eachFunc(func(fd *ast.FuncDecl) { checkGoryFunc(pass, fd) })
+}
+
+const (
+	unflushed = " before FlushWCB of the preceding MPB data write"
+	flushRule = " (paper §3.1: flush write-combined data before signalling)"
+	invalRule = " without InvalidateMPB: the L1 may serve stale MPBT lines (paper §3.1: invalidate before the remote get)"
+)
+
+// checkGoryFunc runs the order state machine over one function's
+// linearized event stream. A violation whose setter and violator came
+// from the same call site is callee-internal and skipped here — the
+// callee's own scan reports it.
+func checkGoryFunc(pass *Pass, fd *ast.FuncDecl) {
+	var dirty *goryEvent // an MPB data write sitting unflushed in the WCB
+	var await *goryEvent // a flag wait happened with no InvalidateMPB since
+
+	// violate reports ev against the state bit set left behind. Inside
+	// one function the message is bare; across a call boundary it names
+	// both events with their chains and carries the violator's chain
+	// (else the setter's) as data. An empty subject is the event itself.
+	violate := func(ev goryEvent, set *goryEvent, subject, rest, rule string) {
+		violator, setter, chain := "", "", ev.chain
+		if len(ev.chain) > 0 || len(set.chain) > 0 {
+			violator, setter = " ("+ev.String()+")", " ("+set.String()+")"
+		}
+		if chain == nil {
+			chain = set.chain
+		}
+		if subject == "" {
+			subject, violator = ev.String(), ""
+		}
+		pass.ReportChain(ev.site, chain, "%s", subject+violator+rest+setter+rule)
 	}
-	return set.chain
+
+	pass.CallGraph().goryStream(pass.Info, fd, func(ev goryEvent) {
+		switch ev.kind {
+		case evFlush:
+			dirty = nil
+		case evInval:
+			await = nil
+		case evDataWrite:
+			dirty = &ev
+		case evFlagWrite:
+			// A raw flag-byte store is a signal: combined data must
+			// already be flushed. The flag byte itself then sits in the
+			// WCB until the next flush; it is not data, so dirty stays.
+			if dirty != nil && dirty.site != ev.site {
+				violate(ev, dirty, "flag byte written", unflushed, flushRule)
+			}
+		case evSignal:
+			if dirty != nil && dirty.site != ev.site {
+				violate(ev, dirty, "", unflushed, flushRule)
+				dirty = nil // one report per unflushed write
+			}
+		case evDataRead:
+			if await != nil && await.site != ev.site {
+				violate(ev, await, "MPB read", " after a flag wait", invalRule)
+				await = nil // one report per missing invalidate
+			}
+		case evWait:
+			await = &ev
+		}
+	})
 }
 
 // collectFlagOffsetIdents finds local identifiers assigned from

@@ -3,6 +3,8 @@ package lint
 import (
 	"go/ast"
 	"go/token"
+	"go/types"
+	"strings"
 )
 
 // KernelClockAnalyzer forbids wall-clock time, unseeded process-global
@@ -33,9 +35,8 @@ import (
 // chain in the diagnostic. Callees inside the audited packages are not
 // re-reported at call sites: the direct scan already flags them at the
 // definition, and their own outgoing escapes are flagged at their own
-// call sites. Interface dispatch is over-approximated by name and
-// arity (see callgraph.go), so an infeasible chain is suppressible
-// with a proof.
+// call sites. Interface dispatch reaches every module implementer (see
+// callgraph.go), so an infeasible chain is suppressible with a proof.
 func KernelClockAnalyzer() *Analyzer {
 	return &Analyzer{
 		Name: "kernelclock",
@@ -56,15 +57,65 @@ var forbiddenTimeFuncs = map[string]bool{
 	"Since": true, "Until": true,
 }
 
+// concurrencyAdvice is the direct finding for each raw-concurrency
+// operation scanClockUses names.
+var concurrencyAdvice = map[string]string{
+	"goroutine":       "raw goroutine in a model package: spawn simulated processes with sim.Kernel.Spawn/SpawnDaemon so the kernel serializes execution deterministically",
+	"select":          "select statement in a model package: nondeterministic case choice; block on sim primitives instead",
+	"channel send":    "channel send in a model package: use sim.Queue.Push / sim.Cond.Broadcast",
+	"channel receive": "channel receive in a model package: use sim.Queue.Pop / sim.Cond.Wait",
+}
+
+// scanClockUses visits, in syntactic order, every wall-clock entry point
+// ("time.Now"), math/rand reference ("math/rand.Intn") and raw-
+// concurrency operation (a concurrencyAdvice key) under root, until
+// visit returns false. It is the one scan behind the direct findings
+// and the transitive witnesses.
+func scanClockUses(info *types.Info, root ast.Node, visit func(n ast.Node, what string) bool) {
+	more := true
+	ast.Inspect(root, func(n ast.Node) bool {
+		if !more {
+			return false
+		}
+		what := ""
+		switch n := n.(type) {
+		case *ast.SelectorExpr:
+			if obj := pkgObject(info, n.Sel); obj != nil {
+				switch obj.Pkg().Path() {
+				case "time":
+					if forbiddenTimeFuncs[obj.Name()] {
+						what = "time." + obj.Name()
+					}
+				case "math/rand", "math/rand/v2":
+					what = "math/rand." + obj.Name()
+				}
+			}
+		case *ast.GoStmt:
+			what = "goroutine"
+		case *ast.SelectStmt:
+			what = "select"
+		case *ast.SendStmt:
+			what = "channel send"
+		case *ast.UnaryExpr:
+			if n.Op == token.ARROW {
+				what = "channel receive"
+			}
+		}
+		if what != "" {
+			more = visit(n, what)
+		}
+		return more
+	})
+}
+
 func runKernelClock(pass *Pass) {
 	engine := pkgPathIn(pass.Pkg.Path, enginePackages...)
 	for _, f := range pass.Files {
 		if pass.IsTestFile(f.Pos()) {
 			continue
 		}
-		imports := importTable(f)
 		for _, imp := range f.Imports {
-			switch path := importPathOf(imp); path {
+			switch path := strings.Trim(imp.Path.Value, "\"`"); path {
 			case "time":
 				if engine {
 					pass.Reportf(imp.Pos(), "import of time in the simulation engine: the kernel IS the clock; worker coordination may use sync and channels, but simulated time advances only through the event queue")
@@ -79,33 +130,23 @@ func runKernelClock(pass *Pass) {
 				}
 			}
 		}
+		scanClockUses(pass.Info, f, func(n ast.Node, what string) bool {
+			if advice, concurrency := concurrencyAdvice[what]; concurrency {
+				if !engine {
+					pass.Reportf(n.Pos(), "%s", advice)
+				}
+			} else if strings.HasPrefix(what, "time.") { // a math/rand use is reported once, at its import
+				pass.Reportf(n.Pos(), "%s: simulated time is the kernel clock (sim.Proc.Delay / Kernel.Now), never the wall clock", what)
+			}
+			return true
+		})
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
-			case *ast.SelectorExpr:
-				if id, ok := n.X.(*ast.Ident); ok && imports[id.Name] == "time" && forbiddenTimeFuncs[n.Sel.Name] {
-					pass.Reportf(n.Pos(), "time.%s: simulated time is the kernel clock (sim.Proc.Delay / Kernel.Now), never the wall clock", n.Sel.Name)
-				}
 			case *ast.CallExpr:
-				checkTransitiveClock(pass, imports, n)
-			case *ast.GoStmt:
-				if !engine {
-					pass.Reportf(n.Pos(), "raw goroutine in a model package: spawn simulated processes with sim.Kernel.Spawn/SpawnDaemon so the kernel serializes execution deterministically")
-				}
-			case *ast.ChanType:
+				checkTransitiveClock(pass, n)
+			case *ast.ChanType: // declares, moves nothing: a finding here, never a witness
 				if !engine {
 					pass.Reportf(n.Pos(), "channel type in a model package: cross-process signalling must use sim.Cond/sim.Queue, which wake processes in deterministic event order")
-				}
-			case *ast.SelectStmt:
-				if !engine {
-					pass.Reportf(n.Pos(), "select statement in a model package: nondeterministic case choice; block on sim primitives instead")
-				}
-			case *ast.SendStmt:
-				if !engine {
-					pass.Reportf(n.Pos(), "channel send in a model package: use sim.Queue.Push / sim.Cond.Broadcast")
-				}
-			case *ast.UnaryExpr:
-				if n.Op == token.ARROW && !engine {
-					pass.Reportf(n.Pos(), "channel receive in a model package: use sim.Queue.Pop / sim.Cond.Wait")
 				}
 			}
 			return true
@@ -118,9 +159,9 @@ func runKernelClock(pass *Pass) {
 // clock, math/rand, or unsanctioned raw concurrency. One report per
 // call site, first witnessing candidate wins (candidate order is
 // deterministic).
-func checkTransitiveClock(pass *Pass, imports map[string]string, call *ast.CallExpr) {
+func checkTransitiveClock(pass *Pass, call *ast.CallExpr) {
 	cg := pass.CallGraph()
-	callees, _ := cg.Resolve(pass.Pkg, imports, call)
+	callees, _ := cg.Resolve(pass.Info, call)
 	for _, c := range callees {
 		if pkgPathIn(c.Pkg.Path, modelPackages...) || pkgPathIn(c.Pkg.Path, enginePackages...) {
 			continue // audited directly; escapes flagged at its own sites
@@ -138,12 +179,4 @@ func checkTransitiveClock(pass *Pass, imports map[string]string, call *ast.CallE
 		}
 		return
 	}
-}
-
-func importPathOf(imp *ast.ImportSpec) string {
-	p := imp.Path.Value
-	if len(p) >= 2 {
-		p = p[1 : len(p)-1]
-	}
-	return p
 }

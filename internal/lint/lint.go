@@ -5,10 +5,11 @@
 // time, seeded determinism, zero-alloc disabled trace paths) into
 // machine-checked rules.
 //
-// The driver is stdlib-only: packages load through go/parser and
-// type-check best-effort through go/types (see load.go). Each Analyzer
-// reports file:line diagnostics carrying a rule ID; a finding is
-// suppressed by a
+// The driver is stdlib-only: packages load through go/parser and are
+// fully type-checked by go/types, the standard library and the test
+// files included (see load.go), so analyzers read types wherever a name
+// alone would be ambiguous. Each Analyzer reports file:line diagnostics
+// carrying a rule ID; a finding is suppressed by a
 //
 //	//lint:ignore <rule> <reason>
 //
@@ -49,8 +50,7 @@ type Pass struct {
 	Prog *Program
 	// Files is what the analyzer walks: build files plus test files.
 	Files []*ast.File
-	// Info is the best-effort type information for the build files; test
-	// file nodes are not present, so lookups must tolerate misses.
+	// Info is the type information of every node in Files.
 	Info *types.Info
 
 	report func(pos token.Pos, msg string, chain []string)
@@ -74,6 +74,18 @@ func (p *Pass) CallGraph() *CallGraph { return p.Prog.CallGraph() }
 // IsTestFile reports whether the file containing pos is a _test.go file.
 func (p *Pass) IsTestFile(pos token.Pos) bool {
 	return strings.HasSuffix(p.Fset.Position(pos).Filename, "_test.go")
+}
+
+// eachFunc calls fn for every function declaration with a body, build
+// and test files alike.
+func (p *Pass) eachFunc(fn func(*ast.FuncDecl)) {
+	for _, f := range p.Files {
+		for _, decl := range f.Decls {
+			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
+				fn(fd)
+			}
+		}
+	}
 }
 
 // Analyzer is one vet rule.
@@ -257,21 +269,15 @@ func (s *suppressions) unused(ran map[string]bool) []Diagnostic {
 
 // --- shared analyzer helpers ---------------------------------------------
 
-// importTable maps local import names to import paths for one file.
-func importTable(f *ast.File) map[string]string {
-	t := map[string]string{}
-	for _, imp := range f.Imports {
-		path := strings.Trim(imp.Path.Value, `"`)
-		name := path
-		if i := strings.LastIndexByte(name, '/'); i >= 0 {
-			name = name[i+1:]
-		}
-		if imp.Name != nil {
-			name = imp.Name.Name
-		}
-		t[name] = path
+// pkgObject returns the package-level object id refers to — through a
+// package qualifier, a dot import or from inside the package — or nil:
+// a method, field or local of the same name never matches.
+func pkgObject(info *types.Info, id *ast.Ident) types.Object {
+	obj := info.Uses[id]
+	if obj == nil || obj.Pkg() == nil || obj.Parent() != obj.Pkg().Scope() {
+		return nil
 	}
-	return t
+	return obj
 }
 
 // calleeName returns the bare function or method name of a call, ignoring
@@ -285,6 +291,48 @@ func calleeName(call *ast.CallExpr) string {
 		return fn.Sel.Name
 	}
 	return ""
+}
+
+// walkGuarded walks the statement lists of a function body, threading a
+// guard state through its control structure: inside(g, cond) is the
+// state in a body entered under cond, after(g, st) — when given — the
+// state of the rest of a list once the if statement st is behind it,
+// and visit sees every call of every other statement with the state in
+// force there.
+func walkGuarded[G any](stmts []ast.Stmt, g G, inside func(G, ast.Expr) G, after func(G, *ast.IfStmt) G, visit func(G, *ast.CallExpr)) {
+	walk := func(stmts []ast.Stmt, g G) { walkGuarded(stmts, g, inside, after, visit) }
+	for _, st := range stmts {
+		switch st := st.(type) {
+		case *ast.IfStmt:
+			walk(st.Body.List, inside(g, st.Cond))
+			switch e := st.Else.(type) {
+			case *ast.BlockStmt:
+				walk(e.List, g)
+			case *ast.IfStmt:
+				walk([]ast.Stmt{e}, g)
+			}
+			if after != nil {
+				g = after(g, st)
+			}
+		case *ast.BlockStmt:
+			walk(st.List, g)
+		case *ast.ForStmt:
+			walk(st.Body.List, inside(g, st.Cond))
+		case *ast.RangeStmt:
+			walk(st.Body.List, g)
+		case *ast.SwitchStmt:
+			for _, c := range st.Body.List {
+				walk(c.(*ast.CaseClause).Body, g)
+			}
+		default:
+			ast.Inspect(st, func(n ast.Node) bool {
+				if call, ok := n.(*ast.CallExpr); ok {
+					visit(g, call)
+				}
+				return true
+			})
+		}
+	}
 }
 
 // hasSuffixPath reports whether pkgPath is path or ends in "/"+path.

@@ -22,11 +22,18 @@ func TestAnalyzersGolden(t *testing.T) {
 		{KernelClockAnalyzer(), "kernelclock_ipa", "vscc/internal/noc", []FixtureDep{
 			{filepath.Join("testdata", "src", "kernelclock_ipa_util"), "vscc/internal/util"},
 		}},
+		{KernelClockAnalyzer(), "kernelclock_dispatch", "vscc/internal/noc", []FixtureDep{
+			{filepath.Join("testdata", "src", "kernelclock_dispatch_util"), "vscc/internal/util"},
+		}},
 		{DetOrderAnalyzer(), "detorder", "vscc/internal/noc", nil},
 		{GoryOrderAnalyzer(), "goryorder", "vscc/internal/rcce", nil},
 		{GoryOrderAnalyzer(), "goryorder_ipa", "vscc/internal/vscc", nil},
+		{GoryOrderAnalyzer(), "goryorder_testfile", "vscc/internal/vscc", nil},
 		{FaultOrderAnalyzer(), "faultorder", "vscc/internal/vscc", nil},
-		{FlagDisciplineAnalyzer(), "flagdiscipline", "fixture/flagdiscipline", nil},
+		{FlagDisciplineAnalyzer(), "flagdiscipline", "fixture/flagdiscipline", []FixtureDep{
+			{filepath.Join("testdata", "src", "flagdiscipline_rcce"), "vscc/internal/rcce"},
+			{filepath.Join("testdata", "src", "flagdiscipline_notrcce"), "example.test/notrcce"},
+		}},
 		{FlagDisciplineAnalyzer(), "flagdiscipline_ext", "vscc/internal/ircce", nil},
 		{TraceAllocAnalyzer(), "tracealloc", "fixture/tracealloc", nil},
 		{SimAPIAnalyzer(), "simapi", "fixture/simapi", nil},
@@ -189,7 +196,8 @@ func TestRepoIsLintClean(t *testing.T) {
 }
 
 // TestLoadModule sanity-checks the loader: the module resolves, known
-// packages are present, and module-local type information exists.
+// packages are present, and the whole tree — standard library and test
+// files included — type-checks without a single error.
 func TestLoadModule(t *testing.T) {
 	pr, err := LoadModule(".")
 	if err != nil {
@@ -197,6 +205,9 @@ func TestLoadModule(t *testing.T) {
 	}
 	if pr.ModulePath != "vscc" {
 		t.Fatalf("module path = %q, want vscc", pr.ModulePath)
+	}
+	for _, err := range pr.TypeErrors {
+		t.Errorf("type error: %v", err)
 	}
 	for _, path := range []string{"vscc", "vscc/internal/sim", "vscc/internal/scc", "vscc/internal/rcce", "vscc/internal/lint"} {
 		pkg := pr.Package(path)

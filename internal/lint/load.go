@@ -1,20 +1,24 @@
 // load.go is the package loader behind the vsccvet analyzer driver. It
-// is deliberately stdlib-only (go/parser + go/types): the module has no
-// third-party dependencies and the lint layer must not introduce one.
+// is deliberately stdlib-only (go/parser + go/types + go/importer): the
+// module has no third-party dependencies and the lint layer must not
+// introduce one.
 //
-// The loader parses every package under the module root, then
-// type-checks the non-test files best-effort: module-local imports are
-// resolved from source in dependency order, while standard-library
-// imports resolve to empty stub packages (no export data is needed).
-// Type information is therefore complete for module-local types — which
-// is what the analyzers use, e.g. "is this Delay on *sim.Proc?" — and
-// absent for stdlib types, where the analyzers fall back to syntactic
-// import tables.
+// The loader parses every package under the module root and type-checks
+// all of it: module-local imports resolve from source in dependency
+// order, everything else through one process-wide source importer over
+// GOROOT (offline, no export data, no go command). Test files are
+// checked too — in-package tests join their package through the same
+// checker once its build files are done, external _test packages are
+// checked on their own — into the one types.Info of the directory, so
+// an analyzer finds a type for every node it walks. Type errors are
+// collected on the Program; a tree that does not compile is a load
+// failure, not a best-effort analysis.
 package lint
 
 import (
 	"fmt"
 	"go/ast"
+	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
@@ -24,7 +28,12 @@ import (
 	"strings"
 )
 
-// Package is one loaded, parsed and best-effort type-checked package.
+// stdlib type-checks non-module imports from GOROOT source, caching
+// every package for the life of the process. It is not synchronized:
+// load programs from one goroutine at a time.
+var stdlib = importer.ForCompiler(token.NewFileSet(), "source", nil)
+
+// Package is one loaded, parsed and type-checked directory.
 type Package struct {
 	// Path is the import path (module path + directory).
 	Path string
@@ -33,11 +42,15 @@ type Package struct {
 	// Files holds the non-test build files, in file-name order.
 	Files []*ast.File
 	// TestFiles holds the _test.go files (in-package and external), in
-	// file-name order. They are analyzed but not type-checked.
+	// file-name order.
 	TestFiles []*ast.File
-	// Types and Info carry the best-effort type-check results of Files.
+	// Types is the package importers see: the build files, joined by the
+	// in-package test files once those are checked.
 	Types *types.Package
-	Info  *types.Info
+	// Info carries the type-check results of Files and TestFiles.
+	Info *types.Info
+
+	checker *types.Checker
 }
 
 // AllFiles returns build files followed by test files.
@@ -53,13 +66,19 @@ type Program struct {
 	Fset       *token.FileSet
 	ModuleRoot string
 	ModulePath string
+	// TypeErrors holds every type error of every loaded package, in
+	// checking order.
+	TypeErrors []error
 
-	pkgs  map[string]*Package
-	stubs map[string]*types.Package
-
-	checking map[string]bool // import-cycle guard during type checking
+	pkgs map[string]*Package
 
 	cg *CallGraph // lazily built; invalidated when packages are added
+}
+
+// NewProgram returns an empty Program, for loading packages with LoadDir
+// outside any module walk.
+func NewProgram() *Program {
+	return &Program{Fset: token.NewFileSet(), pkgs: map[string]*Package{}}
 }
 
 // CallGraph returns the module-wide call graph, building it on first
@@ -140,14 +159,8 @@ func LoadModule(dir string) (*Program, error) {
 	if err != nil {
 		return nil, err
 	}
-	pr := &Program{
-		Fset:       token.NewFileSet(),
-		ModuleRoot: root,
-		ModulePath: mod,
-		pkgs:       map[string]*Package{},
-		stubs:      map[string]*types.Package{},
-		checking:   map[string]bool{},
-	}
+	pr := NewProgram()
+	pr.ModuleRoot, pr.ModulePath = root, mod
 	var dirs []string
 	err = filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
 		if err != nil {
@@ -180,7 +193,7 @@ func LoadModule(dir string) (*Program, error) {
 		}
 	}
 	for _, pkg := range pr.Packages() {
-		pr.ensureChecked(pkg)
+		pr.check(pkg)
 	}
 	return pr, nil
 }
@@ -197,7 +210,7 @@ func (pr *Program) LoadDir(dir, importPath string) (*Package, error) {
 		return nil, fmt.Errorf("lint: no Go files in %s", dir)
 	}
 	pr.pkgs[importPath] = pkg
-	pr.ensureChecked(pkg)
+	pr.check(pkg)
 	pr.cg = nil
 	return pkg, nil
 }
@@ -231,52 +244,69 @@ func (pr *Program) parseDir(dir, importPath string) (*Package, error) {
 	return pkg, nil
 }
 
-// ensureChecked type-checks a package's build files once, resolving
-// module-local imports recursively. Errors are swallowed: the check is
-// best-effort and analyzers must tolerate missing type information.
-func (pr *Program) ensureChecked(pkg *Package) {
-	if pkg.Types != nil || pr.checking[pkg.Path] || len(pkg.Files) == 0 {
+func (pr *Program) config() *types.Config {
+	return &types.Config{
+		Importer: (*moduleImporter)(pr),
+		Error:    func(err error) { pr.TypeErrors = append(pr.TypeErrors, err) },
+	}
+}
+
+// checkBuild type-checks a package's build files once; importing the
+// package from another one lands here, so dependencies are checked
+// first whatever the walk order.
+func (pr *Program) checkBuild(pkg *Package) {
+	if pkg.checker != nil {
 		return
 	}
-	pr.checking[pkg.Path] = true
-	defer delete(pr.checking, pkg.Path)
-	info := &types.Info{
+	pkg.Info = &types.Info{
 		Types:      map[ast.Expr]types.TypeAndValue{},
 		Defs:       map[*ast.Ident]types.Object{},
 		Uses:       map[*ast.Ident]types.Object{},
 		Selections: map[*ast.SelectorExpr]*types.Selection{},
 	}
-	conf := types.Config{
-		Importer:    (*moduleImporter)(pr),
-		Error:       func(error) {}, // best-effort: stdlib members are unresolved stubs
-		FakeImportC: true,
-	}
-	tpkg, _ := conf.Check(pkg.Path, pr.Fset, pkg.Files, info)
-	pkg.Types = tpkg
-	pkg.Info = info
+	pkg.Types = types.NewPackage(pkg.Path, "")
+	pkg.checker = types.NewChecker(pr.config(), pr.Fset, pkg.Types, pkg.Info)
+	_ = pkg.checker.Files(pkg.Files) // errors reach config().Error
 }
 
-// moduleImporter resolves imports during type checking: module-local
-// packages from source, everything else as an empty stub.
+// check type-checks the whole directory: the build files, then the
+// in-package test files as more files of the same package (they may
+// import packages that import this one, which by then is complete), then
+// the external test package, which sees both.
+func (pr *Program) check(pkg *Package) {
+	pr.checkBuild(pkg)
+	var in, ext []*ast.File
+	for _, f := range pkg.TestFiles {
+		if strings.HasSuffix(f.Name.Name, "_test") {
+			ext = append(ext, f)
+		} else {
+			in = append(in, f)
+		}
+	}
+	if len(in) > 0 {
+		_ = pkg.checker.Files(in)
+	}
+	if len(ext) > 0 {
+		_, _ = pr.config().Check(pkg.Path+"_test", pr.Fset, ext, pkg.Info)
+	}
+}
+
+// moduleImporter resolves imports during type checking: loaded packages
+// from source, everything else from GOROOT.
 type moduleImporter Program
 
 func (m *moduleImporter) Import(path string) (*types.Package, error) {
 	pr := (*Program)(m)
-	if dep := pr.pkgs[path]; dep != nil && !pr.checking[path] {
-		pr.ensureChecked(dep)
-		if dep.Types != nil {
-			return dep.Types, nil
+	dep := pr.pkgs[path]
+	if dep == nil {
+		if first, _, _ := strings.Cut(path, "/"); strings.Contains(first, ".") {
+			return nil, fmt.Errorf("package %s is neither loaded nor in GOROOT", path)
 		}
+		return stdlib.Import(path)
 	}
-	if stub, ok := pr.stubs[path]; ok {
-		return stub, nil
+	pr.checkBuild(dep)
+	if !dep.Types.Complete() {
+		return nil, fmt.Errorf("import cycle through %s", path)
 	}
-	name := path
-	if i := strings.LastIndexByte(name, '/'); i >= 0 {
-		name = name[i+1:]
-	}
-	stub := types.NewPackage(path, name)
-	stub.MarkComplete()
-	pr.stubs[path] = stub
-	return stub, nil
+	return dep.Types, nil
 }

@@ -12,7 +12,7 @@ import (
 // schedules the wakeup past the end of time — the process hangs and the
 // run deadlocks with no diagnostic pointing at the call site.
 //
-// The analyzer flags scheduling calls (Delay/After/RunFor) whose duration
+// The analyzer flags scheduling calls (Delay/After) whose duration
 // argument contains a subtraction, unless an enclosing if-condition
 // compares the same two operands (the clamp idiom):
 //
@@ -34,66 +34,25 @@ func SimAPIAnalyzer() *Analyzer {
 // simDelayFuncs maps scheduling entry points taking a relative duration
 // as their first argument. Absolute-time calls (At, RunUntil) are exempt:
 // they take a deadline, not a difference.
-var simDelayFuncs = map[string]bool{
-	"Delay": true, "After": true, "RunFor": true,
-}
+var simDelayFuncs = map[string]bool{"Delay": true, "After": true}
 
+// runSimAPI walks every body carrying the ordering comparisons of the
+// enclosing if and for conditions.
 func runSimAPI(pass *Pass) {
-	for _, f := range pass.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			checkSimBlock(pass, fd.Body.List, nil)
-		}
+	inside := func(guards []*ast.BinaryExpr, cond ast.Expr) []*ast.BinaryExpr {
+		return append(guards, comparisonsIn(cond)...)
 	}
-}
-
-// checkSimBlock walks one statement list carrying the comparison guards of
-// enclosing if-statements.
-func checkSimBlock(pass *Pass, stmts []ast.Stmt, guards []*ast.BinaryExpr) {
-	for _, st := range stmts {
-		switch st := st.(type) {
-		case *ast.IfStmt:
-			checkSimBlock(pass, st.Body.List, append(guards, comparisonsIn(st.Cond)...))
-			switch e := st.Else.(type) {
-			case *ast.BlockStmt:
-				checkSimBlock(pass, e.List, guards)
-			case *ast.IfStmt:
-				checkSimBlock(pass, []ast.Stmt{e}, guards)
+	pass.eachFunc(func(fd *ast.FuncDecl) {
+		walkGuarded(fd.Body.List, nil, inside, nil, func(guards []*ast.BinaryExpr, call *ast.CallExpr) {
+			name := calleeName(call)
+			if !simDelayFuncs[name] || len(call.Args) == 0 {
+				return
 			}
-		case *ast.BlockStmt:
-			checkSimBlock(pass, st.List, guards)
-		case *ast.ForStmt:
-			checkSimBlock(pass, st.Body.List, append(guards, comparisonsIn(st.Cond)...))
-		case *ast.RangeStmt:
-			checkSimBlock(pass, st.Body.List, guards)
-		case *ast.SwitchStmt:
-			for _, c := range st.Body.List {
-				if cc, ok := c.(*ast.CaseClause); ok {
-					checkSimBlock(pass, cc.Body, guards)
-				}
-			}
-		default:
-			ast.Inspect(st, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				name := calleeName(call)
-				if !simDelayFuncs[name] || len(call.Args) == 0 {
-					return true
-				}
-				sub := findSubtraction(call.Args[0])
-				if sub == nil || clampedBy(guards, sub) {
-					return true
-				}
+			if sub := findSubtraction(call.Args[0]); sub != nil && !clampedBy(guards, sub) {
 				pass.Reportf(sub.Pos(), "%s duration computed by subtraction: sim.Cycles is unsigned, a negative difference wraps to ~2^64 and stalls the process forever; clamp (`if a > b { ... }`) or prove ordering with //lint:ignore simapi <proof>", name)
-				return true
-			})
-		}
-	}
+			}
+		})
+	})
 }
 
 // findSubtraction returns the first token.SUB binary expression in the

@@ -14,12 +14,10 @@ type kernel struct{}
 
 func (kernel) After(d cycles, fn func()) {}
 func (kernel) At(t cycles, fn func())    {}
-func (kernel) RunFor(d cycles) error     { return nil }
 
 func unclamped(p proc, k kernel, deadline, now cycles) {
 	p.Delay(deadline - now)          // want "Delay duration computed by subtraction"
 	k.After(deadline-now, func() {}) // want "After duration computed by subtraction"
-	_ = k.RunFor(deadline - now)     // want "RunFor duration computed by subtraction"
 	p.Delay(deadline - p.Now())      // want "Delay duration computed by subtraction"
 }
 

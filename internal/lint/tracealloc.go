@@ -3,6 +3,7 @@ package lint
 import (
 	"go/ast"
 	"go/token"
+	"go/types"
 )
 
 // TraceAllocAnalyzer protects the zero-alloc disabled trace path (PR 2):
@@ -37,72 +38,27 @@ var sinkRecordMethods = map[string]bool{
 	"Span": true, "Instant": true, "Add": true, "Gauge": true, "Observe": true,
 }
 
+// runTraceAlloc walks every body knowing whether the enclosing context
+// proved the sink enabled (Enabled() or non-nil).
 func runTraceAlloc(pass *Pass) {
-	for _, f := range pass.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			checkTraceAllocBlock(pass, fd.Body.List, false)
-		}
+	inside := func(guarded bool, cond ast.Expr) bool { return guarded || isEnabledCond(cond) }
+	// An early-return disabled guard blesses the rest of the list.
+	after := func(guarded bool, st *ast.IfStmt) bool {
+		return guarded || isDisabledCond(st.Cond) && blockExits(st.Body)
 	}
-}
-
-// checkTraceAllocBlock walks one statement list. guarded is true once the
-// enclosing context proved the sink enabled (Enabled() or non-nil).
-func checkTraceAllocBlock(pass *Pass, stmts []ast.Stmt, guarded bool) {
-	for _, st := range stmts {
-		switch st := st.(type) {
-		case *ast.IfStmt:
-			thenGuard := guarded || isEnabledCond(st.Cond)
-			checkTraceAllocBlock(pass, st.Body.List, thenGuard)
-			if st.Else != nil {
-				switch e := st.Else.(type) {
-				case *ast.BlockStmt:
-					checkTraceAllocBlock(pass, e.List, guarded)
-				case *ast.IfStmt:
-					checkTraceAllocBlock(pass, []ast.Stmt{e}, guarded)
+	pass.eachFunc(func(fd *ast.FuncDecl) {
+		walkGuarded(fd.Body.List, false, inside, after, func(guarded bool, call *ast.CallExpr) {
+			if sel, ok := call.Fun.(*ast.SelectorExpr); guarded || !ok || !sinkRecordMethods[sel.Sel.Name] {
+				return
+			}
+			for _, arg := range call.Args {
+				if bad, what := dynamicStringBuild(pass, arg); bad {
+					pass.Reportf(arg.Pos(), "%s builds a trace label with %s at an unguarded call site: this allocates even when tracing is disabled; hoist the name or guard with sink.Enabled()", calleeName(call), what)
+					break
 				}
 			}
-			// An early-return disabled guard blesses the rest of the list.
-			if !guarded && isDisabledCond(st.Cond) && blockExits(st.Body) {
-				guarded = true
-			}
-		case *ast.BlockStmt:
-			checkTraceAllocBlock(pass, st.List, guarded)
-		case *ast.ForStmt:
-			checkTraceAllocBlock(pass, st.Body.List, guarded)
-		case *ast.RangeStmt:
-			checkTraceAllocBlock(pass, st.Body.List, guarded)
-		case *ast.SwitchStmt:
-			for _, c := range st.Body.List {
-				if cc, ok := c.(*ast.CaseClause); ok {
-					checkTraceAllocBlock(pass, cc.Body, guarded)
-				}
-			}
-		default:
-			if guarded {
-				continue
-			}
-			ast.Inspect(st, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				if sel, ok := call.Fun.(*ast.SelectorExpr); !ok || !sinkRecordMethods[sel.Sel.Name] {
-					return true
-				}
-				for _, arg := range call.Args {
-					if bad, what := dynamicStringBuild(pass, arg); bad {
-						pass.Reportf(arg.Pos(), "%s builds a trace label with %s at an unguarded call site: this allocates even when tracing is disabled; hoist the name or guard with sink.Enabled()", calleeName(call), what)
-						break
-					}
-				}
-				return true
-			})
-		}
-	}
+		})
+	})
 }
 
 // isEnabledCond reports whether an if-condition proves the sink enabled:
@@ -159,54 +115,21 @@ func blockExits(b *ast.BlockStmt) bool {
 }
 
 // dynamicStringBuild reports whether an argument expression builds a
-// string at runtime: a fmt.Sprintf call, or a + concatenation whose
-// operands are not all compile-time constants.
+// string at runtime: a fmt.Sprintf call, or a string + concatenation the
+// type checker did not fold to a constant (numeric + in an argument —
+// sizes, offsets — does not allocate).
 func dynamicStringBuild(pass *Pass, e ast.Expr) (bad bool, what string) {
 	switch e := e.(type) {
 	case *ast.CallExpr:
-		if calleeName(e) == "Sprintf" {
+		if fn := calleeFunc(pass.Info, e); fn != nil && fn.FullName() == "fmt.Sprintf" {
 			return true, "fmt.Sprintf"
 		}
 	case *ast.BinaryExpr:
-		// Only string concatenation matters; numeric + in an argument
-		// (sizes, offsets) does not allocate. Require at least one
-		// string-ish leaf: a string literal or a call producing text.
-		if e.Op == token.ADD &&
-			(!constantExpr(pass, e.X) || !constantExpr(pass, e.Y)) &&
-			concatBuildsString(e) {
+		tv := pass.Info.Types[e]
+		if b, ok := tv.Type.Underlying().(*types.Basic); ok && e.Op == token.ADD &&
+			b.Info()&types.IsString != 0 && tv.Value == nil {
 			return true, "string concatenation"
 		}
 	}
 	return false, ""
-}
-
-// constantExpr reports whether the type checker folded e to a constant;
-// without type info it falls back to literal checks.
-func constantExpr(pass *Pass, e ast.Expr) bool {
-	if pass.Info != nil {
-		if tv, ok := pass.Info.Types[e]; ok {
-			return tv.Value != nil
-		}
-	}
-	_, isLit := e.(*ast.BasicLit)
-	return isLit
-}
-
-// concatBuildsString reports whether a + expression tree is plausibly a
-// string build: it contains a string literal or a call (strconv.Itoa,
-// method String, ...) among its leaves.
-func concatBuildsString(e ast.Expr) bool {
-	found := false
-	ast.Inspect(e, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.BasicLit:
-			if n.Kind == token.STRING {
-				found = true
-			}
-		case *ast.CallExpr:
-			found = true
-		}
-		return !found
-	})
-	return found
 }

@@ -177,12 +177,6 @@ func (r *Rank) FlagWait(f Flag, v byte) {
 	r.ctx.WaitFlag(tile, base+f.off, func(b byte) bool { return b == v })
 }
 
-// FlagRead performs one coherent read of the local flag.
-func (r *Rank) FlagRead(f Flag) byte {
-	_, tile, base := r.mpb(r.id)
-	return r.ctx.ReadFlag(tile, base+f.off)
-}
-
 // --- MPB allocator ---------------------------------------------------------
 
 // MallocMPB allocates size bytes (rounded to 32 B lines) of this rank's

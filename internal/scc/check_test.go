@@ -16,7 +16,7 @@ func runChecked(t *testing.T, body func(chip *scc.Chip, c *scc.Ctx)) error {
 	chip := scc.NewChip(k, 0, scc.DefaultParams())
 	chip.EnableConsistencyCheck(scc.NewChecker())
 	chip.Launch(0, "prog", func(c *scc.Ctx) { body(chip, c) })
-	return k.RunFor(10_000_000)
+	return k.RunUntil(10_000_000)
 }
 
 func TestCheckerFlagsStaleCachedRead(t *testing.T) {
@@ -88,7 +88,7 @@ func TestCheckerDisabledByDefault(t *testing.T) {
 			t.Errorf("expected the stale cached 0, got %d", buf[0])
 		}
 	})
-	if err := k.RunFor(10_000_000); err != nil {
+	if err := k.RunUntil(10_000_000); err != nil {
 		t.Fatalf("unchecked chip must serve stale lines silently: %v", err)
 	}
 }

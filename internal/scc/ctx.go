@@ -306,7 +306,7 @@ func (c *Ctx) WaitFlagFor(tile, off int, pred func(byte) bool, budget sim.Cycles
 // or charging cycles. It exists for runtime-internal gating decisions
 // (non-blocking request progress engines) that must be atomic with a
 // subsequent WaitLMBChange; protocol data paths must use ReadMPB or
-// ReadFlag, which model real costs.
+// WaitFlag, which model real costs.
 func (c *Ctx) PeekLMB(tile, off int) byte {
 	var b [1]byte
 	c.chip().readLMB(tile, off, b[:])
@@ -335,17 +335,6 @@ func (c *Ctx) WaitLMBChangeFor(tile int, budget sim.Cycles) bool {
 	ok := ch.WaitOrTimeout(c.Proc, to)
 	to.Cancel()
 	return ok
-}
-
-// ReadFlag performs a single coherent flag read (invalidate + load).
-func (c *Ctx) ReadFlag(tile, off int) byte {
-	chip := c.chip()
-	chip.barrier(c.Proc)
-	c.invalidateL1()
-	c.delayCore(chip.Params.FlagPollCycles)
-	var b [1]byte
-	chip.readLMB(tile, off, b[:])
-	return b[0]
 }
 
 // offChip returns the device's off-chip port, panicking for a standalone

@@ -110,15 +110,6 @@ func (c *Cond) WaitOrTimeout(p *Proc, t *Timeout) bool {
 	return !t.fired
 }
 
-// WaitFor blocks the calling process until pred() is true, re-checking
-// after every wakeup. pred is evaluated immediately first, so WaitFor on a
-// satisfied predicate does not yield.
-func (c *Cond) WaitFor(p *Proc, pred func() bool) {
-	for !pred() {
-		c.Wait(p)
-	}
-}
-
 // Signal wakes the longest-waiting process, if any. Slots emptied by an
 // expired Timeout are skipped, as are stale slots whose process was
 // woken out from under the wait by Proc.Kill (the slot stays behind;
@@ -146,17 +137,6 @@ func (c *Cond) Broadcast() {
 			w.p.unpark()
 		}
 	}
-}
-
-// Waiting reports the number of processes blocked on the condition.
-func (c *Cond) Waiting() int {
-	n := 0
-	for _, w := range c.waiters[c.head:] {
-		if w.p != nil {
-			n++
-		}
-	}
-	return n
 }
 
 // Gate is a boolean level-triggered synchronization primitive: processes
@@ -193,43 +173,6 @@ func (g *Gate) Wait(p *Proc) {
 		g.cond.Wait(p)
 	}
 }
-
-// Semaphore is a counting semaphore in simulated time.
-type Semaphore struct {
-	cond  *Cond
-	count int
-}
-
-// NewSemaphore returns a semaphore with the given initial count.
-func NewSemaphore(k *Kernel, name string, initial int) *Semaphore {
-	return &Semaphore{cond: NewCond(k, name), count: initial}
-}
-
-// Acquire takes one unit, blocking while the count is zero.
-func (s *Semaphore) Acquire(p *Proc) {
-	for s.count == 0 {
-		s.cond.Wait(p)
-	}
-	s.count--
-}
-
-// TryAcquire takes one unit if available and reports whether it did.
-func (s *Semaphore) TryAcquire() bool {
-	if s.count == 0 {
-		return false
-	}
-	s.count--
-	return true
-}
-
-// Release returns one unit and wakes a waiter.
-func (s *Semaphore) Release() {
-	s.count++
-	s.cond.Signal()
-}
-
-// Count returns the currently available units.
-func (s *Semaphore) Count() int { return s.count }
 
 // Queue is an unbounded FIFO of items exchanged between processes in
 // simulated time — the simulation analogue of a Go channel.
@@ -269,18 +212,3 @@ func (q *Queue[T]) Pop(p *Proc) T {
 	q.head++
 	return v
 }
-
-// TryPop removes the oldest item if one is present.
-func (q *Queue[T]) TryPop() (T, bool) {
-	var zero T
-	if q.head == len(q.items) {
-		return zero, false
-	}
-	v := q.items[q.head]
-	q.items[q.head] = zero
-	q.head++
-	return v, true
-}
-
-// Len reports the number of queued items.
-func (q *Queue[T]) Len() int { return len(q.items) - q.head }

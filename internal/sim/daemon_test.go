@@ -67,32 +67,12 @@ func TestDaemonTerminationIsClean(t *testing.T) {
 	}
 }
 
-func TestSemaphoreZeroInitial(t *testing.T) {
+func TestRunUntilAdvancesIdleTime(t *testing.T) {
 	k := NewKernel()
-	s := NewSemaphore(k, "s", 0)
-	var acquired bool
-	k.Spawn("waiter", func(p *Proc) {
-		s.Acquire(p)
-		acquired = true
-	})
-	k.Spawn("releaser", func(p *Proc) {
-		p.Delay(100)
-		s.Release()
-	})
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if !acquired {
-		t.Error("acquire after release failed")
-	}
-}
-
-func TestRunForAdvancesIdleTime(t *testing.T) {
-	k := NewKernel()
-	if err := k.RunFor(500); err != nil {
+	if err := k.RunUntil(500); err != nil {
 		t.Fatal(err)
 	}
 	if k.Now() != 500 {
-		t.Errorf("idle RunFor left clock at %d, want 500", k.Now())
+		t.Errorf("idle RunUntil left clock at %d, want 500", k.Now())
 	}
 }

@@ -70,88 +70,6 @@ func TestSameCycleCascade(t *testing.T) {
 	}
 }
 
-// TestStopThenRunResumes is the resettable-Stop contract: events pending
-// when Stop fires are dispatched by the next run, not dropped.
-func TestStopThenRunResumes(t *testing.T) {
-	k := NewKernel()
-	var fired []int
-	for i := 0; i < 5; i++ {
-		i := i
-		k.At(Cycles(10*(i+1)), func() {
-			fired = append(fired, i)
-			if i == 1 {
-				k.Stop()
-			}
-		})
-	}
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if !k.Stopped() {
-		t.Error("Stopped() = false right after a stopped run")
-	}
-	if len(fired) != 2 {
-		t.Fatalf("first run fired %v, want the first two events", fired)
-	}
-	if k.Pending() != 3 {
-		t.Errorf("Pending() = %d after stop, want 3", k.Pending())
-	}
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if k.Stopped() {
-		t.Error("Stopped() = true after a clean rerun")
-	}
-	if len(fired) != 5 {
-		t.Errorf("resumed run ended with %v, want all five events", fired)
-	}
-}
-
-// TestStopInRunForLoopDoesNotDropWork models the RunFor polling loop the
-// host daemon uses: Stop pauses the loop; the following RunFor picks the
-// remaining work back up.
-func TestStopInRunForLoopDoesNotDropWork(t *testing.T) {
-	k := NewKernel()
-	ticks := 0
-	k.Spawn("ticker", func(p *Proc) {
-		for i := 0; i < 10; i++ {
-			p.Delay(10)
-			ticks++
-			if ticks == 3 {
-				k.Stop()
-			}
-		}
-	})
-	if err := k.RunFor(1000); err != nil {
-		t.Fatal(err)
-	}
-	if ticks != 3 {
-		t.Fatalf("stopped RunFor ticked %d times, want 3", ticks)
-	}
-	if got := k.Now(); got != 30 {
-		t.Fatalf("stopped RunFor left clock at %d, want 30 (no silent idle advance)", got)
-	}
-	// The next bounded run clears the stop and finishes the work.
-	if err := k.RunFor(1000); err != nil {
-		t.Fatal(err)
-	}
-	if ticks != 10 {
-		t.Errorf("resumed RunFor ticked to %d, want 10", ticks)
-	}
-}
-
-func TestResetClearsStop(t *testing.T) {
-	k := NewKernel()
-	k.Stop()
-	if !k.Stopped() {
-		t.Fatal("Stop did not set Stopped")
-	}
-	k.Reset()
-	if k.Stopped() {
-		t.Error("Reset did not clear Stopped")
-	}
-}
-
 // TestRunUntilBackwardsGuardPanics checks that the bounded run carries
 // the same queue-went-backwards internal consistency guard as Run
 // (white box: the public API cannot schedule into the past).
@@ -171,7 +89,7 @@ func TestRunUntilBackwardsGuardPanics(t *testing.T) {
 // dispatch current-cycle work nor rewind anything.
 func TestRunUntilPastBoundIsNoOp(t *testing.T) {
 	k := NewKernel()
-	if err := k.RunFor(100); err != nil {
+	if err := k.RunUntil(100); err != nil {
 		t.Fatal(err)
 	}
 	ran := false
@@ -193,29 +111,20 @@ func TestRunUntilPastBoundIsNoOp(t *testing.T) {
 	}
 }
 
-// TestPendingCountsBucketAndHeap covers Pending across both queue
-// structures.
-func TestPendingCountsBucketAndHeap(t *testing.T) {
-	k := NewKernel()
-	k.At(0, func() {})  // bucket (due at the current cycle)
-	k.At(10, func() {}) // heap
-	k.At(20, func() {})
-	if got := k.Pending(); got != 3 {
-		t.Errorf("Pending() = %d, want 3", got)
-	}
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if got := k.Pending(); got != 0 {
-		t.Errorf("Pending() = %d after Run, want 0", got)
-	}
-}
-
-// TestCondWaitingAfterChurn guards the head-indexed waiter list: Waiting
-// must stay correct through interleaved waits and wakes.
+// TestCondWaitingAfterChurn guards the head-indexed waiter list: the
+// set of parked waiters must stay correct through interleaved waits and
+// wakes.
 func TestCondWaitingAfterChurn(t *testing.T) {
 	k := NewKernel()
 	c := NewCond(k, "churn")
+	waiting := func() (n int) {
+		for _, w := range c.waiters[c.head:] {
+			if w.p != nil {
+				n++
+			}
+		}
+		return n
+	}
 	woken := 0
 	for i := 0; i < 4; i++ {
 		k.Spawn("w", func(p *Proc) {
@@ -227,13 +136,13 @@ func TestCondWaitingAfterChurn(t *testing.T) {
 	}
 	k.Spawn("ctl", func(p *Proc) {
 		p.Delay(1)
-		if c.Waiting() != 4 {
+		if waiting() != 4 {
 			panic("want 4 first-round waiters")
 		}
 		c.Signal()
 		c.Signal()
 		p.Delay(1) // the two woken processes re-wait
-		if c.Waiting() != 4 {
+		if waiting() != 4 {
 			panic("want 2 fresh + 2 re-waiters")
 		}
 		c.Broadcast()

@@ -156,11 +156,6 @@ type Kernel struct {
 	live   int // processes not yet done
 	panics []error
 
-	// stopped is set by Stop; the run loop drains no further events once
-	// set. It is cleared on the next Run/RunFor/RunUntil call, so a
-	// stopped kernel can be resumed without dropping pending work.
-	stopped bool
-
 	// cancelled holds the seqs of events cancelled via AfterCancel but
 	// not yet discarded by the run loop; nCancelled mirrors its size.
 	// Kept out of the event struct so cancellability costs the hot path
@@ -188,27 +183,6 @@ func (k *Kernel) Now() Cycles { return k.now }
 // Events returns the number of events dispatched since creation — the
 // kernel-level work metric the observability layer reports.
 func (k *Kernel) Events() uint64 { return k.dispatched }
-
-// Stop makes the current Run/RunFor/RunUntil return after the currently
-// executing event completes. It may be called from process context or
-// from a callback. Pending events stay queued: the next Run/RunFor/
-// RunUntil call clears the stop flag and picks up exactly where the
-// stopped run left off (see Reset).
-func (k *Kernel) Stop() { k.stopped = true }
-
-// Stopped reports whether the kernel was halted by Stop and has not run
-// since. It lets RunFor polling loops distinguish "stopped" from "ran to
-// the time bound".
-func (k *Kernel) Stopped() bool { return k.stopped }
-
-// Reset clears a previous Stop so the kernel will run again. Run, RunFor
-// and RunUntil call it implicitly on entry; it exists for callers that
-// want to clear the flag without running (for example before inspecting
-// Pending).
-func (k *Kernel) Reset() { k.stopped = false }
-
-// Pending reports the number of queued events not yet dispatched.
-func (k *Kernel) Pending() int { return len(k.queue) + len(k.bucket) - k.head }
 
 // Proc is a simulated process. Methods on Proc must only be called from
 // within the process's own body function.
@@ -353,11 +327,11 @@ func (k *Kernel) schedule(at Cycles, p *Proc, fn func()) {
 	k.queue.push(event{at: at, seq: k.seq, p: p, fn: fn})
 }
 
-// Run executes events until the queue empties, Stop is called, or no
-// runnable work remains. It returns an error if live processes remain
-// blocked when the queue drains (a deadlock) or if a process panicked.
+// Run executes events until the queue empties. It returns an error if
+// live processes remain blocked when the queue drains (a deadlock) or if
+// a process panicked.
 func (k *Kernel) Run() error {
-	if err := k.run(0, false); err != nil || k.stopped {
+	if err := k.run(0, false); err != nil {
 		return err
 	}
 	if k.live > 0 {
@@ -366,28 +340,23 @@ func (k *Kernel) Run() error {
 	return nil
 }
 
-// RunFor executes events up to and including time k.Now()+d, then returns.
-// Unlike Run, remaining blocked processes are not treated as a deadlock.
-func (k *Kernel) RunFor(d Cycles) error { return k.RunUntil(k.now + d) }
-
 // RunUntil executes events with timestamps <= t. If the queue drains (or
-// only holds later events) before t, the clock advances to t.
+// only holds later events) before t, the clock advances to t. Unlike
+// Run, remaining blocked processes are not treated as a deadlock.
 func (k *Kernel) RunUntil(t Cycles) error {
 	if err := k.run(t, true); err != nil {
 		return err
 	}
-	if k.now < t && !k.stopped {
+	if k.now < t {
 		k.now = t
 	}
 	return nil
 }
 
-// run is the single dispatch loop behind Run, RunFor and RunUntil.
-// With bounded set, only events with timestamps <= limit are dispatched.
-// It returns when the queue drains, the bound is passed, Stop is called,
-// or a process panics.
+// run is the single dispatch loop behind Run and RunUntil. With bounded
+// set, only events with timestamps <= limit are dispatched. It returns
+// when the queue drains, the bound is passed, or a process panics.
 func (k *Kernel) run(limit Cycles, bounded bool) error {
-	k.stopped = false // a previous Stop is stale once a new run starts
 	if bounded && limit < k.now {
 		return nil // the bucket may hold events at now > limit; keep them queued
 	}
@@ -439,9 +408,6 @@ func (k *Kernel) run(limit Cycles, bounded bool) error {
 			e.fn()
 		} else if err := k.dispatch(e.p); err != nil {
 			return err
-		}
-		if k.stopped {
-			return nil
 		}
 	}
 }
@@ -518,7 +484,7 @@ func (p *Proc) Delay(d Cycles) {
 	// (seq for AfterCancel bookkeeping, dispatched for Events()) and
 	// keep running. The heap never holds events at the current time, so
 	// an empty bucket means nothing else can run before the wakeup.
-	if k.running && !k.stopped && k.head == len(k.bucket) && (!k.bounded || at <= k.limit) {
+	if k.running && k.head == len(k.bucket) && (!k.bounded || at <= k.limit) {
 		if d == 0 {
 			k.seq++
 			k.dispatched++

@@ -159,22 +159,6 @@ func TestCondBroadcast(t *testing.T) {
 	}
 }
 
-func TestWaitForChecksPredicateFirst(t *testing.T) {
-	k := NewKernel()
-	c := NewCond(k, "c")
-	done := false
-	k.Spawn("p", func(p *Proc) {
-		c.WaitFor(p, func() bool { return true }) // must not block
-		done = true
-	})
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if !done {
-		t.Error("WaitFor on satisfied predicate blocked")
-	}
-}
-
 func TestGateOpenBeforeWaitDoesNotBlock(t *testing.T) {
 	k := NewKernel()
 	g := NewGate(k, "g")
@@ -219,48 +203,6 @@ func TestGateCloseReopens(t *testing.T) {
 	}
 }
 
-func TestSemaphoreLimitsConcurrency(t *testing.T) {
-	k := NewKernel()
-	s := NewSemaphore(k, "s", 2)
-	inside, maxInside := 0, 0
-	for i := 0; i < 6; i++ {
-		k.Spawn("worker", func(p *Proc) {
-			s.Acquire(p)
-			inside++
-			if inside > maxInside {
-				maxInside = inside
-			}
-			p.Delay(10)
-			inside--
-			s.Release()
-		})
-	}
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if maxInside != 2 {
-		t.Errorf("max concurrent holders = %d, want 2", maxInside)
-	}
-	if s.Count() != 2 {
-		t.Errorf("final count = %d, want 2", s.Count())
-	}
-}
-
-func TestSemaphoreTryAcquire(t *testing.T) {
-	k := NewKernel()
-	s := NewSemaphore(k, "s", 1)
-	if !s.TryAcquire() {
-		t.Fatal("first TryAcquire failed")
-	}
-	if s.TryAcquire() {
-		t.Fatal("second TryAcquire succeeded on empty semaphore")
-	}
-	s.Release()
-	if !s.TryAcquire() {
-		t.Fatal("TryAcquire after Release failed")
-	}
-}
-
 func TestQueueFIFOAcrossProcesses(t *testing.T) {
 	k := NewKernel()
 	q := NewQueue[int](k, "q")
@@ -286,23 +228,6 @@ func TestQueueFIFOAcrossProcesses(t *testing.T) {
 	}
 }
 
-func TestQueueTryPop(t *testing.T) {
-	k := NewKernel()
-	q := NewQueue[string](k, "q")
-	if _, ok := q.TryPop(); ok {
-		t.Fatal("TryPop on empty queue succeeded")
-	}
-	q.Push("a")
-	q.Push("b")
-	if q.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", q.Len())
-	}
-	v, ok := q.TryPop()
-	if !ok || v != "a" {
-		t.Fatalf("TryPop = %q,%v, want a,true", v, ok)
-	}
-}
-
 func TestRunUntilStopsAtTime(t *testing.T) {
 	k := NewKernel()
 	ticks := 0
@@ -323,29 +248,6 @@ func TestRunUntilStopsAtTime(t *testing.T) {
 	}
 	if ticks != 100 {
 		t.Errorf("ticks = %d after Run, want 100", ticks)
-	}
-}
-
-func TestStopHaltsRun(t *testing.T) {
-	k := NewKernel()
-	count := 0
-	k.Spawn("loop", func(p *Proc) {
-		for {
-			p.Delay(1)
-			count++
-			if count == 10 {
-				k.Stop()
-				// The process keeps its body but the kernel will not
-				// schedule it again after Stop; yield so Run can return.
-				p.Delay(1)
-			}
-		}
-	})
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if count != 10 {
-		t.Errorf("count = %d, want 10", count)
 	}
 }
 

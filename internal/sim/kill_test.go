@@ -118,7 +118,7 @@ func TestKillCondWaiterTimeoutSkipsStaleSlot(t *testing.T) {
 		t.Error("victim woke instead of dying")
 	})
 	k.At(10, func() { p.Kill(errors.New("abort")) })
-	if err := k.RunFor(5000); err != nil {
+	if err := k.RunUntil(5000); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -198,8 +198,8 @@ func TestCloseUnwindsEveryUnfinishedProcess(t *testing.T) {
 			t.Errorf("%s left %s", p.Name(), p.state)
 		}
 	}
-	if k.Pending() != 0 {
-		t.Errorf("%d events pending after Close", k.Pending())
+	if at, ok := k.NextEventAt(); ok {
+		t.Errorf("an event at %d still pending after Close", at)
 	}
 	if n := runtime.NumGoroutine(); n != goroutines {
 		t.Errorf("%d goroutines after Close, %d before NewKernel", n, goroutines)
