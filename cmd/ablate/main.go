@@ -5,94 +5,85 @@
 package main
 
 import (
-	"flag"
 	"fmt"
+	"io"
 	"os"
-	"sort"
 
+	"vscc/internal/cli"
 	"vscc/internal/harness"
 	"vscc/internal/stats"
 	"vscc/internal/vscc"
 )
 
-func main() {
-	size := flag.Int("size", 65536, "message size for throughput ablations [B]")
-	reps := flag.Int("reps", 3, "round trips per measurement")
-	parallel := flag.Int("parallel", 0, "sweep points run concurrently (0 = GOMAXPROCS, 1 = serial)")
-	traceOut := flag.String("trace", "", "write a Chrome trace-event JSON file of the ping-pong ablations")
-	metrics := flag.Bool("metrics", false, "print a cycle-accurate metrics report per ablation point")
-	checkMode := flag.Bool("check", false, "run with the MPB consistency checker (panics on stale-line reads)")
-	faultSpec := flag.String("fault", "", "deterministic fault schedule, e.g. \"seed=7,drop=20,stall=1000000:200000\" (see internal/fault)")
-	flag.Parse()
-	harness.SetParallelism(*parallel)
-	harness.SetConsistencyCheck(*checkMode)
-	check(harness.SetFaultSpec(*faultSpec))
-	obs := harness.EnableObservability(*traceOut, *metrics)
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	fmt.Println("== ablation: SIF prefetch streaming (LP/RG + cache) ==")
-	on, off, err := harness.AblateSIFStreaming(*size, *reps)
-	check(err)
-	fmt.Print(stats.Table([][]string{
+func run(args []string, stdout, stderr io.Writer) int {
+	c := cli.New("ablate", stdout, stderr)
+	size := c.Int("size", 65536, "message size for throughput ablations [B]")
+	reps := c.Int("reps", 3, "round trips per measurement")
+	c.Sweep()
+	return c.Run(args, func() error { return ablate(stdout, *size, *reps) })
+}
+
+func ablate(w io.Writer, size, reps int) error {
+	fmt.Fprintln(w, "== ablation: SIF prefetch streaming (LP/RG + cache) ==")
+	on, off, err := harness.AblateSIFStreaming(size, reps)
+	if err != nil {
+		return err
+	}
+	fmt.Fprint(w, stats.Table([][]string{
 		{"configuration", "MB/s"},
 		{"streaming (prefetch to the reader's SIF)", fmt.Sprintf("%.2f", on)},
 		{"no streaming (every read round-trips)", fmt.Sprintf("%.2f", off)},
 	}))
-	fmt.Printf("-> the stream is worth %.1fx\n\n", on/off)
+	fmt.Fprintf(w, "-> the stream is worth %.1fx\n\n", on/off)
 
-	fmt.Println("== ablation: write-combining flush granularity (RP + WCB) ==")
-	flushes := []int{64, 256, 1024, 4096}
-	res, err := harness.AblateWCBFlush(*size, *reps, flushes)
-	check(err)
-	printSweep("flush threshold [B]", flushes, res)
+	sweeps := []struct {
+		title, label string
+		keys         []int
+		measure      func(size, reps int, keys []int) (map[int]float64, error)
+	}{
+		{"write-combining flush granularity (RP + WCB)", "flush threshold [B]", []int{64, 256, 1024, 4096}, harness.AblateWCBFlush},
+		{"host DMA burst size (LP/LG + vDMA)", "burst [B]", []int{128, 256, 1024, 3424}, harness.AblateDMABurst},
+		{"vDMA double-buffer slot size", "slot [B]", []int{512, 1024, 2048, 3424}, harness.AblateVDMASlot},
+	}
+	for _, sw := range sweeps {
+		fmt.Fprintf(w, "== ablation: %s ==\n", sw.title)
+		res, err := sw.measure(size, reps, sw.keys)
+		if err != nil {
+			return err
+		}
+		rows := [][]string{{sw.label, "MB/s"}}
+		for _, k := range sw.keys {
+			rows = append(rows, []string{fmt.Sprint(k), fmt.Sprintf("%.2f", res[k])})
+		}
+		fmt.Fprint(w, stats.Table(rows))
+		fmt.Fprintln(w)
+	}
 
-	fmt.Println("== ablation: host DMA burst size (LP/LG + vDMA) ==")
-	bursts := []int{128, 256, 1024, 3424}
-	res, err = harness.AblateDMABurst(*size, *reps, bursts)
-	check(err)
-	printSweep("burst [B]", bursts, res)
-
-	fmt.Println("== ablation: vDMA double-buffer slot size ==")
-	slots := []int{512, 1024, 2048, 3424}
-	res, err = harness.AblateVDMASlot(*size, *reps, slots)
-	check(err)
-	printSweep("slot [B]", slots, res)
-
-	fmt.Println("== ablation: small-message direct threshold (64 B, vDMA scheme) ==")
-	direct, engaged, err := harness.AblateDirectThreshold(vscc.SchemeVDMA, 64, *reps)
-	check(err)
-	fmt.Print(stats.Table([][]string{
+	fmt.Fprintln(w, "== ablation: small-message direct threshold (64 B, vDMA scheme) ==")
+	direct, engaged, err := harness.AblateDirectThreshold(vscc.SchemeVDMA, 64, reps)
+	if err != nil {
+		return err
+	}
+	fmt.Fprint(w, stats.Table([][]string{
 		{"path", "cycles/message"},
 		{"direct transfer (below threshold)", fmt.Sprint(direct)},
 		{"vDMA engaged", fmt.Sprint(engaged)},
 	}))
-	fmt.Printf("-> the threshold saves %.1f%% latency on 64 B messages (paper §3.3: 32-128 B)\n\n",
+	fmt.Fprintf(w, "-> the threshold saves %.1f%% latency on 64 B messages (paper §3.3: 32-128 B)\n\n",
 		100*(1-float64(direct)/float64(engaged)))
 
-	fmt.Println("== ablation: BT 100 ranks under every scheme (1 iteration, class C) ==")
+	fmt.Fprintln(w, "== ablation: BT 100 ranks under every scheme (1 iteration, class C) ==")
 	schemes := []vscc.Scheme{vscc.SchemeRouting, vscc.SchemeCachedGet, vscc.SchemeRemotePut, vscc.SchemeVDMA}
 	bt, err := harness.AblateBTScheme(100, 1, schemes)
-	check(err)
+	if err != nil {
+		return err
+	}
 	rows := [][]string{{"scheme", "GFLOP/s"}}
 	for _, s := range schemes {
 		rows = append(rows, []string{s.String(), fmt.Sprintf("%.3f", bt[s])})
 	}
-	fmt.Print(stats.Table(rows))
-	check(obs.Finish(os.Stdout))
-}
-
-func printSweep(label string, keys []int, res map[int]float64) {
-	sort.Ints(keys)
-	rows := [][]string{{label, "MB/s"}}
-	for _, k := range keys {
-		rows = append(rows, []string{fmt.Sprint(k), fmt.Sprintf("%.2f", res[k])})
-	}
-	fmt.Print(stats.Table(rows))
-	fmt.Println()
-}
-
-func check(err error) {
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "ablate:", err)
-		os.Exit(1)
-	}
+	fmt.Fprint(w, stats.Table(rows))
+	return nil
 }

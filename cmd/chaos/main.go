@@ -18,20 +18,27 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"vscc/internal/chaos"
 )
 
-func main() {
-	seed := flag.Uint64("seed", 1, "campaign seed: the walk is a pure function of it")
-	n := flag.Int("n", 200, "points to walk")
-	targetName := flag.String("target", "all", "harness to drive: all, sched or taskrt")
-	maxFaults := flag.Int("maxfaults", 4, "most faults per schedule")
-	out := flag.String("out", "", "write the minimized reproducer report to this file on violation")
-	repro := flag.String("repro", "", "re-check one spec instead of walking a campaign")
-	verbose := flag.Bool("v", false, "log every point")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("chaos", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	seed := fs.Uint64("seed", 1, "campaign seed: the walk is a pure function of it")
+	n := fs.Int("n", 200, "points to walk")
+	targetName := fs.String("target", "all", "harness to drive: all, sched or taskrt")
+	maxFaults := fs.Int("maxfaults", 4, "most faults per schedule")
+	out := fs.String("out", "", "write the minimized reproducer report to this file on violation")
+	repro := fs.String("repro", "", "re-check one spec instead of walking a campaign")
+	verbose := fs.Bool("v", false, "log every point")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 
 	var targets []chaos.Target
 	switch *targetName {
@@ -42,44 +49,45 @@ func main() {
 	case "taskrt":
 		targets = []chaos.Target{chaos.TaskrtTarget()}
 	default:
-		fmt.Fprintf(os.Stderr, "chaos: unknown target %q (want all, sched or taskrt)\n", *targetName)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "chaos: unknown target %q (want all, sched or taskrt)\n", *targetName)
+		return 2
 	}
 
 	if *repro != "" {
 		if *targetName == "all" {
-			fmt.Fprintln(os.Stderr, "chaos: -repro needs -target sched or -target taskrt")
-			os.Exit(2)
+			fmt.Fprintln(stderr, "chaos: -repro needs -target sched or -target taskrt")
+			return 2
 		}
 		t := targets[0]
 		if _, problems := t.Run(*repro); len(problems) > 0 {
-			fmt.Printf("chaos: target %s still violates invariants under %s\n", t.Name, *repro)
+			fmt.Fprintf(stdout, "chaos: target %s still violates invariants under %s\n", t.Name, *repro)
 			for _, p := range problems {
-				fmt.Printf("  - %s\n", p)
+				fmt.Fprintf(stdout, "  - %s\n", p)
 			}
-			os.Exit(1)
+			return 1
 		}
-		fmt.Printf("chaos: target %s passes under %s\n", t.Name, *repro)
-		return
+		fmt.Fprintf(stdout, "chaos: target %s passes under %s\n", t.Name, *repro)
+		return 0
 	}
 
 	c := &chaos.Campaign{Seed: *seed, N: *n, MaxFaults: *maxFaults, Targets: targets}
 	if *verbose {
 		c.Log = func(format string, args ...any) {
-			fmt.Printf(format+"\n", args...)
+			fmt.Fprintf(stdout, format+"\n", args...)
 		}
 	}
 	points, v := c.Run()
 	if v != nil {
 		report := v.Error()
-		fmt.Print(report)
+		fmt.Fprint(stdout, report)
 		if *out != "" {
 			if err := os.WriteFile(*out, []byte(report), 0o644); err != nil {
-				fmt.Fprintf(os.Stderr, "chaos: writing %s: %v\n", *out, err)
+				fmt.Fprintf(stderr, "chaos: writing %s: %v\n", *out, err)
 			}
 		}
-		os.Exit(1)
+		return 1
 	}
-	fmt.Printf("chaos: seed=%d points=%d target=%s maxfaults=%d: all invariants held\n",
+	fmt.Fprintf(stdout, "chaos: seed=%d points=%d target=%s maxfaults=%d: all invariants held\n",
 		*seed, points, *targetName, *maxFaults)
+	return 0
 }

@@ -13,86 +13,78 @@
 package main
 
 import (
-	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
+	"vscc/internal/cli"
 	"vscc/internal/harness"
 	"vscc/internal/taskrt"
 	"vscc/internal/vscc"
 )
 
-func main() {
-	workload := flag.String("workload", "all", "workload: cholesky, stencil, kv, or all")
-	schemes := flag.String("schemes", "all", "comma-separated scheme keys (host-routed, cached-get, remote-put, vdma, ...) or all")
-	devices := flag.Int("devices", 2, "SCC devices")
-	ranks := flag.Int("ranks", 4, "worker ranks, spread round-robin across devices")
-	size := flag.Int("size", 4, "decomposition: Cholesky tile grid, stencil strips, kv shards")
-	iters := flag.Int("iters", 8, "stencil sweeps / kv requests")
-	replicas := flag.Int("replicas", 1, "independent replicas per (workload, scheme) point")
-	parallel := flag.Int("parallel", 0, "replicas run concurrently (0 = GOMAXPROCS, 1 = serial)")
-	faultSpec := flag.String("fault", "", "deterministic fault schedule, e.g. \"seed=1,devcrash=150000:1:200000,ckpt=50000,devretry=1\" (see internal/fault)")
-	checkMPB := flag.Bool("check", false, "enable the MPB consistency checker")
-	graph := flag.String("graph", "", "run a task-spec file instead of a named workload")
-	traceOut := flag.String("trace", "", "write a Chrome trace-event JSON file of every replica")
-	metrics := flag.Bool("metrics", false, "print a cycle-accurate metrics report per replica")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	harness.SetParallelism(*parallel)
-	harness.SetConsistencyCheck(*checkMPB)
-	check(harness.SetFaultSpec(*faultSpec))
-	obs := harness.EnableObservability(*traceOut, *metrics)
-
-	if *graph != "" {
-		check(runGraph(*graph, *ranks))
-		check(obs.Finish(os.Stdout))
-		return
-	}
-
-	workloads := taskrt.Workloads()
-	if *workload != "all" {
-		workloads = []string{*workload}
-	}
-	var schemeList []vscc.Scheme
-	if *schemes == "all" {
-		schemeList = []vscc.Scheme{
+func run(args []string, stdout, stderr io.Writer) int {
+	c := cli.New("taskbench", stdout, stderr)
+	workload := c.String("workload", "all", "workload: cholesky, stencil, kv, or all")
+	schemes := c.String("schemes", "all", "comma-separated scheme keys (host-routed, cached-get, remote-put, vdma, ...) or all")
+	devices := c.Int("devices", 2, "SCC devices")
+	ranks := c.Int("ranks", 4, "worker ranks, spread round-robin across devices")
+	size := c.Int("size", 4, "decomposition: Cholesky tile grid, stencil strips, kv shards")
+	iters := c.Int("iters", 8, "stencil sweeps / kv requests")
+	replicas := c.Int("replicas", 1, "independent replicas per (workload, scheme) point")
+	graph := c.String("graph", "", "run a task-spec file instead of a named workload")
+	c.Sweep()
+	return c.Run(args, func() error {
+		if *graph != "" {
+			return runGraph(stdout, *graph, *ranks)
+		}
+		workloads := taskrt.Workloads()
+		if *workload != "all" {
+			workloads = []string{*workload}
+		}
+		schemeList := []vscc.Scheme{
 			vscc.SchemeHostRouted, vscc.SchemeHWAccel, vscc.SchemeCachedGet,
 			vscc.SchemeRemotePut, vscc.SchemeVDMA,
 		}
-	} else {
-		for _, key := range strings.Split(*schemes, ",") {
-			s, ok := vscc.SchemeByKey(strings.TrimSpace(key))
-			if !ok {
-				check(fmt.Errorf("unknown scheme %q", key))
-			}
-			schemeList = append(schemeList, s)
-		}
-	}
-
-	for _, wl := range workloads {
-		for _, scheme := range schemeList {
-			dev := *devices
-			if scheme == vscc.SchemeHWAccel && dev > 2 {
-				dev = 2 // the FPGA scheme is unstable beyond 2 devices (§2.3)
-			}
-			pts, err := harness.TaskrtSweep(harness.TaskrtConfig{
-				Workload: wl, Scheme: scheme, Devices: dev, Ranks: *ranks,
-				Size: *size, Iters: *iters, Replicas: *replicas,
-			})
-			check(err)
-			for _, pt := range pts {
-				fmt.Println(pt)
+		if *schemes != "all" {
+			schemeList = nil
+			for _, key := range strings.Split(*schemes, ",") {
+				s, ok := vscc.SchemeByKey(strings.TrimSpace(key))
+				if !ok {
+					return fmt.Errorf("unknown scheme %q", key)
+				}
+				schemeList = append(schemeList, s)
 			}
 		}
-	}
-	check(obs.Finish(os.Stdout))
+		for _, wl := range workloads {
+			for _, scheme := range schemeList {
+				dev := *devices
+				if scheme == vscc.SchemeHWAccel && dev > 2 {
+					dev = 2 // the FPGA scheme is unstable beyond 2 devices (§2.3)
+				}
+				pts, err := harness.TaskrtSweep(harness.TaskrtConfig{
+					Workload: wl, Scheme: scheme, Devices: dev, Ranks: *ranks,
+					Size: *size, Iters: *iters, Replicas: *replicas,
+				})
+				if err != nil {
+					return err
+				}
+				for _, pt := range pts {
+					fmt.Fprintln(stdout, pt)
+				}
+			}
+		}
+		return nil
+	})
 }
 
-// runGraph executes one task-spec file serially (the reference) and on
-// a simulated system per scheme given on -schemes... keeping it simple:
-// the spec runs on the vDMA scheme and prints the same point format.
-func runGraph(path string, ranks int) error {
+// runGraph builds the graph of one task-spec file for ranks workers,
+// executes it serially — the reference order, no simulated system — and
+// prints its region and task counts and the resulting state hash.
+func runGraph(w io.Writer, path string, ranks int) error {
 	src, err := os.ReadFile(path)
 	if err != nil {
 		return err
@@ -108,14 +100,7 @@ func runGraph(path string, ranks int) error {
 	if err := ref.RunSerial(ranks); err != nil {
 		return err
 	}
-	fmt.Printf("graph %s: %d regions, %d tasks, serial hash=%s\n",
+	fmt.Fprintf(w, "graph %s: %d regions, %d tasks, serial hash=%s\n",
 		path, ref.NumRegions(), ref.NumTasks(), ref.StateHash())
 	return nil
-}
-
-func check(err error) {
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "taskbench:", err)
-		os.Exit(1)
-	}
 }

@@ -24,11 +24,11 @@ package main
 
 import (
 	"bytes"
-	"flag"
 	"fmt"
-	"log"
+	"io"
 	"os"
 
+	"vscc/internal/cli"
 	"vscc/internal/fault"
 	"vscc/internal/harness"
 	"vscc/internal/sched"
@@ -38,81 +38,88 @@ import (
 	"vscc/internal/vscc"
 )
 
-func main() {
-	log.SetFlags(0)
-	workload := flag.String("workload", "", "workload file (required; see internal/sched.ParseWorkload)")
-	devices := flag.Int("devices", 5, "coupled SCC devices")
-	schemeKey := flag.String("fabric", "vdma", "fabric base scheme (fixes the PCIe ack mode jobs must share)")
-	faultSpec := flag.String("fault", "", "deterministic fault schedule (see internal/fault)")
-	replicas := flag.Int("replicas", 2, "independent reruns to byte-compare (>=1)")
-	parallel := flag.Int("parallel", 0, "replicas run concurrently (0 = GOMAXPROCS, 1 = serial)")
-	traceOut := flag.String("trace", "", "write a Chrome trace-event JSON file")
-	metrics := flag.Bool("metrics", false, "append the full metrics report")
-	quantum := flag.Int("quantum", 0, "DRR quantum bytes (0 = host default)")
-	cacheLines := flag.Int("cachelines", 0, "host software-cache pool partitioned among tenants (0 = default)")
-	lutSlots := flag.Int("lutslots", 0, "LUT slots per device for inter-device jobs (0 = default, <0 none)")
-	assertIsolation := flag.Int("assert-isolation", -1, "verify fault isolation for this crashed device (-1 off)")
-	flag.Parse()
-	if *workload == "" {
-		fail(fmt.Errorf("missing -workload"))
-	}
-	f, err := os.Open(*workload)
-	check(err)
-	w, err := sched.ParseWorkload(f)
-	f.Close()
-	check(err)
-	fcfg, err := fault.ParseSpec(*faultSpec)
-	check(err)
-	if *replicas < 1 {
-		*replicas = 1
-	}
-	harness.SetParallelism(*parallel)
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	run := runConfig{
-		w:         w,
-		devices:   *devices,
-		fcfg:      fcfg,
-		metrics:   *metrics,
-		withTrace: *traceOut != "",
-		opts: sched.Options{
-			DRRQuantum:        *quantum,
-			CacheLines:        *cacheLines,
-			LUTSlotsPerDevice: *lutSlots,
-		},
-	}
-	var ok bool
-	if run.scheme, ok = vscc.SchemeByKey(*schemeKey); !ok {
-		fail(fmt.Errorf("unknown fabric scheme %q", *schemeKey))
-	}
-
-	outs := make([]*replicaOutput, *replicas)
-	check(harness.ForEachPoint(*replicas, func(i int) error {
-		out, err := run.execute()
+func run(args []string, stdout, stderr io.Writer) int {
+	c := cli.New("vsccd", stdout, stderr)
+	workload := c.String("workload", "", "workload file (required; see internal/sched.ParseWorkload)")
+	devices := c.Int("devices", 5, "coupled SCC devices")
+	schemeKey := c.String("fabric", "vdma", "fabric base scheme (fixes the PCIe ack mode jobs must share)")
+	replicas := c.Int("replicas", 2, "independent reruns to byte-compare (>=1)")
+	cacheLines := c.Int("cachelines", 0, "host software-cache pool partitioned among tenants (0 = default)")
+	lutSlots := c.Int("lutslots", 0, "LUT slots per device for inter-device jobs (0 = default, <0 none)")
+	assertIsolation := c.Int("assert-isolation", -1, "verify fault isolation for this crashed device (-1 off)")
+	shared := c.Shared()
+	return c.Run(args, func() error {
+		if *workload == "" {
+			return fmt.Errorf("missing -workload")
+		}
+		f, err := os.Open(*workload)
 		if err != nil {
-			return fmt.Errorf("replica %d: %w", i, err)
+			return err
 		}
-		outs[i] = out
+		w, err := sched.ParseWorkload(f)
+		f.Close()
+		if err != nil {
+			return err
+		}
+		fcfg, err := fault.ParseSpec(shared.Fault)
+		if err != nil {
+			return err
+		}
+		rc := runConfig{
+			w:         w,
+			devices:   *devices,
+			fcfg:      fcfg,
+			metrics:   shared.Metrics,
+			withTrace: shared.Trace != "",
+			opts: sched.Options{
+				CacheLines:        *cacheLines,
+				LUTSlotsPerDevice: *lutSlots,
+			},
+		}
+		var ok bool
+		if rc.scheme, ok = vscc.SchemeByKey(*schemeKey); !ok {
+			return fmt.Errorf("unknown fabric scheme %q", *schemeKey)
+		}
+
+		outs := make([]*replicaOutput, max(*replicas, 1))
+		err = harness.ForEachPoint(len(outs), func(i int) error {
+			out, err := rc.execute()
+			if err != nil {
+				return fmt.Errorf("replica %d: %w", i, err)
+			}
+			outs[i] = out
+			return nil
+		})
+		if err != nil {
+			return err
+		}
+		for i := 1; i < len(outs); i++ {
+			if !bytes.Equal(outs[0].all(), outs[i].all()) {
+				return fmt.Errorf("determinism violated: replica %d output differs from replica 0 (%d vs %d bytes)",
+					i, len(outs[i].all()), len(outs[0].all()))
+			}
+		}
+		canon := outs[0]
+		stdout.Write(canon.report.Bytes())
+		fmt.Fprintf(stdout, "identity: %d replica(s) byte-identical\n", len(outs))
+		if shared.Metrics {
+			stdout.Write(canon.metrics.Bytes())
+		}
+		if shared.Trace != "" {
+			if err := os.WriteFile(shared.Trace, canon.chrome.Bytes(), 0o644); err != nil {
+				return err
+			}
+		}
+		if *assertIsolation >= 0 {
+			if err := checkIsolation(canon.results, *assertIsolation); err != nil {
+				return err
+			}
+			fmt.Fprintf(stdout, "isolation: device %d fault domain contained\n", *assertIsolation)
+		}
 		return nil
-	}))
-	for i := 1; i < len(outs); i++ {
-		if !bytes.Equal(outs[0].all(), outs[i].all()) {
-			fail(fmt.Errorf("determinism violated: replica %d output differs from replica 0 (%d vs %d bytes)",
-				i, len(outs[i].all()), len(outs[0].all())))
-		}
-	}
-	canon := outs[0]
-	os.Stdout.Write(canon.report.Bytes())
-	fmt.Printf("identity: %d replica(s) byte-identical\n", len(outs))
-	if *metrics {
-		os.Stdout.Write(canon.metrics.Bytes())
-	}
-	if *traceOut != "" {
-		check(os.WriteFile(*traceOut, canon.chrome.Bytes(), 0o644))
-	}
-	if *assertIsolation >= 0 {
-		check(checkIsolation(canon.results, *assertIsolation))
-		fmt.Printf("isolation: device %d fault domain contained\n", *assertIsolation)
-	}
+	})
 }
 
 type runConfig struct {
@@ -299,15 +306,4 @@ func checkIsolation(results []sched.Result, dev int) error {
 		return fmt.Errorf("isolation assertion vacuous: no job was lost to or recovered from device %d", dev)
 	}
 	return nil
-}
-
-func check(err error) {
-	if err != nil {
-		fail(err)
-	}
-}
-
-func fail(err error) {
-	fmt.Fprintln(os.Stderr, "vsccd:", err)
-	os.Exit(1)
 }

@@ -1,7 +1,7 @@
 // Command vscctrace inspects a Chrome trace-event JSON file written by
-// the -trace flag of cmd/pingpong, cmd/npbbt or cmd/ablate — a
-// terminal-side answer to "what is in this trace" without loading
-// about://tracing or Perfetto.
+// the -trace flag of cmd/pingpong, cmd/npbbt, cmd/ablate, cmd/taskbench
+// or cmd/vsccd — a terminal-side answer to "what is in this trace"
+// without loading about://tracing or Perfetto.
 //
 // For every process (one per capture/subsystem pair) it prints the
 // thread rows with their span counts and busy cycles, the top span
@@ -41,37 +41,57 @@
 package main
 
 import (
-	"bufio"
-	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
+	"maps"
 	"os"
 	"regexp"
+	"slices"
 	"sort"
 	"strconv"
+	"strings"
 
 	"vscc/internal/trace"
 )
 
-// event is the subset of the Chrome trace-event fields the exporter
-// emits (chrome.go): metadata (M), complete spans (X), instants (i) and
-// counters (C).
-type event struct {
-	Ph   string `json:"ph"`
-	Pid  int    `json:"pid"`
-	Tid  int    `json:"tid"`
-	Ts   uint64 `json:"ts"`
-	Dur  uint64 `json:"dur"`
-	S    string `json:"s"`
-	Name string `json:"name"`
-	Args struct {
-		Name  string `json:"name"`
-		Value int64  `json:"value"`
-	} `json:"args"`
-}
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-type document struct {
-	TraceEvents []event `json:"traceEvents"`
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("vscctrace", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	top := fs.Int("top", 10, "span names to list per process, by total duration")
+	recovery := fs.Bool("recovery", false, "print the per-device fault/recovery ledger instead of the span view")
+	tenant := fs.Int("tenant", -1, "restrict the stream to this tenant's tracks and counters (-1 off)")
+	mergeOut := fs.String("merge", "", "write the merged, canonically ordered trace to FILE")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	if fs.NArg() < 1 {
+		fmt.Fprintln(stderr, "usage: vscctrace [-top N] [-recovery] [-tenant N] [-merge out.json] trace.json [more.json ...]")
+		return 2
+	}
+	events, err := loadMerged(fs.Args())
+	if err == nil && *tenant >= 0 {
+		events = filterTenant(events, *tenant)
+	}
+	if err == nil && *mergeOut != "" {
+		err = writeMerged(*mergeOut, events)
+	}
+	if err != nil {
+		fmt.Fprintln(stderr, "vscctrace:", err)
+		return 1
+	}
+	if *recovery {
+		printRecovery(stdout, recoveryLedgers(events))
+		return 0
+	}
+	source := fs.Arg(0)
+	if fs.NArg() > 1 {
+		source = fmt.Sprintf("%d files", fs.NArg())
+	}
+	printSpans(stdout, source, events, *top)
+	return 0
 }
 
 // kernelLabel extracts the kernel id from a capture label: /k<N>/ maps
@@ -85,7 +105,7 @@ const hostKernel = 1 << 30
 // capture label) and its span sequence number (emission order within
 // its source file).
 type taggedEvent struct {
-	event
+	trace.Event
 	file   int
 	kernel int
 	seq    int
@@ -97,18 +117,22 @@ type taggedEvent struct {
 // unique, numbered by first appearance in the canonical order — so
 // analysing the merged stream (or a -merge output re-read later) is
 // idempotent, independent of how events were split across input files.
-func loadMerged(paths []string) []taggedEvent {
+func loadMerged(paths []string) ([]taggedEvent, error) {
 	var merged []taggedEvent
 	for fi, path := range paths {
 		f, err := os.Open(path)
-		check(err)
-		var doc document
-		check(json.NewDecoder(f).Decode(&doc))
+		if err != nil {
+			return nil, err
+		}
+		events, err := trace.ReadChrome(f)
 		f.Close()
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", path, err)
+		}
 		// The kernel id of each original pid comes from its
 		// process_name metadata record.
 		kern := map[int]int{}
-		for _, ev := range doc.TraceEvents {
+		for _, ev := range events {
 			if ev.Ph == "M" && ev.Name == "process_name" {
 				if m := kernelLabel.FindStringSubmatch(ev.Args.Name); m != nil {
 					if m[1] == "host" {
@@ -120,7 +144,7 @@ func loadMerged(paths []string) []taggedEvent {
 				}
 			}
 		}
-		for i, ev := range doc.TraceEvents {
+		for i, ev := range events {
 			kid, ok := kern[ev.Pid]
 			if !ok {
 				// No kernel label (classic single-kernel capture):
@@ -128,7 +152,7 @@ func loadMerged(paths []string) []taggedEvent {
 				// same cycle for stability across mixed inputs.
 				kid = hostKernel + 1 + ev.Pid
 			}
-			merged = append(merged, taggedEvent{event: ev, file: fi, kernel: kid, seq: i})
+			merged = append(merged, taggedEvent{Event: ev, file: fi, kernel: kid, seq: i})
 		}
 	}
 	sort.SliceStable(merged, func(i, j int) bool {
@@ -148,73 +172,34 @@ func loadMerged(paths []string) []taggedEvent {
 	type srcPid struct{ file, pid int }
 	remap := map[srcPid]int{}
 	for i := range merged {
-		key := srcPid{merged[i].file, merged[i].event.Pid}
+		key := srcPid{merged[i].file, merged[i].Pid}
 		np, ok := remap[key]
 		if !ok {
 			np = len(remap)
 			remap[key] = np
 		}
-		merged[i].event.Pid = np
+		merged[i].Pid = np
 	}
-	return merged
+	return merged, nil
 }
 
-// writeMerged exports the canonical stream in the exporter's own
-// Chrome trace-event dialect (chrome.go), so a merged file round-trips
-// through vscctrace and the browser tools alike.
-func writeMerged(path string, events []taggedEvent) {
+// writeMerged exports the canonical stream through the exporter's own
+// encoder, so a merged file round-trips through vscctrace and the
+// browser tools alike.
+func writeMerged(path string, events []taggedEvent) error {
+	evs := make([]trace.Event, len(events))
+	for i := range events {
+		evs[i] = events[i].Event
+	}
 	f, err := os.Create(path)
-	check(err)
-	bw := bufio.NewWriter(f)
-	bw.WriteString("{\"displayTimeUnit\":\"ms\",\n")
-	bw.WriteString("\"otherData\":{\"clock\":\"simulated core cycles (1 us = 1 cycle at 533 MHz)\"},\n")
-	bw.WriteString("\"traceEvents\":[\n")
-	for i, te := range events {
-		if i > 0 {
-			bw.WriteString(",\n")
-		}
-		ev := te.event
-		switch ev.Ph {
-		case "M":
-			if ev.Name == "process_name" {
-				fmt.Fprintf(bw, "{\"ph\":\"M\",\"pid\":%d,\"name\":\"process_name\",\"args\":{\"name\":%s}}",
-					ev.Pid, quoteJSON(ev.Args.Name))
-			} else {
-				fmt.Fprintf(bw, "{\"ph\":\"M\",\"pid\":%d,\"tid\":%d,\"name\":%s,\"args\":{\"name\":%s}}",
-					ev.Pid, ev.Tid, quoteJSON(ev.Name), quoteJSON(ev.Args.Name))
-			}
-		case "X":
-			fmt.Fprintf(bw, "{\"ph\":\"X\",\"pid\":%d,\"tid\":%d,\"ts\":%d,\"dur\":%d,\"name\":%s}",
-				ev.Pid, ev.Tid, ev.Ts, ev.Dur, quoteJSON(ev.Name))
-		case "i":
-			fmt.Fprintf(bw, "{\"ph\":\"i\",\"pid\":%d,\"tid\":%d,\"ts\":%d,\"s\":\"t\",\"name\":%s}",
-				ev.Pid, ev.Tid, ev.Ts, quoteJSON(ev.Name))
-		case "C":
-			fmt.Fprintf(bw, "{\"ph\":\"C\",\"pid\":%d,\"ts\":%d,\"name\":%s,\"args\":{\"value\":%d}}",
-				ev.Pid, ev.Ts, quoteJSON(ev.Name), ev.Args.Value)
-		}
+	if err != nil {
+		return err
 	}
-	bw.WriteString("\n]}\n")
-	check(bw.Flush())
-	check(f.Close())
-}
-
-// quoteJSON mirrors the exporter's string quoting (trace/chrome.go).
-func quoteJSON(s string) string {
-	buf := make([]byte, 0, len(s)+2)
-	buf = append(buf, '"')
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		switch {
-		case c == '"' || c == '\\':
-			buf = append(buf, '\\', c)
-		case c < 0x20:
-			buf = append(buf, fmt.Sprintf("\\u%04x", c)...)
-		default:
-			buf = append(buf, c)
-		}
+	if err := trace.WriteEvents(f, evs); err != nil {
+		f.Close()
+		return err
 	}
-	return string(append(buf, '"'))
+	return f.Close()
 }
 
 // thread aggregates one tid's rows.
@@ -227,46 +212,17 @@ type thread struct {
 
 // process aggregates one pid.
 type process struct {
-	pid      int
 	name     string
 	threads  map[int]*thread
 	spanDur  map[string]uint64 // total duration by span name
 	spanCnt  map[string]int
 	counters map[string]int64 // final value by counter name
-	order    []string         // counter first-appearance order
 }
 
-func main() {
-	top := flag.Int("top", 10, "span names to list per process, by total duration")
-	recovery := flag.Bool("recovery", false, "print the per-device fault/recovery ledger instead of the span view")
-	tenant := flag.Int("tenant", -1, "restrict the stream to this tenant's tracks and counters (-1 off)")
-	mergeOut := flag.String("merge", "", "write the merged, canonically ordered trace to FILE")
-	flag.Parse()
-	if flag.NArg() < 1 {
-		fmt.Fprintln(os.Stderr, "usage: vscctrace [-top N] [-recovery] [-tenant N] [-merge out.json] trace.json [more.json ...]")
-		os.Exit(2)
-	}
-	events := loadMerged(flag.Args())
-	if *tenant >= 0 {
-		events = filterTenant(events, *tenant)
-	}
-	if *mergeOut != "" {
-		writeMerged(*mergeOut, events)
-	}
-
+// printSpans renders the span view: per process, its thread rows, the
+// top span names by total duration and the final counter values.
+func printSpans(w io.Writer, source string, events []taggedEvent, top int) {
 	procs := map[int]*process{}
-	get := func(pid int) *process {
-		p, ok := procs[pid]
-		if !ok {
-			p = &process{
-				pid: pid, threads: map[int]*thread{},
-				spanDur: map[string]uint64{}, spanCnt: map[string]int{},
-				counters: map[string]int64{},
-			}
-			procs[pid] = p
-		}
-		return p
-	}
 	getThread := func(p *process, tid int) *thread {
 		t, ok := p.threads[tid]
 		if !ok {
@@ -275,9 +231,16 @@ func main() {
 		}
 		return t
 	}
-	for _, te := range events {
-		ev := te.event
-		p := get(ev.Pid)
+	for _, ev := range events {
+		p, ok := procs[ev.Pid]
+		if !ok {
+			p = &process{
+				threads: map[int]*thread{},
+				spanDur: map[string]uint64{}, spanCnt: map[string]int{},
+				counters: map[string]int64{},
+			}
+			procs[ev.Pid] = p
+		}
 		switch ev.Ph {
 		case "M":
 			switch ev.Name {
@@ -295,73 +258,42 @@ func main() {
 		case "i":
 			getThread(p, ev.Tid).instants++
 		case "C":
-			if _, ok := p.counters[ev.Name]; !ok {
-				p.order = append(p.order, ev.Name)
-			}
 			// Events are time-ordered per counter, so the last sample
 			// wins — the final value.
 			p.counters[ev.Name] = ev.Args.Value
 		}
 	}
 
-	pids := make([]int, 0, len(procs))
-	for pid := range procs {
-		pids = append(pids, pid)
-	}
-	sort.Ints(pids)
-	if *recovery {
-		printRecovery(recoveryLedgers(events))
-		return
-	}
-	source := flag.Arg(0)
-	if flag.NArg() > 1 {
-		source = fmt.Sprintf("%d files", flag.NArg())
-	}
-	fmt.Printf("%s: %d events, %d processes\n", source, len(events), len(pids))
-	for _, pid := range pids {
+	fmt.Fprintf(w, "%s: %d events, %d processes\n", source, len(events), len(procs))
+	for _, pid := range slices.Sorted(maps.Keys(procs)) {
 		p := procs[pid]
-		fmt.Printf("\npid %d: %s\n", pid, p.name)
-		tids := make([]int, 0, len(p.threads))
-		for tid := range p.threads {
-			tids = append(tids, tid)
-		}
-		sort.Ints(tids)
-		for _, tid := range tids {
+		fmt.Fprintf(w, "\npid %d: %s\n", pid, p.name)
+		for _, tid := range slices.Sorted(maps.Keys(p.threads)) {
 			t := p.threads[tid]
 			if t.spans == 0 && t.instants == 0 && t.name == "" {
 				continue
 			}
-			fmt.Printf("  tid %-3d %-24s spans=%-7d busy=%-12d", tid, t.name, t.spans, t.busy)
+			fmt.Fprintf(w, "  tid %-3d %-24s spans=%-7d busy=%-12d", tid, t.name, t.spans, t.busy)
 			if t.instants > 0 {
-				fmt.Printf(" instants=%d", t.instants)
+				fmt.Fprintf(w, " instants=%d", t.instants)
 			}
-			fmt.Println()
+			fmt.Fprintln(w)
 		}
 		if len(p.spanDur) > 0 {
-			names := make([]string, 0, len(p.spanDur))
-			for n := range p.spanDur {
-				names = append(names, n)
+			names := slices.Sorted(maps.Keys(p.spanDur))
+			sort.SliceStable(names, func(i, j int) bool { return p.spanDur[names[i]] > p.spanDur[names[j]] })
+			if len(names) > top {
+				names = names[:top]
 			}
-			sort.Slice(names, func(i, j int) bool {
-				if p.spanDur[names[i]] != p.spanDur[names[j]] {
-					return p.spanDur[names[i]] > p.spanDur[names[j]]
-				}
-				return names[i] < names[j]
-			})
-			if len(names) > *top {
-				names = names[:*top]
-			}
-			fmt.Println("  top spans by total duration:")
+			fmt.Fprintln(w, "  top spans by total duration:")
 			for _, n := range names {
-				fmt.Printf("    %-32s n=%-7d total=%d cycles\n", n, p.spanCnt[n], p.spanDur[n])
+				fmt.Fprintf(w, "    %-32s n=%-7d total=%d cycles\n", n, p.spanCnt[n], p.spanDur[n])
 			}
 		}
-		if len(p.order) > 0 {
-			names := append([]string(nil), p.order...)
-			sort.Strings(names)
-			fmt.Println("  final counters:")
-			for _, n := range names {
-				fmt.Printf("    %-36s %12d\n", n, p.counters[n])
+		if len(p.counters) > 0 {
+			fmt.Fprintln(w, "  final counters:")
+			for _, n := range slices.Sorted(maps.Keys(p.counters)) {
+				fmt.Fprintf(w, "    %-36s %12d\n", n, p.counters[n])
 			}
 		}
 	}
@@ -372,78 +304,46 @@ func main() {
 // "replay.frames.d2", ...).
 var devCounter = regexp.MustCompile(`^(.+)\.d(\d+)$`)
 
+// ledgerColumns are the -recovery table's columns: the header, its width
+// and the per-device counter (base name, before the ".dN" suffix) the
+// column sums. A counter ending in "*" sums every counter under that
+// prefix.
+var ledgerColumns = [...]struct {
+	head    string
+	width   int
+	counter string
+}{
+	{"crash", 7, "fault.inject.devcrash"},
+	{"linkdn", 7, "fault.inject.devlinkdown"},
+	{"rejoin", 7, "fault.recover.rejoin"},
+	{"epoch", 7, "epoch.advance"},
+	{"ckpt", 7, "ckpt.take"},
+	{"jrn.wr", 10, "replay.writes"}, // checkpoint journal, replayed at restore
+	{"jrn.bytes", 12, "replay.bytes"},
+	{"pcie.fr", 10, "replay.frames"}, // held SIF frames, re-driven
+	{"pcie.bytes", 12, "replay.frame_bytes"},
+	{"requeued", 8, "sched.requeued"},       // devretry jobs readmitted off the device
+	{"exhaust", 7, "sched.retry_exhausted"}, // devretry budgets spent on the device
+	{"reexec", 7, "taskrt.reexec"},          // tasks re-issued off the device
+	{"injected", 9, "fault.inject.*"},
+	{"recovered", 9, "fault.recover.*"},
+}
+
 // devLedger is one device's recovery tally across every process of the
-// trace.
-type devLedger struct {
-	crashes   int64 // fault.inject.devcrash
-	linkdowns int64 // fault.inject.devlinkdown
-	rejoins   int64 // fault.recover.rejoin
-	epochs    int64 // epoch.advance
-	ckpts     int64 // ckpt.take
-	jrnWrites int64 // replay.writes  (checkpoint journal, restore)
-	jrnBytes  int64 // replay.bytes
-	pcieFr    int64 // replay.frames  (held SIF frames, re-driven)
-	pcieBytes int64 // replay.frame_bytes
-	requeued  int64 // sched.requeued      (devretry jobs readmitted off this device)
-	exhausted int64 // sched.retry_exhausted (devretry budgets spent on this device)
-	reexecs   int64 // taskrt.reexec       (tasks re-issued off this device)
-	injected  int64 // all fault.inject.* for this device
-	recovered int64 // all fault.recover.* for this device
-}
+// trace, one entry per ledgerColumns column.
+type devLedger [len(ledgerColumns)]int64
 
-// add folds one final counter value into the ledger, keyed by the
-// counter's base name (the part before the ".dN" device suffix).
+// add folds one final counter value into every column that sums it.
 func (l *devLedger) add(base string, v int64) {
-	switch base {
-	case "fault.inject.devcrash":
-		l.crashes += v
-	case "fault.inject.devlinkdown":
-		l.linkdowns += v
-	case "fault.recover.rejoin":
-		l.rejoins += v
-	case "epoch.advance":
-		l.epochs += v
-	case "ckpt.take":
-		l.ckpts += v
-	case "replay.writes":
-		l.jrnWrites += v
-	case "replay.bytes":
-		l.jrnBytes += v
-	case "replay.frames":
-		l.pcieFr += v
-	case "replay.frame_bytes":
-		l.pcieBytes += v
-	case "sched.requeued":
-		l.requeued += v
-	case "sched.retry_exhausted":
-		l.exhausted += v
-	case "taskrt.reexec":
-		l.reexecs += v
+	for i, c := range ledgerColumns {
+		if prefix, ok := strings.CutSuffix(c.counter, "*"); ok {
+			if len(base) > len(prefix) && strings.HasPrefix(base, prefix) {
+				l[i] += v
+			}
+		} else if base == c.counter {
+			l[i] += v
+		}
 	}
-	if len(base) > 13 && base[:13] == "fault.inject." {
-		l.injected += v
-	}
-	if len(base) > 14 && base[:14] == "fault.recover." {
-		l.recovered += v
-	}
-}
-
-// merge sums another ledger into this one.
-func (l *devLedger) merge(o devLedger) {
-	l.crashes += o.crashes
-	l.linkdowns += o.linkdowns
-	l.rejoins += o.rejoins
-	l.epochs += o.epochs
-	l.ckpts += o.ckpts
-	l.jrnWrites += o.jrnWrites
-	l.jrnBytes += o.jrnBytes
-	l.pcieFr += o.pcieFr
-	l.pcieBytes += o.pcieBytes
-	l.requeued += o.requeued
-	l.exhausted += o.exhausted
-	l.reexecs += o.reexecs
-	l.injected += o.injected
-	l.recovered += o.recovered
 }
 
 // recoveryLedgers tallies the per-device fault/recovery counters from
@@ -465,7 +365,7 @@ func recoveryLedgers(events []taggedEvent) map[int]*devLedger {
 		if te.Ph != "C" {
 			continue
 		}
-		k := counterKey{te.file, te.event.Pid, te.Name}
+		k := counterKey{te.file, te.Pid, te.Name}
 		if _, ok := final[k]; !ok {
 			order = append(order, k)
 		}
@@ -493,20 +393,10 @@ func recoveryLedgers(events []taggedEvent) map[int]*devLedger {
 		}
 		l.add(m[1], final[k])
 	}
-	files := make([]int, 0, len(perFile))
-	for f := range perFile {
-		files = append(files, f)
-	}
-	sort.Ints(files)
 	out := map[int]*devLedger{}
 	seen := map[int]map[devLedger]bool{}
-	for _, f := range files {
-		devs := make([]int, 0, len(perFile[f]))
-		for d := range perFile[f] {
-			devs = append(devs, d)
-		}
-		sort.Ints(devs)
-		for _, d := range devs {
+	for _, f := range slices.Sorted(maps.Keys(perFile)) {
+		for _, d := range slices.Sorted(maps.Keys(perFile[f])) {
 			l := *perFile[f][d]
 			if seen[d] == nil {
 				seen[d] = map[devLedger]bool{}
@@ -520,7 +410,9 @@ func recoveryLedgers(events []taggedEvent) map[int]*devLedger {
 				o = &devLedger{}
 				out[d] = o
 			}
-			o.merge(l)
+			for i := range l {
+				o[i] += l[i]
+			}
 		}
 	}
 	return out
@@ -535,18 +427,18 @@ func filterTenant(events []taggedEvent, id int) []taggedEvent {
 	keep := map[track]bool{}
 	for _, te := range events {
 		if te.Ph == "M" && te.Name == "thread_name" && trace.HasTenantTag(te.Args.Name, id) {
-			keep[track{te.event.Pid, te.Tid}] = true
+			keep[track{te.Pid, te.Tid}] = true
 		}
 	}
 	var out []taggedEvent
 	for _, te := range events {
 		switch te.Ph {
 		case "M":
-			if te.Name == "process_name" || keep[track{te.event.Pid, te.Tid}] {
+			if te.Name == "process_name" || keep[track{te.Pid, te.Tid}] {
 				out = append(out, te)
 			}
 		case "X", "i":
-			if keep[track{te.event.Pid, te.Tid}] {
+			if keep[track{te.Pid, te.Tid}] {
 				out = append(out, te)
 			}
 		case "C":
@@ -559,30 +451,21 @@ func filterTenant(events []taggedEvent, id int) []taggedEvent {
 }
 
 // printRecovery renders the per-device fault/recovery table.
-func printRecovery(ledgers map[int]*devLedger) {
+func printRecovery(w io.Writer, ledgers map[int]*devLedger) {
 	if len(ledgers) == 0 {
-		fmt.Println("no per-device fault/recovery counters in this trace (run with -trace and a -fault schedule)")
+		fmt.Fprintln(w, "no per-device fault/recovery counters in this trace (run with -trace and a -fault schedule)")
 		return
 	}
-	devs := make([]int, 0, len(ledgers))
-	for d := range ledgers {
-		devs = append(devs, d)
+	fmt.Fprintf(w, "%-4s", "dev")
+	for _, c := range ledgerColumns {
+		fmt.Fprintf(w, " %*s", c.width, c.head)
 	}
-	sort.Ints(devs)
-	fmt.Printf("%-4s %7s %7s %7s %7s %7s %10s %12s %10s %12s %8s %7s %7s %9s %9s\n",
-		"dev", "crash", "linkdn", "rejoin", "epoch", "ckpt",
-		"jrn.wr", "jrn.bytes", "pcie.fr", "pcie.bytes", "requeued", "exhaust", "reexec", "injected", "recovered")
-	for _, d := range devs {
-		l := ledgers[d]
-		fmt.Printf("d%-3d %7d %7d %7d %7d %7d %10d %12d %10d %12d %8d %7d %7d %9d %9d\n",
-			d, l.crashes, l.linkdowns, l.rejoins, l.epochs, l.ckpts,
-			l.jrnWrites, l.jrnBytes, l.pcieFr, l.pcieBytes, l.requeued, l.exhausted, l.reexecs, l.injected, l.recovered)
-	}
-}
-
-func check(err error) {
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "vscctrace:", err)
-		os.Exit(1)
+	fmt.Fprintln(w)
+	for _, d := range slices.Sorted(maps.Keys(ledgers)) {
+		fmt.Fprintf(w, "d%-3d", d)
+		for i, c := range ledgerColumns {
+			fmt.Fprintf(w, " %*d", c.width, ledgers[d][i])
+		}
+		fmt.Fprintln(w)
 	}
 }

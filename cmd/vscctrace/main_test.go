@@ -6,6 +6,26 @@ import (
 	"testing"
 )
 
+// load merges the trace files, failing the test on a read error.
+func load(t *testing.T, paths ...string) []taggedEvent {
+	t.Helper()
+	events, err := loadMerged(paths)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return events
+}
+
+// col reads the ledger column headed head.
+func col(l *devLedger, head string) int64 {
+	for i, c := range ledgerColumns {
+		if c.head == head {
+			return l[i]
+		}
+	}
+	panic("no ledger column " + head)
+}
+
 // writeTrace drops a minimal Chrome trace-event file and returns its path.
 func writeTrace(t *testing.T, name, body string) string {
 	t.Helper()
@@ -41,23 +61,23 @@ const ledgerB = `{"traceEvents":[
 func TestRecoveryLedgerDedupesAcrossFiles(t *testing.T) {
 	a := writeTrace(t, "a.json", ledgerA)
 
-	once := recoveryLedgers(loadMerged([]string{a}))
+	once := recoveryLedgers(load(t, a))
 	l1 := once[1]
 	if l1 == nil {
 		t.Fatal("no ledger for device 1")
 	}
 	// Last counter sample wins within a file: ckpt.take.d1 ends at 3.
-	if l1.ckpts != 3 || l1.crashes != 1 || l1.jrnWrites != 10 || l1.jrnBytes != 640 {
+	if col(l1, "ckpt") != 3 || col(l1, "crash") != 1 || col(l1, "jrn.wr") != 10 || col(l1, "jrn.bytes") != 640 {
 		t.Fatalf("single-file ledger wrong: %+v", *l1)
 	}
-	if l1.injected != 1 || l1.recovered != 1 {
+	if col(l1, "injected") != 1 || col(l1, "recovered") != 1 {
 		t.Fatalf("inject/recover rollup wrong: %+v", *l1)
 	}
-	if l1.requeued != 2 || l1.exhausted != 1 || l1.reexecs != 4 {
+	if col(l1, "requeued") != 2 || col(l1, "exhaust") != 1 || col(l1, "reexec") != 4 {
 		t.Fatalf("job-recovery columns wrong: %+v", *l1)
 	}
 
-	twice := recoveryLedgers(loadMerged([]string{a, a}))
+	twice := recoveryLedgers(load(t, a, a))
 	if got := twice[1]; *got != *l1 {
 		t.Fatalf("duplicate file double-counted: %+v vs %+v", *got, *l1)
 	}
@@ -69,14 +89,14 @@ func TestRecoveryLedgerSumsDistinctFiles(t *testing.T) {
 	a := writeTrace(t, "a.json", ledgerA)
 	b := writeTrace(t, "b.json", ledgerB)
 
-	got := recoveryLedgers(loadMerged([]string{a, b}))
-	if got[1].ckpts != 3+2 {
-		t.Fatalf("device 1 checkpoints = %d, want 5", got[1].ckpts)
+	got := recoveryLedgers(load(t, a, b))
+	if c := col(got[1], "ckpt"); c != 3+2 {
+		t.Fatalf("device 1 checkpoints = %d, want 5", c)
 	}
-	if got[2].ckpts != 5 {
-		t.Fatalf("device 2 checkpoints = %d, want 5", got[2].ckpts)
+	if c := col(got[2], "ckpt"); c != 5 {
+		t.Fatalf("device 2 checkpoints = %d, want 5", c)
 	}
-	if got[1].requeued != 2 || got[1].exhausted != 1 || got[1].reexecs != 4 {
+	if col(got[1], "requeued") != 2 || col(got[1], "exhaust") != 1 || col(got[1], "reexec") != 4 {
 		t.Fatalf("job-recovery columns lost in the sum: %+v", *got[1])
 	}
 }
@@ -95,7 +115,7 @@ const tenantTrace = `{"traceEvents":[
 
 func TestFilterTenant(t *testing.T) {
 	path := writeTrace(t, "mt.json", tenantTrace)
-	events := filterTenant(loadMerged([]string{path}), 2)
+	events := filterTenant(load(t, path), 2)
 
 	var spans, instants, counters, threads, processes int
 	for _, te := range events {

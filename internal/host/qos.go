@@ -73,31 +73,30 @@ type cacheRef struct {
 
 // qosState is the task-wide multi-tenant state.
 type qosState struct {
-	quantum int
 	tenants map[int]*tenantQoS
 	byCore  map[[2]int]*tenantQoS // (dev, core) -> tenant
 	drr     []*drrQueue           // per destination device
 }
 
+// drrQuantum is the bytes of host-to-device service each active tenant
+// earns per deficit-round-robin round.
+const drrQuantum = 4 * mem.LineSize
+
 // EnableQoS arms the multi-tenant layer: per-device deficit-round-robin
-// delivery queues (quantum bytes of service per tenant per round; <= 0
-// selects a line-sized default) and the tenant table consulted by the
-// bandwidth and cache hooks. It must be called before the kernel runs —
-// the forwarder daemons pick their queue discipline on first dispatch.
-func (t *Task) EnableQoS(quantum int) {
+// delivery queues (drrQuantum bytes of service per tenant per round) and
+// the tenant table consulted by the bandwidth and cache hooks. It must be
+// called before the kernel runs — the forwarder daemons pick their queue
+// discipline on first dispatch.
+func (t *Task) EnableQoS() {
 	if t.qos != nil {
 		return
 	}
-	if quantum <= 0 {
-		quantum = 4 * mem.LineSize
-	}
 	q := &qosState{
-		quantum: quantum,
 		tenants: make(map[int]*tenantQoS),
 		byCore:  make(map[[2]int]*tenantQoS),
 	}
 	for d := range t.Chips {
-		q.drr = append(q.drr, newDRRQueue(t.Kernel, d, quantum))
+		q.drr = append(q.drr, newDRRQueue(t.Kernel, d))
 	}
 	t.qos = q
 }
@@ -242,11 +241,10 @@ func (q *tenantQoS) evictOldest() bool {
 // drrQueue is one device's multi-class delivery queue: per-tenant FIFOs
 // served by deficit round robin. Within a tenant, delivery order is
 // exactly the old single-FIFO order, preserving the data-before-flag
-// guarantee per source; across tenants, each active class earns quantum
-// bytes of host-to-device service per round.
+// guarantee per source; across tenants, each active class earns
+// drrQuantum bytes of host-to-device service per round.
 type drrQueue struct {
 	cond    *sim.Cond
-	quantum int
 	classes map[int]*drrClass
 	active  []*drrClass // round-robin service order
 	total   int
@@ -260,10 +258,9 @@ type drrClass struct {
 	queued  bool // on the active list
 }
 
-func newDRRQueue(k *sim.Kernel, dev, quantum int) *drrQueue {
+func newDRRQueue(k *sim.Kernel, dev int) *drrQueue {
 	return &drrQueue{
 		cond:    sim.NewCond(k, fmt.Sprintf("drrq.d%d", dev)),
-		quantum: quantum,
 		classes: make(map[int]*drrClass),
 	}
 }
@@ -297,7 +294,7 @@ func (q *drrQueue) enqueue(tenant int, it deliverItem) {
 	c.items = append(c.items, it)
 	if !c.queued {
 		c.queued = true
-		c.deficit = q.quantum
+		c.deficit = drrQuantum
 		q.active = append(q.active, c)
 	}
 	q.total++
@@ -334,7 +331,7 @@ func (q *drrQueue) pop(p *sim.Proc) deliverItem {
 		}
 		// Quantum exhausted: move to the back of the round and recharge.
 		q.active = append(q.active[1:], c)
-		c.deficit += q.quantum
+		c.deficit += drrQuantum
 	}
 }
 

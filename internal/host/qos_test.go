@@ -15,7 +15,7 @@ func TestTenantBandwidthCap(t *testing.T) {
 	r := newRig(t, 2, pcie.AckHost)
 	sink := trace.NewSink(r.k)
 	r.task.Instrument(sink)
-	r.task.EnableQoS(0)
+	r.task.EnableQoS()
 	// The cap must sit well below the natural line rate (one ~60-byte
 	// charge per ~20k-cycle PCIe write) for the bucket to run dry.
 	r.task.SetTenant(TenantConfig{ID: 1, BWBytesPerCycle: 0.001, BurstBytes: 64})
@@ -59,12 +59,12 @@ func TestTenantBandwidthCap(t *testing.T) {
 // bytes per visit, and keeps FIFO order within each tenant.
 func TestDRRQueueFairness(t *testing.T) {
 	k := sim.NewKernel()
-	q := newDRRQueue(k, 0, 100)
+	q := newDRRQueue(k, 0)
 	for i := 0; i < 3; i++ {
-		q.enqueue(1, deliverItem{data: pattern(100, byte(i))})
+		q.enqueue(1, deliverItem{data: pattern(drrQuantum, byte(i))})
 	}
 	for i := 0; i < 3; i++ {
-		q.enqueue(2, deliverItem{data: pattern(100, byte(10+i))})
+		q.enqueue(2, deliverItem{data: pattern(drrQuantum, byte(10+i))})
 	}
 	var seeds []byte
 	for i := 0; i < 6; i++ {
@@ -88,10 +88,10 @@ func TestDRRQueueFairness(t *testing.T) {
 // versa a bulk tenant still gets its quantum.
 func TestDRRQueueFlagCost(t *testing.T) {
 	k := sim.NewKernel()
-	q := newDRRQueue(k, 0, 100)
-	q.enqueue(1, deliverItem{data: pattern(100, 1)})
+	q := newDRRQueue(k, 0)
+	q.enqueue(1, deliverItem{data: pattern(drrQuantum, 1)})
 	q.enqueue(2, deliverItem{isFlag: true})
-	q.enqueue(1, deliverItem{data: pattern(100, 2)})
+	q.enqueue(1, deliverItem{data: pattern(drrQuantum, 2)})
 	first := q.pop(nil)
 	second := q.pop(nil)
 	if len(first.data) == 0 || first.data[0] != 1 {
@@ -108,7 +108,7 @@ func TestCachePartitionIsolation(t *testing.T) {
 	r := newRig(t, 1, pcie.AckHost)
 	sink := trace.NewSink(r.k)
 	r.task.Instrument(sink)
-	r.task.EnableQoS(0)
+	r.task.EnableQoS()
 	r.task.SetTenant(TenantConfig{ID: 1, CacheLines: 2})
 	r.task.SetTenant(TenantConfig{ID: 2, CacheLines: 2})
 	q1 := r.task.qos.tenants[1]
@@ -149,7 +149,7 @@ func TestCachePartitionIsolation(t *testing.T) {
 func TestCacheEvictSkipsRevalidatedLine(t *testing.T) {
 	r := newRig(t, 1, pcie.AckHost)
 	r.task.Instrument(trace.NewSink(r.k))
-	r.task.EnableQoS(0)
+	r.task.EnableQoS()
 	r.task.SetTenant(TenantConfig{ID: 1, CacheLines: 8})
 	q := r.task.qos.tenants[1]
 

@@ -50,9 +50,6 @@ func NewLink(name string, latency sim.Cycles, bytesPerCycle float64) *Link {
 	}
 }
 
-// Name returns the link's name.
-func (l *Link) Name() string { return l.name }
-
 // Instrument attaches an observability sink: every subsequent transfer
 // records a channel-occupancy span on the link's track, a cumulative byte
 // counter, and (when the channel was busy) a queueing-delay histogram

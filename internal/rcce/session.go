@@ -230,10 +230,6 @@ func (s *Session) Protocol() Protocol { return s.protocol }
 // Timeline returns the session's timeline (may be nil).
 func (s *Session) Timeline() *sim.Timeline { return s.timeline }
 
-// Sink returns the session's observability sink (nil when tracing is
-// disabled; a nil sink's methods are no-ops).
-func (s *Session) Sink() *trace.Sink { return s.sink }
-
 // SameDevice reports whether two ranks share a device.
 func (s *Session) SameDevice(a, b int) bool { return s.places[a].Dev == s.places[b].Dev }
 

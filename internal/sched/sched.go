@@ -180,9 +180,6 @@ type Options struct {
 	// CacheLines is the host software-cache pool partitioned among
 	// tenants (TenantSpec.CacheLines). 0 picks the default 4096.
 	CacheLines int
-	// DRRQuantum is the deficit-round-robin quantum in bytes for the
-	// host forwarder queues; 0 picks the host default.
-	DRRQuantum int
 	// FailGrace is the reaping delay: when a rank of a job fails and
 	// the rest do not finish within FailGrace cycles, the job is
 	// force-finished and its cores leak. 0 picks 2,000,000 cycles.
@@ -279,7 +276,7 @@ func New(sys *vscc.System, sink *trace.Sink, opts Options) *Scheduler {
 		s.free = append(s.free, alive)
 		s.lutFree = append(s.lutFree, opts.LUTSlotsPerDevice)
 	}
-	sys.Task.EnableQoS(opts.DRRQuantum)
+	sys.Task.EnableQoS()
 	return s
 }
 

@@ -120,14 +120,8 @@ type Region struct {
 // Name returns the region's unique name.
 func (rg *Region) Name() string { return rg.name }
 
-// Size returns the region's footprint in bytes.
-func (rg *Region) Size() int { return rg.bytes }
-
 // Owner returns the owning worker rank (valid after Run/RunSerial).
 func (rg *Region) Owner() int { return rg.owner }
-
-// Version returns the number of completed writes.
-func (rg *Region) Version() int { return rg.version }
 
 // Snapshot returns a copy of the region's current contents.
 func (rg *Region) Snapshot() []byte { return append([]byte(nil), rg.data...) }
@@ -163,12 +157,6 @@ type Task struct {
 	startSeq   int
 	doneSeq    int
 }
-
-// ID returns the task's creation index.
-func (t *Task) ID() int { return t.id }
-
-// Name returns the task's name.
-func (t *Task) Name() string { return t.name }
 
 // ExecutedBy returns the worker that ran the task (valid once done).
 func (t *Task) ExecutedBy() int { return t.executedBy }
@@ -914,12 +902,5 @@ func (tc *TaskCtx) Data(rg *Region) []byte {
 func (tc *TaskCtx) ComputeFlops(n float64) {
 	if tc.r != nil {
 		tc.r.ComputeFlops(n)
-	}
-}
-
-// Delay charges generic instruction work to the executing core.
-func (tc *TaskCtx) Delay(d sim.Cycles) {
-	if tc.r != nil {
-		tc.r.Ctx().Delay(d)
 	}
 }

@@ -107,6 +107,27 @@ func TestWriteChromeSkipsNilSinks(t *testing.T) {
 	}
 }
 
+// What WriteChrome exports, ReadChrome decodes and WriteEvents writes
+// back byte for byte: vscctrace's merged files are in the exporter's
+// own dialect.
+func TestChromeRoundTrip(t *testing.T) {
+	var exported bytes.Buffer
+	if err := WriteChrome(&exported, []Capture{buildTestCapture(t)}); err != nil {
+		t.Fatal(err)
+	}
+	events, err := ReadChrome(bytes.NewReader(exported.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var back bytes.Buffer
+	if err := WriteEvents(&back, events); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(back.Bytes(), exported.Bytes()) {
+		t.Errorf("round trip differs:\n%s\n--- want\n%s", back.String(), exported.String())
+	}
+}
+
 func TestQuoteJSONEscapes(t *testing.T) {
 	for in, want := range map[string]string{
 		"plain":      `"plain"`,

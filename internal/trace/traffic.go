@@ -39,9 +39,6 @@ func (m *Matrix) Record(src, dest, bytes int) {
 	m.bytes[src][dest] += uint64(bytes)
 }
 
-// N returns the rank count.
-func (m *Matrix) N() int { return m.n }
-
 // Bytes returns the volume sent from src to dest.
 func (m *Matrix) Bytes(src, dest int) uint64 { return m.bytes[src][dest] }
 

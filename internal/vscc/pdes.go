@@ -172,9 +172,6 @@ func (s *PDESSystem) Instrument(sinks []*trace.Sink) {
 // hostIdx returns the host kernel's index.
 func (s *PDESSystem) hostIdx() int { return s.Config.Devices }
 
-// TotalCores returns the number of available cores across all devices.
-func (s *PDESSystem) TotalCores() int { return totalCores(s.Chips) }
-
 // Run drives the decomposed simulation to completion.
 func (s *PDESSystem) Run() error { return s.PDES.Run(s.workers) }
 
