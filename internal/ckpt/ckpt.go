@@ -22,6 +22,9 @@ type Record struct {
 type Log struct {
 	snap [][]byte
 	tail []Record
+	// arena holds the journaled bytes the tail's records slice, in
+	// write order; a checkpoint empties it for reuse.
+	arena []byte
 
 	snaps      int // checkpoints taken
 	snapBytes  int // total snapshot payload
@@ -39,13 +42,16 @@ func (l *Log) Note(bank, off int, data []byte) {
 	if l == nil || len(data) == 0 {
 		return
 	}
-	l.tail = append(l.tail, Record{Bank: bank, Off: off, Data: append([]byte(nil), data...)})
+	start := len(l.arena)
+	l.arena = append(l.arena, data...)
+	l.tail = append(l.tail, Record{Bank: bank, Off: off, Data: l.arena[start:len(l.arena):len(l.arena)]})
 	l.tailWrites++
 	l.tailBytes += len(data)
 }
 
-// Checkpoint snapshots the bank images (copied) and truncates the
-// journal — the quiesce-point capture.
+// Checkpoint snapshots the bank images (copied: the caller may hand in
+// views of live memory) and truncates the journal — the quiesce-point
+// capture.
 func (l *Log) Checkpoint(banks [][]byte) {
 	if l == nil {
 		return
@@ -62,6 +68,7 @@ func (l *Log) Checkpoint(banks [][]byte) {
 		total += len(b)
 	}
 	l.tail = l.tail[:0]
+	l.arena = l.arena[:0]
 	l.tailWrites = 0
 	l.tailBytes = 0
 	l.snaps++

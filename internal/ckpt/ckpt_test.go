@@ -109,3 +109,35 @@ func TestNilLogIsInert(t *testing.T) {
 		t.Error("nil log has checkpoints")
 	}
 }
+
+// After the first interval the journal and the snapshot reuse their
+// storage: a steady interval of notes and a checkpoint allocates nothing,
+// and the caller's buffers — a reused note buffer, live bank views — may
+// change afterwards without touching what was journaled.
+func TestIntervalAllocatesNothing(t *testing.T) {
+	l := NewLog()
+	banks := [][]byte{make([]byte, 256), make([]byte, 256)}
+	note := make([]byte, 32)
+	interval := func() {
+		for i := 0; i < 16; i++ {
+			note[0] = byte(i)
+			l.Note(i%2, 8*i, note[:1+i])
+		}
+		l.Checkpoint(banks)
+	}
+	interval()
+	if allocs := testing.AllocsPerRun(20, interval); allocs != 0 {
+		t.Errorf("steady checkpoint interval allocates %v times, want 0", allocs)
+	}
+
+	l.Note(1, 4, []byte{1, 2, 3})
+	note[0] = 7
+	l.Note(0, 0, note[:1])
+	note[0] = 9 // reused by the caller after the note
+	banks[1][100] = 0xEE
+	got, writes, _ := l.Restore()
+	if writes != 2 || got[0][0] != 7 || !bytes.Equal(got[1][4:7], []byte{1, 2, 3}) || got[1][100] != 0 {
+		t.Errorf("restore after reused buffers: %d writes, bank0[0]=%d, bank1[4:7]=%v, bank1[100]=%#x",
+			writes, got[0][0], got[1][4:7], got[1][100])
+	}
+}

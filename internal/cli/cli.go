@@ -1,8 +1,9 @@
 // Package cli is the command layer the simulation commands share: a
 // flag set that reports instead of exiting, the flags they have in
 // common (declared, with their help text, once), the wiring of those
-// flags into the harness's process-wide settings, and the metrics and
-// trace outputs. Every Command.Run leaves those settings at their
+// flags into the harness's process-wide settings, the metrics and
+// trace outputs, and the CPU and memory profiles every command can
+// write. Every Command.Run leaves those settings at their
 // defaults and the previous observer installed when it returns, so a
 // test can drive one command after another in one process.
 package cli
@@ -13,6 +14,8 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
+	"runtime/pprof"
 
 	"vscc/internal/harness"
 	"vscc/internal/trace"
@@ -22,17 +25,22 @@ import (
 // output streams and the shared flags it declared.
 type Command struct {
 	*flag.FlagSet
-	stdout, stderr io.Writer
-	shared         *Flags
-	sweep          bool
+	stdout, stderr         io.Writer
+	shared                 *Flags
+	sweep                  bool
+	cpuProfile, memProfile string
 }
 
 // New returns a command whose flag set is named name and reports flag
-// errors and -h usage on stderr.
+// errors and -h usage on stderr. Every command has -cpuprofile and
+// -memprofile: Run profiles the body into those files.
 func New(name string, stdout, stderr io.Writer) *Command {
 	fs := flag.NewFlagSet(name, flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	return &Command{FlagSet: fs, stdout: stdout, stderr: stderr}
+	c := &Command{FlagSet: fs, stdout: stdout, stderr: stderr}
+	fs.StringVar(&c.cpuProfile, "cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
+	fs.StringVar(&c.memProfile, "memprofile", "", "write an allocation profile of the run to this file (go tool pprof)")
+	return c
 }
 
 // Flags are the values of the shared flags.
@@ -78,11 +86,48 @@ func (c *Command) Run(args []string, body func() error) int {
 		}
 		return 2
 	}
-	if err := c.run(body); err != nil {
+	if err := c.profiled(body); err != nil {
 		fmt.Fprintf(c.stderr, "%s: %v\n", c.Name(), err)
 		return 1
 	}
 	return 0
+}
+
+// profiled runs the command under the requested profiles: the CPU
+// profile spans the run, the allocation profile is written after it.
+func (c *Command) profiled(body func() error) (err error) {
+	if c.cpuProfile != "" {
+		f, err := os.Create(c.cpuProfile)
+		if err != nil {
+			return err
+		}
+		if err := pprof.StartCPUProfile(f); err != nil {
+			f.Close()
+			return err
+		}
+		defer func() {
+			pprof.StopCPUProfile()
+			if cerr := f.Close(); err == nil {
+				err = cerr
+			}
+		}()
+	}
+	if err := c.run(body); err != nil {
+		return err
+	}
+	if c.memProfile == "" {
+		return nil
+	}
+	f, err := os.Create(c.memProfile)
+	if err != nil {
+		return err
+	}
+	runtime.GC() // settle the profile on the run's final statistics
+	if err := pprof.Lookup("allocs").WriteTo(f, 0); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 func (c *Command) run(body func() error) error {

@@ -3,6 +3,7 @@ package cli
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -95,5 +96,38 @@ func TestSweepAppliesFlagsAndResets(t *testing.T) {
 	}
 	if probed != 1 {
 		t.Errorf("caller's observer saw %d points after Run, want 1", probed)
+	}
+}
+
+// -cpuprofile and -memprofile write both profiles around the run and
+// leave what the command prints byte-for-byte unchanged.
+func TestProfileFlags(t *testing.T) {
+	runDemo := func(args ...string) string {
+		var stdout, stderr bytes.Buffer
+		c := New("demo", &stdout, &stderr)
+		c.Sweep()
+		code := c.Run(append(args, "-metrics"), func() error {
+			pts, err := harness.OnChipPingPong(nil, 0, 1, []int{64, 4096}, 2)
+			for _, p := range pts {
+				fmt.Fprintf(&stdout, "%d %d %.3f\n", p.Size, p.Cycles, p.MBps)
+			}
+			return err
+		})
+		if code != 0 {
+			t.Fatalf("Run(%q) = %d: %s", args, code, stderr.String())
+		}
+		return stdout.String()
+	}
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.pprof"), filepath.Join(dir, "mem.pprof")
+	plain := runDemo()
+	profiled := runDemo("-cpuprofile", cpu, "-memprofile", mem)
+	if profiled != plain {
+		t.Errorf("stdout changed under profiling:\n%s\nwant\n%s", profiled, plain)
+	}
+	for _, path := range []string{cpu, mem} {
+		if fi, err := os.Stat(path); err != nil || fi.Size() == 0 {
+			t.Errorf("profile %s not written: %v", filepath.Base(path), err)
+		}
 	}
 }

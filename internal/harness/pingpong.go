@@ -43,6 +43,9 @@ func pingPong(mk func() (*rcce.Session, error), a, b, size, reps int) (PingPongP
 	params := session.Chip(a).Params
 	var start, end sim.Cycles
 	runErr := session.Run(func(r *rcce.Rank) {
+		if r.ID() != a && r.ID() != b {
+			return // a session's other ranks idle
+		}
 		msg := make([]byte, size)
 		for i := range msg {
 			msg[i] = byte(i * 31)

@@ -27,10 +27,15 @@ const LMBSize = 16 * 1024
 const CoreLMBSize = LMBSize / 2
 
 // LMB is one tile's local memory buffer: a plain on-chip SRAM holding
-// real bytes.
+// real bytes. Its storage is allocated by the first Write; until then
+// the buffer reads as zeros.
 type LMB struct {
-	data []byte
+	size int
+	data []byte // nil until written
 }
+
+// zeroBank backs the View of an untouched LMB.
+var zeroBank [LMBSize]byte
 
 // NewLMB returns a zeroed LMB of the given size (use LMBSize for an SCC
 // tile).
@@ -38,36 +43,58 @@ func NewLMB(size int) *LMB {
 	if size <= 0 || size%LineSize != 0 {
 		panic(fmt.Sprintf("mem: LMB size %d not a positive multiple of %d", size, LineSize))
 	}
-	return &LMB{data: make([]byte, size)}
+	return &LMB{size: size}
 }
 
 // Size returns the buffer capacity in bytes.
-func (l *LMB) Size() int { return len(l.data) }
+func (l *LMB) Size() int { return l.size }
 
 // Read copies len(buf) bytes starting at off into buf.
 func (l *LMB) Read(off int, buf []byte) {
 	l.check(off, len(buf))
+	if l.data == nil {
+		clear(buf)
+		return
+	}
 	copy(buf, l.data[off:])
 }
 
 // Write copies data into the buffer at off.
 func (l *LMB) Write(off int, data []byte) {
 	l.check(off, len(data))
+	if l.data == nil {
+		l.data = make([]byte, l.size)
+	}
 	copy(l.data[off:], data)
+}
+
+// Zero clears the buffer in place.
+func (l *LMB) Zero() { clear(l.data) }
+
+// View returns the buffer's whole contents without copying. It aliases
+// live storage — or, for an untouched buffer, a shared zero image — so
+// callers must only read it, and only until the next Write.
+func (l *LMB) View() []byte {
+	if l.data == nil {
+		if l.size <= len(zeroBank) {
+			return zeroBank[:l.size:l.size]
+		}
+		return make([]byte, l.size)
+	}
+	return l.data
 }
 
 // Line returns a copy of the 32-byte line containing off.
 func (l *LMB) Line(off int) [LineSize]byte {
 	base := off &^ (LineSize - 1)
-	l.check(base, LineSize)
 	var line [LineSize]byte
-	copy(line[:], l.data[base:])
+	l.Read(base, line[:])
 	return line
 }
 
 func (l *LMB) check(off, n int) {
-	if off < 0 || n < 0 || off+n > len(l.data) {
-		panic(fmt.Sprintf("mem: LMB access [%d,%d) outside %d-byte buffer", off, off+n, len(l.data)))
+	if off < 0 || n < 0 || off+n > l.size {
+		panic(fmt.Sprintf("mem: LMB access [%d,%d) outside %d-byte buffer", off, off+n, l.size))
 	}
 }
 

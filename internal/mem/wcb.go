@@ -11,6 +11,8 @@ type WCB struct {
 	key   uint64
 	buf   [LineSize]byte
 	mask  uint32 // bit i set = byte i written
+	// out is the last drained line, handed out by pointer.
+	out Pending
 
 	merges  uint64
 	drains  uint64
@@ -56,13 +58,14 @@ func NextRun(mask uint32, from, limit int) (lo, hi int) {
 // Write merges a store of data at byte offset off into the line keyed by
 // key. If the WCB currently holds a different line, that line drains and
 // is returned; otherwise drained is nil. len(data) must fit in the line.
+// A drained line belongs to the WCB: it stays valid until the next Write
+// or Flush.
 func (w *WCB) Write(key uint64, off int, data []byte) (drained *Pending) {
 	if off < 0 || off+len(data) > LineSize {
 		panic("mem: WCB write outside line")
 	}
 	if w.valid && w.key != key {
-		d := w.take()
-		drained = &d
+		drained = w.take()
 	}
 	if !w.valid {
 		w.valid = true
@@ -78,13 +81,13 @@ func (w *WCB) Write(key uint64, off int, data []byte) (drained *Pending) {
 	return drained
 }
 
-// Flush drains the buffered line, if any.
+// Flush drains the buffered line, if any, valid until the next Write or
+// Flush.
 func (w *WCB) Flush() *Pending {
 	if !w.valid {
 		return nil
 	}
-	d := w.take()
-	return &d
+	return w.take()
 }
 
 // Dirty reports whether a line is buffered.
@@ -94,14 +97,14 @@ func (w *WCB) Dirty() bool { return w.valid }
 // the scc consistency checker to flag reads overlapping combined stores.
 func (w *WCB) PendingKey() (key uint64, ok bool) { return w.key, w.valid }
 
-func (w *WCB) take() Pending {
-	p := Pending{Key: w.key, Data: w.buf, Mask: w.mask}
+func (w *WCB) take() *Pending {
+	w.out = Pending{Key: w.key, Data: w.buf, Mask: w.mask}
 	w.valid = false
 	w.drains++
-	if !p.Full() {
+	if !w.out.Full() {
 		w.partial++
 	}
-	return p
+	return &w.out
 }
 
 // WCBStats is a snapshot of write-combine counters.

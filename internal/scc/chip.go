@@ -49,7 +49,8 @@ type Core struct {
 	L1   *mem.L1
 	WCB  mem.WCB
 	TAS  mem.TestAndSet
-	// LUT is the core's address lookup table (see lut.go).
+	// LUT is the core's address lookup table (see lut.go); the cores of
+	// a chip share the boot-time table until one of them remaps a page.
 	LUT *LUT
 
 	// fillGen shadows the L1 for the consistency checker: the line
@@ -119,12 +120,13 @@ func NewChip(k *sim.Kernel, index int, params Params) *Chip {
 		}
 		c.Tiles = append(c.Tiles, tile)
 	}
+	lut := DefaultLUT(index)
 	for id := 0; id < NumCores; id++ {
 		c.Cores = append(c.Cores, &Core{
 			ID:   id,
 			Tile: c.Tiles[CoreTile(id)],
 			L1:   mem.NewL1(params.L1MPBTLines),
-			LUT:  DefaultLUT(index),
+			LUT:  lut.Share(),
 			chip: c,
 		})
 		c.alive[id] = true
@@ -246,11 +248,20 @@ func (c *Chip) barrier(p *sim.Proc) {
 func (c *Chip) SnapshotLMB() [][]byte {
 	out := make([][]byte, len(c.Tiles))
 	for i, t := range c.Tiles {
-		img := make([]byte, t.LMB.Size())
-		t.LMB.Read(0, img)
-		out[i] = img
+		out[i] = append([]byte(nil), t.LMB.View()...)
 	}
 	return out
+}
+
+// ViewLMB appends to dst[:0] every tile's live LMB image, uncopied (see
+// mem.LMB.View): what a reader that copies anyway, like the checkpoint
+// log, takes instead of SnapshotLMB.
+func (c *Chip) ViewLMB(dst [][]byte) [][]byte {
+	dst = dst[:0]
+	for _, t := range c.Tiles {
+		dst = append(dst, t.LMB.View())
+	}
+	return dst
 }
 
 // LoadLMB overwrites every tile's LMB with a restored image, bypassing
@@ -273,10 +284,9 @@ func (c *Chip) LoadLMB(img [][]byte) {
 // are lost the instant the device goes down.
 func (c *Chip) WipeLMB() {
 	for i, t := range c.Tiles {
-		zero := make([]byte, t.LMB.Size())
-		t.LMB.Write(0, zero)
+		t.LMB.Zero()
 		if c.check != nil {
-			c.check.bumpRange(c.Index, i, 0, len(zero))
+			c.check.bumpRange(c.Index, i, 0, t.LMB.Size())
 		}
 		t.changed.Broadcast()
 	}

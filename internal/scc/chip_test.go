@@ -365,3 +365,96 @@ func TestPropertyDeterministicTiming(t *testing.T) {
 		}
 	}
 }
+
+// echoPort is an off-chip port that answers every read with a line of
+// 0x5A and swallows every write, without allocating.
+type echoPort struct{ writes int }
+
+func (e *echoPort) ReadLine(p *sim.Proc, srcDev, srcCore, dev, tile, off int, buf []byte) {
+	for i := range buf {
+		buf[i] = 0x5A
+	}
+}
+
+func (e *echoPort) WriteLine(p *sim.Proc, srcDev, srcCore, dev, tile, off int, data []byte, mask uint32) {
+	e.writes++
+}
+
+func (e *echoPort) MMIOWriteLine(p *sim.Proc, srcDev, srcCore, hostDev, off int, data []byte, mask uint32) {
+	e.writes++
+}
+
+func (e *echoPort) MMIORead(p *sim.Proc, srcDev, srcCore, hostDev, off int, buf []byte) {}
+
+// A warm core reads and writes MPB lines, on-chip and across the
+// off-chip port, with cache misses and write-combine drains, without
+// allocating: the fetch line, the cached lines and the drained line are
+// all storage the core already owns.
+func TestMPBLineOpsAllocateNothing(t *testing.T) {
+	k := sim.NewKernel()
+	c := newTestChip(k)
+	port := &echoPort{}
+	c.OffChip = port
+	var allocs float64
+	buf := make([]byte, 3*32)
+	data := []byte("forty bytes of payload for two lines....")
+	c.Launch(0, "warm", func(ctx *Ctx) {
+		round := func() {
+			ctx.InvalidateMPB()
+			ctx.ReadMPB(1, 3, 0, buf)
+			ctx.ReadMPB(0, 3, 0, buf)
+			ctx.ReadMPB(0, 3, 0, buf) // L1 hits
+			ctx.WriteMPB(1, 3, 0, data)
+			ctx.WriteMPB(0, 3, 64, data)
+			ctx.FlushWCB()
+		}
+		round()
+		allocs = testing.AllocsPerRun(50, round)
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if allocs != 0 {
+		t.Errorf("warm ReadMPB/WriteMPB round allocates %v times, want 0", allocs)
+	}
+	if port.writes == 0 {
+		t.Error("no write crossed the off-chip port")
+	}
+}
+
+// An untouched tile reads as zeros, and survives snapshot, wipe and
+// restore byte-equal next to a written one — before and after either
+// is given storage.
+func TestUntouchedTileSnapshotWipeRestore(t *testing.T) {
+	k := sim.NewKernel()
+	c := newTestChip(k)
+	c.HostWriteLMB(5, 100, []byte("written"))
+	got := make([]byte, 64)
+	c.HostReadLMB(6, 0, got)
+	if !bytes.Equal(got, make([]byte, 64)) {
+		t.Fatalf("untouched tile reads %v, want zeros", got)
+	}
+	img := c.SnapshotLMB()
+	views := c.ViewLMB(nil)
+	for i := range img {
+		if len(img[i]) != c.Tiles[i].LMB.Size() || !bytes.Equal(img[i], views[i]) {
+			t.Fatalf("tile %d: snapshot and view differ", i)
+		}
+	}
+	c.WipeLMB()
+	for i, v := range c.ViewLMB(views) {
+		if !bytes.Equal(v, make([]byte, len(v))) {
+			t.Fatalf("tile %d not zero after wipe", i)
+		}
+	}
+	c.LoadLMB(img)
+	for i, v := range c.SnapshotLMB() {
+		if !bytes.Equal(v, img[i]) {
+			t.Fatalf("tile %d: restored image differs from the snapshot", i)
+		}
+	}
+	c.HostReadLMB(5, 100, got[:7])
+	if string(got[:7]) != "written" {
+		t.Errorf("restored tile 5 reads %q", got[:7])
+	}
+}

@@ -14,6 +14,9 @@ import (
 type Ctx struct {
 	Core *Core
 	Proc *sim.Proc
+
+	// line is ReadMPB's fetch buffer, lent to the off-chip port.
+	line [mem.LineSize]byte
 }
 
 // chip returns the owning device.
@@ -96,18 +99,18 @@ func (c *Ctx) ReadMPB(dev, tile, off int, buf []byte) {
 			n += chunk
 			continue
 		}
-		var line [mem.LineSize]byte
+		line := c.line[:]
 		if dev == chip.Index {
 			cost := p.LocalMPBReadCycles
 			if hops := chip.Mesh.Hops(c.Core.Tile.Coord, TileCoord(tile)); hops > 0 {
 				cost = p.RemoteReadBaseCycles + sim.Cycles(hops)*p.PerHopCycles
 			}
 			c.Proc.Delay(cost)
-			chip.readLMB(tile, lineBase, line[:])
+			chip.readLMB(tile, lineBase, line)
 		} else {
-			chip.offChip().ReadLine(c.Proc, chip.Index, c.Core.ID, dev, tile, lineBase, line[:])
+			chip.offChip().ReadLine(c.Proc, chip.Index, c.Core.ID, dev, tile, lineBase, line)
 		}
-		c.Core.L1.Fill(key, line)
+		c.Core.L1.Fill(key, c.line)
 		if ck := chip.check; ck != nil {
 			c.Core.fillGen[key] = ck.gen(key)
 		}
@@ -161,18 +164,18 @@ func (c *Ctx) drain(pd *mem.Pending) {
 	tile := int(pd.Key >> 20 & 0xFFFFF)
 	lineBase := int(pd.Key&0xFFFFF) * mem.LineSize
 	// Write-through: update our own cached copy if resident.
-	c.applyMasked(func(off int, b []byte) {
-		c.Core.L1.UpdateIfPresent(pd.Key, off, b)
-	}, pd)
+	for lo, hi := mem.NextRun(pd.Mask, 0, mem.LineSize); lo < hi; lo, hi = mem.NextRun(pd.Mask, hi, mem.LineSize) {
+		c.Core.L1.UpdateIfPresent(pd.Key, lo, pd.Data[lo:hi])
+	}
 	if dev == chip.Index {
 		cost := p.LocalMPBWriteCycles
 		if hops := chip.Mesh.Hops(c.Core.Tile.Coord, TileCoord(tile)); hops > 0 {
 			cost = p.RemoteWriteBaseCycles + sim.Cycles(hops)*p.PerHopCycles
 		}
 		c.Proc.Delay(cost)
-		c.applyMasked(func(off int, b []byte) {
-			chip.writeLMB(tile, lineBase+off, b)
-		}, pd)
+		for lo, hi := mem.NextRun(pd.Mask, 0, mem.LineSize); lo < hi; lo, hi = mem.NextRun(pd.Mask, hi, mem.LineSize) {
+			chip.writeLMB(tile, lineBase+lo, pd.Data[lo:hi])
+		}
 		if ck := chip.check; ck != nil {
 			// The write-through L1 update above keeps this core's cached
 			// copy current with its own store (disjoint-writer rule).
@@ -181,24 +184,6 @@ func (c *Ctx) drain(pd *mem.Pending) {
 		return
 	}
 	chip.offChip().WriteLine(c.Proc, chip.Index, c.Core.ID, dev, tile, lineBase, pd.Data[:], pd.Mask)
-}
-
-// applyMasked invokes fn for each contiguous run of valid bytes in a
-// drained line.
-func (c *Ctx) applyMasked(fn func(off int, b []byte), pd *mem.Pending) {
-	i := 0
-	for i < mem.LineSize {
-		if pd.Mask&(1<<uint(i)) == 0 {
-			i++
-			continue
-		}
-		j := i
-		for j < mem.LineSize && pd.Mask&(1<<uint(j)) != 0 {
-			j++
-		}
-		fn(i, pd.Data[i:j])
-		i = j
-	}
 }
 
 // MMIOWrite stores to a host memory-mapped register through the WCB, so

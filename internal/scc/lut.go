@@ -41,9 +41,12 @@ type LUTEntry struct {
 	Dev, Tile, Off int
 }
 
-// LUT is a core's address translation table.
+// LUT is a core's address translation table. The cores of a device
+// start out sharing one table (see Share) and a core copies it on its
+// first Map that changes an entry.
 type LUT struct {
-	entries [LUTEntries]LUTEntry
+	entries *[LUTEntries]LUTEntry
+	shared  bool // entries belong to the device, not to this core
 }
 
 // VAddr is a 32-bit core-local virtual address.
@@ -55,14 +58,22 @@ func (a VAddr) Page() int { return int(a >> 24) }
 // PageOff returns the offset within the page.
 func (a VAddr) PageOff() int { return int(a & (LUTPageBytes - 1)) }
 
-// Map installs a page mapping.
+// Map installs a page mapping in this core's table alone.
 func (l *LUT) Map(page int, e LUTEntry) error {
 	if page < 0 || page >= LUTEntries {
 		return fmt.Errorf("scc: LUT page %d out of range", page)
 	}
+	if l.shared && l.entries[page] != e {
+		own := *l.entries
+		l.entries, l.shared = &own, false
+	}
 	l.entries[page] = e
 	return nil
 }
+
+// Share returns a LUT of another core reading this table until its
+// first divergent Map.
+func (l *LUT) Share() *LUT { return &LUT{entries: l.entries, shared: true} }
 
 // Entry returns a page's mapping.
 func (l *LUT) Entry(page int) LUTEntry { return l.entries[page] }
@@ -82,7 +93,7 @@ func (l *LUT) Resolve(a VAddr) (LUTEntry, int, error) {
 // all 24 tiles' LMBs consecutively), page 0xF9 the host MMIO window —
 // a simplified rendition of sccKit's default map.
 func DefaultLUT(dev int) *LUT {
-	l := &LUT{}
+	l := &LUT{entries: new([LUTEntries]LUTEntry)}
 	l.entries[0] = LUTEntry{Kind: LUTPrivate, Dev: dev}
 	l.entries[MPBPage] = LUTEntry{Kind: LUTMPB, Dev: dev, Tile: 0, Off: 0}
 	l.entries[MMIOPage] = LUTEntry{Kind: LUTHostMMIO, Dev: dev, Off: 0}
@@ -102,9 +113,16 @@ const (
 )
 
 // MapRemoteDevice installs the vSCC extension mapping for device d's MPB
-// window.
+// window. The mapping is the same on every core of a vSCC, so it lands
+// in whatever table the core reads, shared or not, without a copy: the
+// cores still sharing the device table see it too.
 func (l *LUT) MapRemoteDevice(d int) error {
-	return l.Map(RemoteMPBPageBase+d, LUTEntry{Kind: LUTMPB, Dev: d, Tile: 0, Off: 0})
+	page := RemoteMPBPageBase + d
+	if page >= LUTEntries {
+		return fmt.Errorf("scc: LUT page %d out of range", page)
+	}
+	l.entries[page] = LUTEntry{Kind: LUTMPB, Dev: d, Tile: 0, Off: 0}
+	return nil
 }
 
 // MPBAddr builds the virtual address of (tile, off) in the own-device

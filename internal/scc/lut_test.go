@@ -116,3 +116,29 @@ func TestReadVWriteVThroughLUT(t *testing.T) {
 		t.Errorf("ReadV = %q, want %q", got, msg)
 	}
 }
+
+// The cores of a chip share one boot-time table: a remap on one core is
+// its own, while a vSCC remote window lands on every core still sharing.
+func TestLUTMapDoesNotLeakToSiblings(t *testing.T) {
+	c := NewChip(sim.NewKernel(), 0, DefaultParams())
+	a, b := c.Cores[0].LUT, c.Cores[1].LUT
+	e := LUTEntry{Kind: LUTMPB, Dev: 0, Tile: 3}
+	if err := a.Map(0x42, e); err != nil {
+		t.Fatal(err)
+	}
+	if a.Entry(0x42) != e || b.Entry(0x42).Kind != LUTUnmapped {
+		t.Fatalf("after core 0 maps page 0x42: core 0 %+v, core 1 %+v", a.Entry(0x42), b.Entry(0x42))
+	}
+	if b.Entry(MPBPage) != a.Entry(MPBPage) || b.Entry(MMIOPage).Kind != LUTHostMMIO {
+		t.Error("core 0's copy lost the default pages")
+	}
+	if err := b.MapRemoteDevice(2); err != nil {
+		t.Fatal(err)
+	}
+	if c.Cores[47].LUT.Entry(RemoteMPBPageBase+2).Dev != 2 {
+		t.Error("remote window not visible on a sharing sibling")
+	}
+	if a.Entry(RemoteMPBPageBase+2).Kind != LUTUnmapped {
+		t.Error("remote window leaked into a core with its own table")
+	}
+}

@@ -7,6 +7,11 @@ import "vscc/internal/sim"
 // run in the calling core's process context and block according to the
 // configured acknowledgement mode (see package pcie); they are the data
 // transfer layer the paper's communication task sits behind.
+//
+// The data and buf slices are borrowed for the call: they alias the
+// core's write-combine line or fetch buffer, which the core reuses for
+// its next store or read. An implementation that needs the bytes after
+// it returns copies them.
 type OffChipPort interface {
 	// ReadLine fetches one 32-byte-aligned MPB line of a foreign device
 	// into buf (len 32), blocking until the response arrives.

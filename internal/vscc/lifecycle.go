@@ -74,6 +74,8 @@ type devLifecycle struct {
 	// journal-replay totals for the replay.* counters.
 	img                 [][]byte
 	imgWrites, imgBytes int
+	// views is the reused slice of live bank views a checkpoint reads.
+	views [][]byte
 }
 
 // arm wires the lifecycle into its chip — the gate, and the store
@@ -90,7 +92,14 @@ func (l *devLifecycle) arm() {
 	l.chip.SetWriteObserver(func(tile, off int, data []byte) {
 		l.log.Note(tile, off, data)
 	})
-	l.log.Checkpoint(l.chip.SnapshotLMB())
+	l.snapshot()
+}
+
+// snapshot checkpoints the chip's live memory: the log copies the bank
+// views, so no intermediate image is built.
+func (l *devLifecycle) snapshot() {
+	l.views = l.chip.ViewLMB(l.views)
+	l.log.Checkpoint(l.views)
 }
 
 // outageTimes returns a fault schedule's default outage length and its
@@ -133,10 +142,9 @@ func (l *devLifecycle) checkpoint() {
 	if l.state != DevUp {
 		return
 	}
-	banks := l.chip.SnapshotLMB()
-	l.log.Checkpoint(banks)
+	l.snapshot()
 	total := 0
-	for _, b := range banks {
+	for _, b := range l.views {
 		total += len(b)
 	}
 	l.count("ckpt.take", 1)
@@ -194,7 +202,7 @@ func (l *devLifecycle) restore(wipe bool) {
 		l.count("replay.writes", int64(l.imgWrites))
 		l.count("replay.bytes", int64(l.imgBytes))
 		l.img = nil
-		l.log.Checkpoint(l.chip.SnapshotLMB())
+		l.snapshot()
 	}
 	l.state = DevUp
 }

@@ -16,12 +16,15 @@ import (
 type pairSeq struct {
 	out uint64 // chunks the sender issued
 	in  uint64 // chunks the receiver drained
-	// cmd is the last vDMA command this pair's sender programmed; the
-	// recovery ladder re-issues it when a wait on its effects times out
-	// (re-copying the newest chunk is idempotent: same data, same flag
-	// values, and flag counters never move backward under re-issue).
-	cmd     host.BankCommand
-	haveCmd bool
+}
+
+// lastCmd is the last vDMA command a pair's sender programmed; the
+// recovery ladder re-issues it when a wait on its effects times out
+// (re-copying the newest chunk is idempotent: same data, same flag
+// values, and flag counters never move backward under re-issue).
+type lastCmd struct {
+	cmd host.BankCommand
+	ok  bool
 }
 
 // seqVal encodes a chunk sequence number as a non-zero flag byte.
@@ -39,11 +42,16 @@ type interDeviceProtocol struct {
 	// seqs holds the per-ordered-pair counters, pre-allocated as a flat
 	// nRanks×nRanks array rather than a lazily-grown map: under PDES a
 	// pair's sender and receiver run on different kernels, and while
-	// they touch disjoint fields of the same pairSeq (sender: out/cmd,
+	// they touch disjoint fields of the same pairSeq (sender: out,
 	// receiver: in — race-free by the Go memory model), a map mutated on
 	// first use would race structurally.
 	seqs   []pairSeq
 	nRanks int
+	// cmds holds, per sender rank, a row of lastCmd per receiver,
+	// allocated by the sender's first engaged vDMA send. Only the
+	// sender's kernel touches its row — the single-writer argument of
+	// published.
+	cmds [][]lastCmd
 	// slot is the vDMA double-buffer slot size: vdmaHalf unless the
 	// ablation knob overrides it. At most half the payload area.
 	slot int
@@ -75,6 +83,7 @@ func (cfg Config) newProtocol(scheme Scheme, n int) (*interDeviceProtocol, error
 		slot:      vdmaHalf,
 		seqs:      make([]pairSeq, n*n),
 		nRanks:    n,
+		cmds:      make([][]lastCmd, n),
 		published: make([]int, n),
 	}
 	if ip.threshold == 0 {
@@ -156,13 +165,13 @@ func (ip *interDeviceProtocol) awaitSent(r *rcce.Rank, src int) {
 
 // rearmVDMA returns the re-programming action for a pair's newest vDMA
 // command (nil before the first command).
-func (ip *interDeviceProtocol) rearmVDMA(r *rcce.Rank, st *pairSeq) func() {
+func (ip *interDeviceProtocol) rearmVDMA(r *rcce.Rank, last *lastCmd) func() {
 	return func() {
-		if !st.haveCmd {
+		if !last.ok {
 			return
 		}
 		ip.faults.RecordRecovery("vdma-rearm", "vscc.vdma", r.Session().PlaceOf(r.ID()).Dev)
-		ip.mmio(r, st.cmd)
+		ip.mmio(r, last.cmd)
 	}
 }
 
@@ -183,6 +192,15 @@ func (ip *interDeviceProtocol) Name() string {
 
 func (ip *interDeviceProtocol) pair(src, dst int) *pairSeq {
 	return &ip.seqs[src*ip.nRanks+dst]
+}
+
+// lastCmd returns the slot of src's newest vDMA command toward dst; only
+// src's own process may call it.
+func (ip *interDeviceProtocol) lastCmd(src, dst int) *lastCmd {
+	if ip.cmds[src] == nil {
+		ip.cmds[src] = make([]lastCmd, ip.nRanks)
+	}
+	return &ip.cmds[src][dst]
 }
 
 // engaged reports whether an n-byte message engages the host machinery:
@@ -500,11 +518,14 @@ func (ip *interDeviceProtocol) seqSend(r *rcce.Rank, dest int, data []byte, enga
 		engaged = false
 		ip.faults.RecordRecovery("degraded-send", "vscc.vdma", -1)
 	}
-	rearm := ip.rearmVDMA(r, st)
-	if !engaged {
-		// A re-issued command from an earlier message would overwrite the
-		// directly-written counters with stale values; never re-arm here.
-		rearm = nil
+	// Without the engine, a re-issued command from an earlier message
+	// would overwrite the directly-written counters with stale values;
+	// never re-arm then.
+	var last *lastCmd
+	var rearm func()
+	if engaged {
+		last = ip.lastCmd(r.ID(), dest)
+		rearm = ip.rearmVDMA(r, last)
 	}
 	for len(data) > 0 {
 		n := min(len(data), ip.slot)
@@ -523,7 +544,7 @@ func (ip *interDeviceProtocol) seqSend(r *rcce.Rank, dest int, data []byte, enga
 				ip.waitCount(r, "vscc.vdma.dmac", rcce.FlagDMAC, dest, func(b byte) bool { return reached(b, seq-2) }, rearm)
 				tl.Record("sender", "waitdma", t0, r.Now())
 			}
-			st.cmd, st.haveCmd = ip.putAndProgram(r, dest, seq, data[:n]), true
+			last.cmd, last.ok = ip.putAndProgram(r, dest, seq, data[:n]), true
 		} else {
 			t0 = r.Now()
 			ctx.CopyPrivate(n)
