@@ -132,6 +132,25 @@ func BenchmarkKernelEventThroughput(b *testing.B) {
 		}
 		reportEventsPerSec(b)
 	})
+
+	// timed-wait-expiry: one process sleeping b.N times on a Cond nobody
+	// signals, each wait ended by its deadline — an idle taskrt worker.
+	// One op is an armed deadline plus its expiry; its cost must not grow
+	// with b.N.
+	b.Run("timed-wait-expiry", func(b *testing.B) {
+		k := NewKernel()
+		c := NewCond(k, "never")
+		k.Spawn("p", func(p *Proc) {
+			for i := 0; i < b.N; i++ {
+				c.WaitOrTimeout(p, c.ArmTimeout(1))
+			}
+		})
+		b.ReportAllocs()
+		b.ResetTimer()
+		if err := k.Run(); err != nil {
+			b.Fatal(err)
+		}
+	})
 }
 
 func reportEventsPerSec(b *testing.B) {

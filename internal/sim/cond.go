@@ -13,7 +13,10 @@ type Cond struct {
 	// advances head instead of reslicing from the front, so the backing
 	// array is reused once drained rather than reallocated every
 	// wait/signal cycle. A slot with a nil proc was consumed out of FIFO
-	// order by an expiring Timeout and is skipped.
+	// order by an expiring Timeout and is skipped. An expiry also moves
+	// head past leading empty slots and trims trailing ones, so the list
+	// spans only from its oldest to its newest live waiter however many
+	// timed waits expire on a Cond nobody signals.
 	waiters []condWaiter
 	head    int
 }
@@ -47,10 +50,19 @@ func (c *Cond) Wait(p *Proc) {
 // wait, ...) rather than a single park. All methods are nil-safe on a
 // nil receiver, which stands for "no deadline".
 type Timeout struct {
-	c      *Cond
-	fired  bool
-	done   bool
-	cancel func()
+	c   *Cond
+	seq uint64 // the kernel seq of the deadline event
+
+	// slot indexes c.waiters at the latest WaitOrTimeout under this
+	// token. Only one process waits under a token, one park at a time, so
+	// that slot is the only one the expiry can wake; it is stale (emptied
+	// or reused) once the wait has ended, which the expiry detects.
+	slot int
+
+	fired bool // the deadline event ran
+	// done is set by Cancel: once the cancelled event is discarded, a
+	// second mark for its seq would never be consumed.
+	done bool
 }
 
 // ArmTimeout schedules a deadline d cycles from now. If the deadline
@@ -58,34 +70,45 @@ type Timeout struct {
 // is woken out of FIFO order; WaitOrTimeout then reports false.
 func (c *Cond) ArmTimeout(d Cycles) *Timeout {
 	t := &Timeout{c: c}
-	t.cancel = c.k.AfterCancel(d, func() {
-		if t.done || t.fired {
-			return
-		}
-		t.fired = true
-		for i := c.head; i < len(c.waiters); i++ {
-			w := c.waiters[i]
-			if w.to == t && w.p != nil && w.p.state == procBlocked {
-				c.waiters[i] = condWaiter{}
-				w.p.unpark()
-				return
-			}
-		}
-	})
+	c.k.schedule(c.k.now+d, nil, t.expire)
+	t.seq = c.k.seq // schedule assigned this seq to the event just queued
 	return t
 }
 
-// Fired reports whether the deadline has expired.
-func (t *Timeout) Fired() bool { return t != nil && t.fired }
+// expire is the deadline event: it wakes the process parked under t, if
+// one still is, and drops the slot it vacates.
+func (t *Timeout) expire() {
+	t.fired = true
+	c := t.c
+	if t.slot >= len(c.waiters) {
+		return
+	}
+	w := c.waiters[t.slot]
+	if w.to != t || w.p.state != procBlocked {
+		return // the wait ended (signal or kill) before the deadline
+	}
+	c.waiters[t.slot] = condWaiter{}
+	for c.head < len(c.waiters) && c.waiters[c.head].p == nil {
+		c.head++
+	}
+	n := len(c.waiters)
+	for n > c.head && c.waiters[n-1].p == nil {
+		n--
+	}
+	c.waiters = c.waiters[:n]
+	w.p.unpark()
+}
 
 // Cancel disarms the deadline. The underlying kernel event is discarded
 // without ever dispatching, so a cancelled timeout leaves no trace on
-// the simulated timeline (see Kernel.AfterCancel).
+// the simulated timeline (see Kernel.AfterCancel). Cancelling after the
+// deadline fired, or twice, is a no-op.
 func (t *Timeout) Cancel() {
-	if t != nil {
-		t.done = true
-		t.cancel()
+	if t == nil || t.fired || t.done {
+		return
 	}
+	t.done = true
+	t.c.k.cancel(t.seq)
 }
 
 // WaitOrTimeout blocks like Wait but gives up when the token's deadline
@@ -105,6 +128,7 @@ func (c *Cond) WaitOrTimeout(p *Proc, t *Timeout) bool {
 		c.waiters = c.waiters[:0]
 		c.head = 0
 	}
+	t.slot = len(c.waiters)
 	c.waiters = append(c.waiters, condWaiter{p: p, to: t})
 	p.park(c.reason)
 	return !t.fired

@@ -156,8 +156,9 @@ type Kernel struct {
 	live   int // processes not yet done
 	panics []error
 
-	// cancelled holds the seqs of events cancelled via AfterCancel but
-	// not yet discarded by the run loop; nCancelled mirrors its size.
+	// cancelled holds the seqs of events cancelled (AfterCancel,
+	// Timeout.Cancel) but not yet discarded by the run loop; nCancelled
+	// mirrors its size.
 	// Kept out of the event struct so cancellability costs the hot path
 	// one integer compare instead of a wider event copy on every push
 	// and pop. nil until first used.
@@ -281,16 +282,22 @@ func (k *Kernel) AfterCancel(d Cycles, fn func()) (cancel func()) {
 	k.schedule(k.now+d, nil, func() { fired = true; fn() })
 	seq := k.seq // schedule assigned this seq to the event just queued
 	return func() {
-		if fired {
-			return
+		if !fired {
+			k.cancel(seq)
 		}
-		if k.cancelled == nil {
-			k.cancelled = make(map[uint64]struct{})
-		}
-		if _, ok := k.cancelled[seq]; !ok {
-			k.cancelled[seq] = struct{}{}
-			k.nCancelled++
-		}
+	}
+}
+
+// cancel marks the queued event with seq for discard by the run loop.
+// Marking an event twice is harmless. The caller must know the event has
+// not dispatched yet: a mark for a fired event would never be consumed.
+func (k *Kernel) cancel(seq uint64) {
+	if k.cancelled == nil {
+		k.cancelled = make(map[uint64]struct{})
+	}
+	if _, ok := k.cancelled[seq]; !ok {
+		k.cancelled[seq] = struct{}{}
+		k.nCancelled++
 	}
 }
 

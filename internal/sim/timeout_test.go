@@ -1,6 +1,9 @@
 package sim
 
-import "testing"
+import (
+	"runtime"
+	"testing"
+)
 
 func TestWaitOrTimeoutExpires(t *testing.T) {
 	k := NewKernel()
@@ -86,7 +89,7 @@ func TestTimeoutCancelAndReuseAfterFire(t *testing.T) {
 		to := c.ArmTimeout(10)
 		to.Cancel()
 		p.Delay(50)
-		cancelledFired = to.Fired()
+		cancelledFired = to.fired
 
 		exp := c.ArmTimeout(5)
 		p.Delay(20) // expire while runnable
@@ -266,10 +269,91 @@ func TestAfterCancelOfFiredEvent(t *testing.T) {
 	}
 }
 
+// Timed waits that expire on a Cond nobody signals leave no slots
+// behind: the list holds its live waiters only, alone or queued behind
+// a plain waiter that never wakes.
+func TestExpiredWaitsLeaveNoSlots(t *testing.T) {
+	for _, plain := range []int{0, 1} {
+		k := NewKernel()
+		c := NewCond(k, "never")
+		for i := 0; i < plain; i++ {
+			k.SpawnDaemon("plain", c.Wait)
+		}
+		most := 0
+		k.Spawn("timed", func(p *Proc) {
+			for i := 0; i < 10000; i++ {
+				to := c.ArmTimeout(3)
+				if c.WaitOrTimeout(p, to) {
+					t.Error("an unsignalled wait reported success")
+					return
+				}
+				most = max(most, len(c.waiters)-c.head)
+			}
+		})
+		if err := k.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if most > plain+1 {
+			t.Errorf("%d plain waiter(s): the waiter list held %d slots after an expiry, want at most %d", plain, most, plain+1)
+		}
+		k.Close()
+	}
+}
+
+// Arming a deadline, waiting under it and cancelling it costs the token
+// and its expiry callback, nothing more.
+func TestTimedWaitAllocations(t *testing.T) {
+	const rounds = 20000
+	k := NewKernel()
+	c := NewCond(k, "flag")
+	var before, after runtime.MemStats
+	k.Spawn("waiter", func(p *Proc) {
+		round := func() {
+			to := c.ArmTimeout(10)
+			c.WaitOrTimeout(p, to)
+			to.Cancel()
+		}
+		for i := 0; i < 100; i++ { // warm the queues and the cancelled set
+			round()
+		}
+		runtime.ReadMemStats(&before)
+		for i := 0; i < rounds; i++ {
+			round()
+		}
+		runtime.ReadMemStats(&after)
+	})
+	// Signals every 4 cycles: most waits are signalled and cancel a
+	// pending deadline, the rest expire.
+	k.SpawnDaemon("signaller", func(p *Proc) {
+		for {
+			p.Delay(4)
+			c.Signal()
+		}
+	})
+	if err := k.RunUntil(20 * rounds); err != nil {
+		t.Fatal(err)
+	}
+	k.Close()
+	if after.Mallocs == 0 {
+		t.Fatal("the waiter did not finish its rounds")
+	}
+	if per := float64(after.Mallocs-before.Mallocs) / rounds; per > 2 {
+		t.Errorf("a timed-wait round allocates %.3f times, want at most 2", per)
+	}
+}
+
 func TestNilTimeoutHelpers(t *testing.T) {
 	var to *Timeout
-	if to.Fired() {
-		t.Error("nil timeout reports fired")
-	}
 	to.Cancel() // must not panic
+	k := NewKernel()
+	c := NewCond(k, "flag")
+	var ok bool
+	k.Spawn("waiter", func(p *Proc) { ok = c.WaitOrTimeout(p, to) })
+	k.After(10, c.Signal)
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if !ok {
+		t.Error("a nil token timed out")
+	}
 }

@@ -230,6 +230,9 @@ type Runtime struct {
 	seq       int
 	execOrder []int
 	stats     Stats
+	// scratch is each worker's landing buffer for staged reads, one MPB
+	// half, allocated on its first read. What lands there is never read.
+	scratch [][]byte
 	// doneCycle is the kernel cycle the last task committed (valid after
 	// Run) — under re-execution it may precede the lost device's rejoin.
 	doneCycle sim.Cycles
@@ -400,6 +403,7 @@ func (rt *Runtime) seal(workers int) error {
 		}
 	}
 	rt.queues = make([][]int, workers)
+	rt.scratch = make([][]byte, workers)
 	for _, t := range rt.tasks {
 		t.home = rt.homeOf(t)
 		if t.pending == 0 {
@@ -864,18 +868,15 @@ func (rt *Runtime) stage(r *rcce.Rank, rg *Region, read bool, n, slot int) {
 		}
 	}
 	if read {
-		scratch := make([]byte, n)
-		r.Get(owner, slot, scratch)
+		buf := rt.scratch[r.ID()]
+		if buf == nil {
+			buf = make([]byte, stageHalf)
+			rt.scratch[r.ID()] = buf
+		}
+		r.Get(owner, slot, buf[:n])
 		return
 	}
 	r.Put(owner, slot, rg.data[:n])
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // TaskCtx is the execution context handed to a task body.
