@@ -9,7 +9,7 @@
 //
 // With -recovery it instead tabulates the device fault/recovery ledger:
 // per device, the injected device faults, rejoins, epoch advances,
-// checkpoints, journal-replay and PCIe-replay volumes, the job-level
+// checkpoints, checkpoint-restore and PCIe-replay volumes, the job-level
 // recovery work (devretry requeues and exhausted budgets from the
 // scheduler, task re-executions from the task runtime), plus the other
 // per-device recovery actions — the terminal-side summary of a
@@ -318,7 +318,7 @@ var ledgerColumns = [...]struct {
 	{"rejoin", 7, "fault.recover.rejoin"},
 	{"epoch", 7, "epoch.advance"},
 	{"ckpt", 7, "ckpt.take"},
-	{"jrn.wr", 10, "replay.writes"}, // checkpoint journal, replayed at restore
+	{"jrn.wr", 10, "replay.writes"}, // stores in the restored image past its checkpoint
 	{"jrn.bytes", 12, "replay.bytes"},
 	{"pcie.fr", 10, "replay.frames"}, // held SIF frames, re-driven
 	{"pcie.bytes", 12, "replay.frame_bytes"},

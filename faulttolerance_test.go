@@ -192,7 +192,7 @@ func TestFaultToleranceDeviceLostError(t *testing.T) {
 
 // TestFaultToleranceDeviceCrashRetry crashes a device mid-run with
 // transparent retry on: blocked waits must park until the rejoin, the
-// checkpoint image plus journal must rebuild the device's MPB, the held
+// rolled-forward checkpoint image must rebuild the device's MPB, the held
 // PCIe frames must replay in the new epoch, and every payload must
 // arrive intact — on two different schemes, reproducibly.
 func TestFaultToleranceDeviceCrashRetry(t *testing.T) {

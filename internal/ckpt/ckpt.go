@@ -1,111 +1,112 @@
 // Package ckpt holds the crash-consistent checkpoint state of one SCC
-// device: a full snapshot of the device's on-chip memory banks plus a
-// write-ahead tail of every store applied since the snapshot. Restoring
-// a checkpoint replays snapshot-then-tail, which reconstructs the
-// memory image byte-exactly at the crash point — the property the
-// membership manager's rejoin path depends on (DESIGN.md §8).
+// device: an image of the device's on-chip memory banks that rolls
+// forward. A checkpoint copies the banks into the image, and every store
+// observed since is copied into it in place, so at any instant the image
+// is the crash-point memory byte-exactly — the property the membership
+// manager's rejoin path depends on (DESIGN.md §8).
+//
+// The image is built only from what the log is handed: it never reads
+// live memory after a checkpoint, so a store that bypasses the observer
+// is lost at a crash.
 //
 // The package is pure data: it never touches the simulation kernel, so
 // taking or restoring a checkpoint costs zero simulated time on its own
 // (the membership manager charges the modelled quiesce/restore delays).
 package ckpt
 
-// Record is one journaled store into a device bank.
-type Record struct {
-	Bank int // tile/bank index within the device
-	Off  int // byte offset within the bank
-	Data []byte
+import "bytes"
+
+// bank is the image of one device bank. data is nil while the bank has
+// held only zeros; it then reads as zeros, like an untouched mem.LMB.
+type bank struct {
+	data []byte
+	size int
 }
 
-// Log is the checkpoint state of one device: the last snapshot of its
-// banks and the write journal accumulated since.
+// Log is the checkpoint state of one device: its banks as the last
+// checkpoint captured them, with every store noted since applied.
 type Log struct {
-	snap [][]byte
-	tail []Record
-	// arena holds the journaled bytes the tail's records slice, in
-	// write order; a checkpoint empties it for reuse.
-	arena []byte
+	image []bank // nil until the first checkpoint
 
-	snaps      int // checkpoints taken
-	snapBytes  int // total snapshot payload
-	tailWrites int // journal records since the last checkpoint
-	tailBytes  int
+	snaps     int // checkpoints taken
+	snapBytes int // total checkpoint payload
+	// writes and bytes count the stores applied since the last
+	// checkpoint.
+	writes, bytes int
 }
 
 // NewLog returns an empty log whose first Checkpoint call defines the
 // bank geometry.
 func NewLog() *Log { return &Log{} }
 
-// Note journals one store. The data is copied: callers may reuse their
-// buffers.
+// Note applies one store to the image. The data is copied: callers may
+// reuse their buffers. A store before the first checkpoint, or outside
+// the bank geometry, is dropped.
 func (l *Log) Note(bank, off int, data []byte) {
-	if l == nil || len(data) == 0 {
+	if l == nil || len(data) == 0 || bank < 0 || bank >= len(l.image) {
 		return
 	}
-	start := len(l.arena)
-	l.arena = append(l.arena, data...)
-	l.tail = append(l.tail, Record{Bank: bank, Off: off, Data: l.arena[start:len(l.arena):len(l.arena)]})
-	l.tailWrites++
-	l.tailBytes += len(data)
+	b := &l.image[bank]
+	if off < 0 || off+len(data) > b.size {
+		return
+	}
+	if b.data == nil {
+		b.data = make([]byte, b.size)
+	}
+	copy(b.data[off:], data)
+	l.writes++
+	l.bytes += len(data)
 }
 
-// Checkpoint snapshots the bank images (copied: the caller may hand in
-// views of live memory) and truncates the journal — the quiesce-point
-// capture.
+// Checkpoint copies the bank images into the log (the caller may hand in
+// views of live memory) and resets the store counters — the quiesce-point
+// capture. An all-zero bank takes no image storage until a store lands
+// in it.
 func (l *Log) Checkpoint(banks [][]byte) {
 	if l == nil {
 		return
 	}
-	if len(l.snap) != len(banks) {
-		l.snap = make([][]byte, len(banks))
+	if len(l.image) != len(banks) {
+		l.image = make([]bank, len(banks))
 	}
 	total := 0
-	for i, b := range banks {
-		if len(l.snap[i]) != len(b) {
-			l.snap[i] = make([]byte, len(b))
+	for i, src := range banks {
+		b := &l.image[i]
+		if b.size != len(src) {
+			*b = bank{size: len(src)}
 		}
-		copy(l.snap[i], b)
-		total += len(b)
+		total += len(src)
+		if b.data == nil && isZero(src) {
+			continue
+		}
+		if b.data == nil {
+			b.data = make([]byte, len(src))
+		}
+		copy(b.data, src)
 	}
-	l.tail = l.tail[:0]
-	l.arena = l.arena[:0]
-	l.tailWrites = 0
-	l.tailBytes = 0
+	l.writes = 0
+	l.bytes = 0
 	l.snaps++
 	l.snapBytes += total
 }
 
-// Restore rebuilds the crash-point memory image: the snapshot with the
-// journal tail replayed over it, in write order. It returns the bank
-// images (owned by the caller) and the replayed write/byte totals, or
-// nil if no checkpoint was ever taken.
-func (l *Log) Restore() (banks [][]byte, writes, bytes int) {
-	if l == nil || l.snap == nil {
+// Restore returns a copy of the crash-point image, owned by the caller
+// (a nil bank reads as zeros), and the store totals applied to it since
+// the last checkpoint, or nil if no checkpoint was ever taken.
+func (l *Log) Restore() (banks [][]byte, writes, n int) {
+	if l == nil || l.image == nil {
 		return nil, 0, 0
 	}
-	banks = make([][]byte, len(l.snap))
-	for i, b := range l.snap {
-		banks[i] = append([]byte(nil), b...)
-	}
-	for _, r := range l.tail {
-		if r.Bank < 0 || r.Bank >= len(banks) {
-			continue
+	banks = make([][]byte, len(l.image))
+	for i, b := range l.image {
+		if b.data != nil {
+			banks[i] = bytes.Clone(b.data)
 		}
-		bank := banks[r.Bank]
-		if r.Off < 0 || r.Off+len(r.Data) > len(bank) {
-			continue
-		}
-		copy(bank[r.Off:], r.Data)
-		writes++
-		bytes += len(r.Data)
 	}
-	return banks, writes, bytes
+	return banks, l.writes, l.bytes
 }
 
-// Armed reports whether a snapshot exists to restore from.
-func (l *Log) Armed() bool { return l != nil && l.snap != nil }
-
-// Checkpoints returns how many snapshots were taken and their total
+// Checkpoints returns how many checkpoints were taken and their total
 // payload bytes.
 func (l *Log) Checkpoints() (n, bytes int) {
 	if l == nil {
@@ -114,10 +115,21 @@ func (l *Log) Checkpoints() (n, bytes int) {
 	return l.snaps, l.snapBytes
 }
 
-// TailLen returns the journal's current record and byte counts.
+// TailLen returns the store and byte counts applied since the last
+// checkpoint.
 func (l *Log) TailLen() (writes, bytes int) {
 	if l == nil {
 		return 0, 0
 	}
-	return l.tailWrites, l.tailBytes
+	return l.writes, l.bytes
+}
+
+// isZero reports whether every byte of b is zero.
+func isZero(b []byte) bool {
+	for _, c := range b {
+		if c != 0 {
+			return false
+		}
+	}
+	return true
 }

@@ -59,8 +59,8 @@ type Config struct {
 	CrashAt []sim.Cycles
 
 	// DevCrashAt takes a whole SCC device down: its MPB contents are
-	// lost at the crash and rebuilt on rejoin from the last checkpoint
-	// plus the write journal. DevLinkDownAt severs only the device's
+	// lost at the crash and rebuilt on rejoin from the checkpoint image
+	// every store since rolled forward. DevLinkDownAt severs only the device's
 	// PCIe link (MPB state survives); posted frames are journaled and
 	// replayed after the link returns. Both drive the epoch-based
 	// membership machinery of internal/vscc.

@@ -2,6 +2,8 @@ package mem
 
 import (
 	"bytes"
+	"math/bits"
+	"math/rand"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -182,8 +184,8 @@ func TestWCBMergesSameLine(t *testing.T) {
 	if p == nil {
 		t.Fatal("flush returned nil")
 	}
-	if p.Key != 10 || p.Bytes() != 8 {
-		t.Errorf("pending = key %d, %d bytes; want 10, 8", p.Key, p.Bytes())
+	if n := bits.OnesCount32(p.Mask); p.Key != 10 || n != 8 {
+		t.Errorf("pending = key %d, %d bytes; want 10, 8", p.Key, n)
 	}
 	if p.Data[0] != 1 || p.Data[7] != 8 {
 		t.Errorf("pending data wrong: %v", p.Data[:8])
@@ -217,7 +219,7 @@ func TestWCBVDMARegisterFusion(t *testing.T) {
 		t.Fatal("unexpected drain")
 	}
 	p := w.Flush()
-	if p == nil || p.Bytes() != 24 {
+	if p == nil || bits.OnesCount32(p.Mask) != 24 {
 		t.Fatalf("fusion produced %v, want one 24-byte pending line", p)
 	}
 	if s := w.Stats(); s.Drains != 1 || s.Merges != 2 {
@@ -357,6 +359,62 @@ func TestNextRunWalksMaskRuns(t *testing.T) {
 	} {
 		if got := runs(c.mask, c.limit); !reflect.DeepEqual(got, c.want) {
 			t.Errorf("mask %#x limit %d: runs %v, want %v", c.mask, c.limit, got, c.want)
+		}
+	}
+}
+
+// nextRunRef is NextRun's per-bit walk, kept as the reference model.
+func nextRunRef(mask uint32, from, limit int) (lo, hi int) {
+	lo = from
+	for lo < limit && mask&(1<<uint(lo)) == 0 {
+		lo++
+	}
+	hi = lo
+	for hi < limit && mask&(1<<uint(hi)) != 0 {
+		hi++
+	}
+	return lo, hi
+}
+
+// TestNextRunMatchesPerBitWalk checks NextRun against the per-bit walk
+// at every from/limit pair of a line, over the empty and full masks and
+// seeded random ones.
+func TestNextRunMatchesPerBitWalk(t *testing.T) {
+	masks := []uint32{0, 0xFFFFFFFF, 1, 0x80000000, 0x7FFFFFFE}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 200; i++ {
+		// Sparse, dense and even masks: AND and OR of two draws too.
+		a, b := rng.Uint32(), rng.Uint32()
+		masks = append(masks, a, a&b, a|b)
+	}
+	for _, mask := range masks {
+		for from := 0; from <= LineSize; from++ {
+			for limit := 0; limit <= LineSize; limit++ {
+				lo, hi := NextRun(mask, from, limit)
+				wlo, whi := nextRunRef(mask, from, limit)
+				if lo != wlo || hi != whi {
+					t.Fatalf("NextRun(%#x, %d, %d) = %d, %d; per-bit walk %d, %d", mask, from, limit, lo, hi, wlo, whi)
+				}
+			}
+		}
+	}
+}
+
+// A write sets exactly the mask bits of the bytes it covers, at every
+// offset and length, the full line included.
+func TestWCBWriteMask(t *testing.T) {
+	data := make([]byte, LineSize)
+	for off := 0; off <= LineSize; off++ {
+		for n := 0; off+n <= LineSize; n++ {
+			var w WCB
+			w.Write(1, off, data[:n])
+			var want uint32
+			for i := off; i < off+n; i++ {
+				want |= 1 << uint(i)
+			}
+			if p := w.Flush(); p.Mask != want {
+				t.Fatalf("write at %d of %d bytes: mask %#x, want %#x", off, n, p.Mask, want)
+			}
 		}
 	}
 }

@@ -1,5 +1,7 @@
 package mem
 
+import "math/bits"
+
 // WCB models the SCC's write-combine buffer: a single 32-byte line buffer
 // between a core and the mesh that merges consecutive stores to the same
 // line into one mesh transaction. It drains when the core writes a
@@ -29,30 +31,27 @@ type Pending struct {
 // Full reports whether every byte of the pending line was written.
 func (p Pending) Full() bool { return p.Mask == 0xFFFFFFFF }
 
-// Bytes returns the number of valid bytes in the pending line.
-func (p Pending) Bytes() int {
-	n := 0
-	for m := p.Mask; m != 0; m &= m - 1 {
-		n++
-	}
-	return n
-}
-
 // NextRun returns the first run [lo, hi) of set bits of a line's byte
 // mask at or after bit from and below limit; lo == hi when none is left.
 // Whoever lands a masked line walks it run by run, in ascending order:
 //
 //	for lo, hi := NextRun(mask, 0, n); lo < hi; lo, hi = NextRun(mask, hi, n)
 func NextRun(mask uint32, from, limit int) (lo, hi int) {
-	lo = from
-	for lo < limit && mask&(1<<uint(lo)) == 0 {
-		lo++
+	if from >= limit {
+		return from, from
 	}
-	hi = lo
-	for hi < limit && mask&(1<<uint(hi)) != 0 {
-		hi++
+	if limit < 32 {
+		mask &= 1<<limit - 1
 	}
-	return lo, hi
+	rest := mask >> from // 0 once from passes the top bit
+	if rest == 0 {
+		return limit, limit
+	}
+	lo = from + bits.TrailingZeros32(rest)
+	// The run is the trailing ones of mask >> lo: the shift brings in
+	// clear bits and the bits from limit up are clear, so it ends by
+	// bit 32 and by limit.
+	return lo, lo + bits.TrailingZeros32(^(mask >> lo))
 }
 
 // Write merges a store of data at byte offset off into the line keyed by
@@ -75,9 +74,8 @@ func (w *WCB) Write(key uint64, off int, data []byte) (drained *Pending) {
 		w.merges++
 	}
 	copy(w.buf[off:], data)
-	for i := 0; i < len(data); i++ {
-		w.mask |= 1 << uint(off+i)
-	}
+	// A 32-byte store shifts the 1 out: 0 - 1 is the full mask.
+	w.mask |= (1<<len(data) - 1) << off
 	return drained
 }
 

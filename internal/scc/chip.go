@@ -97,7 +97,7 @@ type Chip struct {
 	lifecycle *sim.Gate
 
 	// writeObs, when set, observes every store into on-chip memory —
-	// the checkpoint journal feed. It must not touch simulated time.
+	// the checkpoint log's feed. It must not touch simulated time.
 	writeObs func(tile, off int, data []byte)
 }
 
@@ -231,8 +231,7 @@ func (c *Chip) HostReadLMB(tile, off int, buf []byte) { c.readLMB(tile, off, buf
 func (c *Chip) SetLifecycleGate(g *sim.Gate) { c.lifecycle = g }
 
 // SetWriteObserver installs the store observer feeding the checkpoint
-// journal. Wipe/restore bypass it: reconstruction must not journal
-// itself.
+// log. Wipe/restore bypass it: reconstruction is not a store to record.
 func (c *Chip) SetWriteObserver(fn func(tile, off int, data []byte)) { c.writeObs = fn }
 
 // barrier parks p while the device is down. Cores freeze at their next
@@ -264,17 +263,24 @@ func (c *Chip) ViewLMB(dst [][]byte) [][]byte {
 	return dst
 }
 
-// LoadLMB overwrites every tile's LMB with a restored image, bypassing
-// the write observer (restoration is not new traffic) but waking flag
+// LoadLMB overwrites every tile's LMB with a restored image, a nil bank
+// reading as zeros (an untouched LMB stays unallocated), bypassing the
+// write observer (restoration is not new traffic) but waking flag
 // waiters and bumping the consistency oracle like any other store.
 func (c *Chip) LoadLMB(img [][]byte) {
 	for i, t := range c.Tiles {
-		if i >= len(img) || img[i] == nil {
+		if i >= len(img) {
 			continue
 		}
-		t.LMB.Write(0, img[i])
+		n := len(img[i])
+		if img[i] == nil {
+			t.LMB.Zero()
+			n = t.LMB.Size()
+		} else {
+			t.LMB.Write(0, img[i])
+		}
 		if c.check != nil {
-			c.check.bumpRange(c.Index, i, 0, len(img[i]))
+			c.check.bumpRange(c.Index, i, 0, n)
 		}
 		t.changed.Broadcast()
 	}

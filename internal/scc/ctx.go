@@ -163,7 +163,8 @@ func (c *Ctx) drain(pd *mem.Pending) {
 	dev := int(pd.Key >> 40)
 	tile := int(pd.Key >> 20 & 0xFFFFF)
 	lineBase := int(pd.Key&0xFFFFF) * mem.LineSize
-	// Write-through: update our own cached copy if resident.
+	// Write-through: update our own cached copy if resident. A full line
+	// is one run: one update, one store, one wake-up.
 	for lo, hi := mem.NextRun(pd.Mask, 0, mem.LineSize); lo < hi; lo, hi = mem.NextRun(pd.Mask, hi, mem.LineSize) {
 		c.Core.L1.UpdateIfPresent(pd.Key, lo, pd.Data[lo:hi])
 	}

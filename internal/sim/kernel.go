@@ -24,7 +24,7 @@
 // Same-cycle events take a second fast path: events scheduled for the
 // current instant (condition-variable wakeups, zero-latency forwarding
 // hops, Delay(0) yields) are appended to a FIFO bucket and dispatched
-// without touchinging the heap at all. Sequence numbers are assigned
+// without touching the heap at all. Sequence numbers are assigned
 // monotonically, so plain FIFO order over the bucket is exactly
 // (time, sequence) order and determinism is preserved bit-for-bit.
 package sim

@@ -306,7 +306,11 @@ func TestTimedWaitAllocations(t *testing.T) {
 	const rounds = 20000
 	k := NewKernel()
 	c := NewCond(k, "flag")
-	var before, after runtime.MemStats
+	// MemStats counts the whole process, so a window can catch a stray
+	// runtime allocation: measure up to three windows and keep the least.
+	const windows = 3
+	least := uint64(0)
+	measured := false
 	k.Spawn("waiter", func(p *Proc) {
 		round := func() {
 			to := c.ArmTimeout(10)
@@ -316,11 +320,20 @@ func TestTimedWaitAllocations(t *testing.T) {
 		for i := 0; i < 100; i++ { // warm the queues and the cancelled set
 			round()
 		}
-		runtime.ReadMemStats(&before)
-		for i := 0; i < rounds; i++ {
-			round()
+		for w := 0; w < windows; w++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < rounds; i++ {
+				round()
+			}
+			runtime.ReadMemStats(&after)
+			if n := after.Mallocs - before.Mallocs; !measured || n < least {
+				least, measured = n, true
+			}
+			if least <= 2*rounds {
+				return
+			}
 		}
-		runtime.ReadMemStats(&after)
 	})
 	// Signals every 4 cycles: most waits are signalled and cancel a
 	// pending deadline, the rest expire.
@@ -330,14 +343,14 @@ func TestTimedWaitAllocations(t *testing.T) {
 			c.Signal()
 		}
 	})
-	if err := k.RunUntil(20 * rounds); err != nil {
+	if err := k.RunUntil(20 * windows * rounds); err != nil {
 		t.Fatal(err)
 	}
 	k.Close()
-	if after.Mallocs == 0 {
+	if !measured {
 		t.Fatal("the waiter did not finish its rounds")
 	}
-	if per := float64(after.Mallocs-before.Mallocs) / rounds; per > 2 {
+	if per := float64(least) / rounds; per > 2 {
 		t.Errorf("a timed-wait round allocates %.3f times, want at most 2", per)
 	}
 }

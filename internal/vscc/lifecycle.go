@@ -49,11 +49,11 @@ func (s DevState) String() string {
 //
 //	Up -> Draining -> Down -> Rejoining -> Up
 //
-// with its epoch, lifecycle gate, checkpoint journal and crash-point
-// image, written once for both engines: Membership keeps one per device
-// on the single kernel, every pdesPort embeds its own on its device's
-// kernel. What the engines do differently — who holds the traffic of a
-// down device and how it is replayed — enters through the hooks of crash.
+// with its epoch, lifecycle gate, checkpoint log and crash-point image,
+// written once for both engines: Membership keeps one per device on the
+// single kernel, every pdesPort embeds its own on its device's kernel.
+// What the engines do differently — who holds the traffic of a down
+// device and how it is replayed — enters through the hooks of crash.
 type devLifecycle struct {
 	// k is the kernel that simulates the device; set, with dev and chip,
 	// by whoever embeds the lifecycle.
@@ -71,7 +71,8 @@ type devLifecycle struct {
 	// log is the device's crash-consistent checkpoint state.
 	log *ckpt.Log
 	// img is the restore image captured at the crash point, with the
-	// journal-replay totals for the replay.* counters.
+	// totals of the stores rolled into it since the last checkpoint, for
+	// the replay.* counters.
 	img                 [][]byte
 	imgWrites, imgBytes int
 	// views is the reused slice of live bank views a checkpoint reads.
@@ -79,11 +80,10 @@ type devLifecycle struct {
 }
 
 // arm wires the lifecycle into its chip — the gate, and the store
-// observer journaling every write since the last snapshot — and takes
+// observer rolling every write into the checkpoint image — and takes
 // checkpoint zero, the boot image. It guarantees a restore base exists
-// even for a crash before the first interval tick — the journal then
-// replays the whole history, which is correct if slow; the periodic
-// checkpoints exist to truncate it.
+// even for a crash before the first interval tick; the replay.* counters
+// then cover the whole history, each periodic checkpoint restarts them.
 func (l *devLifecycle) arm() {
 	l.gate = sim.NewGate(l.k, fmt.Sprintf("dev%d.alive", l.dev))
 	l.gate.Open()
@@ -179,8 +179,8 @@ func (l *devLifecycle) crash(outage sim.Cycles, wipe bool, down, up func()) bool
 }
 
 // goDown completes the crash: the epoch advances, the crash-point image
-// is captured from the checkpoint log (before the wipe destroys the
-// live one) and on-chip memory is lost.
+// is copied out of the checkpoint log (a store that reaches the down
+// device later must not leak into it) and on-chip memory is lost.
 func (l *devLifecycle) goDown(wipe bool) {
 	l.state = DevDown
 	l.epoch++
@@ -191,9 +191,9 @@ func (l *devLifecycle) goDown(wipe bool) {
 	}
 }
 
-// restore brings the memory back: load the crash-point image and rebase
-// the journal on it, so a second crash replays from here, not from the
-// pre-crash snapshot. The gate stays closed: the engine opens it once
+// restore brings the memory back: load the crash-point image and
+// checkpoint it, so a second crash rolls forward from here, not from the
+// pre-crash checkpoint. The gate stays closed: the engine opens it once
 // its held traffic is where it must be.
 func (l *devLifecycle) restore(wipe bool) {
 	l.state = DevRejoining

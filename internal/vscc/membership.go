@@ -18,16 +18,17 @@ package vscc
 //     is rejected at the framing layer and recovered by re-stamped
 //     retransmission — cross-epoch confusion is structurally impossible.
 //   - Checkpoints: a kernel-clock-driven daemon snapshots each device's
-//     on-chip memory at quiesce points; every store since the snapshot
-//     is journaled (scc write observer -> ckpt.Log), so the crash-point
-//     image is reconstructible byte-exactly at any instant.
+//     on-chip memory at quiesce points; every store since is applied to
+//     that image in place (scc write observer -> ckpt.Log), so it is the
+//     crash-point image byte-exactly at any instant.
 //   - Drain/replay: on a crash the device first drains — committed
-//     in-flight transfers land and are journaled — then goes down: its
-//     memory is wiped, the host marks it unreachable, and every frame
-//     still in the PCIe journals is held. On rejoin the memory image is
-//     restored, the fabric replays the held frames in sequence order in
-//     the new epoch, and blocked peers resume. The run completes
-//     byte-identically to a fault-free execution.
+//     in-flight transfers land, in memory and in the checkpoint image —
+//     then goes down: its memory is wiped, the host marks it
+//     unreachable, and every frame still in the PCIe journals is held.
+//     On rejoin the memory image is restored, the fabric replays the
+//     held frames in sequence order in the new epoch, and blocked peers
+//     resume. The run completes byte-identically to a fault-free
+//     execution.
 //
 // A link-down fault is the lighter variant: the wire dies but the board
 // keeps power, so there is no wipe/restore — cores keep computing
@@ -85,7 +86,7 @@ type Membership struct {
 var _ pcie.DeviceView = (*Membership)(nil)
 
 // newMembership wires the manager into the chips (lifecycle gates and
-// checkpoint journals), the fabric (epoch stamping and journal holds)
+// checkpoint logs), the fabric (epoch stamping and journal holds)
 // and the host task (reachability gates), takes the boot checkpoint of
 // every device, and schedules the configured device faults.
 func newMembership(k *sim.Kernel, chips []*scc.Chip, fabric *pcie.Fabric, task *host.Task, inj *fault.Injector) *Membership {

@@ -1,10 +1,13 @@
 package vscc
 
 import (
+	"bytes"
 	"testing"
 
 	"vscc/internal/fault"
+	"vscc/internal/mem"
 	"vscc/internal/rcce"
+	"vscc/internal/scc"
 	"vscc/internal/sim"
 )
 
@@ -267,6 +270,66 @@ func TestMembershipBackToBackCrash(t *testing.T) {
 	}
 	if ep := sys.Membership.Epoch(1); ep != 2 {
 		t.Errorf("final epoch = %d, want 2", ep)
+	}
+}
+
+// TestCrashRestoresObservedStores crashes one device's lifecycle with
+// stores of every kind around a checkpoint: core lines through the WCB
+// before it, host stores after it and in the drain window. The image
+// loaded at rejoin is the banks as they were just before the wipe, except
+// for one store that bypassed the write observer: the crash loses it. A
+// store that reaches the device while it is down neither leaks into the
+// image nor survives the rejoin.
+func TestCrashRestoresObservedStores(t *testing.T) {
+	const crashAt = sim.Cycles(10_000)
+	k := sim.NewKernel()
+	chip := scc.NewChip(k, 0, scc.DefaultParams())
+	l := &devLifecycle{k: k, dev: 0, chip: chip}
+	l.arm()
+	chip.Launch(0, "writer", func(ctx *scc.Ctx) {
+		ctx.WriteMPB(0, 0, 0, bytes.Repeat([]byte{0x5A}, 3*mem.LineSize)) // full lines
+		ctx.WriteMPB(0, 7, 100, []byte("partial"))
+		ctx.FlushWCB()
+	})
+	k.At(crashAt/2, l.checkpoint)
+	k.At(crashAt/2+1, func() { chip.HostWriteLMB(3, 64, []byte("after the checkpoint")) })
+
+	bypass := []byte("unobserved")
+	var live, restored [][]byte
+	k.At(crashAt, func() {
+		l.crash(20_000, true,
+			func() {
+				chip.HostWriteLMB(3, 200, []byte("while down"))
+				chip.HostWriteLMB(11, 0, []byte("while down")) // an all-zero bank
+			},
+			func() { restored = chip.SnapshotLMB() })
+	})
+	// Mid-drain: the last stores before the wipe, nothing runs after them.
+	k.At(crashAt+fault.DefaultDrainCycles/2, func() {
+		chip.HostWriteLMB(5, 0, []byte("drained"))
+		chip.Tiles[9].LMB.Write(32, bypass)
+		live = chip.SnapshotLMB()
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if live == nil || restored == nil {
+		t.Fatal("the crash did not run to its rejoin")
+	}
+
+	want := live
+	copy(want[9][32:], make([]byte, len(bypass))) // the crash loses it
+	for i := range want {
+		if !bytes.Equal(restored[i], want[i]) {
+			t.Errorf("tile %d: restored image differs from the banks before the wipe", i)
+		}
+	}
+	if !bytes.Equal(restored[0][:3*mem.LineSize], bytes.Repeat([]byte{0x5A}, 3*mem.LineSize)) ||
+		string(restored[7][100:107]) != "partial" || string(restored[5][:7]) != "drained" {
+		t.Error("an observed store is missing from the restored image")
+	}
+	if w, n := l.imgWrites, l.imgBytes; w != 2 || n != len("after the checkpoint")+len("drained") {
+		t.Errorf("image rolled %d stores / %d bytes past the checkpoint, want 2 / %d", w, n, len("after the checkpoint")+len("drained"))
 	}
 }
 

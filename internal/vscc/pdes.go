@@ -333,7 +333,8 @@ func (pt *pdesPort) deliver(bytes int, fn func()) {
 }
 
 // applyMasked lands the valid runs of a masked line write through the
-// chip's host write path (journaled, flag waiters woken).
+// chip's host write path (observed by the checkpoint log, flag waiters
+// woken).
 func (pt *pdesPort) applyMasked(tile, off int, data [mem.LineSize]byte, mask uint32) {
 	for lo, hi := mem.NextRun(mask, 0, mem.LineSize); lo < hi; lo, hi = mem.NextRun(mask, hi, mem.LineSize) {
 		pt.chip.HostWriteLMB(tile, off+lo, data[lo:hi])

@@ -24,7 +24,7 @@ import (
 // pdesFingerprint is everything a PDES run can externalize: the Chrome
 // trace export and metrics reports of every kernel's sink (counters
 // include the fault/recovery ledger), each kernel's final clock and
-// event count, every device's LMB image, and the checkpoint-journal
+// event count, every device's LMB image, and the checkpoint-log
 // statistics.
 type pdesFingerprint struct {
 	chrome  string
