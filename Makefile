@@ -86,14 +86,15 @@ soak:
 	$(GO) test -run FaultSoak -v ./internal/harness
 
 # Regenerate results/*.txt from the tree: the four files the pingpong
-# golden test checks in tier-1, then the Fig. 8 matrix (≈ 7 s) and the
-# ablations (≈ 25 s), which are too slow for it. CI's nightly job runs
-# this and fails on `git diff --exit-code results/`. fig7_npb_bt.txt is
-# not regenerated (class C, ≈ 15 min): `go run ./cmd/npbbt`.
+# golden test checks in tier-1, then the Fig. 8 matrix (≈ 7 s), the
+# ablations (≈ 25 s) and the class C Fig. 7 sweep (≈ 4 min: 222 s on a
+# 2-core Xeon), which are too slow for it. CI's nightly job runs this
+# and fails on `git diff --exit-code results/`.
 results:
 	$(GO) test -count=1 -run '^TestGolden$$' ./cmd/pingpong -update
 	$(GO) run ./cmd/npbbt -traffic 64 -iters 1 > results/fig8_traffic.txt
 	$(GO) run ./cmd/ablate > results/ablations.txt
+	$(GO) run ./cmd/npbbt > results/fig7_npb_bt.txt
 
 # Non-test Go lines per package, without bench/ and testdata/: the number
 # the ROADMAP's line-count target and the simplicity PRs quote. With

@@ -83,8 +83,12 @@ func TestJSONByteIdentical(t *testing.T) {
 			t.Errorf("finding path = %q, want module-relative internal/noc/bad.go", f.File)
 		}
 	}
-	if len(rep.Rules) == 0 {
-		t.Error("report lists no rules")
+	listed := false
+	for _, r := range rep.Rules {
+		listed = listed || r.Name == "deadexport"
+	}
+	if !listed {
+		t.Errorf("report rules %+v miss deadexport", rep.Rules)
 	}
 }
 
@@ -143,7 +147,7 @@ func TestRulesFlag(t *testing.T) {
 	if code := run(cleanModule(t), []string{"-rules"}, &out, &bytes.Buffer{}); code != 0 {
 		t.Fatalf("exit code = %d, want 0", code)
 	}
-	for _, rule := range []string{"kernelclock", "detorder", "goryorder", "faultorder", "flagdiscipline", "tracealloc", "simapi"} {
+	for _, rule := range []string{"kernelclock", "detorder", "goryorder", "faultorder", "flagdiscipline", "tracealloc", "simapi", "deadexport"} {
 		if !strings.Contains(out.String(), rule) {
 			t.Errorf("-rules output misses %s:\n%s", rule, out.String())
 		}

@@ -93,5 +93,5 @@ func main() {
 	saved := 1 - scaledJ/fullJ
 	fmt.Printf("\ncompletion time cost of the scaling: %.1f %% — energy saved: %.1f %%\n", 100*slowdown, 100*saved)
 	fmt.Println("(the barrier hides the slow tiles; P ~ V^2*f, so halving idle-wait clocks is free performance-wise)")
-	fmt.Println("frequency changes are instant; voltage transitions (ISetPower) cost ~1 ms per island.")
+	fmt.Println("frequency changes are instant; voltage transitions (RCCE_iset_power) cost ~1 ms per island.")
 }

@@ -172,7 +172,7 @@ func TestMixedProtocolsOneSession(t *testing.T) {
 		if err != nil {
 			panic(err)
 		}
-		eng.Wait(q)
+		eng.WaitAll(q)
 	}
 	err = session.Run(func(r *rcce.Rank) {
 		switch r.ID() {
@@ -182,12 +182,12 @@ func TestMixedProtocolsOneSession(t *testing.T) {
 			if err != nil {
 				panic(err)
 			}
-			eng.Wait(q)
+			eng.WaitAll(q)
 			aq, err := eng.Isend(48, mk(2))
 			if err != nil {
 				panic(err)
 			}
-			eng.Wait(aq)
+			eng.WaitAll(aq)
 			r.Send(49, mk(3))
 		case 1:
 			irecv(r, got1)
@@ -221,11 +221,11 @@ func TestTrafficObserverSeesAsyncTransfers(t *testing.T) {
 		case 0:
 			eng := ircce.New(r)
 			q, _ := eng.Isend(48, make([]byte, 5000))
-			eng.Wait(q)
+			eng.WaitAll(q)
 		case 48:
 			eng := ircce.New(r)
 			q, _ := eng.Irecv(0, make([]byte, 5000))
-			eng.Wait(q)
+			eng.WaitAll(q)
 		}
 	})
 	if err != nil {

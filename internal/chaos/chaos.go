@@ -112,15 +112,6 @@ func PointSchedule(seed uint64, index, devices, maxFaults int) Schedule {
 	return Schedule{Index: index, Faults: faults}
 }
 
-// Generate enumerates the first n points of the seeded walk.
-func Generate(seed uint64, n, devices, maxFaults int) []Schedule {
-	out := make([]Schedule, n)
-	for i := range out {
-		out[i] = PointSchedule(seed, i, devices, maxFaults)
-	}
-	return out
-}
-
 // Target is one harness the campaign drives. Run executes the full
 // spec (base + fault tokens) once and returns a digest of everything
 // observable about the run plus any invariant violations. Run must be

@@ -216,9 +216,6 @@ type PacketVerdict struct {
 	Delay   sim.Cycles
 }
 
-// Faulty reports whether any fault was selected.
-func (v PacketVerdict) Faulty() bool { return v.Drop || v.Dup || v.Corrupt || v.Delay > 0 }
-
 // Event is one injection or recovery, stamped with the simulated cycle
 // it happened at. The event log is the reproducibility witness: two runs
 // of the same seeded schedule must produce identical logs.
@@ -473,6 +470,8 @@ func (inj *Injector) note(kind, site string, dev int) {
 }
 
 // Events returns a copy of the event log (nil on a nil injector).
+//
+//lint:ignore deadexport pcie's and fault's rerun tests compare two runs' logs with it
 func (inj *Injector) Events() []Event {
 	if inj == nil {
 		return nil
@@ -481,6 +480,8 @@ func (inj *Injector) Events() []Event {
 }
 
 // Stat returns the total count of one event kind, e.g. "inject.drop".
+//
+//lint:ignore deadexport the recovery tests of six packages count injections and recoveries with it
 func (inj *Injector) Stat(kind string) int64 {
 	if inj == nil {
 		return 0
@@ -596,6 +597,15 @@ func applySetting(cfg *Config, key, val string) error {
 		}
 		return n, nil
 	}
+	// Cycle-valued settings reject a negative count: sim.Cycles is
+	// unsigned, so -1 would wrap to ~2^64 and freeze its target forever.
+	cycles := func(s string) (sim.Cycles, error) {
+		n, err := atoi(s)
+		if err == nil && n < 0 {
+			err = fmt.Errorf("negative cycle count %q", s)
+		}
+		return sim.Cycles(n), err
+	}
 	switch key {
 	case "seed":
 		n, err := strconv.ParseUint(val, 10, 64)
@@ -616,18 +626,18 @@ func applySetting(cfg *Config, key, val string) error {
 		}
 		cfg.DupPer10k = n
 	case "delay":
-		rate, cycles, hasCycles := strings.Cut(val, ":")
+		rate, extra, hasCycles := strings.Cut(val, ":")
 		n, err := atoi(rate)
 		if err != nil {
 			return err
 		}
 		cfg.DelayPer10k = n
 		if hasCycles {
-			c, err := atoi(cycles)
+			c, err := cycles(extra)
 			if err != nil {
 				return err
 			}
-			cfg.DelayCycles = sim.Cycles(c)
+			cfg.DelayCycles = c
 		}
 	case "corrupt":
 		n, err := atoi(val)
@@ -658,27 +668,27 @@ func applySetting(cfg *Config, key, val string) error {
 		if !ok {
 			return fmt.Errorf("want AT:FOR, got %q", val)
 		}
-		a, err := atoi(at)
+		a, err := cycles(at)
 		if err != nil {
 			return err
 		}
-		d, err := atoi(dur)
+		d, err := cycles(dur)
 		if err != nil {
 			return err
 		}
-		cfg.StallAt = append(cfg.StallAt, StallWindow{At: sim.Cycles(a), For: sim.Cycles(d)})
+		cfg.StallAt = append(cfg.StallAt, StallWindow{At: a, For: d})
 	case "crash":
-		n, err := atoi(val)
+		n, err := cycles(val)
 		if err != nil {
 			return err
 		}
-		cfg.CrashAt = append(cfg.CrashAt, sim.Cycles(n))
+		cfg.CrashAt = append(cfg.CrashAt, n)
 	case "devcrash", "devlinkdown":
 		parts := strings.Split(val, ":")
 		if len(parts) != 2 && len(parts) != 3 {
 			return fmt.Errorf("want AT:DEV[:DOWN], got %q", val)
 		}
-		at, err := atoi(parts[0])
+		at, err := cycles(parts[0])
 		if err != nil {
 			return err
 		}
@@ -686,13 +696,11 @@ func applySetting(cfg *Config, key, val string) error {
 		if err != nil {
 			return err
 		}
-		df := DeviceFault{At: sim.Cycles(at), Dev: dev}
+		df := DeviceFault{At: at, Dev: dev}
 		if len(parts) == 3 {
-			down, err := atoi(parts[2])
-			if err != nil {
+			if df.Down, err = cycles(parts[2]); err != nil {
 				return err
 			}
-			df.Down = sim.Cycles(down)
 		}
 		if key == "devcrash" {
 			cfg.DevCrashAt = append(cfg.DevCrashAt, df)
@@ -700,23 +708,23 @@ func applySetting(cfg *Config, key, val string) error {
 			cfg.DevLinkDownAt = append(cfg.DevLinkDownAt, df)
 		}
 	case "ckpt":
-		n, err := atoi(val)
+		n, err := cycles(val)
 		if err != nil {
 			return err
 		}
-		cfg.CkptInterval = sim.Cycles(n)
+		cfg.CkptInterval = n
 	case "rejoin":
-		n, err := atoi(val)
+		n, err := cycles(val)
 		if err != nil {
 			return err
 		}
-		cfg.RejoinCycles = sim.Cycles(n)
+		cfg.RejoinCycles = n
 	case "retx":
-		n, err := atoi(val)
+		n, err := cycles(val)
 		if err != nil {
 			return err
 		}
-		cfg.Recovery.RetxTimeout = sim.Cycles(n)
+		cfg.Recovery.RetxTimeout = n
 	case "maxretx":
 		n, err := atoi(val)
 		if err != nil {
@@ -724,11 +732,11 @@ func applySetting(cfg *Config, key, val string) error {
 		}
 		cfg.Recovery.MaxRetx = n
 	case "budget":
-		n, err := atoi(val)
+		n, err := cycles(val)
 		if err != nil {
 			return err
 		}
-		cfg.Recovery.WaitBudget = sim.Cycles(n)
+		cfg.Recovery.WaitBudget = n
 	case "waitretries":
 		n, err := atoi(val)
 		if err != nil {
@@ -736,11 +744,11 @@ func applySetting(cfg *Config, key, val string) error {
 		}
 		cfg.Recovery.MaxWaitRetries = n
 	case "watchdog":
-		n, err := atoi(val)
+		n, err := cycles(val)
 		if err != nil {
 			return err
 		}
-		cfg.Recovery.WatchdogCycles = sim.Cycles(n)
+		cfg.Recovery.WatchdogCycles = n
 	case "verify":
 		n, err := atoi(val)
 		if err != nil {

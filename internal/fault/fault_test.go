@@ -9,7 +9,7 @@ import (
 
 func TestNilInjectorIsInert(t *testing.T) {
 	var inj *Injector
-	if v := inj.PacketFault("pcie.h2d", 0); v.Faulty() {
+	if v := inj.PacketFault("pcie.h2d", 0); v != (PacketVerdict{}) {
 		t.Errorf("nil injector issued a packet fault: %+v", v)
 	}
 	if inj.LoseFlagWrite(0) || inj.CorruptCacheLine(0) || inj.CorruptMMIO(0) {
@@ -51,7 +51,7 @@ func TestStreamsAreDeterministicPerSeed(t *testing.T) {
 	}
 	faulty := 0
 	for _, v := range a {
-		if v.Faulty() {
+		if v != (PacketVerdict{}) {
 			faulty++
 		}
 		if v.Drop && (v.Dup || v.Corrupt) || v.Dup && v.Corrupt {
@@ -94,7 +94,7 @@ func TestRatesAreExtremes(t *testing.T) {
 	}
 	none := NewInjector(sim.NewKernel(), Config{})
 	for i := 0; i < 50; i++ {
-		if none.PacketFault("pcie.h2d", 0).Faulty() {
+		if none.PacketFault("pcie.h2d", 0) != (PacketVerdict{}) {
 			t.Fatal("zero rates injected a fault")
 		}
 	}
@@ -313,6 +313,10 @@ func TestParseSpec(t *testing.T) {
 	if !reflect.DeepEqual(cfg, want) {
 		t.Errorf("ParseSpec:\n got %+v\nwant %+v", cfg, want)
 	}
+	// verify and promote are counts whose -1 has a documented meaning.
+	if cfg, err := ParseSpec("verify=-1,promote=-1"); err != nil || cfg.Recovery.VerifyRetries != -1 || cfg.Recovery.PromoteAfter != -1 {
+		t.Errorf("verify=-1,promote=-1 = (%+v, %v), want both -1", cfg, err)
+	}
 	if cfg, err := ParseSpec("  "); err != nil || cfg != nil {
 		t.Errorf("empty spec = (%v, %v), want (nil, nil)", cfg, err)
 	}
@@ -341,6 +345,19 @@ func TestParseSpecErrorPositions(t *testing.T) {
 		// offsets, which index the spec as the caller wrote it.
 		{"seed=1, drop=x", `fault: spec token "drop=x" at byte 8: bad number "x"`},
 		{"seed=1,,drop=10", `fault: spec token "" at byte 7 is not key=value`},
+		// Every cycle-valued key rejects a negative count, which would
+		// wrap the unsigned sim.Cycles to about 2^64.
+		{"seed=1,stall=1000:-1", `fault: spec token "stall=1000:-1" at byte 7: negative cycle count "-1"`},
+		{"stall=-1:10", `fault: spec token "stall=-1:10" at byte 0: negative cycle count "-1"`},
+		{"crash=-5", `fault: spec token "crash=-5" at byte 0: negative cycle count "-5"`},
+		{"devcrash=-1:1:-1", `fault: spec token "devcrash=-1:1:-1" at byte 0: negative cycle count "-1"`},
+		{"devlinkdown=5:1:-2", `fault: spec token "devlinkdown=5:1:-2" at byte 0: negative cycle count "-2"`},
+		{"drop=1,delay=10:-5", `fault: spec token "delay=10:-5" at byte 7: negative cycle count "-5"`},
+		{"ckpt=-1", `fault: spec token "ckpt=-1" at byte 0: negative cycle count "-1"`},
+		{"rejoin=-1", `fault: spec token "rejoin=-1" at byte 0: negative cycle count "-1"`},
+		{"retx=-3", `fault: spec token "retx=-3" at byte 0: negative cycle count "-3"`},
+		{"budget=-1", `fault: spec token "budget=-1" at byte 0: negative cycle count "-1"`},
+		{"watchdog=-1", `fault: spec token "watchdog=-1" at byte 0: negative cycle count "-1"`},
 	}
 	for _, c := range cases {
 		_, err := ParseSpec(c.spec)

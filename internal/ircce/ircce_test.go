@@ -167,14 +167,14 @@ func TestIsendIrecvBasic(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			eng.Wait(q)
+			eng.WaitAll(q)
 		} else {
 			q, err := eng.Irecv(0, got)
 			if err != nil {
 				t.Error(err)
 				return
 			}
-			eng.Wait(q)
+			eng.WaitAll(q)
 		}
 	})
 	if err != nil {
@@ -197,12 +197,12 @@ func TestIsendReturnsBeforeCompletion(t *testing.T) {
 		if r.ID() == 0 {
 			q, _ := eng.Isend(1, msg)
 			isendReturned = r.Now()
-			eng.Wait(q)
+			eng.WaitAll(q)
 		} else {
 			r.Ctx().Delay(2_000_000)
 			recvPosted = r.Now()
 			q, _ := eng.Irecv(0, got)
-			eng.Wait(q)
+			eng.WaitAll(q)
 		}
 	})
 	if err != nil {
@@ -282,16 +282,16 @@ func TestTestPolling(t *testing.T) {
 		if r.ID() == 0 {
 			r.Ctx().Delay(100_000)
 			q, _ := eng.Isend(1, msg)
-			eng.Wait(q)
+			eng.WaitAll(q)
 		} else {
 			q, _ := eng.Irecv(0, got)
 			polls := 0
-			for !eng.Test(q) {
+			for eng.Push(); !q.Done(); eng.Push() {
 				polls++
-				r.Ctx().Delay(10_000) // do "useful work" between tests
+				r.Ctx().Delay(10_000) // do "useful work" between polls
 			}
 			if polls == 0 {
-				t.Error("Test completed before the sender even started")
+				t.Error("the receive completed before the sender even started")
 			}
 		}
 	})
@@ -391,7 +391,7 @@ func TestEngineInteropWithBlockingPeer(t *testing.T) {
 		if r.ID() == 0 {
 			eng := New(r)
 			q, _ := eng.Isend(1, msg)
-			eng.Wait(q)
+			eng.WaitAll(q)
 		} else {
 			r.Recv(0, got)
 		}

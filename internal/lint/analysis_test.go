@@ -22,14 +22,16 @@ import (
 	"testing"
 )
 
-// FixtureDep names a dependency package of a multi-package fixture: its
+// FixtureDep names another package of a multi-package fixture: its
 // testdata directory and the import path it is loaded under. Deps are
 // loaded (and type-checked) before the fixture, so qualified calls into
-// them resolve through the call graph, but they are not analyzed — only
-// the fixture package's // want annotations are diffed.
+// them resolve through the call graph; a User dep imports the fixture and
+// is loaded after it. Neither is analyzed — only the fixture package's
+// // want annotations are diffed.
 type FixtureDep struct {
 	Dir        string
 	ImportPath string
+	User       bool
 }
 
 // RunAnalyzerTest loads dir as a fixture package under importPath (the
@@ -39,15 +41,22 @@ type FixtureDep struct {
 func RunAnalyzerTest(t *testing.T, a *Analyzer, dir, importPath string, deps ...FixtureDep) {
 	t.Helper()
 	pr := NewProgram()
-	for _, dep := range deps {
-		if _, err := pr.LoadDir(dep.Dir, dep.ImportPath); err != nil {
-			t.Fatalf("loading fixture dep %s: %v", dep.Dir, err)
+	load := func(users bool) {
+		for _, dep := range deps {
+			if dep.User != users {
+				continue
+			}
+			if _, err := pr.loadDir(dep.Dir, dep.ImportPath); err != nil {
+				t.Fatalf("loading fixture dep %s: %v", dep.Dir, err)
+			}
 		}
 	}
-	pkg, err := pr.LoadDir(dir, importPath)
+	load(false)
+	pkg, err := pr.loadDir(dir, importPath)
 	if err != nil {
 		t.Fatalf("loading fixture %s: %v", dir, err)
 	}
+	load(true)
 	if a.Applies != nil && !a.Applies(importPath) {
 		t.Fatalf("fixture import path %q is filtered out by %s.Applies", importPath, a.Name)
 	}
@@ -138,6 +147,22 @@ func (ws *wantSet) unmatched() []*want {
 	return out
 }
 
+// loadDir loads a single testdata directory as a package with the given
+// import path, type-checked against the already-loaded program.
+func (pr *Program) loadDir(dir, importPath string) (*Package, error) {
+	pkg, err := pr.parseDir(dir, importPath)
+	if err != nil {
+		return nil, err
+	}
+	if pkg == nil {
+		return nil, fmt.Errorf("lint: no Go files in %s", dir)
+	}
+	pr.pkgs[importPath] = pkg
+	pr.check(pkg)
+	pr.cg, pr.live = nil, nil
+	return pkg, nil
+}
+
 // ParseFixtureFile parses source text as a one-file fixture package
 // inside pr under importPath — for unit tests that do not need a
 // testdata directory.
@@ -154,6 +179,6 @@ func (pr *Program) ParseFixtureFile(filename, src, importPath string) (*Package,
 	}
 	pr.pkgs[importPath] = pkg
 	pr.check(pkg)
-	pr.cg = nil
+	pr.cg, pr.live = nil, nil
 	return pkg, nil
 }

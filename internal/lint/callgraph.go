@@ -243,8 +243,8 @@ func (g *CallGraph) ClockWitness(fi *FuncInfo) *witness {
 // iteration changes traces, schedules or memory images.
 var kernelVisibleFuncs = map[string]string{
 	// trace.Sink recording — event order lands in the Chrome export.
-	"Span": "trace emission", "Instant": "trace emission",
-	"Add": "trace counter", "Gauge": "trace gauge", "Observe": "trace histogram",
+	"Span": "trace emission", "Add": "trace counter",
+	"Gauge": "trace gauge", "Observe": "trace histogram",
 	// sim.Kernel scheduling and process control — posting order is the
 	// same-cycle dispatch order.
 	"At": "event scheduling", "After": "event scheduling",
@@ -258,8 +258,7 @@ var kernelVisibleFuncs = map[string]string{
 	"WriteMPB": "MPB store", "WriteV": "MPB store",
 	"HostWriteLMB": "LMB store", "WriteLMB": "LMB store",
 	"SignalSent": "flag signal", "SignalReady": "flag signal",
-	"setSent": "flag signal", "setReady": "flag signal",
-	"FlagSet": "flag signal", "FlushWCB": "WCB flush",
+	"setSent": "flag signal", "setReady": "flag signal", "FlushWCB": "WCB flush",
 }
 
 // VisibleWitness returns the first kernel-clock-visible effect reachable

@@ -12,11 +12,12 @@ import (
 // silent deadlock.
 //
 // The rule audits internal/vscc and internal/ircce — the layers whose
-// waits a cross-device fault can starve — and reports every call of an
-// un-budgeted wait primitive (WaitFlag, WaitLMBChange, AwaitSent,
-// AwaitReady, WaitAnyLocalChange). Call sites must use the *For
-// variants, which thread an explicit cycle budget (0 = wait forever,
-// for fault-free configurations) and report expiry to the caller.
+// waits a cross-device fault can starve — and reports every call of the
+// one un-budgeted wait primitive left, scc's WaitFlag (the collectives'
+// on-chip barrier keeps it). Call sites must use WaitFlagFor or the
+// other *For waits, which thread an explicit cycle budget (0 = wait
+// forever, for fault-free configurations) and report expiry to the
+// caller.
 //
 // Test files are exempt: tests drive raw protocols on fault-free
 // fabrics where an unbounded wait is the point of the assertion.
@@ -29,29 +30,14 @@ func FaultOrderAnalyzer() *Analyzer {
 	}
 }
 
-// unboundedWaits maps each un-budgeted wait primitive to its budgeted
-// replacement.
-var unboundedWaits = map[string]string{
-	"WaitFlag":           "WaitFlagFor",
-	"WaitLMBChange":      "WaitLMBChangeFor",
-	"AwaitSent":          "AwaitSentFor",
-	"AwaitReady":         "AwaitReadyFor",
-	"WaitAnyLocalChange": "WaitAnyLocalChangeFor",
-}
-
 func runFaultOrder(pass *Pass) {
 	for _, f := range pass.Files {
 		if pass.IsTestFile(f.Pos()) {
 			continue
 		}
 		ast.Inspect(f, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			name := calleeName(call)
-			if budgeted, bad := unboundedWaits[name]; bad {
-				pass.Reportf(call.Pos(), "un-budgeted engaged wait %s: a lost packet or stalled host deadlocks here forever; use %s with a cycle budget (0 = no bound when faults are off)", name, budgeted)
+			if call, ok := n.(*ast.CallExpr); ok && calleeName(call) == "WaitFlag" {
+				pass.Reportf(call.Pos(), "un-budgeted engaged wait WaitFlag: a lost packet or stalled host deadlocks here forever; use WaitFlagFor with a cycle budget (0 = no bound when faults are off)")
 			}
 			return true
 		})

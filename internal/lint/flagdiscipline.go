@@ -7,7 +7,7 @@ import (
 
 // FlagDisciplineAnalyzer polices raw flag-byte addressing. The MPB flag
 // arrays (sent/ready/grant/vDMA-completion, rank.go) are RCCE-internal
-// layout: FlagByteAt/PeekFlagByte/ScratchByteAt exist only so that the
+// layout: FlagByteAt/PeekFlagByte exist only so that the
 // protocol extensions (internal/ircce, internal/vscc) can build their
 // value-encoded counter protocols on top. Everywhere else — model code,
 // harness, commands, tests — flag traffic must go through the
@@ -25,13 +25,9 @@ func FlagDisciplineAnalyzer() *Analyzer {
 	}
 }
 
-// flagAddrFuncs maps raw-addressing helpers to whether their first
-// argument is a flag kind.
-var flagAddrFuncs = map[string]bool{
-	"FlagByteAt":    true,
-	"PeekFlagByte":  true,
-	"ScratchByteAt": false,
-}
+// flagAddrFuncs are the raw-addressing helpers; the first argument of
+// each is a flag kind.
+var flagAddrFuncs = map[string]bool{"FlagByteAt": true, "PeekFlagByte": true}
 
 func runFlagDiscipline(pass *Pass) {
 	allowed := pkgPathIn(pass.Pkg.Path, goryPackages...)
@@ -42,14 +38,13 @@ func runFlagDiscipline(pass *Pass) {
 				return true
 			}
 			name := calleeName(call)
-			hasKind, isFlagFn := flagAddrFuncs[name]
-			if !isFlagFn || !isRCCEFlagCall(pass.Info, call) {
+			if !flagAddrFuncs[name] || !isRCCEFlagCall(pass.Info, call) {
 				return true
 			}
 			if !allowed {
 				pass.Reportf(call.Pos(), "raw flag-byte addressing (%s) outside a protocol extension: use the rcce hooks (SignalSent/SignalReady/Await*/Peek*/Clear*) instead", name)
 			}
-			if hasKind && len(call.Args) > 0 {
+			if len(call.Args) > 0 {
 				if lit, ok := call.Args[0].(*ast.BasicLit); ok {
 					pass.Reportf(call.Args[0].Pos(), "numeric flag kind %s in %s: use the named rcce.Flag* constants (FlagSent/FlagReady/FlagGrant/FlagDMAC)", lit.Value, name)
 				}

@@ -12,7 +12,7 @@ import (
 //
 //   - flush-before-flag: after an MPB data write (WriteMPB/WriteV), the
 //     write-combine buffer must be flushed (FlushWCB) before any flag is
-//     signalled (SignalSent/SignalReady/setSent/setReady/FlagSet, or a
+//     signalled (SignalSent/SignalReady/setSent/setReady, or a
 //     raw WriteMPB of a flag byte). A flag that overtakes combined data
 //     publishes a message the receiver cannot yet see.
 //   - invalidate-before-read: after waiting on (or consuming) a flag,
@@ -76,10 +76,8 @@ var goryPrimitives = map[string]int{
 	"WriteMPB": evDataWrite, "WriteV": evDataWrite,
 	"ReadMPB": evDataRead, "ReadV": evDataRead,
 	"SignalSent": evSignal, "SignalReady": evSignal,
-	"setSent": evSignal, "setReady": evSignal, "FlagSet": evSignal,
-	"AwaitSent": evWait, "AwaitReady": evWait,
-	"waitSent": evWait, "waitReady": evWait, "waitClearFlag": evWait,
-	"WaitFlag": evWait, "FlagWait": evWait,
+	"setSent": evSignal, "setReady": evSignal,
+	"waitSent": evWait, "waitReady": evWait, "waitClearFlag": evWait, "WaitFlag": evWait,
 	"ClearSent": evWait, "ClearReady": evWait,
 	"PeekSent": evWait, "PeekReady": evWait, "PeekFlagByte": evWait,
 }
@@ -258,7 +256,7 @@ func collectFlagOffsetIdents(fd *ast.FuncDecl) map[string]bool {
 }
 
 // isFlagWrite reports whether a WriteMPB-class call targets a flag byte:
-// an argument mentions FlagByteAt/ScratchByteAt, a *FlagBase constant, or
+// an argument mentions FlagByteAt, a *FlagBase constant, or
 // a hoisted flag-offset identifier.
 func isFlagWrite(call *ast.CallExpr, flagOffIdents map[string]bool) bool {
 	for _, arg := range call.Args {
@@ -277,14 +275,9 @@ func exprMentionsFlagOffset(e ast.Expr, flagOffIdents map[string]bool) bool {
 		}
 		switch n := n.(type) {
 		case *ast.CallExpr:
-			name := calleeName(n)
-			if name == "FlagByteAt" || name == "ScratchByteAt" {
-				found = true
-			}
+			found = calleeName(n) == "FlagByteAt"
 		case *ast.Ident:
-			if strings.HasSuffix(n.Name, "FlagBase") || strings.HasSuffix(n.Name, "flagBase") || flagOffIdents[n.Name] {
-				found = true
-			}
+			found = strings.HasSuffix(n.Name, "FlagBase") || strings.HasSuffix(n.Name, "flagBase") || flagOffIdents[n.Name]
 		}
 		return !found
 	})

@@ -100,17 +100,6 @@ type Analyzer struct {
 	Run func(*Pass)
 }
 
-// Run applies the analyzers to every package of the program and returns
-// the surviving (non-suppressed) diagnostics in deterministic order.
-func Run(pr *Program, analyzers []*Analyzer) []Diagnostic {
-	var diags []Diagnostic
-	for _, pkg := range pr.Packages() {
-		diags = append(diags, RunPackage(pr, pkg, analyzers)...)
-	}
-	sortDiagnostics(diags)
-	return diags
-}
-
 // RunPackage applies the analyzers (honoring Applies) to one package.
 // Suppressions that cover no finding of any rule that ran are reported
 // as diagnostics themselves — a stale //lint:ignore hides future bugs.
@@ -363,7 +352,8 @@ func pkgPathIn(pkgPath string, suffixes ...string) bool {
 //     root (whose integration tests exercise raw protocols),
 //   - faultorder audits the inter-device protocol layers (vscc, ircce),
 //     where every engaged wait must carry a cycle budget,
-//   - flagdiscipline, tracealloc and simapi audit everything.
+//   - flagdiscipline, tracealloc, simapi and deadexport audit
+//     everything (deadexport skips package main).
 func DefaultAnalyzers() []*Analyzer {
 	return []*Analyzer{
 		KernelClockAnalyzer(),
@@ -373,6 +363,7 @@ func DefaultAnalyzers() []*Analyzer {
 		FlagDisciplineAnalyzer(),
 		TraceAllocAnalyzer(),
 		SimAPIAnalyzer(),
+		DeadExportAnalyzer(),
 	}
 }
 

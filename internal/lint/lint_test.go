@@ -20,10 +20,10 @@ func TestAnalyzersGolden(t *testing.T) {
 		{KernelClockAnalyzer(), "kernelclock", "vscc/internal/noc", nil},
 		{KernelClockAnalyzer(), "kernelclock_engine", "vscc/internal/sim", nil},
 		{KernelClockAnalyzer(), "kernelclock_ipa", "vscc/internal/noc", []FixtureDep{
-			{filepath.Join("testdata", "src", "kernelclock_ipa_util"), "vscc/internal/util"},
+			{Dir: filepath.Join("testdata", "src", "kernelclock_ipa_util"), ImportPath: "vscc/internal/util"},
 		}},
 		{KernelClockAnalyzer(), "kernelclock_dispatch", "vscc/internal/noc", []FixtureDep{
-			{filepath.Join("testdata", "src", "kernelclock_dispatch_util"), "vscc/internal/util"},
+			{Dir: filepath.Join("testdata", "src", "kernelclock_dispatch_util"), ImportPath: "vscc/internal/util"},
 		}},
 		{DetOrderAnalyzer(), "detorder", "vscc/internal/noc", nil},
 		{GoryOrderAnalyzer(), "goryorder", "vscc/internal/rcce", nil},
@@ -31,12 +31,15 @@ func TestAnalyzersGolden(t *testing.T) {
 		{GoryOrderAnalyzer(), "goryorder_testfile", "vscc/internal/vscc", nil},
 		{FaultOrderAnalyzer(), "faultorder", "vscc/internal/vscc", nil},
 		{FlagDisciplineAnalyzer(), "flagdiscipline", "fixture/flagdiscipline", []FixtureDep{
-			{filepath.Join("testdata", "src", "flagdiscipline_rcce"), "vscc/internal/rcce"},
-			{filepath.Join("testdata", "src", "flagdiscipline_notrcce"), "example.test/notrcce"},
+			{Dir: filepath.Join("testdata", "src", "flagdiscipline_rcce"), ImportPath: "vscc/internal/rcce"},
+			{Dir: filepath.Join("testdata", "src", "flagdiscipline_notrcce"), ImportPath: "example.test/notrcce"},
 		}},
 		{FlagDisciplineAnalyzer(), "flagdiscipline_ext", "vscc/internal/ircce", nil},
 		{TraceAllocAnalyzer(), "tracealloc", "fixture/tracealloc", nil},
 		{SimAPIAnalyzer(), "simapi", "fixture/simapi", nil},
+		{DeadExportAnalyzer(), "deadexport", "fixture/deadexport", []FixtureDep{
+			{Dir: filepath.Join("testdata", "src", "deadexport_main"), ImportPath: "fixture/deadexport/cmd", User: true},
+		}},
 	}
 	for _, tt := range tests {
 		t.Run(tt.dir, func(t *testing.T) {
@@ -136,10 +139,10 @@ func f(x c, a, b uint64) {
 // message text.
 func TestDiagnosticChain(t *testing.T) {
 	pr := NewProgram()
-	if _, err := pr.LoadDir(filepath.Join("testdata", "src", "kernelclock_ipa_util"), "vscc/internal/util"); err != nil {
+	if _, err := pr.loadDir(filepath.Join("testdata", "src", "kernelclock_ipa_util"), "vscc/internal/util"); err != nil {
 		t.Fatal(err)
 	}
-	pkg, err := pr.LoadDir(filepath.Join("testdata", "src", "kernelclock_ipa"), "vscc/internal/noc")
+	pkg, err := pr.loadDir(filepath.Join("testdata", "src", "kernelclock_ipa"), "vscc/internal/noc")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,8 +193,10 @@ func TestRepoIsLintClean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, d := range Run(pr, DefaultAnalyzers()) {
-		t.Errorf("%s", d)
+	for _, pkg := range pr.Packages() {
+		for _, d := range RunPackage(pr, pkg, DefaultAnalyzers()) {
+			t.Errorf("%s", d)
+		}
 	}
 }
 
@@ -210,7 +215,7 @@ func TestLoadModule(t *testing.T) {
 		t.Errorf("type error: %v", err)
 	}
 	for _, path := range []string{"vscc", "vscc/internal/sim", "vscc/internal/scc", "vscc/internal/rcce", "vscc/internal/lint"} {
-		pkg := pr.Package(path)
+		pkg := pr.pkgs[path]
 		if pkg == nil {
 			t.Fatalf("package %s not loaded", path)
 		}
@@ -218,7 +223,7 @@ func TestLoadModule(t *testing.T) {
 			t.Errorf("package %s has no type information", path)
 		}
 	}
-	if pr.Package("vscc/internal/lint/testdata/src/simapi") != nil {
+	if pr.pkgs["vscc/internal/lint/testdata/src/simapi"] != nil {
 		t.Error("testdata fixture leaked into the module load")
 	}
 }

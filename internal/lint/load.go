@@ -72,23 +72,34 @@ type Program struct {
 
 	pkgs map[string]*Package
 
-	cg *CallGraph // lazily built; invalidated when packages are added
+	// cg and live are built lazily and dropped when packages are added.
+	cg   *CallGraph
+	live *liveIndex
 }
 
-// NewProgram returns an empty Program, for loading packages with LoadDir
-// outside any module walk.
+// NewProgram returns an empty Program, for loading packages outside any
+// module walk (the analyzer tests load testdata fixtures into one).
 func NewProgram() *Program {
 	return &Program{Fset: token.NewFileSet(), pkgs: map[string]*Package{}}
 }
 
 // CallGraph returns the module-wide call graph, building it on first
-// use. LoadDir invalidates it, so fixture packages loaded later are
-// always indexed.
+// use. Loading a fixture package invalidates it, so packages loaded
+// later are always indexed.
 func (pr *Program) CallGraph() *CallGraph {
 	if pr.cg == nil {
 		pr.cg = NewCallGraph(pr)
 	}
 	return pr.cg
+}
+
+// liveIndex returns the module-wide use index of deadexport, building it
+// on first use, the way CallGraph does.
+func (pr *Program) liveIndex() *liveIndex {
+	if pr.live == nil {
+		pr.live = newLiveIndex(pr)
+	}
+	return pr.live
 }
 
 // Packages returns all loaded packages in import-path order.
@@ -104,9 +115,6 @@ func (pr *Program) Packages() []*Package {
 	}
 	return out
 }
-
-// Package returns a loaded package by import path, or nil.
-func (pr *Program) Package(path string) *Package { return pr.pkgs[path] }
 
 // FindModuleRoot walks up from dir to the directory containing go.mod.
 func FindModuleRoot(dir string) (string, error) {
@@ -196,23 +204,6 @@ func LoadModule(dir string) (*Program, error) {
 		pr.check(pkg)
 	}
 	return pr, nil
-}
-
-// LoadDir loads a single directory as a package with the given import
-// path, type-checking it against the already-loaded program. It is the
-// entry point the analyzer test harness uses for testdata fixtures.
-func (pr *Program) LoadDir(dir, importPath string) (*Package, error) {
-	pkg, err := pr.parseDir(dir, importPath)
-	if err != nil {
-		return nil, err
-	}
-	if pkg == nil {
-		return nil, fmt.Errorf("lint: no Go files in %s", dir)
-	}
-	pr.pkgs[importPath] = pkg
-	pr.check(pkg)
-	pr.cg = nil
-	return pkg, nil
 }
 
 // parseDir parses the Go files of one directory; nil if there are none.

@@ -12,14 +12,12 @@ type rank struct{}
 
 func (rank) FlagByteAt(kind, peer int) int    { return 0 }
 func (rank) PeekFlagByte(kind, peer int) byte { return 0 }
-func (rank) ScratchByteAt(i int) int          { return 0 }
 
 const flagSent = 0
 
 func misuse(r rank) {
 	_ = r.FlagByteAt(0, 1)          // want "raw flag-byte addressing .FlagByteAt. outside a protocol extension" "numeric flag kind 0 in FlagByteAt"
 	_ = r.PeekFlagByte(flagSent, 1) // want "raw flag-byte addressing .PeekFlagByte. outside a protocol extension"
-	_ = r.ScratchByteAt(3)          // want "raw flag-byte addressing .ScratchByteAt. outside a protocol extension"
 }
 
 func namedKindStillOutside(r rank) {

@@ -15,7 +15,6 @@ type rank struct{ c ctx }
 
 func (rank) SignalSent(peer int)    {}
 func (rank) SignalReady(peer int)   {}
-func (rank) AwaitSent(peer int)     {}
 func (rank) ClearSent(peer int)     {}
 func (rank) PeekSent(peer int) bool { return false }
 
@@ -36,13 +35,13 @@ func badSend(c ctx, r rank) {
 }
 
 func goodRecv(c ctx, r rank) {
-	r.AwaitSent(0)
+	r.ClearSent(0)
 	c.InvalidateMPB()
 	_ = c.ReadMPB(0, 0, 0, 32)
 }
 
 func badRecv(c ctx, r rank) {
-	r.AwaitSent(0)
+	r.ClearSent(0)
 	_ = c.ReadMPB(0, 0, 0, 32) // want "MPB read after a flag wait without InvalidateMPB"
 }
 
@@ -70,7 +69,7 @@ func goodFlagWrite(c ctx) {
 }
 
 func suppressedRecv(c ctx, r rank) {
-	r.AwaitSent(0)
+	r.ClearSent(0)
 	//lint:ignore goryorder peer writes through an uncached alias in this fixture
 	_ = c.ReadMPB(0, 0, 0, 32)
 }

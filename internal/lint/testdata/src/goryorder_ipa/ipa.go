@@ -16,7 +16,7 @@ func (ctx) InvalidateMPB()                        {}
 type rank struct{}
 
 func (rank) SignalSent(peer int) {}
-func (rank) AwaitSent(peer int)  {}
+func (rank) ClearSent(peer int)  {}
 
 var buf = []byte{1}
 
@@ -37,7 +37,7 @@ func consume(c ctx) []byte {
 
 // await waits on the sent flag without invalidating.
 func await(r rank) {
-	r.AwaitSent(0)
+	r.ClearSent(0)
 }
 
 // getLike invalidates internally before reading, like scc.Ctx.Get.
@@ -57,13 +57,13 @@ func badCalleeSignals(c ctx, r rank) {
 }
 
 func badCalleeReads(c ctx, r rank) {
-	r.AwaitSent(0)
-	_ = consume(c) // want "MPB read .ReadMPB via vscc.consume. after a flag wait .AwaitSent."
+	r.ClearSent(0)
+	_ = consume(c) // want "MPB read .ReadMPB via vscc.consume. after a flag wait .ClearSent."
 }
 
 func badCallerReads(c ctx, r rank) {
 	await(r)
-	_ = c.ReadMPB(0, 0, 0, 32) // want "MPB read .ReadMPB. after a flag wait .AwaitSent via vscc.await."
+	_ = c.ReadMPB(0, 0, 0, 32) // want "MPB read .ReadMPB. after a flag wait .ClearSent via vscc.await."
 }
 
 func goodFlushBetween(c ctx, r rank) {
@@ -73,7 +73,7 @@ func goodFlushBetween(c ctx, r rank) {
 }
 
 func goodGetLike(c ctx, r rank) {
-	r.AwaitSent(0)
+	r.ClearSent(0)
 	_ = getLike(c)
 }
 

@@ -11,7 +11,7 @@ type sink struct{}
 
 func (s *sink) Enabled() bool                       { return s != nil }
 func (s *sink) Span(tr span, name string, a, b int) {}
-func (s *sink) Instant(tr span, name string)        {}
+func (s *sink) Gauge(name string, v int)            {}
 func (s *sink) Add(name string, v int)              {}
 
 func itoa(v int) string { return fmt.Sprint(v) }
@@ -22,9 +22,9 @@ func unguarded(s *sink, tr span, id int) {
 }
 
 func constantNames(s *sink, tr span, id int) {
-	s.Add("fixed-name", 1)     // ok: constant name
-	s.Instant(tr, "pre"+"fix") // ok: constant-folded concatenation
-	s.Add("bytes", id+id)      // ok: numeric + is not a string build
+	s.Add("fixed-name", 1)  // ok: constant name
+	s.Gauge("pre"+"fix", 1) // ok: constant-folded concatenation
+	s.Add("bytes", id+id)   // ok: numeric + is not a string build
 }
 
 func guardedBlock(s *sink, tr span, id int) {
@@ -51,7 +51,7 @@ func guardDoesNotLeak(s *sink, tr span, id int) {
 	if s.Enabled() {
 		s.Add("count", 1)
 	}
-	s.Instant(tr, fmt.Sprintf("late-%d", id)) // want "builds a trace label with fmt.Sprintf at an unguarded call site"
+	s.Gauge(fmt.Sprintf("late-%d", id), 1) // want "builds a trace label with fmt.Sprintf at an unguarded call site"
 }
 
 func suppressed(s *sink, id int) {

@@ -35,7 +35,7 @@ func TraceAllocAnalyzer() *Analyzer {
 // event names on the hot path. Track registration and exporters run at
 // setup/report time and may allocate freely.
 var sinkRecordMethods = map[string]bool{
-	"Span": true, "Instant": true, "Add": true, "Gauge": true, "Observe": true,
+	"Span": true, "Add": true, "Gauge": true, "Observe": true,
 }
 
 // runTraceAlloc walks every body knowing whether the enclosing context

@@ -22,11 +22,6 @@ type L1 struct {
 	head     int // oldest resident slot
 	n        int // resident lines
 	maxLines int
-
-	hits      uint64
-	misses    uint64
-	evictions uint64
-	flushes   uint64
 }
 
 // NewL1 returns a cache holding at most maxLines MPBT lines. The SCC's
@@ -44,18 +39,9 @@ func NewL1(maxLines int) *L1 {
 // must not modify it.
 func (c *L1) Lookup(key uint64) ([]byte, bool) {
 	if i, ok := c.index[key]; ok {
-		c.hits++
 		return c.lines[i][:], true
 	}
-	c.misses++
 	return nil, false
-}
-
-// Contains reports whether the line is cached, without touching hit/miss
-// counters.
-func (c *L1) Contains(key uint64) bool {
-	_, ok := c.index[key]
-	return ok
 }
 
 // Fill inserts a line fetched from memory, evicting the oldest line if
@@ -85,7 +71,6 @@ func (c *L1) slot() int32 {
 	}
 	i := c.head
 	delete(c.index, c.keys[i])
-	c.evictions++
 	if c.head++; c.head == c.maxLines {
 		c.head = 0
 	}
@@ -107,18 +92,4 @@ func (c *L1) InvalidateAll() {
 		clear(c.index)
 		c.head, c.n = 0, 0
 	}
-	c.flushes++
-}
-
-// Len reports the number of resident lines.
-func (c *L1) Len() int { return c.n }
-
-// L1Stats is a snapshot of cache counters.
-type L1Stats struct {
-	Hits, Misses, Evictions, Flushes uint64
-}
-
-// Stats returns counters accumulated since creation.
-func (c *L1) Stats() L1Stats {
-	return L1Stats{Hits: c.hits, Misses: c.misses, Evictions: c.evictions, Flushes: c.flushes}
 }

@@ -3,7 +3,7 @@
 // passing buffer (MPB) and the synchronization-flag (SF) region, the L1
 // cache behaviour of the MPBT memory type (write-through, bulk-invalidate
 // via CL1INVMB), the write-combine buffer (WCB) that fuses consecutive
-// stores to one cache line, and the per-core test-and-set registers.
+// stores to one cache line.
 //
 // The models are functional: they store real bytes, so forgetting an
 // invalidation yields genuinely stale data — exactly the programming
@@ -84,37 +84,8 @@ func (l *LMB) View() []byte {
 	return l.data
 }
 
-// Line returns a copy of the 32-byte line containing off.
-func (l *LMB) Line(off int) [LineSize]byte {
-	base := off &^ (LineSize - 1)
-	var line [LineSize]byte
-	l.Read(base, line[:])
-	return line
-}
-
 func (l *LMB) check(off, n int) {
 	if off < 0 || n < 0 || off+n > l.size {
 		panic(fmt.Sprintf("mem: LMB access [%d,%d) outside %d-byte buffer", off, off+n, l.size))
 	}
 }
-
-// TestAndSet models the SCC's per-core test-and-set register, the chip's
-// only atomic primitive. Set returns the previous value and leaves the
-// register set; Clear resets it.
-type TestAndSet struct {
-	set bool
-}
-
-// Set atomically reads and sets the register; it returns true if the
-// caller acquired it (register was clear).
-func (t *TestAndSet) Set() bool {
-	was := t.set
-	t.set = true
-	return !was
-}
-
-// Clear releases the register.
-func (t *TestAndSet) Clear() { t.set = false }
-
-// IsSet reports the current value without modifying it.
-func (t *TestAndSet) IsSet() bool { return t.set }

@@ -15,10 +15,6 @@ type WCB struct {
 	mask  uint32 // bit i set = byte i written
 	// out is the last drained line, handed out by pointer.
 	out Pending
-
-	merges  uint64
-	drains  uint64
-	partial uint64
 }
 
 // Pending describes a drained WCB line to be written to memory.
@@ -27,9 +23,6 @@ type Pending struct {
 	Data [LineSize]byte
 	Mask uint32 // which bytes are valid
 }
-
-// Full reports whether every byte of the pending line was written.
-func (p Pending) Full() bool { return p.Mask == 0xFFFFFFFF }
 
 // NextRun returns the first run [lo, hi) of set bits of a line's byte
 // mask at or after bit from and below limit; lo == hi when none is left.
@@ -70,8 +63,6 @@ func (w *WCB) Write(key uint64, off int, data []byte) (drained *Pending) {
 		w.valid = true
 		w.key = key
 		w.mask = 0
-	} else {
-		w.merges++
 	}
 	copy(w.buf[off:], data)
 	// A 32-byte store shifts the 1 out: 0 - 1 is the full mask.
@@ -88,9 +79,6 @@ func (w *WCB) Flush() *Pending {
 	return w.take()
 }
 
-// Dirty reports whether a line is buffered.
-func (w *WCB) Dirty() bool { return w.valid }
-
 // PendingKey returns the key of the buffered line, if any — consumed by
 // the scc consistency checker to flag reads overlapping combined stores.
 func (w *WCB) PendingKey() (key uint64, ok bool) { return w.key, w.valid }
@@ -98,19 +86,5 @@ func (w *WCB) PendingKey() (key uint64, ok bool) { return w.key, w.valid }
 func (w *WCB) take() *Pending {
 	w.out = Pending{Key: w.key, Data: w.buf, Mask: w.mask}
 	w.valid = false
-	w.drains++
-	if !w.out.Full() {
-		w.partial++
-	}
 	return &w.out
-}
-
-// WCBStats is a snapshot of write-combine counters.
-type WCBStats struct {
-	Merges, Drains, PartialDrains uint64
-}
-
-// Stats returns counters accumulated since creation.
-func (w *WCB) Stats() WCBStats {
-	return WCBStats{Merges: w.merges, Drains: w.drains, PartialDrains: w.partial}
 }

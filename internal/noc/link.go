@@ -141,9 +141,9 @@ func (l *Link) TransferAsync(p *sim.Proc, bytes int, onDelivered func()) {
 	p.Delay(l.nextFree - now)
 }
 
-// EarliestCompletion returns when a transfer submitted now would complete,
+// earliestCompletion returns when a transfer submitted now would complete,
 // without reserving the channel — used by lookahead heuristics.
-func (l *Link) EarliestCompletion(now sim.Cycles, bytes int) sim.Cycles {
+func (l *Link) earliestCompletion(now sim.Cycles, bytes int) sim.Cycles {
 	start := now
 	if l.nextFree > start {
 		start = l.nextFree

@@ -85,9 +85,9 @@ func (m *Mesh) Hops(a, b Coord) int {
 	return dx + dy
 }
 
-// Route returns the tile sequence of the XY (X first, then Y) path from a
+// route returns the tile sequence of the XY (X first, then Y) path from a
 // to b, inclusive of both endpoints.
-func (m *Mesh) Route(a, b Coord) []Coord {
+func (m *Mesh) route(a, b Coord) []Coord {
 	m.check(a)
 	m.check(b)
 	path := []Coord{a}
@@ -130,10 +130,10 @@ func (m *Mesh) TransferLatency(a, b Coord, bytes int) sim.Cycles {
 	return head + tail
 }
 
-// RoundTripLatency returns the cycles for a request of reqBytes to tile b
+// roundTripLatency returns the cycles for a request of reqBytes to tile b
 // and a response of respBytes back to a — the cost shape of a remote MPB
 // read.
-func (m *Mesh) RoundTripLatency(a, b Coord, reqBytes, respBytes int) sim.Cycles {
+func (m *Mesh) roundTripLatency(a, b Coord, reqBytes, respBytes int) sim.Cycles {
 	return m.TransferLatency(a, b, reqBytes) + m.TransferLatency(b, a, respBytes)
 }
 

@@ -48,7 +48,7 @@ func TestHopsSymmetric(t *testing.T) {
 
 func TestRouteXYOrder(t *testing.T) {
 	m := sccMesh()
-	path := m.Route(Coord{1, 1}, Coord{4, 3})
+	path := m.route(Coord{1, 1}, Coord{4, 3})
 	want := []Coord{{1, 1}, {2, 1}, {3, 1}, {4, 1}, {4, 2}, {4, 3}}
 	if len(path) != len(want) {
 		t.Fatalf("path len = %d, want %d (%v)", len(path), len(want), path)
@@ -65,7 +65,7 @@ func TestRouteLengthMatchesHops(t *testing.T) {
 	f := func(ax, ay, bx, by uint8) bool {
 		a := Coord{int(ax) % m.W, int(ay) % m.H}
 		b := Coord{int(bx) % m.W, int(by) % m.H}
-		return len(m.Route(a, b)) == m.Hops(a, b)+1
+		return len(m.route(a, b)) == m.Hops(a, b)+1
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -107,7 +107,7 @@ func TestTransferLatencyOnChipClass(t *testing.T) {
 func TestRoundTripLatency(t *testing.T) {
 	m := sccMesh()
 	a, b := Coord{0, 0}, Coord{2, 1}
-	rt := m.RoundTripLatency(a, b, 8, 32)
+	rt := m.roundTripLatency(a, b, 8, 32)
 	if want := m.TransferLatency(a, b, 8) + m.TransferLatency(b, a, 32); rt != want {
 		t.Errorf("round trip = %d, want %d", rt, want)
 	}
@@ -195,8 +195,8 @@ func TestLinkStats(t *testing.T) {
 
 func TestLinkEarliestCompletion(t *testing.T) {
 	l := NewLink("l", 7, 1.0)
-	if got := l.EarliestCompletion(100, 50); got != 157 {
-		t.Errorf("EarliestCompletion = %d, want 157", got)
+	if got := l.earliestCompletion(100, 50); got != 157 {
+		t.Errorf("earliestCompletion = %d, want 157", got)
 	}
 }
 

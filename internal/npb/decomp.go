@@ -78,11 +78,6 @@ func (d *Decomp) CellCoord(rank, c int) (cx, cy, cz int) {
 	return mod(pi+c, d.Q), mod(pj+c, d.Q), c
 }
 
-// OwnerOf returns the rank owning the cell at (cx, cy, cz).
-func (d *Decomp) OwnerOf(cx, cy, cz int) int {
-	return d.RankAt(cx-cz, cy-cz)
-}
-
 // CellWithX returns which of a rank's cells sits at x-slab cx (every
 // slab holds exactly one).
 func (d *Decomp) CellWithX(rank, cx int) int {

@@ -75,8 +75,8 @@ func TestMultiPartitionProperties(t *testing.T) {
 				t.Fatalf("cell %v owned by both %d and %d", key, prev, rank)
 			}
 			owned[key] = rank
-			if d.OwnerOf(cx, cy, cz) != rank {
-				t.Fatalf("OwnerOf(%v) != %d", key, rank)
+			if d.ownerOf(cx, cy, cz) != rank {
+				t.Fatalf("ownerOf(%v) != %d", key, rank)
 			}
 			seenX[cx] = true
 			seenY[cy] = true
@@ -98,17 +98,17 @@ func TestNeighborMatchesAdjacentCellOwner(t *testing.T) {
 		for c := 0; c < q; c++ {
 			cx, cy, cz := d.CellCoord(rank, c)
 			if cx < q-1 {
-				if want, got := d.OwnerOf(cx+1, cy, cz), d.Neighbor(rank, DimX, +1); want != got {
+				if want, got := d.ownerOf(cx+1, cy, cz), d.Neighbor(rank, DimX, +1); want != got {
 					t.Fatalf("x+ neighbor of rank %d: %d != %d", rank, got, want)
 				}
 			}
 			if cy > 0 {
-				if want, got := d.OwnerOf(cx, cy-1, cz), d.Neighbor(rank, DimY, -1); want != got {
+				if want, got := d.ownerOf(cx, cy-1, cz), d.Neighbor(rank, DimY, -1); want != got {
 					t.Fatalf("y- neighbor of rank %d: %d != %d", rank, got, want)
 				}
 			}
 			if cz < q-1 {
-				if want, got := d.OwnerOf(cx, cy, cz+1), d.Neighbor(rank, DimZ, +1); want != got {
+				if want, got := d.ownerOf(cx, cy, cz+1), d.Neighbor(rank, DimZ, +1); want != got {
 					t.Fatalf("z+ neighbor of rank %d: %d != %d", rank, got, want)
 				}
 			}
@@ -367,7 +367,7 @@ func TestMessageVolumePrediction(t *testing.T) {
 	}
 	xNbr := d.Neighbor(0, DimX, +1)
 	got := m.Bytes(0, xNbr)
-	want := uint64(d.MessageVolume(0))
+	want := uint64(d.messageVolume(0))
 	// The measured volume also includes the y/z traffic if the x
 	// neighbour coincides; for q=3 the x/y/z neighbours are distinct.
 	if got < want {
@@ -393,7 +393,7 @@ func TestClassCSixtyFourRankVolumeMatchesPaper(t *testing.T) {
 	// heaviest pair as forward volume only).
 	maxVol := 0
 	for rank := 0; rank < 64; rank++ {
-		if v := d.MessageVolume(rank); v > maxVol {
+		if v := d.messageVolume(rank); v > maxVol {
 			maxVol = v
 		}
 	}
@@ -402,4 +402,31 @@ func TestClassCSixtyFourRankVolumeMatchesPaper(t *testing.T) {
 		t.Errorf("max pair volume = %.0f MB for 200 iterations, want the paper's ~186 MB class", totalMB)
 	}
 	t.Logf("predicted max pair volume: %.1f MB (paper: ~186 MB)", totalMB)
+}
+
+// ownerOf returns the rank owning the cell at (cx, cy, cz): the inverse
+// of CellCoord, the oracle the neighbour tests check Neighbor against.
+func (d *Decomp) ownerOf(cx, cy, cz int) int {
+	return d.RankAt(cx-cz, cy-cz)
+}
+
+// messageVolume predicts the per-iteration communication volume in bytes
+// between a rank and its +x neighbour — the heaviest pair of the traffic
+// matrix (copy_faces plus both sweep boundary flows): the analytic side
+// of the measured-matrix check and of the paper's ~186 MB figure for 64
+// ranks, class C, 200 iterations.
+func (d *Decomp) messageVolume(rank int) int {
+	total := 0
+	for c := 0; c < d.Q; c++ {
+		cx, cy, cz := d.CellCoord(rank, c)
+		if cx >= d.Q-1 {
+			continue // no east neighbour for this cell
+		}
+		face := d.Size(cy) * d.Size(cz)
+		total += face * 5 * 8                // copy_faces east face
+		total += face * forwardBoundaryBytes // forward elimination boundary
+		// The backward boundary flows the other way (from the +x
+		// neighbour to us) and lands on their row of the matrix.
+	}
+	return total
 }

@@ -18,24 +18,3 @@ func RunOn(session *rcce.Session, d *Decomp, cfg Config) (Result, error) {
 	}
 	return res, nil
 }
-
-// MessageVolume predicts the per-iteration communication volume in bytes
-// between a rank and its +x neighbour — the heaviest pair of the traffic
-// matrix (copy_faces plus both sweep boundary flows). The harness uses
-// it to cross-check the measured matrix against the paper's ~186 MB
-// figure for 64 ranks, class C, 200 iterations.
-func (d *Decomp) MessageVolume(rank int) int {
-	total := 0
-	for c := 0; c < d.Q; c++ {
-		cx, cy, cz := d.CellCoord(rank, c)
-		if cx >= d.Q-1 {
-			continue // no east neighbour for this cell
-		}
-		face := d.Size(cy) * d.Size(cz)
-		total += face * 5 * 8                // copy_faces east face
-		total += face * forwardBoundaryBytes // forward elimination boundary
-		// The backward boundary flows the other way (from the +x
-		// neighbour to us) and lands on their row of the matrix.
-	}
-	return total
-}

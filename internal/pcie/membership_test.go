@@ -53,7 +53,7 @@ func TestChannelSeqWraparound(t *testing.T) {
 			t.Fatalf("delivery %d carried packet %d (out of order across the wrap)", i, got)
 		}
 	}
-	if got := c.Backlog(); got != 0 {
+	if got := len(c.outstanding); got != 0 {
 		t.Errorf("backlog %d after drain, want 0", got)
 	}
 	if c.delivered != start+n {
@@ -108,7 +108,7 @@ func TestChannelEpochReject(t *testing.T) {
 	if inj.Stat("recover.epoch-reject") == 0 {
 		t.Error("no stale-epoch frame was rejected")
 	}
-	if got := f.chans[0].h2d.Backlog(); got != 0 {
+	if got := len(f.chans[0].h2d.outstanding); got != 0 {
 		t.Errorf("backlog %d after recovery, want 0", got)
 	}
 }
@@ -151,7 +151,7 @@ func TestChannelHoldAndReplay(t *testing.T) {
 	if deliveredAt < 200_000 {
 		t.Errorf("delivery at cycle %d, before the rejoin", deliveredAt)
 	}
-	if got := f.chans[0].h2d.Backlog(); got != 0 {
+	if got := len(f.chans[0].h2d.outstanding); got != 0 {
 		t.Errorf("backlog %d after replay, want 0", got)
 	}
 }

@@ -284,9 +284,6 @@ func (c *Channel) checkRetx(seq uint64) {
 	c.k.Spawn("pcie.retx", func(p *sim.Proc) { c.transmit(p, seq) })
 }
 
-// Backlog reports the packets posted but not yet delivered in order.
-func (c *Channel) Backlog() int { return len(c.outstanding) }
-
 // Replay retransmits every journaled frame that has not arrived yet, in
 // sequence order (sorted, so a rejoin replays deterministically). It
 // returns the frame and byte totals, for the replay.* trace counters.

@@ -55,7 +55,7 @@ func postN(t *testing.T, cfg fault.Config, n int) (order []int, backlog int, err
 		}
 	})
 	err = k.Run()
-	return order, f.chans[0].h2d.Backlog(), err
+	return order, len(f.chans[0].h2d.outstanding), err
 }
 
 // Under heavy drop/dup/delay/corrupt pressure every packet must still be

@@ -77,10 +77,3 @@ func (b *TokenBucket) Take(p *sim.Proc, bytes int) sim.Cycles {
 	}
 	return wait
 }
-
-// Level returns the current token level in whole bytes (negative while
-// in debt), accrued to the given instant — an inspection hook for tests.
-func (b *TokenBucket) Level(now sim.Cycles) int {
-	b.advance(now)
-	return int(b.tokens / 1024)
-}

@@ -61,7 +61,8 @@ func TestTokenBucketIdle(t *testing.T) {
 	k.Spawn("sender", func(p *sim.Proc) {
 		b.Take(p, 64)
 		p.Delay(10_000) // far more than needed to refill
-		if lvl := b.Level(p.Now()); lvl != 64 {
+		b.advance(p.Now())
+		if lvl := b.tokens / 1024; lvl != 64 {
 			t.Errorf("idle level %d, want clamped at cap 64", lvl)
 		}
 		var nb *TokenBucket

@@ -126,23 +126,6 @@ func (r *Rank) Allreduce(op ReduceOp, vec []float64) error {
 	return nil
 }
 
-// SendFloats sends a float64 vector to dest.
-func (r *Rank) SendFloats(dest int, vec []float64) error {
-	buf := make([]byte, 8*len(vec))
-	encodeFloats(vec, buf)
-	return r.Send(dest, buf)
-}
-
-// RecvFloats receives a float64 vector from src.
-func (r *Rank) RecvFloats(src int, vec []float64) error {
-	buf := make([]byte, 8*len(vec))
-	if err := r.Recv(src, buf); err != nil {
-		return err
-	}
-	decodeFloats(buf, vec)
-	return nil
-}
-
 func encodeFloats(vec []float64, buf []byte) {
 	for i, v := range vec {
 		binary.LittleEndian.PutUint64(buf[8*i:], math.Float64bits(v))

@@ -5,11 +5,12 @@ import (
 	"sort"
 )
 
-// Comm is a communicator: an ordered subset of the session's ranks with
+// comm is a communicator: an ordered subset of the session's ranks with
 // its own rank numbering, as created by RCCE_comm_split. Collectives on
 // a communicator involve only its members; the flag traffic is
 // addressed by global ranks, so communicators need no extra MPB space.
-type Comm struct {
+// No program splits a session yet, so only the package's tests build one.
+type comm struct {
 	s *Session
 	// members maps communicator rank -> global rank.
 	members []int
@@ -17,9 +18,9 @@ type Comm struct {
 	index map[int]int
 }
 
-// CommWorld returns the communicator containing every session rank, in
+// commWorld returns the communicator containing every session rank, in
 // rank order (RCCE_COMM_WORLD).
-func (r *Rank) CommWorld() *Comm {
+func (r *Rank) commWorld() *comm {
 	members := make([]int, r.s.NumRanks())
 	for i := range members {
 		members[i] = i
@@ -28,7 +29,7 @@ func (r *Rank) CommWorld() *Comm {
 	return c
 }
 
-// CommSplit partitions the session like RCCE_comm_split: every rank
+// commSplit partitions the session like RCCE_comm_split: every rank
 // calls it with a color and a key; ranks sharing a color form one
 // communicator, ordered by (key, global rank). It is collective — every
 // session rank must call it with consistent arguments; consistency of
@@ -38,7 +39,7 @@ func (r *Rank) CommWorld() *Comm {
 // Because the simulator runs SPMD programs, the color/key of every rank
 // must be computable by every rank: pass the same colorKey function on
 // all ranks.
-func (r *Rank) CommSplit(colorKey func(globalRank int) (color, key int)) (*Comm, error) {
+func (r *Rank) commSplit(colorKey func(globalRank int) (color, key int)) (*comm, error) {
 	myColor, _ := colorKey(r.id)
 	type entry struct{ rank, key int }
 	var mine []entry
@@ -62,7 +63,7 @@ func (r *Rank) CommSplit(colorKey func(globalRank int) (color, key int)) (*Comm,
 }
 
 // newComm builds the communicator handle for this rank.
-func (r *Rank) newComm(members []int) (*Comm, error) {
+func (r *Rank) newComm(members []int) (*comm, error) {
 	if len(members) == 0 {
 		return nil, fmt.Errorf("rcce: empty communicator")
 	}
@@ -79,87 +80,87 @@ func (r *Rank) newComm(members []int) (*Comm, error) {
 	if _, ok := index[r.id]; !ok {
 		return nil, fmt.Errorf("rcce: rank %d not a member of its own communicator", r.id)
 	}
-	return &Comm{s: r.s, members: members, index: index}, nil
+	return &comm{s: r.s, members: members, index: index}, nil
 }
 
-// Size returns the communicator's member count (RCCE_num_ues(comm)).
-func (c *Comm) Size() int { return len(c.members) }
+// size returns the communicator's member count (RCCE_num_ues(comm)).
+func (c *comm) size() int { return len(c.members) }
 
-// Rank returns the caller's rank within the communicator
+// rank returns the caller's rank within the communicator
 // (RCCE_ue(comm)).
-func (c *Comm) Rank(r *Rank) int { return c.index[r.id] }
+func (c *comm) rank(r *Rank) int { return c.index[r.id] }
 
-// Global translates a communicator rank to the session rank.
-func (c *Comm) Global(commRank int) int { return c.members[commRank] }
+// global translates a communicator rank to the session rank.
+func (c *comm) global(commRank int) int { return c.members[commRank] }
 
-// Send transmits to a communicator rank.
-func (c *Comm) Send(r *Rank, destCommRank int, data []byte) error {
+// send transmits to a communicator rank.
+func (c *comm) send(r *Rank, destCommRank int, data []byte) error {
 	return r.Send(c.members[destCommRank], data)
 }
 
-// Recv receives from a communicator rank.
-func (c *Comm) Recv(r *Rank, srcCommRank int, buf []byte) error {
+// recv receives from a communicator rank.
+func (c *comm) recv(r *Rank, srcCommRank int, buf []byte) error {
 	return r.Recv(c.members[srcCommRank], buf)
 }
 
-// Barrier synchronizes the communicator's members: a message-based
+// barrier synchronizes the communicator's members: a message-based
 // gather to the communicator's first member followed by a release. It
 // shares no flag slots with the session barrier or other communicators,
 // so barriers of overlapping communicators may be freely sequenced.
-func (c *Comm) Barrier(r *Rank) {
+func (c *comm) barrier(r *Rank) {
 	if len(c.members) == 1 {
 		return
 	}
 	token := []byte{1}
 	buf := make([]byte, 1)
-	if c.Rank(r) == 0 {
-		for cr := 1; cr < c.Size(); cr++ {
-			if err := c.Recv(r, cr, buf); err != nil {
+	if c.rank(r) == 0 {
+		for cr := 1; cr < c.size(); cr++ {
+			if err := c.recv(r, cr, buf); err != nil {
 				panic(err)
 			}
 		}
-		for cr := 1; cr < c.Size(); cr++ {
-			if err := c.Send(r, cr, token); err != nil {
+		for cr := 1; cr < c.size(); cr++ {
+			if err := c.send(r, cr, token); err != nil {
 				panic(err)
 			}
 		}
 		return
 	}
-	if err := c.Send(r, 0, token); err != nil {
+	if err := c.send(r, 0, token); err != nil {
 		panic(err)
 	}
-	if err := c.Recv(r, 0, buf); err != nil {
+	if err := c.recv(r, 0, buf); err != nil {
 		panic(err)
 	}
 }
 
-// Bcast broadcasts data from the communicator rank root to all members.
-func (c *Comm) Bcast(r *Rank, root int, data []byte) error {
-	if c.Size() == 1 {
+// bcast broadcasts data from the communicator rank root to all members.
+func (c *comm) bcast(r *Rank, root int, data []byte) error {
+	if c.size() == 1 {
 		return nil
 	}
-	if c.Rank(r) == root {
-		for cr := 0; cr < c.Size(); cr++ {
+	if c.rank(r) == root {
+		for cr := 0; cr < c.size(); cr++ {
 			if cr == root {
 				continue
 			}
-			if err := c.Send(r, cr, data); err != nil {
+			if err := c.send(r, cr, data); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
-	return c.Recv(r, root, data)
+	return c.recv(r, root, data)
 }
 
-// Allreduce combines vec across the communicator with op.
-func (c *Comm) Allreduce(r *Rank, op ReduceOp, vec []float64) error {
+// allreduce combines vec across the communicator with op.
+func (c *comm) allreduce(r *Rank, op ReduceOp, vec []float64) error {
 	root := 0
 	buf := make([]byte, 8*len(vec))
-	if c.Rank(r) == root {
+	if c.rank(r) == root {
 		tmp := make([]float64, len(vec))
-		for cr := 1; cr < c.Size(); cr++ {
-			if err := c.Recv(r, cr, buf); err != nil {
+		for cr := 1; cr < c.size(); cr++ {
+			if err := c.recv(r, cr, buf); err != nil {
 				return err
 			}
 			decodeFloats(buf, tmp)
@@ -170,14 +171,14 @@ func (c *Comm) Allreduce(r *Rank, op ReduceOp, vec []float64) error {
 		}
 	} else {
 		encodeFloats(vec, buf)
-		if err := c.Send(r, root, buf); err != nil {
+		if err := c.send(r, root, buf); err != nil {
 			return err
 		}
 	}
-	if c.Rank(r) == root {
+	if c.rank(r) == root {
 		encodeFloats(vec, buf)
 	}
-	if err := c.Bcast(r, root, buf); err != nil {
+	if err := c.bcast(r, root, buf); err != nil {
 		return err
 	}
 	decodeFloats(buf, vec)

@@ -8,14 +8,14 @@ import (
 func TestCommWorld(t *testing.T) {
 	s := newSession(t, 6)
 	err := s.Run(func(r *Rank) {
-		w := r.CommWorld()
-		if w.Size() != 6 {
-			t.Errorf("world size = %d", w.Size())
+		w := r.commWorld()
+		if w.size() != 6 {
+			t.Errorf("world size = %d", w.size())
 		}
-		if w.Rank(r) != r.ID() {
-			t.Errorf("world rank %d != session rank %d", w.Rank(r), r.ID())
+		if w.rank(r) != r.ID() {
+			t.Errorf("world rank %d != session rank %d", w.rank(r), r.ID())
 		}
-		if w.Global(3) != 3 {
+		if w.global(3) != 3 {
 			t.Error("world global mapping wrong")
 		}
 	})
@@ -27,18 +27,18 @@ func TestCommWorld(t *testing.T) {
 func TestCommSplitByParity(t *testing.T) {
 	s := newSession(t, 8)
 	err := s.Run(func(r *Rank) {
-		c, err := r.CommSplit(func(g int) (int, int) { return g % 2, g })
+		c, err := r.commSplit(func(g int) (int, int) { return g % 2, g })
 		if err != nil {
 			t.Error(err)
 			return
 		}
-		if c.Size() != 4 {
-			t.Errorf("rank %d: comm size = %d, want 4", r.ID(), c.Size())
+		if c.size() != 4 {
+			t.Errorf("rank %d: comm size = %d, want 4", r.ID(), c.size())
 		}
-		if c.Rank(r) != r.ID()/2 {
-			t.Errorf("rank %d: comm rank = %d, want %d", r.ID(), c.Rank(r), r.ID()/2)
+		if c.rank(r) != r.ID()/2 {
+			t.Errorf("rank %d: comm rank = %d, want %d", r.ID(), c.rank(r), r.ID()/2)
 		}
-		if c.Global(c.Rank(r)) != r.ID() {
+		if c.global(c.rank(r)) != r.ID() {
 			t.Error("global/comm rank round trip broken")
 		}
 	})
@@ -51,13 +51,13 @@ func TestCommSplitKeyOrdering(t *testing.T) {
 	s := newSession(t, 4)
 	err := s.Run(func(r *Rank) {
 		// Reverse ordering via keys: global rank g gets key -g.
-		c, err := r.CommSplit(func(g int) (int, int) { return 0, -g })
+		c, err := r.commSplit(func(g int) (int, int) { return 0, -g })
 		if err != nil {
 			t.Error(err)
 			return
 		}
-		if c.Global(0) != 3 || c.Global(3) != 0 {
-			t.Errorf("key ordering not honoured: %v", []int{c.Global(0), c.Global(1), c.Global(2), c.Global(3)})
+		if c.global(0) != 3 || c.global(3) != 0 {
+			t.Errorf("key ordering not honoured: %v", []int{c.global(0), c.global(1), c.global(2), c.global(3)})
 		}
 	})
 	if err != nil {
@@ -75,16 +75,16 @@ func TestCommSendRecv(t *testing.T) {
 		if r.ID()%2 == 0 {
 			return
 		}
-		c, err := r.CommSplit(func(g int) (int, int) { return g % 2, g })
+		c, err := r.commSplit(func(g int) (int, int) { return g % 2, g })
 		if err != nil {
 			t.Error(err)
 			return
 		}
-		switch c.Rank(r) {
+		switch c.rank(r) {
 		case 0:
-			c.Send(r, 2, msg)
+			c.send(r, 2, msg)
 		case 2:
-			c.Recv(r, 0, got)
+			c.recv(r, 0, got)
 		}
 	})
 	if err != nil {
@@ -104,7 +104,7 @@ func TestCommBarrierOnlyBlocksMembers(t *testing.T) {
 			nonMemberDone++
 			return
 		}
-		c, err := r.CommSplit(func(g int) (int, int) { return g % 2, g })
+		c, err := r.commSplit(func(g int) (int, int) { return g % 2, g })
 		if err != nil {
 			t.Error(err)
 			return
@@ -112,7 +112,7 @@ func TestCommBarrierOnlyBlocksMembers(t *testing.T) {
 		if r.ID() == 0 {
 			r.Ctx().Delay(500_000) // late arrival
 		}
-		c.Barrier(r)
+		c.barrier(r)
 		memberDone++
 	})
 	if err != nil {
@@ -128,13 +128,13 @@ func TestCommAllreduce(t *testing.T) {
 	results := make([]float64, 9)
 	err := s.Run(func(r *Rank) {
 		// Three communicators of three ranks: rows of a 3x3 grid.
-		c, err := r.CommSplit(func(g int) (int, int) { return g / 3, g })
+		c, err := r.commSplit(func(g int) (int, int) { return g / 3, g })
 		if err != nil {
 			t.Error(err)
 			return
 		}
 		v := []float64{float64(r.ID())}
-		if err := c.Allreduce(r, OpSum, v); err != nil {
+		if err := c.allreduce(r, OpSum, v); err != nil {
 			t.Error(err)
 			return
 		}
@@ -156,16 +156,16 @@ func TestCommBcast(t *testing.T) {
 	payload := pattern(100, 7)
 	oks := make([]bool, 6)
 	err := s.Run(func(r *Rank) {
-		c, err := r.CommSplit(func(g int) (int, int) { return g % 2, g })
+		c, err := r.commSplit(func(g int) (int, int) { return g % 2, g })
 		if err != nil {
 			t.Error(err)
 			return
 		}
 		buf := make([]byte, len(payload))
-		if c.Rank(r) == 1 {
+		if c.rank(r) == 1 {
 			copy(buf, payload)
 		}
-		if err := c.Bcast(r, 1, buf); err != nil {
+		if err := c.bcast(r, 1, buf); err != nil {
 			t.Error(err)
 			return
 		}

@@ -12,6 +12,8 @@ import (
 // through the own-device MPB window for on-chip peers and through the
 // vSCC remote-device windows (the paper's §2.1 HAL extension) for peers
 // on other devices.
+//
+//lint:ignore deadexport vscc's test of the §2.1 remote LUT window drives it
 func (r *Rank) VAddrOf(rank, off int) (scc.VAddr, error) {
 	r.checkPeer(rank)
 	if off < 0 || off >= PayloadBytes {
@@ -27,6 +29,8 @@ func (r *Rank) VAddrOf(rank, off int) (scc.VAddr, error) {
 }
 
 // PutV is Put through a virtual address (one-sided write, flushed).
+//
+//lint:ignore deadexport vscc's test of the §2.1 remote LUT window drives it
 func (r *Rank) PutV(a scc.VAddr, data []byte) error {
 	r.ctx.CopyPrivate(len(data))
 	if err := r.ctx.WriteV(a, data); err != nil {
@@ -37,6 +41,8 @@ func (r *Rank) PutV(a scc.VAddr, data []byte) error {
 }
 
 // GetV is Get through a virtual address (one-sided coherent read).
+//
+//lint:ignore deadexport vscc's test of the §2.1 remote LUT window drives it
 func (r *Rank) GetV(a scc.VAddr, buf []byte) error {
 	r.ctx.InvalidateMPB()
 	if err := r.ctx.ReadV(a, buf); err != nil {

@@ -25,22 +25,16 @@ func (r *Rank) SignalSent(dest int) { r.setSent(dest, 1) }
 // has been drained".
 func (r *Rank) SignalReady(dest int) { r.setReady(dest, 1) }
 
-// AwaitSent blocks until rank src has signalled data, then clears the
-// flag (the waiter owns the clear).
-func (r *Rank) AwaitSent(src int) { r.waitSent(src) }
-
-// AwaitSentFor is AwaitSent with a cycle budget (0 = forever), reporting
-// whether the flag arrived in time. On timeout the flag is left intact,
-// so the wait can be retried.
+// AwaitSentFor blocks until rank src has signalled data, then clears the
+// flag (the waiter owns the clear). It gives up after budget cycles (0 =
+// wait forever), reporting whether the flag arrived in time; on timeout
+// the flag is left intact, so the wait can be retried.
 func (r *Rank) AwaitSentFor(src int, budget sim.Cycles) bool {
 	return r.waitClearFlagFor(sentFlagBase+src, budget)
 }
 
-// AwaitReady blocks until rank dest has acknowledged a drain, then
-// clears the flag.
-func (r *Rank) AwaitReady(dest int) { r.waitReady(dest) }
-
-// AwaitReadyFor is AwaitReady with a cycle budget (0 = forever).
+// AwaitReadyFor blocks until rank dest has acknowledged a drain, then
+// clears the flag, with a cycle budget as AwaitSentFor.
 func (r *Rank) AwaitReadyFor(dest int, budget sim.Cycles) bool {
 	return r.waitClearFlagFor(readyFlagBase+dest, budget)
 }
@@ -72,15 +66,9 @@ func (r *Rank) ClearReady(dest int) {
 	r.ctx.FlushWCB()
 }
 
-// WaitAnyLocalChange blocks until any store lands in this rank's tile —
-// the wake condition for every flag this rank could be waiting on, since
-// RCCE spins only on local flags.
-func (r *Rank) WaitAnyLocalChange() {
-	_, tile, _ := r.mpb(r.id)
-	r.ctx.WaitLMBChange(tile)
-}
-
-// WaitAnyLocalChangeFor is WaitAnyLocalChange with a cycle budget (0 =
+// WaitAnyLocalChangeFor blocks until any store lands in this rank's tile
+// — the wake condition for every flag this rank could be waiting on,
+// since RCCE spins only on local flags — or budget cycles pass (0 =
 // forever), reporting false when the budget expires with no store.
 func (r *Rank) WaitAnyLocalChangeFor(budget sim.Cycles) bool {
 	_, tile, _ := r.mpb(r.id)
@@ -118,16 +106,6 @@ func FlagByteAt(kind, peer int) int {
 func (r *Rank) PeekFlagByte(kind, peer int) byte {
 	_, tile, base := r.mpb(r.id)
 	return r.ctx.PeekLMB(tile, base+FlagByteAt(kind, peer))
-}
-
-// ScratchByteAt returns the offset (within a rank's MPB half) of byte i
-// of the reserved scratch line at the top of the flag area. The vSCC
-// runtime extension uses it for vDMA completion flags.
-func ScratchByteAt(i int) int {
-	if i < 0 || i >= 32 {
-		panic("rcce: scratch byte index out of range")
-	}
-	return PayloadBytes + 5*MaxRanks + i
 }
 
 // ReportTraffic lets protocol extensions attribute delivered messages to

@@ -35,10 +35,10 @@ func TestSignalAwaitHandshake(t *testing.T) {
 			r.Ctx().Delay(1000)
 			order = append(order, "signal")
 			r.SignalSent(1)
-			r.AwaitReady(1)
+			r.AwaitReadyFor(1, 0)
 			order = append(order, "acked")
 		} else {
-			r.AwaitSent(0)
+			r.AwaitSentFor(0, 0)
 			order = append(order, "seen")
 			r.SignalReady(0)
 		}
@@ -73,7 +73,7 @@ func TestPeekAndClearFlags(t *testing.T) {
 			r.SignalReady(1) // release peer
 		case 1:
 			r.SignalSent(0)
-			r.AwaitReady(0)
+			r.AwaitReadyFor(0, 0)
 		}
 	})
 	if err != nil {
@@ -95,11 +95,8 @@ func TestFlagByteAtDistinctSpaces(t *testing.T) {
 			seen[off] = true
 		}
 	}
-	if ScratchByteAt(0) <= FlagByteAt(FlagDMAC, MaxRanks-1) {
-		t.Error("scratch line overlaps the flag arrays")
-	}
-	if ScratchByteAt(31) >= 8192 {
-		t.Error("scratch line exceeds the MPB half")
+	if FlagByteAt(FlagDMAC, MaxRanks-1) >= PayloadBytes+flagBytes {
+		t.Error("flag arrays exceed the MPB half")
 	}
 }
 
@@ -132,26 +129,6 @@ func TestFlagByteAtPanicsOnBadKind(t *testing.T) {
 	}()
 	//lint:ignore flagdiscipline deliberately invalid kind to exercise the panic
 	FlagByteAt(9, 0)
-}
-
-func TestScratchByteAtBounds(t *testing.T) {
-	// The full valid range maps to the contiguous 32-byte line above the
-	// flag arrays.
-	for i := 0; i < 32; i++ {
-		if want := PayloadBytes + 5*MaxRanks + i; ScratchByteAt(i) != want {
-			t.Errorf("ScratchByteAt(%d) = %d, want %d", i, ScratchByteAt(i), want)
-		}
-	}
-	for _, i := range []int{-1, 32, 1000} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("ScratchByteAt(%d) did not panic", i)
-				}
-			}()
-			ScratchByteAt(i)
-		}()
-	}
 }
 
 func TestPeekFlagByteZeroBeforeAnyStore(t *testing.T) {
@@ -198,13 +175,17 @@ func TestSendRecvFloats(t *testing.T) {
 	got := make([]float64, len(want))
 	err := s.Run(func(r *Rank) {
 		if r.ID() == 0 {
-			if err := r.SendFloats(1, want); err != nil {
+			buf := make([]byte, 8*len(want))
+			encodeFloats(want, buf)
+			if err := r.Send(1, buf); err != nil {
 				t.Error(err)
 			}
 		} else {
-			if err := r.RecvFloats(0, got); err != nil {
+			buf := make([]byte, 8*len(got))
+			if err := r.Recv(0, buf); err != nil {
 				t.Error(err)
 			}
+			decodeFloats(buf, got)
 		}
 	})
 	if err != nil {

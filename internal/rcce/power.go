@@ -12,11 +12,6 @@ import (
 // voltage island's supply (slow, asynchronous), trading performance for
 // power exactly as on the research system.
 
-// PowerDomain returns the voltage island the rank's tile belongs to.
-func (r *Rank) PowerDomain() int {
-	return scc.VoltageIslandOf(scc.CoreTile(r.place(r.id).Core))
-}
-
 // FrequencyMHz returns the rank's current tile clock.
 func (r *Rank) FrequencyMHz() int {
 	return r.s.Chip(r.id).TileFrequencyMHz(scc.CoreTile(r.place(r.id).Core))
@@ -24,31 +19,31 @@ func (r *Rank) FrequencyMHz() int {
 
 // SetFrequencyDivider changes the rank's tile clock immediately
 // (RCCE_set_frequency_divider). The island voltage must already support
-// the target frequency; raise it first with ISetPower otherwise.
+// the target frequency: this call does not raise it.
 func (r *Rank) SetFrequencyDivider(divider int) error {
 	return r.s.Chip(r.id).SetTileDivider(scc.CoreTile(r.place(r.id).Core), divider)
 }
 
-// PowerRequest is an in-flight asynchronous power change
+// powerRequest is an in-flight asynchronous power change
 // (RCCE_iset_power).
-type PowerRequest struct {
+type powerRequest struct {
 	done *sim.Gate
 	err  error
 }
 
-// ISetPower asynchronously moves the rank's tile to the given frequency
+// iSetPower asynchronously moves the rank's tile to the given frequency
 // divider, adjusting the island voltage as required: raising the supply
 // before a frequency increase, and opportunistically lowering it after a
 // decrease if every tile in the island tolerates the lower level. It
-// returns immediately; complete with WaitPower.
-func (r *Rank) ISetPower(divider int) (*PowerRequest, error) {
+// returns immediately; complete with waitPower.
+func (r *Rank) iSetPower(divider int) (*powerRequest, error) {
 	if divider < scc.MinDivider || divider > scc.MaxDivider {
 		return nil, fmt.Errorf("rcce: divider %d outside [%d,%d]", divider, scc.MinDivider, scc.MaxDivider)
 	}
 	chip := r.s.Chip(r.id)
 	tile := scc.CoreTile(r.place(r.id).Core)
 	island := scc.VoltageIslandOf(tile)
-	req := &PowerRequest{done: sim.NewGate(r.s.Kernel, fmt.Sprintf("power.r%d", r.id))}
+	req := &powerRequest{done: sim.NewGate(r.s.Kernel, fmt.Sprintf("power.r%d", r.id))}
 	r.s.Kernel.Spawn(fmt.Sprintf("powerctl.r%d", r.id), func(p *sim.Proc) {
 		defer req.done.Open()
 		target := scc.MinVoltageFor(divider)
@@ -71,18 +66,9 @@ func (r *Rank) ISetPower(divider int) (*PowerRequest, error) {
 	return req, nil
 }
 
-// WaitPower blocks until an asynchronous power change completes
+// waitPower blocks until an asynchronous power change completes
 // (RCCE_wait_power) and returns its outcome.
-func (r *Rank) WaitPower(req *PowerRequest) error {
+func (r *Rank) waitPower(req *powerRequest) error {
 	req.done.Wait(r.ctx.Proc)
 	return req.err
-}
-
-// SetPower is the blocking convenience: ISetPower followed by WaitPower.
-func (r *Rank) SetPower(divider int) error {
-	req, err := r.ISetPower(divider)
-	if err != nil {
-		return err
-	}
-	return r.WaitPower(req)
 }

@@ -13,10 +13,6 @@ func TestPowerDomainAndFrequency(t *testing.T) {
 		if r.FrequencyMHz() != 533 {
 			t.Errorf("rank %d at %d MHz, want 533", r.ID(), r.FrequencyMHz())
 		}
-		wantDomain := scc.VoltageIslandOf(scc.CoreTile(r.ID())) // linear mapping: rank = core
-		if r.PowerDomain() != wantDomain {
-			t.Errorf("rank %d domain %d, want %d", r.ID(), r.PowerDomain(), wantDomain)
-		}
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -62,16 +58,16 @@ func TestISetPowerRaisesVoltageThenFrequency(t *testing.T) {
 	s := newSession(t, 1)
 	err := s.Run(func(r *Rank) {
 		t0 := r.Now()
-		req, err := r.ISetPower(2) // 800 MHz needs 1.1 V: slow transition
+		req, err := r.iSetPower(2) // 800 MHz needs 1.1 V: slow transition
 		if err != nil {
 			t.Error(err)
 			return
 		}
-		// ISetPower returns immediately.
+		// iSetPower returns immediately.
 		if r.Now()-t0 > 1000 {
-			t.Errorf("ISetPower blocked for %d cycles", r.Now()-t0)
+			t.Errorf("iSetPower blocked for %d cycles", r.Now()-t0)
 		}
-		if err := r.WaitPower(req); err != nil {
+		if err := r.waitPower(req); err != nil {
 			t.Error(err)
 			return
 		}
@@ -90,13 +86,13 @@ func TestISetPowerRaisesVoltageThenFrequency(t *testing.T) {
 func TestSetPowerDownAndUp(t *testing.T) {
 	s := newSession(t, 1)
 	err := s.Run(func(r *Rank) {
-		if err := r.SetPower(8); err != nil { // 200 MHz
+		if err := setPower(r, 8); err != nil { // 200 MHz
 			t.Error(err)
 		}
 		if r.FrequencyMHz() != 200 {
 			t.Errorf("frequency = %d, want 200", r.FrequencyMHz())
 		}
-		if err := r.SetPower(3); err != nil { // back to 533: needs 0.9 V again
+		if err := setPower(r, 3); err != nil { // back to 533: needs 0.9 V again
 			t.Error(err)
 		}
 		if r.FrequencyMHz() != 533 {
@@ -111,7 +107,7 @@ func TestSetPowerDownAndUp(t *testing.T) {
 func TestISetPowerBadDivider(t *testing.T) {
 	s := newSession(t, 1)
 	err := s.Run(func(r *Rank) {
-		if _, err := r.ISetPower(1); err == nil {
+		if _, err := r.iSetPower(1); err == nil {
 			t.Error("divider 1 accepted")
 		}
 	})
@@ -129,7 +125,7 @@ func TestCommunicationUnaffectedByPeerFrequency(t *testing.T) {
 	err := s.Run(func(r *Rank) {
 		switch r.ID() {
 		case 2: // tile 1: slow it down without affecting rank 0/1 flags
-			if err := r.SetPower(8); err != nil {
+			if err := setPower(r, 8); err != nil {
 				t.Error(err)
 			}
 			r.Barrier()
@@ -149,4 +145,13 @@ func TestCommunicationUnaffectedByPeerFrequency(t *testing.T) {
 			t.Fatal("payload corrupted under frequency scaling")
 		}
 	}
+}
+
+// setPower moves r's tile to divider and waits for the change.
+func setPower(r *Rank, divider int) error {
+	req, err := r.iSetPower(divider)
+	if err != nil {
+		return err
+	}
+	return r.waitPower(req)
 }

@@ -2,7 +2,6 @@ package rcce
 
 import (
 	"fmt"
-	"sort"
 
 	"vscc/internal/mem"
 	"vscc/internal/scc"
@@ -36,16 +35,12 @@ type Rank struct {
 	gen    byte // barrier generation
 	haveCB bool
 
-	// MPB allocator state (top-down bump with free list, line granular).
-	allocLow  int // lowest allocated offset; chunk area is [0, allocLow)
-	allocs    map[int]int
-	freeSpans map[int]int
+	// MPB allocator state (top-down bump, line granular).
+	allocLow int // lowest allocated offset
 }
 
 func (r *Rank) initMPB() {
 	r.allocLow = PayloadBytes
-	r.allocs = make(map[int]int)
-	r.freeSpans = make(map[int]int)
 	r.gen = 0
 }
 
@@ -152,97 +147,22 @@ func (r *Rank) waitClearFlagFor(off int, budget sim.Cycles) bool {
 	return true
 }
 
-// Flag is a user-visible synchronization flag allocated from MPB space.
-type Flag struct{ off int }
-
-// AllocFlag allocates one flag line from the MPB (collective: every rank
-// must allocate in the same order, as with RCCE_flag_alloc).
-func (r *Rank) AllocFlag() (Flag, error) {
-	off, err := r.MallocMPB(mem.LineSize)
-	if err != nil {
-		return Flag{}, err
-	}
-	return Flag{off: off}, nil
-}
-
-// FlagSet writes v to the flag in rank dest's MPB.
-func (r *Rank) FlagSet(dest int, f Flag, v byte) {
-	r.checkPeer(dest)
-	r.writeFlag(dest, f.off, v)
-}
-
-// FlagWait spins until this rank's local copy of the flag reads v.
-func (r *Rank) FlagWait(f Flag, v byte) {
-	_, tile, base := r.mpb(r.id)
-	r.ctx.WaitFlag(tile, base+f.off, func(b byte) bool { return b == v })
-}
-
 // --- MPB allocator ---------------------------------------------------------
 
-// MallocMPB allocates size bytes (rounded to 32 B lines) of this rank's
-// MPB payload area, top-down (RCCE_malloc). Allocations shrink the space
-// Send/Recv may use for chunking; programs should not interleave large
-// blocking transfers with exhausted MPB heaps.
-func (r *Rank) MallocMPB(size int) (int, error) {
+// mallocMPB allocates size bytes (rounded to 32 B lines) of this rank's
+// MPB payload area, top-down (RCCE_malloc). Send/Recv chunking does not
+// consult it, and no program allocates yet.
+func (r *Rank) mallocMPB(size int) (int, error) {
 	if size <= 0 {
 		return 0, fmt.Errorf("rcce: malloc of %d bytes", size)
 	}
 	size = (size + mem.LineSize - 1) &^ (mem.LineSize - 1)
-	// First fit in the free list, scanned in ascending offset order:
-	// freeSpans is a map, and ranging it directly would let Go's
-	// randomized iteration pick WHICH span satisfies the request — the
-	// returned offset, and with it every subsequent MPB image, would
-	// differ between byte-identical reruns (detorder's early-exit case).
-	offs := make([]int, 0, len(r.freeSpans))
-	for off := range r.freeSpans {
-		offs = append(offs, off)
-	}
-	sort.Ints(offs)
-	for _, off := range offs {
-		if n := r.freeSpans[off]; n >= size {
-			delete(r.freeSpans, off)
-			if n > size {
-				r.freeSpans[off+size] = n - size
-			}
-			r.allocs[off] = size
-			return off, nil
-		}
-	}
 	if r.allocLow-size < 0 {
 		return 0, fmt.Errorf("rcce: MPB exhausted: %d bytes requested, %d free", size, r.allocLow)
 	}
 	r.allocLow -= size
-	off := r.allocLow
-	r.allocs[off] = size
-	return off, nil
+	return r.allocLow, nil
 }
-
-// FreeMPB releases an allocation made by MallocMPB.
-func (r *Rank) FreeMPB(off int) error {
-	size, ok := r.allocs[off]
-	if !ok {
-		return fmt.Errorf("rcce: free of unallocated offset %d", off)
-	}
-	delete(r.allocs, off)
-	if off == r.allocLow {
-		r.allocLow += size
-		// Coalesce adjacent free spans back into the bump area.
-		for {
-			n, ok := r.freeSpans[r.allocLow]
-			if !ok {
-				break
-			}
-			delete(r.freeSpans, r.allocLow)
-			r.allocLow += n
-		}
-		return nil
-	}
-	r.freeSpans[off] = size
-	return nil
-}
-
-// MPBFree reports the bytes available to Send/Recv chunking.
-func (r *Rank) MPBFree() int { return r.allocLow }
 
 // --- two-sided interface -----------------------------------------------
 

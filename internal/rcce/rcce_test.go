@@ -203,12 +203,10 @@ func TestPutGetGory(t *testing.T) {
 	err := s.Run(func(r *Rank) {
 		switch r.ID() {
 		case 0:
-			f, _ := r.AllocFlag()
 			r.Put(1, 64, data) // one-sided put into rank 1's MPB
-			r.FlagSet(1, f, 1)
+			r.SignalSent(1)
 		case 1:
-			f, _ := r.AllocFlag()
-			r.FlagWait(f, 1)
+			r.AwaitSentFor(0, 0)
 			r.Get(1, 64, got) // read own MPB
 		}
 	})
@@ -337,32 +335,19 @@ func TestReduceMax(t *testing.T) {
 func TestMallocMPB(t *testing.T) {
 	s := newSession(t, 1)
 	err := s.Run(func(r *Rank) {
-		before := r.MPBFree()
-		off1, err := r.MallocMPB(100) // rounds to 128
+		off1, err := r.mallocMPB(100) // rounds to 128
 		if err != nil {
 			t.Error(err)
 		}
-		off2, err := r.MallocMPB(32)
+		off2, err := r.mallocMPB(32)
 		if err != nil {
 			t.Error(err)
 		}
-		if off1 == off2 {
-			t.Error("allocations overlap")
+		if off1 != PayloadBytes-128 || off2 != off1-32 {
+			t.Errorf("offsets %d, %d; want top-down line-rounded %d, %d", off1, off2, PayloadBytes-128, PayloadBytes-160)
 		}
-		if r.MPBFree() != before-160 {
-			t.Errorf("free = %d, want %d", r.MPBFree(), before-160)
-		}
-		if err := r.FreeMPB(off2); err != nil {
-			t.Error(err)
-		}
-		if err := r.FreeMPB(off1); err != nil {
-			t.Error(err)
-		}
-		if r.MPBFree() != before {
-			t.Errorf("free after release = %d, want %d", r.MPBFree(), before)
-		}
-		if err := r.FreeMPB(12345); err == nil {
-			t.Error("free of bogus offset should error")
+		if _, err := r.mallocMPB(0); err == nil {
+			t.Error("zero-byte malloc should error")
 		}
 	})
 	if err != nil {
@@ -373,14 +358,14 @@ func TestMallocMPB(t *testing.T) {
 func TestMallocExhaustion(t *testing.T) {
 	s := newSession(t, 1)
 	err := s.Run(func(r *Rank) {
-		if _, err := r.MallocMPB(PayloadBytes + 32); err == nil {
+		if _, err := r.mallocMPB(PayloadBytes + 32); err == nil {
 			t.Error("oversized malloc should fail")
 		}
 		// Exhaust then fail.
-		if _, err := r.MallocMPB(PayloadBytes); err != nil {
+		if _, err := r.mallocMPB(PayloadBytes); err != nil {
 			t.Errorf("exact-fit malloc failed: %v", err)
 		}
-		if _, err := r.MallocMPB(32); err == nil {
+		if _, err := r.mallocMPB(32); err == nil {
 			t.Error("malloc on exhausted MPB should fail")
 		}
 	})
@@ -411,7 +396,7 @@ func TestLinearPlacesSkipsFailedCores(t *testing.T) {
 func TestDescendingPlaces(t *testing.T) {
 	k := sim.NewKernel()
 	chip := scc.NewChip(k, 0, scc.DefaultParams())
-	places, err := DescendingPlaces(chip, 4)
+	places, err := descendingPlaces(chip, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -200,9 +200,9 @@ func LinearPlaces(chips []*scc.Chip, n int) ([]Place, error) {
 	return places[:n], nil
 }
 
-// DescendingPlaces mirrors the RCCE default on a single chip, where
+// descendingPlaces mirrors the RCCE default on a single chip, where
 // ranks map to physical cores sorted in descending id order (paper §3).
-func DescendingPlaces(chip *scc.Chip, n int) ([]Place, error) {
+func descendingPlaces(chip *scc.Chip, n int) ([]Place, error) {
 	alive := chip.AliveCores()
 	sort.Sort(sort.Reverse(sort.IntSlice(alive)))
 	if n > len(alive) {

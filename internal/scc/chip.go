@@ -1,7 +1,7 @@
 // Package scc models the Intel Single-chip Cloud Computer: 48 P54C cores
 // on 24 tiles connected by a 6x4 mesh, with per-tile local memory buffers
-// (MPB + synchronization flags), per-core test-and-set registers, MPBT L1
-// caching with bulk invalidation, and a write-combine buffer per core.
+// (MPB + synchronization flags), MPBT L1 caching with bulk invalidation,
+// and a write-combine buffer per core.
 //
 // The model is functional-with-timing: simulated cores run real Go code,
 // and every memory operation moves real bytes while charging the core
@@ -48,9 +48,7 @@ type Core struct {
 	Tile *Tile
 	L1   *mem.L1
 	WCB  mem.WCB
-	TAS  mem.TestAndSet
-	// LUT is the core's address lookup table (see lut.go); the cores of
-	// a chip share the boot-time table until one of them remaps a page.
+	// LUT is the core's address lookup table (see lut.go), one per chip.
 	LUT *LUT
 
 	// fillGen shadows the L1 for the consistency checker: the line
@@ -126,7 +124,7 @@ func NewChip(k *sim.Kernel, index int, params Params) *Chip {
 			ID:   id,
 			Tile: c.Tiles[CoreTile(id)],
 			L1:   mem.NewL1(params.L1MPBTLines),
-			LUT:  lut.Share(),
+			LUT:  lut,
 			chip: c,
 		})
 		c.alive[id] = true
@@ -243,18 +241,9 @@ func (c *Chip) barrier(p *sim.Proc) {
 	}
 }
 
-// SnapshotLMB copies every tile's LMB image — the checkpoint capture.
-func (c *Chip) SnapshotLMB() [][]byte {
-	out := make([][]byte, len(c.Tiles))
-	for i, t := range c.Tiles {
-		out[i] = append([]byte(nil), t.LMB.View()...)
-	}
-	return out
-}
-
 // ViewLMB appends to dst[:0] every tile's live LMB image, uncopied (see
-// mem.LMB.View): what a reader that copies anyway, like the checkpoint
-// log, takes instead of SnapshotLMB.
+// mem.LMB.View); a reader that keeps an image, like the checkpoint log,
+// copies it.
 func (c *Chip) ViewLMB(dst [][]byte) [][]byte {
 	dst = dst[:0]
 	for _, t := range c.Tiles {

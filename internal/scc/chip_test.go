@@ -196,44 +196,6 @@ func TestL1HitFasterThanMiss(t *testing.T) {
 	}
 }
 
-func TestTestAndSetMutualExclusion(t *testing.T) {
-	k := sim.NewKernel()
-	c := newTestChip(k)
-	acquired := 0
-	for i := 0; i < 4; i++ {
-		c.Launch(i*2, "contender", func(ctx *Ctx) {
-			if ctx.TestAndSet(7) {
-				acquired++
-			}
-		})
-	}
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if acquired != 1 {
-		t.Errorf("%d cores acquired the T&S register, want exactly 1", acquired)
-	}
-}
-
-func TestTestAndSetClearReacquire(t *testing.T) {
-	k := sim.NewKernel()
-	c := newTestChip(k)
-	var ok bool
-	c.Launch(0, "p", func(ctx *Ctx) {
-		if !ctx.TestAndSet(0) {
-			return
-		}
-		ctx.ClearTAS(0)
-		ok = ctx.TestAndSet(0)
-	})
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if !ok {
-		t.Error("re-acquire after clear failed")
-	}
-}
-
 func TestCoreFailureInjection(t *testing.T) {
 	k := sim.NewKernel()
 	c := newTestChip(k)
@@ -434,11 +396,11 @@ func TestUntouchedTileSnapshotWipeRestore(t *testing.T) {
 	if !bytes.Equal(got, make([]byte, 64)) {
 		t.Fatalf("untouched tile reads %v, want zeros", got)
 	}
-	img := c.SnapshotLMB()
 	views := c.ViewLMB(nil)
+	img := make([][]byte, len(views))
 	for i := range img {
-		if len(img[i]) != c.Tiles[i].LMB.Size() || !bytes.Equal(img[i], views[i]) {
-			t.Fatalf("tile %d: snapshot and view differ", i)
+		if img[i] = bytes.Clone(views[i]); len(img[i]) != c.Tiles[i].LMB.Size() {
+			t.Fatalf("tile %d: image of %d bytes, want %d", i, len(img[i]), c.Tiles[i].LMB.Size())
 		}
 	}
 	c.WipeLMB()
@@ -448,7 +410,7 @@ func TestUntouchedTileSnapshotWipeRestore(t *testing.T) {
 		}
 	}
 	c.LoadLMB(img)
-	for i, v := range c.SnapshotLMB() {
+	for i, v := range c.ViewLMB(views) {
 		if !bytes.Equal(v, img[i]) {
 			t.Fatalf("tile %d: restored image differs from the snapshot", i)
 		}

@@ -216,32 +216,6 @@ func (c *Ctx) MMIORead(hostDev, off int, buf []byte) {
 	c.chip().offChip().MMIORead(c.Proc, c.chip().Index, c.Core.ID, hostDev, off, buf)
 }
 
-// TestAndSet performs the atomic test-and-set on a core's register of
-// this device, returning true if acquired. Cross-device T&S is not
-// supported by the architecture.
-func (c *Ctx) TestAndSet(core int) bool {
-	chip := c.chip()
-	p := chip.Params
-	cost := p.TASCycles
-	if hops := chip.Mesh.Hops(c.Core.Tile.Coord, CoreCoord(core)); hops > 0 {
-		cost += 2 * sim.Cycles(hops) * p.PerHopCycles
-	}
-	c.Proc.Delay(cost)
-	return chip.Cores[core].TAS.Set()
-}
-
-// ClearTAS releases a test-and-set register of this device.
-func (c *Ctx) ClearTAS(core int) {
-	chip := c.chip()
-	p := chip.Params
-	cost := p.TASCycles
-	if hops := chip.Mesh.Hops(c.Core.Tile.Coord, CoreCoord(core)); hops > 0 {
-		cost += 2 * sim.Cycles(hops) * p.PerHopCycles
-	}
-	c.Proc.Delay(cost)
-	chip.Cores[core].TAS.Clear()
-}
-
 // WaitFlag blocks until pred is satisfied by the flag byte at (tile, off)
 // in this device's on-chip memory, spinning with invalidate+reload
 // semantics. RCCE spins exclusively on local flags (paper §3.1 footnote),
@@ -291,7 +265,7 @@ func (c *Ctx) WaitFlagFor(tile, off int, pred func(byte) bool, budget sim.Cycles
 // PeekLMB reads a byte of this device's on-chip memory without yielding
 // or charging cycles. It exists for runtime-internal gating decisions
 // (non-blocking request progress engines) that must be atomic with a
-// subsequent WaitLMBChange; protocol data paths must use ReadMPB or
+// subsequent WaitLMBChangeFor; protocol data paths must use ReadMPB or
 // WaitFlag, which model real costs.
 func (c *Ctx) PeekLMB(tile, off int) byte {
 	var b [1]byte
@@ -299,17 +273,10 @@ func (c *Ctx) PeekLMB(tile, off int) byte {
 	return b[0]
 }
 
-// WaitLMBChange blocks until any store lands in the given tile's LMB. No
-// simulated time passes between the call and the wakeup; combine with
-// PeekLMB to build race-free wait loops.
-func (c *Ctx) WaitLMBChange(tile int) {
-	c.chip().barrier(c.Proc)
-	c.chip().Tiles[tile].changed.Wait(c.Proc)
-}
-
-// WaitLMBChangeFor is WaitLMBChange with a cycle budget, reporting false
-// once budget cycles pass with no store landing. A zero budget waits
-// forever.
+// WaitLMBChangeFor blocks until any store lands in the given tile's LMB,
+// reporting false once budget cycles pass with none (a zero budget waits
+// forever). No simulated time passes between the store and the wakeup;
+// combine with PeekLMB to build race-free wait loops.
 func (c *Ctx) WaitLMBChangeFor(tile int, budget sim.Cycles) bool {
 	c.chip().barrier(c.Proc)
 	ch := c.chip().Tiles[tile].changed

@@ -42,11 +42,10 @@ type LUTEntry struct {
 }
 
 // LUT is a core's address translation table. The cores of a device
-// start out sharing one table (see Share) and a core copies it on its
-// first Map that changes an entry.
+// share one: the boot-time map and the vSCC remote windows are the same
+// on every core.
 type LUT struct {
-	entries *[LUTEntries]LUTEntry
-	shared  bool // entries belong to the device, not to this core
+	entries [LUTEntries]LUTEntry
 }
 
 // VAddr is a 32-bit core-local virtual address.
@@ -57,26 +56,6 @@ func (a VAddr) Page() int { return int(a >> 24) }
 
 // PageOff returns the offset within the page.
 func (a VAddr) PageOff() int { return int(a & (LUTPageBytes - 1)) }
-
-// Map installs a page mapping in this core's table alone.
-func (l *LUT) Map(page int, e LUTEntry) error {
-	if page < 0 || page >= LUTEntries {
-		return fmt.Errorf("scc: LUT page %d out of range", page)
-	}
-	if l.shared && l.entries[page] != e {
-		own := *l.entries
-		l.entries, l.shared = &own, false
-	}
-	l.entries[page] = e
-	return nil
-}
-
-// Share returns a LUT of another core reading this table until its
-// first divergent Map.
-func (l *LUT) Share() *LUT { return &LUT{entries: l.entries, shared: true} }
-
-// Entry returns a page's mapping.
-func (l *LUT) Entry(page int) LUTEntry { return l.entries[page] }
 
 // Resolve translates a virtual address to its target, faulting (error)
 // on unmapped pages.
@@ -93,7 +72,7 @@ func (l *LUT) Resolve(a VAddr) (LUTEntry, int, error) {
 // all 24 tiles' LMBs consecutively), page 0xF9 the host MMIO window —
 // a simplified rendition of sccKit's default map.
 func DefaultLUT(dev int) *LUT {
-	l := &LUT{entries: new([LUTEntries]LUTEntry)}
+	l := &LUT{}
 	l.entries[0] = LUTEntry{Kind: LUTPrivate, Dev: dev}
 	l.entries[MPBPage] = LUTEntry{Kind: LUTMPB, Dev: dev, Tile: 0, Off: 0}
 	l.entries[MMIOPage] = LUTEntry{Kind: LUTHostMMIO, Dev: dev, Off: 0}
@@ -113,9 +92,7 @@ const (
 )
 
 // MapRemoteDevice installs the vSCC extension mapping for device d's MPB
-// window. The mapping is the same on every core of a vSCC, so it lands
-// in whatever table the core reads, shared or not, without a copy: the
-// cores still sharing the device table see it too.
+// window, for every core sharing the table.
 func (l *LUT) MapRemoteDevice(d int) error {
 	page := RemoteMPBPageBase + d
 	if page >= LUTEntries {

@@ -19,16 +19,16 @@ func TestVAddrDecomposition(t *testing.T) {
 
 func TestDefaultLUTMappings(t *testing.T) {
 	l := DefaultLUT(2)
-	if e := l.Entry(MPBPage); e.Kind != LUTMPB || e.Dev != 2 {
+	if e := l.entries[MPBPage]; e.Kind != LUTMPB || e.Dev != 2 {
 		t.Errorf("MPB page entry = %+v", e)
 	}
-	if e := l.Entry(MMIOPage); e.Kind != LUTHostMMIO {
+	if e := l.entries[MMIOPage]; e.Kind != LUTHostMMIO {
 		t.Errorf("MMIO page entry = %+v", e)
 	}
-	if e := l.Entry(0); e.Kind != LUTPrivate {
+	if e := l.entries[0]; e.Kind != LUTPrivate {
 		t.Errorf("page 0 entry = %+v", e)
 	}
-	if e := l.Entry(0x42); e.Kind != LUTUnmapped {
+	if e := l.entries[0x42]; e.Kind != LUTUnmapped {
 		t.Errorf("unmapped page entry = %+v", e)
 	}
 }
@@ -38,7 +38,7 @@ func TestLUTFaultOnUnmapped(t *testing.T) {
 	if _, _, err := l.Resolve(VAddr(0x42_000000)); err == nil {
 		t.Error("unmapped access did not fault")
 	}
-	if err := l.Map(256, LUTEntry{}); err == nil {
+	if err := l.MapRemoteDevice(LUTEntries - RemoteMPBPageBase); err == nil {
 		t.Error("out-of-range page accepted")
 	}
 }
@@ -59,10 +59,16 @@ func TestMPBAddrRoundTrip(t *testing.T) {
 	}
 }
 
+// A vSCC remote window lands on every core of the chip, which share one
+// table.
 func TestRemoteMPBAddr(t *testing.T) {
-	l := DefaultLUT(0)
+	c := NewChip(sim.NewKernel(), 0, DefaultParams())
+	l := c.Cores[0].LUT
 	if err := l.MapRemoteDevice(3); err != nil {
 		t.Fatal(err)
+	}
+	if c.Cores[47].LUT.entries[RemoteMPBPageBase+3].Dev != 3 {
+		t.Error("remote window not visible on a sibling core")
 	}
 	a := RemoteMPBAddr(3, 23, 16000)
 	e, off, err := l.Resolve(a)
@@ -114,31 +120,5 @@ func TestReadVWriteVThroughLUT(t *testing.T) {
 	}
 	if !bytes.Equal(got, msg) {
 		t.Errorf("ReadV = %q, want %q", got, msg)
-	}
-}
-
-// The cores of a chip share one boot-time table: a remap on one core is
-// its own, while a vSCC remote window lands on every core still sharing.
-func TestLUTMapDoesNotLeakToSiblings(t *testing.T) {
-	c := NewChip(sim.NewKernel(), 0, DefaultParams())
-	a, b := c.Cores[0].LUT, c.Cores[1].LUT
-	e := LUTEntry{Kind: LUTMPB, Dev: 0, Tile: 3}
-	if err := a.Map(0x42, e); err != nil {
-		t.Fatal(err)
-	}
-	if a.Entry(0x42) != e || b.Entry(0x42).Kind != LUTUnmapped {
-		t.Fatalf("after core 0 maps page 0x42: core 0 %+v, core 1 %+v", a.Entry(0x42), b.Entry(0x42))
-	}
-	if b.Entry(MPBPage) != a.Entry(MPBPage) || b.Entry(MMIOPage).Kind != LUTHostMMIO {
-		t.Error("core 0's copy lost the default pages")
-	}
-	if err := b.MapRemoteDevice(2); err != nil {
-		t.Fatal(err)
-	}
-	if c.Cores[47].LUT.Entry(RemoteMPBPageBase+2).Dev != 2 {
-		t.Error("remote window not visible on a sharing sibling")
-	}
-	if a.Entry(RemoteMPBPageBase+2).Kind != LUTUnmapped {
-		t.Error("remote window leaked into a core with its own table")
 	}
 }

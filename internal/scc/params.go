@@ -38,9 +38,6 @@ type Params struct {
 	// loads or stores on the in-order pipeline plus address arithmetic).
 	PrivateCopyCyclesPerLine sim.Cycles
 
-	// TASCycles is a test-and-set access to a core's own register;
-	// remote T&S adds mesh distance.
-	TASCycles sim.Cycles
 	// InvalidateCycles is the CL1INVMB instruction.
 	InvalidateCycles sim.Cycles
 	// FlagPollCycles is one iteration of a flag spin loop (invalidate +
@@ -66,7 +63,6 @@ func DefaultParams() Params {
 		RemoteWriteBaseCycles:    22,
 		PerHopCycles:             8,
 		PrivateCopyCyclesPerLine: 40,
-		TASCycles:                12,
 		InvalidateCycles:         2,
 		FlagPollCycles:           30,
 		FlopsPerCycle:            1.0,

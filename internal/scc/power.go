@@ -123,15 +123,6 @@ func (c *Chip) TileEnergyJoules(tile int, now sim.Cycles) float64 {
 	return c.power.joules[tile]
 }
 
-// EnergyJoules returns the whole device's accumulated energy up to now.
-func (c *Chip) EnergyJoules(now sim.Cycles) float64 {
-	total := 0.0
-	for t := 0; t < NumTiles; t++ {
-		total += c.TileEnergyJoules(t, now)
-	}
-	return total
-}
-
 // TileFrequencyMHz returns a tile's current clock.
 func (c *Chip) TileFrequencyMHz(tile int) int {
 	return GlobalClockMHz / c.power.dividers[tile]

@@ -149,7 +149,10 @@ func TestEnergyIntegration(t *testing.T) {
 	if perTile < want*0.999 || perTile > want*1.001 {
 		t.Errorf("per-tile energy = %.3f J, want %.3f", perTile, want)
 	}
-	total := c.EnergyJoules(oneSecond)
+	total := 0.0
+	for tile := 0; tile < NumTiles; tile++ {
+		total += c.TileEnergyJoules(tile, oneSecond)
+	}
 	if total < 24*want*0.999 || total > 24*want*1.001 {
 		t.Errorf("chip energy = %.3f J, want %.3f", total, 24*want)
 	}

@@ -195,7 +195,7 @@ func (s condScript) run(t *testing.T, mk func(*Kernel) condOps) string {
 	c := mk(k)
 	var log strings.Builder
 	note := func(p *Proc, step int, what string) {
-		fmt.Fprintf(&log, "%d %s step%d %s\n", p.Now(), p.Name(), step, what)
+		fmt.Fprintf(&log, "%d %s step%d %s\n", p.Now(), p.name, step, what)
 	}
 	procs := make([]*Proc, len(s.procs))
 	for i, steps := range s.procs {
@@ -253,7 +253,7 @@ func (s condScript) run(t *testing.T, mk func(*Kernel) condOps) string {
 	}
 	fmt.Fprintf(&log, "now %d events %d\n", k.Now(), k.Events())
 	for _, p := range procs {
-		fmt.Fprintf(&log, "%s %s\n", p.Name(), p.state)
+		fmt.Fprintf(&log, "%s %s\n", p.name, p.state)
 	}
 	return log.String()
 }

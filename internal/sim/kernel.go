@@ -214,9 +214,6 @@ type Proc struct {
 	killErr error
 }
 
-// Name returns the name the process was spawned with.
-func (p *Proc) Name() string { return p.name }
-
 // Kernel returns the kernel this process belongs to.
 func (p *Proc) Kernel() *Kernel { return p.k }
 

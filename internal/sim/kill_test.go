@@ -167,9 +167,9 @@ func TestCloseUnwindsEveryUnfinishedProcess(t *testing.T) {
 	unwound := map[string]bool{}
 	body := func(block func(p *Proc)) func(*Proc) {
 		return func(p *Proc) {
-			defer func() { unwound[p.Name()] = true }()
+			defer func() { unwound[p.name] = true }()
 			block(p)
-			t.Errorf("%s resumed past its block", p.Name())
+			t.Errorf("%s resumed past its block", p.name)
 		}
 	}
 	k.SpawnDaemon("daemon", body(func(p *Proc) { p.Park("forever") }))
@@ -195,7 +195,7 @@ func TestCloseUnwindsEveryUnfinishedProcess(t *testing.T) {
 	}
 	for _, p := range k.procs {
 		if p.state != procDone {
-			t.Errorf("%s left %s", p.Name(), p.state)
+			t.Errorf("%s left %s", p.name, p.state)
 		}
 	}
 	if at, ok := k.NextEventAt(); ok {

@@ -94,15 +94,6 @@ func (pd *PDES) Lookahead() Cycles { return pd.la }
 // far — the PDES-level work metric (barrier crossings).
 func (pd *PDES) Windows() uint64 { return pd.windows }
 
-// Events sums the dispatched-event counters of all sub-kernels.
-func (pd *PDES) Events() uint64 {
-	var n uint64
-	for _, k := range pd.kernels {
-		n += k.Events()
-	}
-	return n
-}
-
 // Post sends a cross-kernel message: fn will run on kernel dst at cycle
 // at. It must be called from kernel src's own context (a process body
 // or callback running on that kernel) and at must respect the

@@ -195,7 +195,10 @@ func BenchmarkPDESThroughput(b *testing.B) {
 			if err := pd.Run(workers); err != nil {
 				b.Fatal(err)
 			}
-			events := float64(pd.Events())
+			var events float64
+			for _, k := range pd.kernels {
+				events += float64(k.Events())
+			}
 			b.ReportMetric(events/b.Elapsed().Seconds(), "events/s")
 			b.ReportMetric(float64(pd.Windows()), "windows")
 		})

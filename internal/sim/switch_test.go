@@ -202,7 +202,7 @@ func TestMixedCascadePinned(t *testing.T) {
 		for i := 0; i < 3; i++ {
 			c.Wait(p)
 			note("b woke")
-			k.Spawn(fmt.Sprintf("child%d", i), func(p *Proc) { note(p.Name()); c.Signal() })
+			k.Spawn(fmt.Sprintf("child%d", i), func(p *Proc) { note(p.name); c.Signal() })
 			p.Delay(0)
 		}
 		p.Delay(3)

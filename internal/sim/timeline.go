@@ -59,6 +59,8 @@ func (t *Timeline) Spans() []Span {
 
 // Overlap reports whether any span with label a overlaps in time with any
 // span with label b — used to verify pipelining (interleaved put/get).
+//
+//lint:ignore deadexport the rcce, ircce and root tests verify pipelining with it
 func (t *Timeline) Overlap(a, b string) bool {
 	for _, x := range t.spans {
 		if x.Label != a {

@@ -39,16 +39,6 @@ func (s *Series) Max() float64 {
 	return max
 }
 
-// At returns the Y value at the given X, or false if absent.
-func (s *Series) At(x float64) (float64, bool) {
-	for _, p := range s.Points {
-		if p.X == x {
-			return p.Y, true
-		}
-	}
-	return 0, false
-}
-
 // Summary holds order statistics of a sample set — the shape benchmark
 // reporting needs (min/median/p99/max) without ad-hoc math at the call
 // sites.
@@ -88,19 +78,9 @@ func Summarize(xs []float64) Summary {
 	}
 }
 
-// Quantile returns the q-th quantile (0 <= q <= 1) of the samples,
-// linearly interpolating between order statistics.
-func Quantile(xs []float64, q float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	return quantileSorted(sorted, q)
-}
-
-// quantileSorted computes an interpolated quantile over an already
-// sorted sample set.
+// quantileSorted returns the q-th quantile (0 <= q <= 1) of an already
+// sorted, non-empty sample set, linearly interpolating between order
+// statistics.
 func quantileSorted(sorted []float64, q float64) float64 {
 	if q <= 0 {
 		return sorted[0]

@@ -15,11 +15,8 @@ func TestSeriesAddMaxAt(t *testing.T) {
 	if s.Max() != 25 {
 		t.Errorf("max = %v", s.Max())
 	}
-	if v, ok := s.At(64); !ok || v != 25 {
-		t.Errorf("At(64) = %v,%v", v, ok)
-	}
-	if _, ok := s.At(999); ok {
-		t.Error("At on missing x succeeded")
+	if len(s.Points) != 3 || s.Points[1] != (Point{64, 25}) {
+		t.Errorf("points = %v, want the three adds in order", s.Points)
 	}
 	var empty Series
 	if empty.Max() != 0 {
@@ -56,19 +53,16 @@ func TestQuantile(t *testing.T) {
 	for _, tc := range []struct{ q, want float64 }{
 		{0, 1}, {1, 100}, {0.5, 50.5}, {0.99, 99.01}, {-1, 1}, {2, 100},
 	} {
-		if got := Quantile(xs, tc.q); math.Abs(got-tc.want) > 1e-9 {
-			t.Errorf("Quantile(1..100, %v) = %v, want %v", tc.q, got, tc.want)
+		if got := quantileSorted(xs, tc.q); math.Abs(got-tc.want) > 1e-9 {
+			t.Errorf("quantile(1..100, %v) = %v, want %v", tc.q, got, tc.want)
 		}
 	}
-	if Quantile(nil, 0.5) != 0 {
-		t.Error("empty quantile != 0")
-	}
-	if Quantile([]float64{7}, 0.99) != 7 {
+	if quantileSorted([]float64{7}, 0.99) != 7 {
 		t.Error("single-sample quantile != the sample")
 	}
 	s := Summarize(xs)
-	if s.P99 != Quantile(xs, 0.99) {
-		t.Errorf("Summary.P99 = %v, want %v", s.P99, Quantile(xs, 0.99))
+	if s.P99 != quantileSorted(xs, 0.99) {
+		t.Errorf("Summary.P99 = %v, want %v", s.P99, quantileSorted(xs, 0.99))
 	}
 	if s.Min > s.Median || s.Median > s.P99 || s.P99 > s.Max {
 		t.Errorf("order statistics out of order: %+v", s)

@@ -51,7 +51,7 @@ func faultDigest(rt *Runtime, sys *vscc.System, end sim.Cycles) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "end=%d hash=%s steals=%d doorbells=%d moved=%d\norder=%v\n",
 		end, rt.StateHash(), rt.Stats().Steals, rt.Stats().Doorbells,
-		rt.Stats().MovedBytes, rt.ExecOrder())
+		rt.Stats().MovedBytes, rt.execOrder)
 	if sys.Injector != nil {
 		b.WriteString(sys.Injector.Summary())
 	}

@@ -139,17 +139,17 @@ func TestPropertyRandomDAGs(t *testing.T) {
 			// Exactly once: every task id appears once in the
 			// completion log and carries a worker and seq pair.
 			seen := make([]int, rt.NumTasks())
-			for _, id := range rt.ExecOrder() {
+			for _, id := range rt.execOrder {
 				seen[id]++
 			}
 			for id, c := range seen {
 				if c != 1 {
 					t.Errorf("task %d executed %d times", id, c)
 				}
-				tk := rt.Task(id)
-				start, done := tk.Seqs()
-				if tk.ExecutedBy() < 0 || tk.ExecutedBy() >= ranks || start <= 0 || done <= start {
-					t.Errorf("task %d: worker=%d seqs=(%d,%d)", id, tk.ExecutedBy(), start, done)
+				tk := rt.tasks[id]
+				start, done := tk.startSeq, tk.doneSeq
+				if tk.executedBy < 0 || tk.executedBy >= ranks || start <= 0 || done <= start {
+					t.Errorf("task %d: worker=%d seqs=(%d,%d)", id, tk.executedBy, start, done)
 				}
 			}
 
@@ -158,12 +158,12 @@ func TestPropertyRandomDAGs(t *testing.T) {
 			// dispatched — regardless of which worker ran it or whether
 			// it was stolen.
 			for e := range modelEdges(sp) {
-				pred, succ := rt.Task(e[0]), rt.Task(e[1])
-				_, pd := pred.Seqs()
-				ss, _ := succ.Seqs()
+				pred, succ := rt.tasks[e[0]], rt.tasks[e[1]]
+				pd := pred.doneSeq
+				ss := succ.startSeq
 				if pd >= ss {
 					t.Errorf("edge %d->%d violated: pred done seq %d, succ start seq %d (succ worker %d)",
-						e[0], e[1], pd, ss, succ.ExecutedBy())
+						e[0], e[1], pd, ss, succ.executedBy)
 				}
 			}
 

@@ -123,9 +123,6 @@ func (rg *Region) Name() string { return rg.name }
 // Owner returns the owning worker rank (valid after Run/RunSerial).
 func (rg *Region) Owner() int { return rg.owner }
 
-// Snapshot returns a copy of the region's current contents.
-func (rg *Region) Snapshot() []byte { return append([]byte(nil), rg.data...) }
-
 // task states.
 const (
 	taskWaiting = iota
@@ -152,18 +149,11 @@ type Task struct {
 	// thawed original (see publish).
 	stamps []int
 
-	// Execution record, for the property suite and reports.
+	// Execution record, read by the property and rerun tests.
 	executedBy int
 	startSeq   int
 	doneSeq    int
 }
-
-// ExecutedBy returns the worker that ran the task (valid once done).
-func (t *Task) ExecutedBy() int { return t.executedBy }
-
-// Seqs returns the global start and completion sequence numbers of the
-// task's execution (valid once done; start < done always).
-func (t *Task) Seqs() (start, done int) { return t.startSeq, t.doneSeq }
 
 // Stats aggregates what the runtime did during one Run.
 type Stats struct {
@@ -360,12 +350,6 @@ func (rt *Runtime) Stats() Stats { return rt.stats }
 // (valid after Run). With re-execution this is the convergence point:
 // it may precede the crashed device's rejoin.
 func (rt *Runtime) CompletedAt() sim.Cycles { return rt.doneCycle }
-
-// ExecOrder returns the task ids in completion order.
-func (rt *Runtime) ExecOrder() []int { return append([]int(nil), rt.execOrder...) }
-
-// Task returns the task with the given id.
-func (rt *Runtime) Task(id int) *Task { return rt.tasks[id] }
 
 // StateHash digests every region's name, version and contents, in
 // region order — the fingerprint the identity and fault suites compare.

@@ -110,7 +110,7 @@ func TestCholeskyFactorizes(t *testing.T) {
 			if !ok {
 				t.Fatalf("tile %d,%d missing", i, j)
 			}
-			buf := rg.Snapshot()
+			buf := rg.data
 			for r := 0; r < b; r++ {
 				for c := 0; c < b; c++ {
 					l[i*b+r][j*b+c] = getF(buf, r*b+c)
@@ -205,15 +205,15 @@ func TestRerunIdentical(t *testing.T) {
 	if a.Stats() != b.Stats() {
 		t.Errorf("stats differ: %+v vs %+v", a.Stats(), b.Stats())
 	}
-	ao, bo := a.ExecOrder(), b.ExecOrder()
+	ao, bo := a.execOrder, b.execOrder
 	for i := range ao {
 		if ao[i] != bo[i] {
 			t.Fatalf("exec order differs at %d: task %d vs %d", i, ao[i], bo[i])
 		}
 	}
 	for id := 0; id < a.NumTasks(); id++ {
-		if a.Task(id).ExecutedBy() != b.Task(id).ExecutedBy() {
-			t.Fatalf("task %d worker differs: %d vs %d", id, a.Task(id).ExecutedBy(), b.Task(id).ExecutedBy())
+		if a.tasks[id].executedBy != b.tasks[id].executedBy {
+			t.Fatalf("task %d worker differs: %d vs %d", id, a.tasks[id].executedBy, b.tasks[id].executedBy)
 		}
 	}
 }

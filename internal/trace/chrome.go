@@ -95,11 +95,7 @@ func WriteChrome(w io.Writer, caps []Capture) error {
 			cw.write(&Event{Ph: "M", Pid: pid, Tid: tidOf[i], Name: "thread_name", Args: EventArgs{Name: tr.thread}})
 		}
 		for _, sp := range s.spans {
-			ev := Event{Ph: "X", Pid: pidOf[sp.track], Tid: tidOf[sp.track], Ts: uint64(sp.from), Dur: uint64(sp.to - sp.from), Name: sp.name}
-			if sp.instant {
-				ev.Ph, ev.Dur = "i", 0
-			}
-			cw.write(&ev)
+			cw.write(&Event{Ph: "X", Pid: pidOf[sp.track], Tid: tidOf[sp.track], Ts: uint64(sp.from), Dur: uint64(sp.to - sp.from), Name: sp.name})
 		}
 		if len(s.samples) > 0 {
 			pid := process(prefix + "metrics")

@@ -10,7 +10,7 @@ import (
 )
 
 // buildTestCapture records a small but representative sink: two
-// processes, spans, an instant, counters and an awkward event name.
+// processes, spans, a zero-length span, counters and awkward event names.
 func buildTestCapture(t *testing.T) Capture {
 	t.Helper()
 	s := NewSink(sim.NewKernel())
@@ -20,7 +20,7 @@ func buildTestCapture(t *testing.T) Capture {
 	s.Span(l0, `xfer 64B "fast"`, 0, 40)
 	s.Span(l1, "xfer 32B", 10, 30)
 	s.Span(ct, "deliver", 5, 12)
-	s.Instant(l0, `drop\retry`)
+	s.Span(l0, `drop\retry`, 40, 40)
 	s.Add("bytes", 96)
 	s.Add("bytes", 64)
 	s.Gauge("depth", 2)
@@ -28,8 +28,8 @@ func buildTestCapture(t *testing.T) Capture {
 }
 
 // The export must be valid JSON with the documented structure: metadata
-// names every process and thread, spans become X events, instants i
-// events, counters C events.
+// names every process and thread, spans become X events, counters C
+// events.
 func TestWriteChromeProducesValidJSON(t *testing.T) {
 	var buf bytes.Buffer
 	if err := WriteChrome(&buf, []Capture{buildTestCapture(t)}); err != nil {
@@ -56,8 +56,8 @@ func TestWriteChromeProducesValidJSON(t *testing.T) {
 	if counts["M"] != 6 {
 		t.Errorf("metadata events = %d, want 6", counts["M"])
 	}
-	if counts["X"] != 3 || counts["i"] != 1 {
-		t.Errorf("spans/instants = %d/%d, want 3/1", counts["X"], counts["i"])
+	if counts["X"] != 4 {
+		t.Errorf("spans = %d, want 4", counts["X"])
 	}
 	// bytes sampled twice, depth once.
 	if counts["C"] != 3 {

@@ -45,17 +45,12 @@ func (s *Sink) MetricsReport() string {
 	if len(s.tracks) > 0 {
 		b.WriteString("tracks: (busy = sum of span durations; util = busy / simulated time)\n")
 		type occ struct {
-			spans    int
-			busy     uint64
-			instants int
+			spans int
+			busy  uint64
 		}
 		occs := make([]occ, len(s.tracks))
 		for _, sp := range s.spans {
 			o := &occs[sp.track]
-			if sp.instant {
-				o.instants++
-				continue
-			}
 			o.spans++
 			o.busy += uint64(sp.to - sp.from)
 		}
@@ -65,12 +60,8 @@ func (s *Sink) MetricsReport() string {
 			if end > 0 {
 				util = 100 * float64(o.busy) / float64(end)
 			}
-			fmt.Fprintf(&b, "  %-36s spans=%-7d busy=%-12d util=%5.1f%%",
+			fmt.Fprintf(&b, "  %-36s spans=%-7d busy=%-12d util=%5.1f%%\n",
 				tr.process+"/"+tr.thread, o.spans, o.busy, util)
-			if o.instants > 0 {
-				fmt.Fprintf(&b, " instants=%d", o.instants)
-			}
-			b.WriteByte('\n')
 		}
 	}
 	return b.String()

@@ -32,14 +32,12 @@ type trackInfo struct {
 	thread  string
 }
 
-// spanEvent is one recorded interval (or instant, when From == To and
-// instant is set).
+// spanEvent is one recorded interval.
 type spanEvent struct {
-	track   Track
-	name    string
-	from    sim.Cycles
-	to      sim.Cycles
-	instant bool
+	track Track
+	name  string
+	from  sim.Cycles
+	to    sim.Cycles
 }
 
 // counterSample is one point of a counter/gauge time series.
@@ -84,14 +82,6 @@ func NewSink(k *sim.Kernel) *Sink {
 //	if sink.Enabled() { sink.Span(tr, fmt.Sprintf(...), from, to) }
 func (s *Sink) Enabled() bool { return s != nil }
 
-// Now returns the current simulated time, or zero when disabled.
-func (s *Sink) Now() sim.Cycles {
-	if s == nil {
-		return 0
-	}
-	return s.k.Now()
-}
-
 // Track registers (or looks up) a named track and returns its id. Ids are
 // assigned in first-registration order, so a deterministic simulation
 // yields deterministic ids.
@@ -115,15 +105,6 @@ func (s *Sink) Span(t Track, name string, from, to sim.Cycles) {
 		return
 	}
 	s.spans = append(s.spans, spanEvent{track: t, name: name, from: from, to: to})
-}
-
-// Instant records a zero-duration marker at the current time.
-func (s *Sink) Instant(t Track, name string) {
-	if s == nil || t == NoTrack {
-		return
-	}
-	now := s.k.Now()
-	s.spans = append(s.spans, spanEvent{track: t, name: name, from: now, to: now, instant: true})
 }
 
 // Add bumps a monotonic counter and records the new value as a
@@ -184,7 +165,7 @@ func (s *Sink) HistogramSamples(name string) []float64 {
 	return append([]float64(nil), s.hists[name]...)
 }
 
-// SpanCount returns the number of recorded spans and instants.
+// SpanCount returns the number of recorded spans.
 func (s *Sink) SpanCount() int {
 	if s == nil {
 		return 0

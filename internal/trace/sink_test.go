@@ -21,11 +21,9 @@ func TestNilSinkIsFreeNoOp(t *testing.T) {
 	}
 	allocs := testing.AllocsPerRun(100, func() {
 		s.Span(tr, "xfer", 0, 10)
-		s.Instant(tr, "mark")
 		s.Add("bytes", 64)
 		s.Gauge("depth", 3)
 		s.Observe("size", 64)
-		_ = s.Now()
 		_ = s.CounterValue("bytes")
 		_ = s.SpanCount()
 	})
@@ -43,7 +41,6 @@ func TestNilSinkIsFreeNoOp(t *testing.T) {
 func TestSpanOnNoTrackIgnored(t *testing.T) {
 	s := NewSink(sim.NewKernel())
 	s.Span(NoTrack, "xfer", 0, 10)
-	s.Instant(NoTrack, "mark")
 	if s.SpanCount() != 0 {
 		t.Errorf("spans on NoTrack recorded: %d", s.SpanCount())
 	}
@@ -68,7 +65,7 @@ func TestSinkRoundTrip(t *testing.T) {
 	}
 
 	s.Span(a, "xfer", 10, 25)
-	s.Instant(b, "drop")
+	s.Span(b, "drop", 30, 30)
 	if s.SpanCount() != 2 {
 		t.Errorf("span count = %d, want 2", s.SpanCount())
 	}
@@ -103,20 +100,13 @@ func TestSinkRoundTrip(t *testing.T) {
 func TestSinkTimestampsFollowKernelClock(t *testing.T) {
 	k := sim.NewKernel()
 	s := NewSink(k)
-	tr := s.Track("test", "proc")
 	k.After(5, func() { s.Add("ticks", 1) })
-	k.After(9, func() { s.Instant(tr, "late") })
+	k.After(9, func() { s.Gauge("depth", 2) })
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if s.Now() != 9 {
-		t.Errorf("sink now = %d, want 9", s.Now())
-	}
-	if len(s.samples) != 1 || s.samples[0].at != 5 {
-		t.Errorf("counter sample at %v, want cycle 5", s.samples)
-	}
-	if len(s.spans) != 1 || s.spans[0].from != 9 || !s.spans[0].instant {
-		t.Errorf("instant recorded as %+v, want instant at 9", s.spans)
+	if len(s.samples) != 2 || s.samples[0].at != 5 || s.samples[1].at != 9 {
+		t.Errorf("counter samples at %v, want cycles 5 and 9", s.samples)
 	}
 }
 

@@ -40,6 +40,8 @@ func (m *Matrix) Record(src, dest, bytes int) {
 }
 
 // Bytes returns the volume sent from src to dest.
+//
+//lint:ignore deadexport npb's traffic tests and the root integration test read single cells with it
 func (m *Matrix) Bytes(src, dest int) uint64 { return m.bytes[src][dest] }
 
 // Total returns the overall volume.

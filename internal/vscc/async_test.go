@@ -72,7 +72,7 @@ func TestAsyncSendRecvIntegrity(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				eng.Wait(q)
+				eng.WaitAll(q)
 			case 48:
 				eng := ircce.New(r)
 				q, err := eng.Irecv(0, got)
@@ -80,7 +80,7 @@ func TestAsyncSendRecvIntegrity(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				eng.Wait(q)
+				eng.WaitAll(q)
 			}
 		})
 		if err != nil {
@@ -120,7 +120,7 @@ func TestAsyncOverlapsComputeWithTransfer(t *testing.T) {
 						r.Ctx().Delay(computeCycles / 10)
 						eng.Push()
 					}
-					eng.Wait(q)
+					eng.WaitAll(q)
 				} else {
 					r.Send(48, msg)
 					r.Ctx().Delay(computeCycles)
@@ -200,7 +200,7 @@ func TestAsyncInteropWithBlockingPeer(t *testing.T) {
 			if err != nil {
 				panic(err)
 			}
-			eng.Wait(q)
+			eng.WaitAll(q)
 		case 48:
 			r.Recv(0, got) // blocking receive
 		}
@@ -229,7 +229,7 @@ func TestAsyncSequenceOfMessages(t *testing.T) {
 				if err != nil {
 					panic(err)
 				}
-				eng.Wait(q)
+				eng.WaitAll(q)
 			}
 		case 48:
 			eng := ircce.New(r)
@@ -239,7 +239,7 @@ func TestAsyncSequenceOfMessages(t *testing.T) {
 				if err != nil {
 					panic(err)
 				}
-				eng.Wait(q)
+				eng.WaitAll(q)
 				if !bytes.Equal(got, pattern(5000, byte(i))) {
 					t.Errorf("round %d corrupted", i)
 				}
@@ -275,14 +275,14 @@ func TestAsyncZeroLengthAndSameDevice(t *testing.T) {
 				t.Errorf("same-device isend: %v", err)
 				return
 			}
-			eng.Wait(q)
+			eng.WaitAll(q)
 		case 1:
 			q, err := eng.Irecv(0, got)
 			if err != nil {
 				t.Errorf("same-device irecv: %v", err)
 				return
 			}
-			eng.Wait(q)
+			eng.WaitAll(q)
 		}
 	})
 	if err != nil {
@@ -331,7 +331,7 @@ func TestAsyncMixedOnChipAndCrossDevice(t *testing.T) {
 				if err != nil {
 					panic(err)
 				}
-				eng.Wait(q)
+				eng.WaitAll(q)
 			}
 		})
 		if err != nil {
@@ -378,7 +378,7 @@ func asyncStream(t *testing.T, faults *fault.Config) (bool, *System, error) {
 			if err != nil {
 				panic(err)
 			}
-			eng.Wait(q)
+			eng.WaitAll(q)
 			if r.ID() == 1 && !bytes.Equal(got, pattern(size, byte(rep))) {
 				intact = false
 			}

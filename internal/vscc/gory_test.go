@@ -29,9 +29,9 @@ func TestVirtualAddressGoryAcrossDevices(t *testing.T) {
 				panic(err)
 			}
 			r.SignalSent(48)
-			r.AwaitReady(48)
+			r.AwaitReadyFor(48, 0)
 		case 48:
-			r.AwaitSent(0)
+			r.AwaitSentFor(0, 0)
 			a, err := r.VAddrOf(48, 512) // own MPB through the window
 			if err != nil {
 				panic(err)

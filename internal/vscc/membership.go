@@ -151,7 +151,9 @@ func (m *Membership) Epoch(dev int) uint8 { return m.devs[dev].epoch }
 // lost flag write.
 func (m *Membership) Lost(dev int) bool { return m.devs[dev].lost() }
 
-// State returns the device's membership state (test hook).
+// State returns the device's membership state.
+//
+//lint:ignore deadexport the root and taskrt recovery tests check that a crashed device came back up
 func (m *Membership) State(dev int) DevState { return m.devs[dev].state }
 
 // Quiesced reports whether the device is up with no rejoin replay in

@@ -302,13 +302,13 @@ func TestCrashRestoresObservedStores(t *testing.T) {
 				chip.HostWriteLMB(3, 200, []byte("while down"))
 				chip.HostWriteLMB(11, 0, []byte("while down")) // an all-zero bank
 			},
-			func() { restored = chip.SnapshotLMB() })
+			func() { restored = snapshotLMB(chip) })
 	})
 	// Mid-drain: the last stores before the wipe, nothing runs after them.
 	k.At(crashAt+fault.DefaultDrainCycles/2, func() {
 		chip.HostWriteLMB(5, 0, []byte("drained"))
 		chip.Tiles[9].LMB.Write(32, bypass)
-		live = chip.SnapshotLMB()
+		live = snapshotLMB(chip)
 	})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
@@ -349,4 +349,13 @@ func TestMembershipNotBuiltWithoutDeviceFaults(t *testing.T) {
 	if sys.Membership != nil {
 		t.Error("membership manager built without any device fault scheduled")
 	}
+}
+
+// snapshotLMB copies every tile's LMB image of a chip.
+func snapshotLMB(c *scc.Chip) [][]byte {
+	img := c.ViewLMB(nil)
+	for i, b := range img {
+		img[i] = bytes.Clone(b)
+	}
+	return img
 }

@@ -139,7 +139,7 @@ func runPDESWorkload(t *testing.T, scheme Scheme, faults *fault.Config, workers 
 	fmt.Fprintf(&clocks, "windows=%d\n", sys.PDES.Windows())
 	h := sha256.New()
 	for _, chip := range sys.Chips {
-		for _, bank := range chip.SnapshotLMB() {
+		for _, bank := range chip.ViewLMB(nil) {
 			h.Write(bank)
 		}
 	}

@@ -18,6 +18,8 @@ import (
 // pj*q) onto the system so that no grid row straddles a device
 // boundary. It falls back to an error when the devices cannot hold the
 // rows even with padding.
+//
+//lint:ignore deadexport EXPERIMENTS' row-aligned placement row is measured through it
 func (s *System) RowAlignedPlaces(q int) ([]rcce.Place, error) {
 	ranks := q * q
 	rowsPerDevice := 48 / q // whole rows that fit one device
@@ -43,36 +45,4 @@ func (s *System) RowAlignedPlaces(q int) ([]rcce.Place, error) {
 		}
 	}
 	return places, nil
-}
-
-// CrossDevicePairs counts how many of the given neighbour relations
-// (rank pairs) cross a device boundary under a placement — the metric a
-// placement strategy minimizes.
-func CrossDevicePairs(places []rcce.Place, pairs [][2]int) int {
-	n := 0
-	for _, p := range pairs {
-		if places[p[0]].Dev != places[p[1]].Dev {
-			n++
-		}
-	}
-	return n
-}
-
-// GridNeighborPairs enumerates the neighbour relations of a q x q
-// multi-partition grid: the x (±1 with row wrap), y (±q) and z (±(q+1))
-// rings of Fig. 8.
-func GridNeighborPairs(q int) [][2]int {
-	var pairs [][2]int
-	ranks := q * q
-	for r := 0; r < ranks; r++ {
-		pi, pj := r%q, r/q
-		add := func(qi, qj int) {
-			peer := ((qi+q)%q + ((qj+q)%q)*q)
-			pairs = append(pairs, [2]int{r, peer})
-		}
-		add(pi+1, pj)   // +x ring
-		add(pi, pj+1)   // +y ring
-		add(pi-1, pj-1) // +z ring
-	}
-	return pairs
 }

@@ -32,7 +32,7 @@ func TestRowAlignedPlacementNoRowStraddle(t *testing.T) {
 func TestRowAlignedReducesCrossDevicePairs(t *testing.T) {
 	sys := newSystem(t, 5, SchemeVDMA)
 	const q = 15 // 225 ranks: the paper's maximum configuration
-	pairs := GridNeighborPairs(q)
+	pairs := gridNeighborPairs(q)
 	linear, err := rcce.LinearPlaces(sys.Chips, q*q)
 	if err != nil {
 		t.Fatal(err)
@@ -41,8 +41,8 @@ func TestRowAlignedReducesCrossDevicePairs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lin := CrossDevicePairs(linear, pairs)
-	ali := CrossDevicePairs(aligned, pairs)
+	lin := crossDevicePairs(linear, pairs)
+	ali := crossDevicePairs(aligned, pairs)
 	if ali >= lin {
 		t.Errorf("aligned placement crosses %d pairs, linear %d — no improvement", ali, lin)
 	}
@@ -99,4 +99,36 @@ func TestRowAlignedBTSpeedsUpWorstScheme(t *testing.T) {
 	}
 	t.Logf("BT 100 ranks under routing: linear %d cycles, row-aligned %d (%.0f%% faster)",
 		linear, aligned, 100*(1-float64(aligned)/float64(linear)))
+}
+
+// crossDevicePairs counts how many of the given neighbour relations
+// (rank pairs) cross a device boundary under a placement — the metric a
+// placement strategy minimizes.
+func crossDevicePairs(places []rcce.Place, pairs [][2]int) int {
+	n := 0
+	for _, p := range pairs {
+		if places[p[0]].Dev != places[p[1]].Dev {
+			n++
+		}
+	}
+	return n
+}
+
+// gridNeighborPairs enumerates the neighbour relations of a q x q
+// multi-partition grid: the x (±1 with row wrap), y (±q) and z (±(q+1))
+// rings of Fig. 8.
+func gridNeighborPairs(q int) [][2]int {
+	var pairs [][2]int
+	ranks := q * q
+	for r := 0; r < ranks; r++ {
+		pi, pj := r%q, r/q
+		add := func(qi, qj int) {
+			peer := ((qi+q)%q + ((qj+q)%q)*q)
+			pairs = append(pairs, [2]int{r, peer})
+		}
+		add(pi+1, pj)   // +x ring
+		add(pi, pj+1)   // +y ring
+		add(pi-1, pj-1) // +z ring
+	}
+	return pairs
 }

@@ -139,7 +139,7 @@ func TestSchemeCyclesPinned(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		eng.Wait(q)
+		eng.WaitAll(q)
 		done[r.ID()] = r.Now()
 	})
 	if err != nil {

@@ -32,7 +32,7 @@ func brokenReceiver(r *rcce.Rank, buf []byte) byte {
 	ctx.ReadMPB(dev0, tile0, base0+stalePayloadOff, buf) // warm the L1
 	r.SignalReady(0)
 	for !r.PeekSent(0) {
-		r.WaitAnyLocalChange()
+		r.WaitAnyLocalChangeFor(0)
 	}
 	r.ClearSent(0)
 	//lint:ignore goryorder deliberate stale read: the runtime checker must catch it
@@ -48,7 +48,7 @@ func soundReceiver(r *rcce.Rank, buf []byte) byte {
 	ctx.ReadMPB(dev0, tile0, base0+stalePayloadOff, buf) // warm the L1
 	r.SignalReady(0)
 	for !r.PeekSent(0) {
-		r.WaitAnyLocalChange()
+		r.WaitAnyLocalChangeFor(0)
 	}
 	r.ClearSent(0)
 	ctx.InvalidateMPB()
@@ -73,7 +73,7 @@ func runMPBCheckScenario(invalidate bool) (got byte, err error) {
 		dev0, tile0, base0 := r.MPBOf(0)
 		switch r.ID() {
 		case 0:
-			r.AwaitReady(1)
+			r.AwaitReadyFor(1, 0)
 			ctx.WriteMPB(dev0, tile0, base0+stalePayloadOff, []byte{42})
 			ctx.FlushWCB()
 			r.SignalSent(1)
