@@ -103,8 +103,10 @@ type luState struct {
 	nx, ny int
 	x0, y0 int
 
-	u   []Vec5 // (nx+2) x (ny+2) x N with ghost skirt in x/y
-	rhs []Vec5 // nx x ny x N
+	u                 []Vec5 // (nx+2) x (ny+2) x N with ghost skirt in x/y
+	rhs               []Vec5 // nx x ny x N
+	westCol, northRow []Vec5 // a sweep plane's upstream pencils
+	sendBuf, recvBuf  []byte // sized at setup and sliced per message, as in BT
 }
 
 func (s *luState) iu(i, j, k int) int { return (k*(s.ny+2)+(j+1))*(s.nx+2) + (i + 1) }
@@ -148,11 +150,14 @@ func (s *luState) setup() {
 	s.pi, s.pj = s.d.Coord(s.r.ID())
 	s.nx, s.ny = s.d.xs[s.pi], s.d.ys[s.pj]
 	s.x0, s.y0 = s.d.xo[s.pi], s.d.yo[s.pj]
+	face := max(s.nx, s.ny) * s.d.N * 5 * 8
+	s.sendBuf, s.recvBuf = make([]byte, face), make([]byte, face)
 	if s.cfg.Timing {
 		return
 	}
 	s.u = make([]Vec5, (s.nx+2)*(s.ny+2)*s.d.N)
 	s.rhs = make([]Vec5, s.points())
+	s.westCol, s.northRow = make([]Vec5, s.ny), make([]Vec5, s.nx)
 	for k := 0; k < s.d.N; k++ {
 		for j := -1; j <= s.ny; j++ {
 			for i := -1; i <= s.nx; i++ {
@@ -242,7 +247,7 @@ func (s *luState) exchangeFaces() {
 			continue
 		}
 		send := func() {
-			buf := make([]byte, dir.count*5*8)
+			buf := s.sendBuf[:dir.count*5*8]
 			if !s.cfg.Timing {
 				dir.pack(buf)
 			}
@@ -251,7 +256,7 @@ func (s *luState) exchangeFaces() {
 			}
 		}
 		recv := func() {
-			buf := make([]byte, dir.count*5*8)
+			buf := s.recvBuf[:dir.count*5*8]
 			if err := s.r.Recv(dir.peer, buf); err != nil {
 				panic(err)
 			}
@@ -325,8 +330,7 @@ func (s *luState) sweep(upper bool) {
 
 	colBytes := s.ny * 5 * 8
 	rowBytes := s.nx * 5 * 8
-	westCol := make([]Vec5, s.ny)
-	northRow := make([]Vec5, s.nx)
+	westCol, northRow := s.westCol, s.northRow
 	for plane := 0; plane < s.d.N; plane++ {
 		k := plane
 		if upper {
@@ -334,7 +338,7 @@ func (s *luState) sweep(upper bool) {
 		}
 		// Boundary pencils of this plane from the upstream neighbours.
 		if recvW >= 0 {
-			buf := make([]byte, colBytes)
+			buf := s.recvBuf[:colBytes]
 			if err := s.r.Recv(recvW, buf); err != nil {
 				panic(err)
 			}
@@ -350,7 +354,7 @@ func (s *luState) sweep(upper bool) {
 			}
 		}
 		if recvN >= 0 {
-			buf := make([]byte, rowBytes)
+			buf := s.recvBuf[:rowBytes]
 			if err := s.r.Recv(recvN, buf); err != nil {
 				panic(err)
 			}
@@ -370,7 +374,7 @@ func (s *luState) sweep(upper bool) {
 		}
 		// Downstream boundary pencils.
 		if sendE >= 0 {
-			buf := make([]byte, colBytes)
+			buf := s.sendBuf[:colBytes]
 			if !s.cfg.Timing {
 				off := 0
 				ei := s.nx - 1
@@ -386,7 +390,7 @@ func (s *luState) sweep(upper bool) {
 			}
 		}
 		if sendS >= 0 {
-			buf := make([]byte, rowBytes)
+			buf := s.sendBuf[:rowBytes]
 			if !s.cfg.Timing {
 				off := 0
 				ej := s.ny - 1

@@ -68,8 +68,9 @@ type cell struct {
 	nx, ny, nz int
 	x0, y0, z0 int
 
-	u   []Vec5 // (nx+2)(ny+2)(nz+2), ghost depth 1
-	rhs []Vec5 // nx*ny*nz
+	u   []Vec5  // (nx+2)(ny+2)(nz+2), ghost depth 1
+	rhs []Vec5  // nx*ny*nz
+	cp  []Block // the current sweep's C' blocks, one per point
 }
 
 func (ce *cell) iu(i, j, k int) int {
@@ -90,6 +91,12 @@ type solver struct {
 	cells []*cell
 
 	offA Block // sub/super-diagonal block (constant)
+	// Every message slices one of these, sized at setup to the largest.
+	// One receive buffer suffices: a sweep consumes its incoming boundary
+	// before the next early receive lands in it. The send buffer stays
+	// separate: the outgoing boundary is packed before that early receive
+	// and sent after it.
+	sendBuf, recvBuf []byte
 }
 
 // initialU is the deterministic initial condition, a function of global
@@ -139,6 +146,7 @@ func (s *solver) setup() {
 	for m := 0; m < 5; m++ {
 		s.offA[m][(m+1)%5] -= coupleCoef
 	}
+	msg := 0 // the largest message: a cell's forward boundary or a face exchange
 	for c := 0; c < d.Q; c++ {
 		cx, cy, cz := d.CellCoord(s.r.ID(), c)
 		ce := &cell{
@@ -149,6 +157,7 @@ func (s *solver) setup() {
 		if !s.cfg.Timing {
 			ce.u = make([]Vec5, (ce.nx+2)*(ce.ny+2)*(ce.nz+2))
 			ce.rhs = make([]Vec5, ce.points())
+			ce.cp = make([]Block, ce.points())
 			for k := -1; k <= ce.nz; k++ {
 				for j := -1; j <= ce.ny; j++ {
 					for i := -1; i <= ce.nx; i++ {
@@ -167,7 +176,12 @@ func (s *solver) setup() {
 			}
 		}
 		s.cells = append(s.cells, ce)
+		msg = max(msg, forwardBoundaryBytes*max(ce.facePoints(DimX), ce.facePoints(DimY), ce.facePoints(DimZ)))
 	}
+	for _, dim := range []Dim{DimX, DimY, DimZ} {
+		msg = max(msg, s.faceBufBytes(dim, +1), s.faceBufBytes(dim, -1))
+	}
+	s.sendBuf, s.recvBuf = make([]byte, msg), make([]byte, msg)
 }
 
 // chargeFlops converts modelled flops (at FlopEfficiency of peak) into
@@ -253,7 +267,7 @@ func (s *solver) copyFaces() {
 				continue
 			}
 			send := func() {
-				buf := make([]byte, sendBytes)
+				buf := s.sendBuf[:sendBytes]
 				if !s.cfg.Timing {
 					s.packFaces(dim, dir, buf)
 				}
@@ -262,7 +276,7 @@ func (s *solver) copyFaces() {
 				}
 			}
 			recv := func() {
-				buf := make([]byte, recvBytes)
+				buf := s.recvBuf[:recvBytes]
 				if err := s.r.Recv(peerRecv, buf); err != nil {
 					panic(err)
 				}

@@ -27,12 +27,11 @@ func (s *solver) sweep(dim Dim) {
 	prev := s.d.Neighbor(me, dim, -1)
 	next := s.d.Neighbor(me, dim, +1)
 	evenRing := s.ringParity(dim)%2 == 0
-	cellCp := make([][]Block, q)
 
 	if q == 1 {
 		ce := s.cells[0]
-		cp := s.forwardCell(ce, dim, nil)
-		s.backwardCell(ce, dim, cp, nil)
+		s.forwardCell(ce, dim, nil)
+		s.backwardCell(ce, dim, nil)
 		return
 	}
 
@@ -46,10 +45,9 @@ func (s *solver) sweep(dim Dim) {
 		if stage > 0 && in == nil {
 			in = s.recvBoundary(prev, ce.facePoints(dim)*forwardBoundaryBytes)
 		}
-		cp := s.forwardCell(ce, dim, in)
-		cellCp[c] = cp
+		s.forwardCell(ce, dim, in)
 		if stage < q-1 {
-			out := s.packForwardBoundary(ce, dim, cp)
+			out := s.packForwardBoundary(ce, dim)
 			if !evenRing {
 				// Early receive: unblock the predecessor's send before
 				// issuing our own synchronous send.
@@ -72,7 +70,7 @@ func (s *solver) sweep(dim Dim) {
 		if stage < q-1 && in == nil {
 			in = s.recvBoundary(next, ce.facePoints(dim)*backwardBoundaryBytes)
 		}
-		s.backwardCell(ce, dim, cellCp[c], in)
+		s.backwardCell(ce, dim, in)
 		if stage > 0 {
 			out := s.packBackwardBoundary(ce, dim)
 			if !evenRing {
@@ -108,9 +106,9 @@ func (s *solver) cellAtSlab(dim Dim, slab int) int {
 	}
 }
 
-// recvBoundary receives one boundary message.
+// recvBoundary receives one boundary message into the receive buffer.
 func (s *solver) recvBoundary(from, bytes int) []byte {
-	buf := make([]byte, bytes)
+	buf := s.recvBuf[:bytes]
 	if err := s.r.Recv(from, buf); err != nil {
 		panic(err)
 	}
@@ -119,16 +117,16 @@ func (s *solver) recvBoundary(from, bytes int) []byte {
 
 // forwardCell eliminates all lines of a cell along dim. in carries the
 // predecessor cell's last-plane (C', d') pairs, nil at the sweep start.
-// It returns the cell's C' planes for back substitution and leaves d' in
+// It leaves the cell's C' planes in cp for back substitution and d' in
 // rhs. In timing mode it only charges the modelled flops.
-func (s *solver) forwardCell(ce *cell, dim Dim, in []byte) []Block {
+func (s *solver) forwardCell(ce *cell, dim Dim, in []byte) {
 	s.chargeFlops(ce.points(), shareSolve*0.6)
 	if s.cfg.Timing {
-		return nil
+		return
 	}
 	n := ce.dimSize(dim)
 	lines := ce.facePoints(dim)
-	cp := make([]Block, n*lines)
+	cp := ce.cp
 	globalLast := ce.coordIn(dim) == s.d.Q-1
 	off := 0
 	for line := 0; line < lines; line++ {
@@ -157,13 +155,12 @@ func (s *solver) forwardCell(ce *cell, dim Dim, in []byte) []Block {
 			prevCp, prevDp = cpT, dp
 		}
 	}
-	return cp
 }
 
 // packForwardBoundary serializes each line's last-plane (C', d').
-func (s *solver) packForwardBoundary(ce *cell, dim Dim, cp []Block) []byte {
+func (s *solver) packForwardBoundary(ce *cell, dim Dim) []byte {
 	lines := ce.facePoints(dim)
-	buf := make([]byte, lines*forwardBoundaryBytes)
+	buf := s.sendBuf[:lines*forwardBoundaryBytes]
 	if s.cfg.Timing {
 		return buf
 	}
@@ -171,7 +168,7 @@ func (s *solver) packForwardBoundary(ce *cell, dim Dim, cp []Block) []byte {
 	off := 0
 	for line := 0; line < lines; line++ {
 		i, j, k := ce.linePoint(dim, line, n-1)
-		off = putBlock(buf, off, cp[line*n+n-1])
+		off = putBlock(buf, off, ce.cp[line*n+n-1])
 		off = putVec5(buf, off, ce.rhs[ce.ir(i, j, k)])
 	}
 	return buf
@@ -180,7 +177,7 @@ func (s *solver) packForwardBoundary(ce *cell, dim Dim, cp []Block) []byte {
 // backwardCell substitutes x_t = d'_t - C'_t * x_{t+1} through the cell.
 // in carries the successor cell's first-plane solutions, nil at the
 // global east edge.
-func (s *solver) backwardCell(ce *cell, dim Dim, cp []Block, in []byte) {
+func (s *solver) backwardCell(ce *cell, dim Dim, in []byte) {
 	s.chargeFlops(ce.points(), shareSolve*0.4)
 	if s.cfg.Timing {
 		return
@@ -196,7 +193,7 @@ func (s *solver) backwardCell(ce *cell, dim Dim, cp []Block, in []byte) {
 		for t := n - 1; t >= 0; t-- {
 			i, j, k := ce.linePoint(dim, line, t)
 			dp := ce.rhs[ce.ir(i, j, k)]
-			x := subVec(dp, mulVec(cp[line*n+t], xNext))
+			x := subVec(dp, mulVec(ce.cp[line*n+t], xNext))
 			ce.rhs[ce.ir(i, j, k)] = x
 			xNext = x
 		}
@@ -206,7 +203,7 @@ func (s *solver) backwardCell(ce *cell, dim Dim, cp []Block, in []byte) {
 // packBackwardBoundary serializes each line's first-plane solution.
 func (s *solver) packBackwardBoundary(ce *cell, dim Dim) []byte {
 	lines := ce.facePoints(dim)
-	buf := make([]byte, lines*backwardBoundaryBytes)
+	buf := s.sendBuf[:lines*backwardBoundaryBytes]
 	if s.cfg.Timing {
 		return buf
 	}

@@ -2,6 +2,7 @@ package pcie
 
 import (
 	"fmt"
+	"math"
 
 	"vscc/internal/sim"
 )
@@ -25,12 +26,21 @@ type TokenBucket struct {
 	last      sim.Cycles
 }
 
+// CheckRate rejects a rate a token bucket cannot shape: not finite, or
+// rounding to zero at 1/1024 B/cycle (a debt that is never paid off).
+func CheckRate(bytesPerCycle float64) error {
+	if !(bytesPerCycle*1024 >= 0.5) || math.IsInf(bytesPerCycle, 0) {
+		return fmt.Errorf("rate %g is not a finite number of at least 1/2048 B/cycle", bytesPerCycle)
+	}
+	return nil
+}
+
 // NewTokenBucket builds a shaper with the given sustained rate
 // (bytes per cycle, may be fractional) and burst allowance in bytes.
-// The bucket starts full.
+// The bucket starts full. It panics on a rate CheckRate rejects.
 func NewTokenBucket(bytesPerCycle float64, burstBytes int) *TokenBucket {
-	if bytesPerCycle <= 0 {
-		panic(fmt.Sprintf("pcie: token bucket with non-positive rate %g", bytesPerCycle))
+	if err := CheckRate(bytesPerCycle); err != nil {
+		panic("pcie: token bucket with " + err.Error())
 	}
 	if burstBytes < 1 {
 		burstBytes = 1

@@ -1,6 +1,7 @@
 package pcie
 
 import (
+	"math"
 	"testing"
 
 	"vscc/internal/sim"
@@ -68,6 +69,36 @@ func TestTokenBucketIdle(t *testing.T) {
 		var nb *TokenBucket
 		if w := nb.Take(p, 1<<20); w != 0 {
 			t.Errorf("nil bucket waited %d cycles", w)
+		}
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestTokenBucketRejectsUnshapeableRates: a rate that is not finite, not
+// positive or rounds to zero at the bucket's resolution panics at
+// construction, not with a divide by zero at the first debt.
+func TestTokenBucketRejectsUnshapeableRates(t *testing.T) {
+	for _, rate := range []float64{0, -1, 0.0001, math.NaN(), math.Inf(1)} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewTokenBucket(%g) did not panic", rate)
+				}
+			}()
+			NewTokenBucket(rate, 4096)
+		}()
+		if CheckRate(rate) == nil {
+			t.Errorf("CheckRate(%g) accepted", rate)
+		}
+	}
+	// The smallest rate that does not round to zero still shapes.
+	k := sim.NewKernel()
+	b := NewTokenBucket(1.0/2048, 4096)
+	k.Spawn("p", func(p *sim.Proc) {
+		for i := 0; i < 3; i++ {
+			b.Take(p, 4096)
 		}
 	})
 	if err := k.Run(); err != nil {

@@ -27,6 +27,7 @@ import (
 
 	"vscc/internal/host"
 	"vscc/internal/mem"
+	"vscc/internal/pcie"
 	"vscc/internal/rcce"
 	"vscc/internal/scc"
 	"vscc/internal/sim"
@@ -56,6 +57,17 @@ type TenantSpec struct {
 	// DevRetry times per job, after which the job is reaped as usual.
 	// 0 (the default) keeps the reap-with-leak behaviour.
 	DevRetry int
+}
+
+// validate rejects a QoS envelope the host cannot apply.
+func (ts TenantSpec) validate() error {
+	if ts.CacheLines < 0 || ts.BurstBytes < 0 || ts.DevRetry < 0 {
+		return fmt.Errorf("tenant %d has a negative QoS parameter", ts.ID)
+	}
+	if err := pcie.CheckRate(ts.BWBytesPerCycle); ts.BWBytesPerCycle != 0 && err != nil {
+		return fmt.Errorf("tenant %d bw=%g: %w", ts.ID, ts.BWBytesPerCycle, err)
+	}
+	return nil
 }
 
 // Kind names a job's program.
@@ -289,8 +301,8 @@ func (s *Scheduler) AddTenant(ts TenantSpec) error {
 	if _, ok := s.tenants[ts.ID]; ok {
 		return fmt.Errorf("sched: tenant %d registered twice", ts.ID)
 	}
-	if ts.CacheLines < 0 || ts.BWBytesPerCycle < 0 || ts.DevRetry < 0 {
-		return fmt.Errorf("sched: tenant %d has a negative QoS parameter", ts.ID)
+	if err := ts.validate(); err != nil {
+		return fmt.Errorf("sched: %w", err)
 	}
 	if ts.CacheLines > s.cacheFree {
 		return fmt.Errorf("sched: tenant %d wants %d cache lines, only %d of %d left",

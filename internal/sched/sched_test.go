@@ -2,6 +2,7 @@ package sched
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -178,6 +179,17 @@ func TestTenantValidation(t *testing.T) {
 	if got := s.Capacity().FreeCacheLines; got != 0 {
 		t.Errorf("cache pool = %d lines free, want 0", got)
 	}
+	for _, ts := range []TenantSpec{
+		{ID: 3, BWBytesPerCycle: 0.0001},
+		{ID: 3, BWBytesPerCycle: math.NaN()},
+		{ID: 3, BWBytesPerCycle: math.Inf(1)},
+		{ID: 3, BWBytesPerCycle: -1},
+		{ID: 3, BWBytesPerCycle: 0.5, BurstBytes: -5},
+	} {
+		if err := s.AddTenant(ts); err == nil {
+			t.Errorf("tenant %+v accepted", ts)
+		}
+	}
 }
 
 // TestSubmitValidation covers the spec error paths that reject the whole
@@ -242,6 +254,13 @@ job tenant=2 name=bt submit=10 kind=bt ranks=4 scheme=cached-get class=S iters=1
 		{"unknown key", "tenant id=1 color=red", `unknown key "color"`},
 		{"duplicate key", "tenant id=1 id=2", "duplicate key"},
 		{"no jobs", "tenant id=1", "no jobs"},
+		{"bw rounds to zero", "# caps\ntenant id=1 bw=0.0001", "line 2: tenant 1 bw=0.0001: rate 0.0001 is not"},
+		{"bw NaN", "tenant id=1 bw=NaN", "line 1: tenant 1 bw=NaN"},
+		{"bw Inf", "tenant id=1 bw=+Inf", "line 1: tenant 1 bw=+Inf"},
+		{"bw negative", "tenant id=1 bw=-0.5", "line 1: tenant 1 bw=-0.5"},
+		{"negative burst", "tenant id=1 bw=0.5 burst=-5", "line 1: tenant 1 has a negative QoS parameter"},
+		{"negative cache", "tenant id=1 cache=-1", "line 1: tenant 1 has a negative QoS parameter"},
+		{"negative devretry", "tenant id=1 devretry=-1", "line 1: tenant 1 has a negative QoS parameter"},
 	}
 	for _, tc := range bad {
 		t.Run(tc.name, func(t *testing.T) {

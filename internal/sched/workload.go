@@ -170,8 +170,8 @@ func parseTenant(kv *kvMap) (TenantSpec, error) {
 	if ts.DevRetry, err = kv.integer("devretry", 0); err != nil {
 		return ts, err
 	}
-	if ts.DevRetry < 0 {
-		return ts, fmt.Errorf("devretry=%d is negative", ts.DevRetry)
+	if err := ts.validate(); err != nil {
+		return ts, err
 	}
 	return ts, kv.leftover()
 }

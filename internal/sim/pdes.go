@@ -30,8 +30,9 @@ package sim
 // run with 1 worker, for any W.
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -111,23 +112,49 @@ func (pd *PDES) Post(src int, at Cycles, dst int, fn func()) {
 	pd.outbox[src] = append(pd.outbox[src], xmsg{at: at, src: src, dst: dst, seq: pd.seqs[src], fn: fn})
 }
 
-// Run drives all kernels to completion with the given number of worker
-// goroutines (clamped to [1, n]). Within each window the workers pull
-// kernels off a shared counter; since kernels share no state inside a
-// window and the barrier orders all cross-kernel delivery, the worker
-// count affects wall-clock time only, never results. Run returns the
-// first error (by kernel index) from any kernel, or an aggregated
-// deadlock report if live processes remain anywhere once every event
-// queue drains.
+// Run drives all kernels to completion with the given number of workers
+// (clamped to [1, n]): the caller, and helper goroutines that live for
+// the whole Run and have exited when it returns. Within each window the
+// workers pull kernels off a shared counter; since kernels share no
+// state inside a window and the barrier orders all cross-kernel
+// delivery, the worker count affects wall-clock time only, never
+// results. Run returns the first error (by kernel index) from any
+// kernel, or an aggregated deadlock report if live processes remain
+// anywhere once every event queue drains.
 func (pd *PDES) Run(workers int) error {
 	n := len(pd.kernels)
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > n {
-		workers = n
-	}
+	helpers := min(max(workers, 1), n) - 1
 	errs := make([]error, n)
+	var next atomic.Int64
+	// runKernels is one worker's share of the window ending at end.
+	runKernels := func(end Cycles) {
+		for {
+			i := int(next.Add(1)) - 1
+			if i >= n {
+				return
+			}
+			if err := pd.kernels[i].RunUntil(end); err != nil && errs[i] == nil {
+				errs[i] = err
+			}
+		}
+	}
+	// done counts a helper's finished window, and its exit.
+	var done sync.WaitGroup
+	windows := make(chan Cycles)
+	for h := 0; h < helpers; h++ {
+		go func() {
+			for end := range windows {
+				runKernels(end)
+				done.Done()
+			}
+			done.Done()
+		}()
+	}
+	defer func() {
+		done.Add(helpers)
+		close(windows)
+		done.Wait()
+	}()
 	var merged []xmsg
 	for {
 		// Barrier: deliver every message posted during the last window.
@@ -135,23 +162,18 @@ func (pd *PDES) Run(workers int) error {
 		// per-sender sequence) — so delivery, and with it each receiving
 		// kernel's seq assignment, is independent of worker scheduling.
 		merged = merged[:0]
-		for src := range pd.outbox {
-			merged = append(merged, pd.outbox[src]...)
-			pd.outbox[src] = pd.outbox[src][:0]
+		for src, out := range pd.outbox {
+			merged = append(merged, out...)
+			clear(out)
+			pd.outbox[src] = out[:0]
 		}
-		sort.Slice(merged, func(i, j int) bool {
-			a, b := &merged[i], &merged[j]
-			if a.at != b.at {
-				return a.at < b.at
-			}
-			if a.src != b.src {
-				return a.src < b.src
-			}
-			return a.seq < b.seq
+		slices.SortFunc(merged, func(a, b xmsg) int {
+			return cmp.Or(cmp.Compare(a.at, b.at), cmp.Compare(a.src, b.src), cmp.Compare(a.seq, b.seq))
 		})
 		for i := range merged {
 			m := &merged[i]
 			pd.kernels[m.dst].At(m.at, m.fn)
+			m.fn = nil
 		}
 
 		// The next window starts at the globally earliest pending event.
@@ -173,32 +195,13 @@ func (pd *PDES) Run(workers int) error {
 		// every barrier and the lookahead proof holds from a common base:
 		// a message posted inside this window carries at >= now+la >
 		// end, i.e. it lands strictly in a later window.
-		if workers == 1 {
-			for i, k := range pd.kernels {
-				if err := k.RunUntil(end); err != nil && errs[i] == nil {
-					errs[i] = err
-				}
-			}
-		} else {
-			var next atomic.Int64
-			var wg sync.WaitGroup
-			for w := 0; w < workers; w++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for {
-						i := int(next.Add(1)) - 1
-						if i >= n {
-							return
-						}
-						if err := pd.kernels[i].RunUntil(end); err != nil && errs[i] == nil {
-							errs[i] = err
-						}
-					}
-				}()
-			}
-			wg.Wait()
+		next.Store(0)
+		done.Add(helpers)
+		for h := 0; h < helpers; h++ {
+			windows <- end
 		}
+		runKernels(end)
+		done.Wait()
 		for i, err := range errs {
 			if err != nil {
 				return fmt.Errorf("sim: pdes kernel %d: %w", i, err)

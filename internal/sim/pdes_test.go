@@ -2,8 +2,10 @@ package sim
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 )
 
 // pdesTrace records one kernel's observable history: every message
@@ -164,6 +166,108 @@ func TestPDESDaemonsDoNotDeadlock(t *testing.T) {
 	pd.Kernel(1).Spawn("work", func(p *Proc) { p.Delay(5) })
 	if err := pd.Run(2); err != nil {
 		t.Fatalf("run: %v", err)
+	}
+}
+
+// pdesRing builds nk kernels, each starting one token that hops to the
+// next kernel once per window, hops times. The posted funcs are built
+// once, so a run allocates only what the engine does.
+func pdesRing(nk, hops int) *PDES {
+	const la = Cycles(100)
+	pd := NewPDES(nk, la)
+	left := make([]int, nk) // hops kernel j still forwards; only j touches it
+	hop := make([]func(), nk)
+	for j := range hop {
+		left[j] = hops
+		hop[j] = func() {
+			if left[j] == 0 {
+				return
+			}
+			left[j]--
+			next := (j + 1) % nk
+			pd.Post(j, pd.Kernel(j).Now()+la, next, hop[next])
+		}
+		pd.Kernel(j).At(1, hop[j])
+	}
+	return pd
+}
+
+// TestPDESWindowAllocations: a barrier window allocates nothing, so a
+// run's allocation count does not grow with its number of windows — at
+// one worker and at two.
+func TestPDESWindowAllocations(t *testing.T) {
+	const few, many = 100, 1100
+	mallocs := func(workers, hops int) (uint64, uint64) {
+		pd := pdesRing(4, hops)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if err := pd.Run(workers); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.Mallocs - before.Mallocs, pd.Windows()
+	}
+	for _, workers := range []int{1, 2} {
+		// MemStats counts the whole process, so a try can catch a stray
+		// runtime allocation: keep the least of three.
+		least := ^uint64(0)
+		var windows uint64
+		for try := 0; try < 3; try++ {
+			a, wa := mallocs(workers, few)
+			b, wb := mallocs(workers, many)
+			least, windows = min(least, max(a, b)-a), wb-wa
+		}
+		if least > windows/100 {
+			t.Errorf("workers=%d: %d more windows cost %d more allocations", workers, windows, least)
+		}
+	}
+}
+
+// TestPDESRunLeavesNoGoroutines: Run's helper workers are gone once it
+// returns, whether the run drained, a kernel failed or it deadlocked.
+func TestPDESRunLeavesNoGoroutines(t *testing.T) {
+	exits := []struct {
+		name  string
+		build func() *PDES
+		fails bool
+	}{
+		{"drained", func() *PDES { return pdesRing(4, 50) }, false},
+		{"kernel error", func() *PDES {
+			pd := pdesRing(4, 50)
+			pd.Kernel(2).Spawn("bad", func(p *Proc) {
+				p.Delay(500)
+				panic("boom")
+			})
+			return pd
+		}, true},
+		{"deadlock", func() *PDES {
+			pd := pdesRing(4, 50)
+			c := NewCond(pd.Kernel(3), "never")
+			pd.Kernel(3).Spawn("stuck", func(p *Proc) { c.Wait(p) })
+			return pd
+		}, true},
+	}
+	for _, exit := range exits {
+		for _, workers := range []int{1, 2, 4} {
+			start := runtime.NumGoroutine()
+			pd := exit.build()
+			if err := pd.Run(workers); (err != nil) != exit.fails {
+				t.Fatalf("%s, workers=%d: Run returned %v", exit.name, workers, err)
+			}
+			for i := 0; i < pd.N(); i++ {
+				pd.Kernel(i).Close()
+			}
+			// An exited goroutine leaves the count a moment after its
+			// last statement; a leaked one never does. (An earlier
+			// test's goroutine may leave it too.)
+			deadline := time.Now().Add(2 * time.Second)
+			for runtime.NumGoroutine() > start && time.Now().Before(deadline) {
+				time.Sleep(time.Millisecond)
+			}
+			if got := runtime.NumGoroutine(); got > start {
+				t.Errorf("%s, workers=%d: %d goroutines after Run, %d before", exit.name, workers, got, start)
+			}
+		}
 	}
 }
 
