@@ -26,6 +26,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 }
 
 func ablate(w io.Writer, size, reps int) error {
+	if err := ablateTransfers(w, size, reps); err != nil {
+		return err
+	}
+	return ablateBT(w)
+}
+
+// ablateTransfers prints every ablation before the BT table.
+func ablateTransfers(w io.Writer, size, reps int) error {
 	fmt.Fprintln(w, "== ablation: SIF prefetch streaming (LP/RG + cache) ==")
 	on, off, err := harness.AblateSIFStreaming(size, reps)
 	if err != nil {
@@ -73,7 +81,11 @@ func ablate(w io.Writer, size, reps int) error {
 	}))
 	fmt.Fprintf(w, "-> the threshold saves %.1f%% latency on 64 B messages (paper §3.3: 32-128 B)\n\n",
 		100*(1-float64(direct)/float64(engaged)))
+	return nil
+}
 
+// ablateBT prints BT's throughput on 100 ranks under every scheme.
+func ablateBT(w io.Writer) error {
 	fmt.Fprintln(w, "== ablation: BT 100 ranks under every scheme (1 iteration, class C) ==")
 	schemes := []vscc.Scheme{vscc.SchemeRouting, vscc.SchemeCachedGet, vscc.SchemeRemotePut, vscc.SchemeVDMA}
 	bt, err := harness.AblateBTScheme(100, 1, schemes)

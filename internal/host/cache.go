@@ -3,6 +3,7 @@ package host
 import (
 	"fmt"
 	"hash/crc32"
+	"math/bits"
 
 	"vscc/internal/mem"
 	"vscc/internal/sim"
@@ -18,7 +19,8 @@ func lineKey(dev, tile, off int) uint64 {
 // become valid as prefetch bursts arrive; the owner's explicit
 // invalidate command drops them — the relaxed-consistency contract of
 // §3.1 ("the sender that writes to a local MPB explicitly invalidates
-// the outdated part of the host copy").
+// the outdated part of the host copy"). data and valid are allocated by
+// the first prefetch; before it every line reads invalid.
 type cacheEntry struct {
 	rg    *Region
 	data  []byte
@@ -46,17 +48,15 @@ type cacheEntry struct {
 
 func newCacheEntry(k *sim.Kernel, rg *Region) *cacheEntry {
 	return &cacheEntry{
-		rg:    rg,
-		data:  make([]byte, rg.Len),
-		valid: make([]bool, (rg.Len+mem.LineSize-1)/mem.LineSize),
-		cond:  sim.NewCond(k, fmt.Sprintf("hostcache.d%d.t%d", rg.Dev, rg.Tile)),
+		rg:   rg,
+		cond: sim.NewCond(k, fmt.Sprintf("hostcache.d%d.t%d", rg.Dev, rg.Tile)),
 	}
 }
 
 // lineValid reports whether the line at absolute tile offset off is
 // valid.
 func (e *cacheEntry) lineValid(off int) bool {
-	return e.valid[(off-e.rg.Off)/mem.LineSize]
+	return e.valid != nil && e.valid[(off-e.rg.Off)/mem.LineSize]
 }
 
 // markValid validates the lines covering [off, off+n) (absolute),
@@ -115,9 +115,14 @@ func (e *cacheEntry) invalidate(off, n int) {
 // served at on-chip cost — the mechanism that turns the latency-bound
 // remote-get path into a bandwidth-bound one. FIFO eviction keeps it
 // bounded; an evicted line simply falls back to the slow path.
+//
+// Lines live in up to capLines slots, grown on first use. Slot 0 heads
+// a ring of the resident slots, oldest first, so a take from the middle
+// unlinks one slot; a re-inserted line keeps its slot and its place.
 type sifBuffer struct {
-	lines    map[uint64][]byte
-	order    []uint64
+	index    map[uint64]int32
+	slots    []sifSlot
+	free     int32 // a list of free slots through next; 0 when empty
 	capLines int
 	cond     *sim.Cond
 
@@ -130,12 +135,19 @@ type sifBuffer struct {
 	gens   map[uint32]uint64
 	genAll uint64
 
-	hits, inserts, evictions, staleDiscards uint64
+	evictions uint64
+}
+
+type sifSlot struct {
+	key        uint64
+	prev, next int32
+	data       [mem.LineSize]byte
 }
 
 func newSIFBuffer(k *sim.Kernel, dev, capLines int) *sifBuffer {
 	return &sifBuffer{
-		lines:    make(map[uint64][]byte),
+		index:    make(map[uint64]int32),
+		slots:    make([]sifSlot, 1),
 		capLines: capLines,
 		cond:     sim.NewCond(k, fmt.Sprintf("sifbuf.d%d", dev)),
 		gens:     make(map[uint32]uint64),
@@ -150,37 +162,43 @@ func (b *sifBuffer) genOf(dev, tile int) uint64 {
 // insert adds a line copy, evicting the oldest when full, and wakes
 // waiting readers.
 func (b *sifBuffer) insert(key uint64, data []byte) {
-	if _, ok := b.lines[key]; !ok {
-		if len(b.order) >= b.capLines {
-			oldest := b.order[0]
-			b.order = b.order[1:]
-			delete(b.lines, oldest)
+	s, ok := b.index[key]
+	if !ok {
+		if len(b.index) >= b.capLines {
+			b.remove(b.slots[0].next)
 			b.evictions++
 		}
-		b.order = append(b.order, key)
+		if s = b.free; s != 0 {
+			b.free = b.slots[s].next
+		} else {
+			s = int32(len(b.slots))
+			b.slots = append(b.slots, sifSlot{})
+		}
+		last := b.slots[0].prev
+		b.slots[s] = sifSlot{key: key, prev: last}
+		b.slots[last].next, b.slots[0].prev = s, s
+		b.index[key] = s
 	}
-	cp := make([]byte, len(data))
-	copy(cp, data)
-	b.lines[key] = cp
-	b.inserts++
+	copy(b.slots[s].data[:], data)
 	b.cond.Broadcast()
 }
 
-// take removes and returns a line.
-func (b *sifBuffer) take(key uint64) ([]byte, bool) {
-	data, ok := b.lines[key]
-	if !ok {
-		return nil, false
+// remove unlinks resident slot s and frees it.
+func (b *sifBuffer) remove(s int32) {
+	sl := &b.slots[s]
+	b.slots[sl.prev].next, b.slots[sl.next].prev = sl.next, sl.prev
+	delete(b.index, sl.key)
+	sl.next, b.free = b.free, s
+}
+
+// take removes a line, copying it into buf.
+func (b *sifBuffer) take(key uint64, buf []byte) bool {
+	s, ok := b.index[key]
+	if ok {
+		copy(buf, b.slots[s].data[:])
+		b.remove(s)
 	}
-	delete(b.lines, key)
-	for i, k := range b.order {
-		if k == key {
-			b.order = append(b.order[:i], b.order[i+1:]...)
-			break
-		}
-	}
-	b.hits++
-	return data, true
+	return ok
 }
 
 // insertIfFresh adds a line only if no invalidation of its region
@@ -188,7 +206,6 @@ func (b *sifBuffer) take(key uint64) ([]byte, bool) {
 // the floor (its reader falls back to the slow path).
 func (b *sifBuffer) insertIfFresh(gen uint64, dev, tile int, key uint64, data []byte) bool {
 	if gen != b.genOf(dev, tile) {
-		b.staleDiscards++
 		b.cond.Broadcast() // readers parked on this line must re-check
 		return false
 	}
@@ -199,8 +216,9 @@ func (b *sifBuffer) insertIfFresh(gen uint64, dev, tile int, key uint64, data []
 // reset drops every buffered line — the crash-restart path: the SIF
 // response buffer is volatile host-task state.
 func (b *sifBuffer) reset() {
-	clear(b.lines)
-	b.order = b.order[:0]
+	clear(b.index)
+	b.slots, b.free = b.slots[:1], 0
+	b.slots[0] = sifSlot{}
 	b.genAll++
 	b.cond.Broadcast()
 }
@@ -209,15 +227,8 @@ func (b *sifBuffer) reset() {
 func (b *sifBuffer) invalidateRange(dev, tile, off, n int) {
 	b.gens[uint32(dev)<<16|uint32(tile)]++
 	for o := off &^ (mem.LineSize - 1); o < off+n; o += mem.LineSize {
-		key := lineKey(dev, tile, o)
-		if _, ok := b.lines[key]; ok {
-			delete(b.lines, key)
-			for i, k := range b.order {
-				if k == key {
-					b.order = append(b.order[:i], b.order[i+1:]...)
-					break
-				}
-			}
+		if s, ok := b.index[lineKey(dev, tile, o)]; ok {
+			b.remove(s)
 		}
 	}
 	b.cond.Broadcast()
@@ -241,70 +252,55 @@ type streamKey struct {
 
 // hostWCB is the communication task's write-combining buffer for one
 // region: remote writes are absorbed here and flushed to the device in
-// bursts (Fig. 4c).
+// bursts (Fig. 4c). Each line keeps a mask of its dirty bytes; buf and
+// the masks are allocated by the first absorb.
 type hostWCB struct {
 	rg         *Region
 	buf        []byte
-	dirty      []bool // per byte
+	masks      []uint32
 	dirtyBytes int
-	// pendingFlush counts in-flight flush bursts (for write fences).
-	pendingFlush int
-	cond         *sim.Cond
-
-	absorbed, flushed uint64
 }
 
-func newHostWCB(k *sim.Kernel, rg *Region) *hostWCB {
-	return &hostWCB{
-		rg:    rg,
-		buf:   make([]byte, rg.Len),
-		dirty: make([]bool, rg.Len),
-		cond:  sim.NewCond(k, fmt.Sprintf("hostwcb.d%d.t%d", rg.Dev, rg.Tile)),
-	}
-}
+func newHostWCB(rg *Region) *hostWCB { return &hostWCB{rg: rg} }
 
-// absorb merges a masked line write at absolute tile offset off.
+// absorb merges a masked line write at absolute, line-aligned tile
+// offset off.
 func (w *hostWCB) absorb(off int, data []byte, mask uint32) {
-	base := off - w.rg.Off
-	for i := 0; i < len(data) && i < mem.LineSize; i++ {
-		if mask&(1<<uint(i)) == 0 {
-			continue
-		}
-		if !w.dirty[base+i] {
-			w.dirty[base+i] = true
-			w.dirtyBytes++
-		}
-		w.buf[base+i] = data[i]
-		w.absorbed++
+	if w.buf == nil {
+		w.buf = make([]byte, w.rg.Len)
+		w.masks = make([]uint32, w.rg.Len/mem.LineSize)
 	}
+	mask &= 1<<len(data) - 1 // all ones from 32 bytes on
+	base := off - w.rg.Off
+	line := base / mem.LineSize
+	for lo, hi := mem.NextRun(mask, 0, mem.LineSize); lo < hi; lo, hi = mem.NextRun(mask, hi, mem.LineSize) {
+		copy(w.buf[base+lo:base+hi], data[lo:hi])
+	}
+	w.dirtyBytes += bits.OnesCount32(mask &^ w.masks[line])
+	w.masks[line] |= mask
 }
 
-// takeDirtySpans snapshots and clears all dirty spans, returning
-// (absolute offset, data copy) pairs.
-func (w *hostWCB) takeDirtySpans() []dirtySpan {
-	var spans []dirtySpan
-	i := 0
-	for i < len(w.dirty) {
-		if !w.dirty[i] {
-			i++
-			continue
+// takeSpans calls emit with every maximal run of dirty bytes, in offset
+// order — a run ending at a line's last byte continues into the next
+// line's first — as its absolute tile offset and its bytes, which alias
+// the buffer until the next absorb. It leaves the buffer clean.
+func (w *hostWCB) takeSpans(emit func(off int, data []byte)) {
+	start, end := 0, 0
+	for line, m := range w.masks {
+		base := line * mem.LineSize
+		for lo, hi := mem.NextRun(m, 0, mem.LineSize); lo < hi; lo, hi = mem.NextRun(m, hi, mem.LineSize) {
+			if base+lo != end {
+				if end > start {
+					emit(w.rg.Off+start, w.buf[start:end])
+				}
+				start = base + lo
+			}
+			end = base + hi
 		}
-		j := i
-		for j < len(w.dirty) && w.dirty[j] {
-			w.dirty[j] = false
-			j++
-		}
-		data := make([]byte, j-i)
-		copy(data, w.buf[i:j])
-		spans = append(spans, dirtySpan{off: w.rg.Off + i, data: data})
-		w.flushed += uint64(j - i)
-		i = j
+		w.masks[line] = 0
+	}
+	if end > start {
+		emit(w.rg.Off+start, w.buf[start:end])
 	}
 	w.dirtyBytes = 0
-	return spans
-}
-
-type dirtySpan struct {
-	off  int
-	data []byte
 }

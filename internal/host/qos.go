@@ -252,7 +252,7 @@ type drrQueue struct {
 
 type drrClass struct {
 	tenant  int
-	items   []deliverItem
+	items   []*landing
 	head    int
 	deficit int
 	queued  bool // on the active list
@@ -277,7 +277,7 @@ func (q *drrQueue) class(tenant int) *drrClass {
 func (c *drrClass) size() int { return len(c.items) - c.head }
 
 // drrCost is a delivery's service cost in bytes on the H2D link.
-func drrCost(it deliverItem) int {
+func drrCost(it *landing) int {
 	if n := len(it.data); n > 0 {
 		return n
 	}
@@ -285,7 +285,7 @@ func drrCost(it deliverItem) int {
 }
 
 // enqueue adds one delivery to a tenant's class and wakes the forwarder.
-func (q *drrQueue) enqueue(tenant int, it deliverItem) {
+func (q *drrQueue) enqueue(tenant int, it *landing) {
 	c := q.class(tenant)
 	if c.head == len(c.items) {
 		c.items = c.items[:0]
@@ -302,7 +302,7 @@ func (q *drrQueue) enqueue(tenant int, it deliverItem) {
 }
 
 // pop returns the next delivery under DRR, blocking while empty.
-func (q *drrQueue) pop(p *sim.Proc) deliverItem {
+func (q *drrQueue) pop(p *sim.Proc) *landing {
 	for q.total == 0 {
 		q.cond.Wait(p)
 	}
@@ -318,7 +318,7 @@ func (q *drrQueue) pop(p *sim.Proc) deliverItem {
 		cost := drrCost(c.items[c.head])
 		if c.deficit >= cost {
 			it := c.items[c.head]
-			c.items[c.head] = deliverItem{}
+			c.items[c.head] = nil
 			c.head++
 			c.deficit -= cost
 			q.total--

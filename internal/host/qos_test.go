@@ -61,10 +61,10 @@ func TestDRRQueueFairness(t *testing.T) {
 	k := sim.NewKernel()
 	q := newDRRQueue(k, 0)
 	for i := 0; i < 3; i++ {
-		q.enqueue(1, deliverItem{data: pattern(drrQuantum, byte(i))})
+		q.enqueue(1, &landing{data: pattern(drrQuantum, byte(i))})
 	}
 	for i := 0; i < 3; i++ {
-		q.enqueue(2, deliverItem{data: pattern(drrQuantum, byte(10+i))})
+		q.enqueue(2, &landing{data: pattern(drrQuantum, byte(10+i))})
 	}
 	var seeds []byte
 	for i := 0; i < 6; i++ {
@@ -89,9 +89,9 @@ func TestDRRQueueFairness(t *testing.T) {
 func TestDRRQueueFlagCost(t *testing.T) {
 	k := sim.NewKernel()
 	q := newDRRQueue(k, 0)
-	q.enqueue(1, deliverItem{data: pattern(drrQuantum, 1)})
-	q.enqueue(2, deliverItem{isFlag: true})
-	q.enqueue(1, deliverItem{data: pattern(drrQuantum, 2)})
+	q.enqueue(1, &landing{data: pattern(drrQuantum, 1)})
+	q.enqueue(2, &landing{isFlag: true})
+	q.enqueue(1, &landing{data: pattern(drrQuantum, 2)})
 	first := q.pop(nil)
 	second := q.pop(nil)
 	if len(first.data) == 0 || first.data[0] != 1 {

@@ -106,7 +106,7 @@ type Task struct {
 	// "multithreaded daemon" with one thread per device (§3.2). FIFO
 	// through a single queue and link preserves data-before-flag order
 	// from any one source.
-	deliverQ []*sim.Queue[deliverItem]
+	deliverQ []*sim.Queue[*landing]
 	// wcbPending counts in-flight write-combining flush bursts per
 	// target device; flag deliveries fence on it.
 	wcbPending []int
@@ -156,6 +156,13 @@ type Task struct {
 	fwdTracks    []trace.Track
 	wcbGauges    []string
 	vdmaInflight int64
+
+	// freeLines and freeBursts are the free lists of landing records
+	// (landing.go), with line and with burst storage. poisonFreed, set
+	// only by tests, fills every freed record's storage with 0xA5, so a
+	// landing that reads a record after its release delivers garbage.
+	freeLines, freeBursts *landing
+	poisonFreed           bool
 }
 
 // Statically assert the port contract.
@@ -194,7 +201,7 @@ func New(k *sim.Kernel, fabric *pcie.Fabric, chips []*scc.Chip, params Params) (
 		t.devGates = append(t.devGates, g)
 		t.wcbPending = append(t.wcbPending, 0)
 		t.wcbCond = append(t.wcbCond, sim.NewCond(k, fmt.Sprintf("wcbpending.d%d", d)))
-		t.deliverQ = append(t.deliverQ, sim.NewQueue[deliverItem](k, fmt.Sprintf("deliverq.d%d", d)))
+		t.deliverQ = append(t.deliverQ, sim.NewQueue[*landing](k, fmt.Sprintf("deliverq.d%d", d)))
 		chips[d].OffChip = t
 		d := d
 		k.SpawnDaemon(fmt.Sprintf("commtask.d%d", d), func(p *sim.Proc) { t.runForwarder(p, d) })
@@ -226,7 +233,7 @@ func (t *Task) Register(rg *Region) error {
 		t.caches[rg] = e
 		t.cacheList = append(t.cacheList, e)
 	case ModeWriteCombining:
-		w := newHostWCB(t.Kernel, rg)
+		w := newHostWCB(rg)
 		t.wcbs[rg] = w
 		t.wcbList = append(t.wcbList, w)
 	}
@@ -379,10 +386,10 @@ func (t *Task) hostWrite(dev, tile, off int, data []byte) {
 	if t.faults == nil || t.rec.VerifyRetries < 0 || len(data) > 4 {
 		return
 	}
-	check := make([]byte, len(data))
+	var check [4]byte
 	for a := 0; ; a++ {
-		chip.HostReadLMB(tile, off, check)
-		if string(check) == string(data) {
+		chip.HostReadLMB(tile, off, check[:len(data)])
+		if string(check[:len(data)]) == string(data) {
 			if a > 0 {
 				t.faults.RecordRecovery("flag-rewrite", "scc.flag", dev)
 			}
@@ -432,9 +439,8 @@ func (t *Task) ReadLine(p *sim.Proc, srcDev, srcCore, dev, tile, off int, buf []
 	t.meshToSIF(p, srcDev, srcCore, t.Params.ReqBytes)
 	key := lineKey(dev, tile, off)
 	sb := t.sifBufs[srcDev]
-	if data, ok := sb.take(key); ok {
+	if sb.take(key, buf) {
 		p.Delay(t.Params.SIFHitCycles)
-		copy(buf, data)
 		t.stats.SIFHits++
 		t.sink.Add("host.sif_hit", 1)
 		return
@@ -453,9 +459,8 @@ func (t *Task) ReadLine(p *sim.Proc, srcDev, srcCore, dev, tile, off int, buf []
 				break
 			}
 			sb.cond.Wait(p)
-			if data, ok := sb.take(key); ok {
+			if sb.take(key, buf) {
 				p.Delay(t.Params.SIFHitCycles)
-				copy(buf, data)
 				t.stats.SIFHits++
 				t.sink.Add("host.sif_hit", 1)
 				return
@@ -550,21 +555,17 @@ func (t *Task) runStream(sp *sim.Proc, st *stream) {
 		off := st.nextOff
 		st.nextOff += mem.LineSize
 		rel := off - st.rg.Off
-		data := make([]byte, mem.LineSize)
-		copy(data, e.data[rel:])
-		key := lineKey(st.rg.Dev, st.rg.Tile, off)
+		r := t.record(landStream, mem.LineSize)
+		copy(r.data, e.data[rel:])
+		r.dev, r.tile, r.off, r.sb = st.rg.Dev, st.rg.Tile, off, sb
 		// Capture the region's invalidation generation at post time: a
 		// line that is still in flight (e.g. delayed by an injected SIF
 		// fault) when the owner's next invalidate lands must not reappear
 		// in the buffer, or the reader would be served the previous
 		// message's bytes.
-		gen := sb.genOf(st.rg.Dev, st.rg.Tile)
+		r.sifGen = sb.genOf(st.rg.Dev, st.rg.Tile)
 		t.chargeBWRegion(sp, st.rg, mem.LineSize+t.Params.StreamHeaderBytes)
-		t.Fabric.PostH2D(sp, st.readerDev, mem.LineSize+t.Params.StreamHeaderBytes, func() {
-			if !sb.insertIfFresh(gen, st.rg.Dev, st.rg.Tile, key, data) {
-				t.sink.Add("host.stale_line_discard", 1)
-			}
-		})
+		t.Fabric.PostH2D(sp, st.readerDev, mem.LineSize+t.Params.StreamHeaderBytes, r.land)
 		t.stats.StreamedLines++
 		t.sink.Add("host.streamed_lines", 1)
 	}
@@ -586,15 +587,9 @@ func (t *Task) WriteLine(p *sim.Proc, srcDev, srcCore, dev, tile, off int, data 
 	// posts it safely; the core is throttled only by link backpressure
 	// (§2.3/§3.3).
 	if rg != nil && rg.Mode == ModeWriteCombining && rg.Kind == KindData {
-		d := snapshot(data)
-		w := t.wcbs[rg]
-		t.Fabric.PostD2H(p, srcDev, mem.LineSize+t.Params.WriteHeaderBytes, func() {
-			if !t.coreLive(srcDev, srcCore, g) {
-				return
-			}
-			w.absorb(off, d, mask)
-			t.maybeFlushWCB(w, false)
-		})
+		r := t.lineWrite(landAbsorb, srcDev, srcCore, g, dev, tile, off, data, mask, false)
+		r.w = t.wcbs[rg]
+		t.Fabric.PostD2H(p, srcDev, mem.LineSize+t.Params.WriteHeaderBytes, r.land)
 		t.stats.PostedWrites++
 		t.sink.Add("host.wcb_write", 1)
 		return
@@ -606,10 +601,8 @@ func (t *Task) WriteLine(p *sim.Proc, srcDev, srcCore, dev, tile, off int, data 
 	// fence (the per-device FIFO), so the core posts and continues.
 	posted := isFlag || (rg != nil && rg.Mode == ModePosted)
 	if posted && t.Fabric.Ack != pcie.AckRemote {
-		d := snapshot(data)
-		t.Fabric.PostD2H(p, srcDev, mem.LineSize+t.Params.WriteHeaderBytes, func() {
-			t.enqueueDeliver(srcDev, srcCore, g, dev, tile, off, d, mask, true)
-		})
+		r := t.lineWrite(landEnqueue, srcDev, srcCore, g, dev, tile, off, data, mask, true)
+		t.Fabric.PostD2H(p, srcDev, mem.LineSize+t.Params.WriteHeaderBytes, r.land)
 		t.stats.PostedWrites++
 		t.sink.Add("host.posted_write", 1)
 		return
@@ -619,10 +612,8 @@ func (t *Task) WriteLine(p *sim.Proc, srcDev, srcCore, dev, tile, off int, data 
 		// Hardware-accelerated upper bound: the FPGA acks immediately;
 		// delivery proceeds asynchronously through the host. The core
 		// sees only SIF backpressure.
-		d := snapshot(data)
-		t.Fabric.PostD2H(p, srcDev, mem.LineSize+t.Params.WriteHeaderBytes, func() {
-			t.enqueueDeliver(srcDev, srcCore, g, dev, tile, off, d, mask, isFlag)
-		})
+		r := t.lineWrite(landEnqueue, srcDev, srcCore, g, dev, tile, off, data, mask, isFlag)
+		t.Fabric.PostD2H(p, srcDev, mem.LineSize+t.Params.WriteHeaderBytes, r.land)
 		t.stats.PostedWrites++
 		t.sink.Add("host.posted_write", 1)
 	case pcie.AckHost:
@@ -632,7 +623,7 @@ func (t *Task) WriteLine(p *sim.Proc, srcDev, srcCore, dev, tile, off int, data 
 		link.D2H.Transfer(p, mem.LineSize)
 		p.Delay(t.Fabric.Params.HostOpCycles)
 		t.gate.Wait(p)
-		t.enqueueDeliver(srcDev, srcCore, g, dev, tile, off, snapshot(data), mask, isFlag)
+		t.enqueueDeliver(t.lineWrite(landDeliver, srcDev, srcCore, g, dev, tile, off, data, mask, isFlag))
 		link.H2D.Transfer(p, t.Params.AckBytes)
 		t.stats.SyncWrites++
 		t.sink.Add("host.sync_write", 1)
@@ -660,30 +651,15 @@ func (t *Task) WriteLine(p *sim.Proc, srcDev, srcCore, dev, tile, off int, data 
 	}
 }
 
-// deliverItem is one queued outbound write toward a device. It carries
-// its source core and that core's retirement generation at issue time;
-// the forwarder drops the landing when the generation moved.
-type deliverItem struct {
-	tile, off int
-	data      []byte
-	mask      uint32
-	isFlag    bool
-	srcDev    int
-	srcCore   int
-	gen       uint32
-}
-
-// enqueueDeliver hands a write to the device's forwarder daemon. Under
-// multi-tenancy it lands in the destination tenant's DRR class instead
-// of the shared FIFO.
-func (t *Task) enqueueDeliver(srcDev, srcCore int, g uint32, dev, tile, off int, data []byte, mask uint32, isFlag bool) {
-	it := deliverItem{tile: tile, off: off, data: data, mask: mask, isFlag: isFlag,
-		srcDev: srcDev, srcCore: srcCore, gen: g}
+// enqueueDeliver hands a line write's record to the target device's
+// forwarder daemon. Under multi-tenancy it lands in the destination
+// tenant's DRR class instead of the shared FIFO.
+func (t *Task) enqueueDeliver(r *landing) {
 	if t.qos != nil {
-		t.qos.drr[dev].enqueue(t.tenantAt(dev, tile, off), it)
+		t.qos.drr[r.dev].enqueue(t.tenantAt(r.dev, r.tile, r.off), r)
 		return
 	}
-	t.deliverQ[dev].Push(it)
+	t.deliverQ[r.dev].Push(r)
 }
 
 // runForwarder is the per-device daemon thread: it drains the delivery
@@ -694,36 +670,29 @@ func (t *Task) enqueueDeliver(srcDev, srcCore int, g uint32, dev, tile, off int,
 func (t *Task) runForwarder(p *sim.Proc, dev int) {
 	q := t.deliverQ[dev]
 	for {
-		var item deliverItem
+		var r *landing
 		if t.qos != nil {
 			// Multi-tenant: deficit-round-robin across tenant classes
 			// (EnableQoS runs before the kernel, so the discipline is
 			// fixed by the time the daemon first dispatches).
-			item = t.qos.drr[dev].pop(p)
+			r = t.qos.drr[dev].pop(p)
 		} else {
-			item = q.Pop(p)
+			r = q.Pop(p)
 		}
 		t.gate.Wait(p)
 		t0 := p.Now()
-		if item.isFlag {
+		isFlag := r.isFlag
+		if isFlag {
 			t.fence(p, dev)
 		}
-		it := item
-		t.Fabric.PostH2D(p, dev, mem.LineSize, func() {
-			// A write whose source core was retired mid-flight (its
-			// session torn down for requeue) must not land on the
-			// successor session's reused MPB bytes.
-			if !t.coreLive(it.srcDev, it.srcCore, it.gen) {
-				t.sink.Add("host.stale_write_drop", 1)
-				return
-			}
-			t.deliver(dev, it.tile, it.off, it.data, it.mask)
-		})
+		// The record is freed at this landing, in the target's LMB.
+		r.kind = landDeliver
+		t.Fabric.PostH2D(p, dev, mem.LineSize, r.land)
 		// Per-thread occupancy: how long this daemon thread was busy with
 		// the item (including any flag fence), the §3.2 tuning signal.
 		if t.sink != nil {
 			name := "deliver"
-			if item.isFlag {
+			if isFlag {
 				name = "deliver-flag"
 			}
 			t.sink.Span(t.fwdTracks[dev], name, t0, p.Now())
@@ -793,20 +762,35 @@ func (t *Task) maybeFlushWCB(w *hostWCB, force bool) {
 	if !force && w.dirtyBytes < t.Params.WCBFlushBytes {
 		return
 	}
-	spans := w.takeDirtySpans()
-	if len(spans) == 0 {
+	dev := w.rg.Dev
+	// The landing guard keys on the region owner's retirement
+	// generation: a flush racing the owner session's requeue teardown
+	// must not write the reused payload bytes. The burst accounting
+	// (wcbPending, fence broadcast) still runs for dropped bursts.
+	g := t.coreEpoch(w.rg.Dev, w.rg.Owner)
+	// Each span goes out in DMA bursts, each in a record filled now and
+	// chained for the flush process to post.
+	var head *landing
+	link := &head
+	bursts, flushBytes := 0, 0
+	w.takeSpans(func(off int, data []byte) {
+		flushBytes += len(data)
+		for o := 0; o < len(data); o += t.Params.DMABurstBytes {
+			n := min(len(data)-o, t.Params.DMABurstBytes)
+			r := t.record(landFlush, n)
+			copy(r.data, data[o:o+n])
+			r.srcDev, r.srcCore, r.gen = w.rg.Dev, w.rg.Owner, g
+			r.dev, r.tile, r.off = dev, w.rg.Tile, off+o
+			*link, link = r, &r.next
+			bursts++
+		}
+	})
+	if head == nil {
 		return
 	}
-	dev := w.rg.Dev
 	t.stats.WCBFlushes++
 	// Count the bursts against the flag fence *now*, so a flag delivery
 	// processed in the same instant cannot slip past the data.
-	bursts := 0
-	flushBytes := 0
-	for _, span := range spans {
-		bursts += (len(span.data) + t.Params.DMABurstBytes - 1) / t.Params.DMABurstBytes
-		flushBytes += len(span.data)
-	}
 	t.wcbPending[dev] += bursts
 	if t.sink != nil {
 		t.sink.Add("host.wcb_flush", 1)
@@ -814,37 +798,16 @@ func (t *Task) maybeFlushWCB(w *hostWCB, force bool) {
 		t.sink.Observe("host.wcb_flush_bytes", float64(flushBytes))
 		t.sink.Gauge(t.wcbGauges[dev], int64(t.wcbPending[dev]))
 	}
-	// The landing guard keys on the region owner's retirement
-	// generation: a flush racing the owner session's requeue teardown
-	// must not write the reused payload bytes. The burst accounting
-	// (wcbPending, fence broadcast) still runs for dropped bursts.
-	g := t.coreEpoch(w.rg.Dev, w.rg.Owner)
 	t.Kernel.Spawn(fmt.Sprintf("wcbflush.d%d", dev), func(fp *sim.Proc) {
 		t.gate.Wait(fp)
 		// Each flush programs one DMA descriptor on the host.
 		fp.Delay(t.Fabric.Params.DMASetupCycles)
-		for _, span := range spans {
-			for o := 0; o < len(span.data); o += t.Params.DMABurstBytes {
-				n := len(span.data) - o
-				if n > t.Params.DMABurstBytes {
-					n = t.Params.DMABurstBytes
-				}
-				off := span.off + o
-				data := span.data[o : o+n]
-				t.chargeBWRegion(fp, w.rg, n+t.Params.StreamHeaderBytes)
-				t.Fabric.PostH2D(fp, dev, n+t.Params.StreamHeaderBytes, func() {
-					if t.coreLive(w.rg.Dev, w.rg.Owner, g) {
-						t.deliverBulk(dev, w.rg.Tile, off, data)
-					} else {
-						t.sink.Add("host.stale_write_drop", 1)
-					}
-					t.wcbPending[dev]--
-					if t.sink != nil {
-						t.sink.Gauge(t.wcbGauges[dev], int64(t.wcbPending[dev]))
-					}
-					t.wcbCond[dev].Broadcast()
-				})
-			}
+		for r := head; r != nil; {
+			next := r.next
+			r.next = nil
+			t.chargeBWRegion(fp, w.rg, len(r.data)+t.Params.StreamHeaderBytes)
+			t.Fabric.PostH2D(fp, dev, len(r.data)+t.Params.StreamHeaderBytes, r.land)
+			r = next
 		}
 	})
 }
@@ -857,30 +820,8 @@ func (t *Task) MMIOWriteLine(p *sim.Proc, srcDev, srcCore, hostDev, off int, dat
 	t.meshToSIF(p, srcDev, srcCore, mem.LineSize)
 	t.chargeBW(p, srcDev, srcCore, mem.LineSize)
 	p.Delay(t.Fabric.Params.SIFAckCycles)
-	d := snapshot(data)
-	g := t.coreEpoch(srcDev, srcCore)
-	t.Fabric.PostD2H(p, srcDev, mem.LineSize, func() {
-		t.Kernel.After(t.Fabric.Params.HostOpCycles, func() {
-			if t.faults.CorruptMMIO(srcDev) {
-				d[t.faults.Pick("host.mmio", srcDev, len(d))] ^= 0x20
-			}
-			rf := t.registerFile(hostDev)
-			core := off / BankBytes
-			cmd, trigger := rf.write(core, d, mask)
-			if !trigger {
-				return
-			}
-			cmd.SrcDev = srcDev
-			cmd.SrcCore = srcCore
-			cmd.srcGen = g
-			if t.gate.IsOpen() {
-				t.execute(cmd)
-				return
-			}
-			t.faults.RecordInjection("mmio-deferred", "host.mmio", srcDev)
-			t.pendingCmds = append(t.pendingCmds, cmd)
-		})
-	})
+	r := t.lineWrite(landMMIO, srcDev, srcCore, t.coreEpoch(srcDev, srcCore), hostDev, 0, off, data, mask, false)
+	t.Fabric.PostD2H(p, srcDev, mem.LineSize, r.land)
 }
 
 // MMIORead implements scc.OffChipPort: a blocking register read.
@@ -932,7 +873,9 @@ func (t *Task) execute(cmd BankCommand) {
 		t.vdmaInflight++
 		t.sink.Add("host.vdma_copy", 1)
 		t.sink.Gauge("host.vdma_inflight", t.vdmaInflight)
-		t.Kernel.Spawn("vdma.copy", func(p *sim.Proc) { t.runVDMA(p, cmd, ch, ticket) })
+		r := t.record(runVDMACopy, 0)
+		r.cmd, r.ch, r.ticket = cmd, ch, ticket
+		t.Kernel.Spawn("vdma.copy", r.body)
 	case CmdUpdate:
 		srcTile := scc.CoreTile(cmd.SrcCore)
 		rg := t.regions.find(cmd.SrcDev, srcTile, cmd.SrcOff)
@@ -987,6 +930,9 @@ func (t *Task) killStreams(rg *Region) {
 // copy in DMA bursts.
 func (t *Task) runPrefetch(p *sim.Proc, rg *Region, off, count int) {
 	e := t.caches[rg]
+	if e.data == nil {
+		e.data, e.valid = make([]byte, rg.Len), make([]bool, rg.Len/mem.LineSize)
+	}
 	t.gate.Wait(p)
 	p.Delay(t.Fabric.Params.DMASetupCycles)
 	end := off + count
@@ -998,22 +944,12 @@ func (t *Task) runPrefetch(p *sim.Proc, rg *Region, off, count int) {
 		if n > t.Params.DMABurstBytes {
 			n = t.Params.DMABurstBytes
 		}
-		oo, nn := o, n
 		e.pending++
 		t.sink.Add("host.dma_bursts", 1)
-		t.chargeBWRegion(p, rg, t.Params.readBytes(nn))
-		t.Fabric.PostD2H(p, rg.Dev, t.Params.readBytes(nn), func() {
-			rel := oo - rg.Off
-			t.Chips[rg.Dev].HostReadLMB(rg.Tile, oo, e.data[rel:rel+nn])
-			e.markValid(oo, nn)
-			// Injected host-memory corruption: flip one byte after the
-			// checksum was taken, so cacheClean catches it on first use.
-			if t.faults.CorruptCacheLine(rg.Dev) {
-				e.data[rel+t.faults.Pick("host.cache", rg.Dev, nn)] ^= 0x80
-			}
-			e.pending--
-			e.cond.Broadcast()
-		})
+		t.chargeBWRegion(p, rg, t.Params.readBytes(n))
+		r := t.record(landPrefetch, 0)
+		r.e, r.off, r.data = e, o, e.data[o-rg.Off:o-rg.Off+n]
+		t.Fabric.PostD2H(p, rg.Dev, t.Params.readBytes(n), r.land)
 	}
 }
 
@@ -1042,39 +978,16 @@ func (t *Task) vdmaChannel(dev, core int) *vdmaChannel {
 func (t *Task) runVDMA(p *sim.Proc, cmd BankCommand, ch *vdmaChannel, ticket uint64) {
 	t.gate.Wait(p)
 	p.Delay(t.Fabric.Params.DMASetupCycles)
-	srcTile := scc.CoreTile(cmd.SrcCore)
-	srcChip := t.Chips[cmd.SrcDev]
 	for o := 0; o < cmd.Count; o += t.Params.DMABurstBytes {
-		n := cmd.Count - o
-		if n > t.Params.DMABurstBytes {
-			n = t.Params.DMABurstBytes
-		}
-		so := cmd.SrcOff + o
-		do := cmd.DstOff + o
-		last := o+n >= cmd.Count
-		nn := n
+		n := min(cmd.Count-o, t.Params.DMABurstBytes)
 		t.sink.Add("host.dma_bursts", 1)
 		// Both PCIe directions of the copy bill the requesting tenant;
 		// the shaping delay throttles this channel's burst pipeline.
-		t.chargeBW(p, cmd.SrcDev, cmd.SrcCore, t.Params.readBytes(nn)+nn+t.Params.StreamHeaderBytes)
-		t.Fabric.PostD2H(p, cmd.SrcDev, t.Params.readBytes(nn), func() {
-			data := make([]byte, nn)
-			srcChip.HostReadLMB(srcTile, so, data)
-			t.Kernel.Spawn("vdma.push", func(pp *sim.Proc) {
-				t.Fabric.PostH2D(pp, cmd.DstDev, nn+t.Params.StreamHeaderBytes, func() {
-					if t.coreLive(cmd.SrcDev, cmd.SrcCore, cmd.srcGen) {
-						t.deliverBulk(cmd.DstDev, cmd.DstTile, do, data)
-					} else {
-						t.sink.Add("host.stale_write_drop", 1)
-					}
-					if last {
-						t.Kernel.Spawn("vdma.finish", func(fp *sim.Proc) {
-							t.finishVDMA(fp, cmd, ch, ticket)
-						})
-					}
-				})
-			})
-		})
+		t.chargeBW(p, cmd.SrcDev, cmd.SrcCore, t.Params.readBytes(n)+n+t.Params.StreamHeaderBytes)
+		r := t.record(landVDMARead, n)
+		r.srcDev, r.srcCore, r.gen = cmd.SrcDev, cmd.SrcCore, cmd.srcGen
+		r.cmd, r.off, r.ch, r.ticket = cmd, o, ch, ticket
+		t.Fabric.PostD2H(p, cmd.SrcDev, t.Params.readBytes(n), r.land)
 	}
 }
 
@@ -1085,26 +998,13 @@ func (t *Task) finishVDMA(p *sim.Proc, cmd BankCommand, ch *vdmaChannel, ticket 
 		ch.cond.Wait(p)
 	}
 	t.gate.Wait(p)
-	// The ticket still advances for a retired requester (later commands
-	// of the channel may belong to a successor session), but its flag
-	// values must never reach the reused MPB bytes.
 	if cmd.Flags&FlagNotifyDest != 0 {
-		t.Fabric.PostH2D(p, cmd.DstDev, t.Params.AckBytes, func() {
-			if !t.coreLive(cmd.SrcDev, cmd.SrcCore, cmd.srcGen) {
-				t.sink.Add("host.stale_write_drop", 1)
-				return
-			}
-			t.hostWrite(cmd.DstDev, cmd.DstTile, cmd.NotifyOff, []byte{cmd.NotifyVal})
-		})
+		r := t.lineWrite(landVDMAFlag, cmd.SrcDev, cmd.SrcCore, cmd.srcGen, cmd.DstDev, cmd.DstTile, cmd.NotifyOff, []byte{cmd.NotifyVal}, 1, false)
+		t.Fabric.PostH2D(p, cmd.DstDev, t.Params.AckBytes, r.land)
 	}
 	if cmd.Flags&FlagCompletion != 0 {
-		t.Fabric.PostH2D(p, cmd.SrcDev, t.Params.AckBytes, func() {
-			if !t.coreLive(cmd.SrcDev, cmd.SrcCore, cmd.srcGen) {
-				t.sink.Add("host.stale_write_drop", 1)
-				return
-			}
-			t.hostWrite(cmd.SrcDev, scc.CoreTile(cmd.SrcCore), cmd.ComplOff, []byte{cmd.ComplVal})
-		})
+		r := t.lineWrite(landVDMAFlag, cmd.SrcDev, cmd.SrcCore, cmd.srcGen, cmd.SrcDev, scc.CoreTile(cmd.SrcCore), cmd.ComplOff, []byte{cmd.ComplVal}, 1, false)
+		t.Fabric.PostH2D(p, cmd.SrcDev, t.Params.AckBytes, r.land)
 	}
 	ch.served = ticket + 1
 	t.vdmaInflight--
@@ -1117,10 +1017,4 @@ func (t *Task) finishVDMA(p *sim.Proc, cmd BankCommand, ch *vdmaChannel, ticket 
 func (t *Task) deliverBulk(dev, tile, off int, data []byte) {
 	t.hostWrite(dev, tile, off, data)
 	t.invalidateHostCopies(dev, tile, off, len(data))
-}
-
-func snapshot(data []byte) []byte {
-	d := make([]byte, len(data))
-	copy(d, data)
-	return d
 }

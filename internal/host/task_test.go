@@ -399,10 +399,11 @@ func TestSIFBufferEviction(t *testing.T) {
 	sb.insert(1, pattern(32, 1))
 	sb.insert(2, pattern(32, 2))
 	sb.insert(3, pattern(32, 3)) // evicts 1
-	if _, ok := sb.take(1); ok {
+	d := make([]byte, 32)
+	if sb.take(1, d) {
 		t.Error("evicted line still present")
 	}
-	if d, ok := sb.take(3); !ok || d[0] != pattern(32, 3)[0] {
+	if !sb.take(3, d) || !bytes.Equal(d, pattern(32, 3)) {
 		t.Error("line 3 missing or wrong")
 	}
 	if sb.evictions != 1 {
@@ -411,12 +412,11 @@ func TestSIFBufferEviction(t *testing.T) {
 }
 
 func TestHostWCBDirtySpans(t *testing.T) {
-	k := sim.NewKernel()
 	rg := &Region{Dev: 0, Tile: 0, Off: 64, Len: 256}
-	w := newHostWCB(k, rg)
+	w := newHostWCB(rg)
 	w.absorb(64, pattern(32, 1), 0xFFFFFFFF)
 	w.absorb(128, pattern(32, 2), 0x0000000F) // only 4 bytes
-	spans := w.takeDirtySpans()
+	spans := takeSpans(w)
 	if len(spans) != 2 {
 		t.Fatalf("spans = %d, want 2", len(spans))
 	}
@@ -429,7 +429,7 @@ func TestHostWCBDirtySpans(t *testing.T) {
 	if w.dirtyBytes != 0 {
 		t.Error("dirty bytes not cleared")
 	}
-	if spans := w.takeDirtySpans(); spans != nil {
+	if spans := takeSpans(w); spans != nil {
 		t.Error("second take should be empty")
 	}
 }
@@ -458,6 +458,58 @@ func TestDeterministicInterDeviceRun(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		if got := run(); got != first {
 			t.Fatalf("nondeterministic: run %d ended at %d, first %d", i, got, first)
+		}
+	}
+}
+
+// A warm task moves a line without allocating: a write into a
+// write-combining window (below the flush threshold), a posted flag
+// write, a data write under the host's and the FPGA's acknowledge, each
+// through its landing and the forwarder's delivery, and a read served by
+// the SIF buffer. Each round waits until everything it posted landed.
+func TestWarmLineAllocatesNothing(t *testing.T) {
+	for _, ack := range []pcie.AckMode{pcie.AckHost, pcie.AckFPGA} {
+		r := newRig(t, 2, ack)
+		// The window is on device 0 and the flag on device 1, so the
+		// flag's fence has no combined bytes to flush.
+		if err := r.task.Register(&Region{Dev: 0, Tile: 0, Off: 0, Len: 4096, Kind: KindData, Mode: ModeWriteCombining, Owner: 0}); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.task.Register(&Region{Dev: 1, Tile: 0, Off: 8192, Len: 32, Kind: KindFlag, Mode: ModeTransparent, Owner: 0}); err != nil {
+			t.Fatal(err)
+		}
+		line := pattern(mem.LineSize, 1)
+		got := make([]byte, mem.LineSize)
+		var allocs float64
+		r.k.Spawn("core", func(p *sim.Proc) {
+			round := func() {
+				r.task.WriteLine(p, 1, 0, 0, 0, 64, line, 0xFFFF)
+				r.task.WriteLine(p, 0, 0, 1, 0, 8192, line, 1)
+				r.task.WriteLine(p, 0, 0, 1, 3, 0, line, 0xFFFFFFFF)
+				r.task.sifBufs[0].insert(lineKey(1, 2, 0), line)
+				r.task.ReadLine(p, 0, 0, 1, 2, 0, got)
+				p.Delay(200_000)
+			}
+			round()
+			allocs = testing.AllocsPerRun(20, round)
+		})
+		if err := r.k.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if allocs != 0 {
+			t.Errorf("%v: a warm round of line moves allocates %v times, want 0", ack, allocs)
+		}
+		landed := make([]byte, mem.LineSize)
+		r.chips[1].HostReadLMB(3, 0, landed)
+		flag := make([]byte, 1)
+		r.chips[1].HostReadLMB(0, 8192, flag)
+		w := r.task.wcbs[r.task.regions.find(0, 0, 0)]
+		if !bytes.Equal(landed, line) || flag[0] != line[0] || !bytes.Equal(got, line) || w.dirtyBytes != 16 {
+			t.Errorf("%v: data %v flag %v read %v WCB dirty %d; want the line, its first byte, the line, 16",
+				ack, landed, flag, got, w.dirtyBytes)
+		}
+		if st := r.task.Stats(); st.SIFHits == 0 || st.PostedWrites == 0 || st.WCBFlushes != 0 {
+			t.Errorf("%v: stats %+v, want SIF hits, posted writes and no flush", ack, st)
 		}
 	}
 }

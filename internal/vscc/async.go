@@ -70,10 +70,10 @@ func (ip *interDeviceProtocol) NewTransfer(r *rcce.Rank, send bool, peer int, bu
 		return nil, fmt.Errorf("vscc: async engine requires the vDMA scheme, session runs %q", ip.Name())
 	}
 	q := &asyncTransfer{ip: ip, r: r, send: send, peer: peer, rest: buf, total: len(buf)}
-	count := &ip.pair(peer, r.ID()).in
+	count := ip.counter(ip.in, r.ID(), peer)
 	q.state = arWaitData
 	if send {
-		count = &ip.pair(r.ID(), peer).out
+		count = ip.counter(ip.out, r.ID(), peer)
 		q.state = asWaitGrant
 	}
 	q.firstSeq = *count + 1

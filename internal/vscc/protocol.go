@@ -10,14 +10,6 @@ import (
 	"vscc/internal/sim"
 )
 
-// pairSeq carries the persistent chunk counters of one pair (the vDMA
-// scheme uses value-encoded flags, never cleared, so no reset races
-// exist across messages).
-type pairSeq struct {
-	out uint64 // chunks the sender issued
-	in  uint64 // chunks the receiver drained
-}
-
 // lastCmd is the last vDMA command a pair's sender programmed; the
 // recovery ladder re-issues it when a wait on its effects times out
 // (re-copying the newest chunk is idempotent: same data, same flag
@@ -39,14 +31,15 @@ type interDeviceProtocol struct {
 	// cutoff, or the configured override.
 	desc      *schemeDesc
 	threshold int
-	// seqs holds the per-ordered-pair counters, pre-allocated as a flat
-	// nRanks×nRanks array rather than a lazily-grown map: under PDES a
-	// pair's sender and receiver run on different kernels, and while
-	// they touch disjoint fields of the same pairSeq (sender: out,
-	// receiver: in — race-free by the Go memory model), a map mutated on
-	// first use would race structurally.
-	seqs   []pairSeq
-	nRanks int
+	// out and in hold the vDMA scheme's persistent chunk counters (its
+	// flags are value-encoded and never cleared, so no reset races exist
+	// across messages): out[src][dst] counts the chunks src issued to
+	// dst, in[dst][src] those dst drained from src. Each row is
+	// allocated on first use by its rank, the only one that touches it —
+	// under PDES a pair's sender and receiver run on different kernels,
+	// so a shared structure mutated on first use would race.
+	out, in [][]uint64
+	nRanks  int
 	// cmds holds, per sender rank, a row of lastCmd per receiver,
 	// allocated by the sender's first engaged vDMA send. Only the
 	// sender's kernel touches its row — the single-writer argument of
@@ -58,7 +51,7 @@ type interDeviceProtocol struct {
 	// published tracks, per sender rank, how many bytes of its MPB the
 	// host cache currently mirrors; the sender invalidates that range
 	// before every reuse (§3.1's explicit consistency control). A slice
-	// (single-writer per rank) for the same PDES reason as seqs.
+	// (single-writer per rank) for the same PDES reason as out and in.
 	published []int
 
 	// faults/rec arm the recovery ladder on every engaged wait: nil
@@ -81,7 +74,8 @@ func (cfg Config) newProtocol(scheme Scheme, n int) (*interDeviceProtocol, error
 		desc:      scheme.desc(),
 		threshold: cfg.DirectThreshold,
 		slot:      vdmaHalf,
-		seqs:      make([]pairSeq, n*n),
+		out:       make([][]uint64, n),
+		in:        make([][]uint64, n),
 		nRanks:    n,
 		cmds:      make([][]lastCmd, n),
 		published: make([]int, n),
@@ -190,8 +184,13 @@ func (ip *interDeviceProtocol) Name() string {
 	return fmt.Sprintf("vscc(%s, on-chip %s)", ip.desc.name, ip.base.Name())
 }
 
-func (ip *interDeviceProtocol) pair(src, dst int) *pairSeq {
-	return &ip.seqs[src*ip.nRanks+dst]
+// counter returns rank's chunk counter toward peer in rows (ip.out or
+// ip.in); only rank's own process may call it.
+func (ip *interDeviceProtocol) counter(rows [][]uint64, rank, peer int) *uint64 {
+	if rows[rank] == nil {
+		rows[rank] = make([]uint64, ip.nRanks)
+	}
+	return &rows[rank][peer]
 }
 
 // lastCmd returns the slot of src's newest vDMA command toward dst; only
@@ -508,9 +507,9 @@ func (ip *interDeviceProtocol) grantThrough(r *rcce.Rank, src int, seq, lastSeq 
 func (ip *interDeviceProtocol) seqSend(r *rcce.Rank, dest int, data []byte, engaged bool) {
 	tl := r.Session().Timeline()
 	ctx := r.Ctx()
-	st := ip.pair(r.ID(), dest)
+	out := ip.counter(ip.out, r.ID(), dest)
 	dstDev, dstTile, dstBase := r.MPBOf(dest)
-	firstSeq := st.out + 1
+	firstSeq := *out + 1
 	if engaged && ip.degraded(r, dest) {
 		// Graceful degradation: past the fault threshold every message
 		// goes direct — the exact flag flow the unmodified receiver
@@ -529,8 +528,8 @@ func (ip *interDeviceProtocol) seqSend(r *rcce.Rank, dest int, data []byte, enga
 	}
 	for len(data) > 0 {
 		n := min(len(data), ip.slot)
-		st.out++
-		seq := st.out
+		*out++
+		seq := *out
 		// Receiver grant for this chunk: the grant byte reads seq (the
 		// receiver is one chunk behind) or seq+1 (it caught up).
 		t0 := r.Now()
@@ -556,7 +555,7 @@ func (ip *interDeviceProtocol) seqSend(r *rcce.Rank, dest int, data []byte, enga
 		data = data[n:]
 	}
 	// Blocking semantics: the receiver drained everything.
-	final := seqVal(st.out)
+	final := seqVal(*out)
 	t0 := r.Now()
 	ip.waitCount(r, "vscc.vdma.ready", rcce.FlagReady, dest, func(b byte) bool { return b == final }, rearm)
 	tl.Record("sender", "waitack", t0, r.Now())
@@ -565,12 +564,12 @@ func (ip *interDeviceProtocol) seqSend(r *rcce.Rank, dest int, data []byte, enga
 // seqRecv is seqSend's peer; it cannot tell a direct chunk from a DMA one.
 func (ip *interDeviceProtocol) seqRecv(r *rcce.Rank, src int, buf []byte) {
 	tl := r.Session().Timeline()
-	st := ip.pair(src, r.ID())
-	lastSeq := st.in + chunksFor(len(buf), ip.slot)
+	in := ip.counter(ip.in, r.ID(), src)
+	lastSeq := *in + chunksFor(len(buf), ip.slot)
 	for len(buf) > 0 {
 		n := min(len(buf), ip.slot)
-		st.in++
-		seq := st.in
+		*in++
+		seq := *in
 		ip.grantThrough(r, src, seq, lastSeq)
 		t0 := r.Now()
 		ip.waitCount(r, "vscc.vdma.sent", rcce.FlagSent, src, func(b byte) bool { return reached(b, seq) }, nil)
