@@ -37,8 +37,9 @@ func dirtyModule(t *testing.T) string {
 
 import "time"
 
-func bad() { time.Sleep(1) }
+func Bad() { time.Sleep(1) }
 `,
+		"cmd/tool/main.go": "package main\n\nimport \"tmpmod/internal/noc\"\n\nfunc main() { noc.Bad() }\n",
 	})
 }
 
@@ -48,8 +49,9 @@ func cleanModule(t *testing.T) string {
 		"go.mod": "module tmpmod\n\ngo 1.22\n",
 		"internal/noc/ok.go": `package noc
 
-func ok(a, b int) int { return a + b }
+func Ok(a, b int) int { return a + b }
 `,
+		"cmd/tool/main.go": "package main\n\nimport \"tmpmod/internal/noc\"\n\nfunc main() { _ = noc.Ok(1, 2) }\n",
 	})
 }
 
@@ -85,10 +87,10 @@ func TestJSONByteIdentical(t *testing.T) {
 	}
 	listed := false
 	for _, r := range rep.Rules {
-		listed = listed || r.Name == "deadexport"
+		listed = listed || r.Name == "deadcode"
 	}
 	if !listed {
-		t.Errorf("report rules %+v miss deadexport", rep.Rules)
+		t.Errorf("report rules %+v miss deadcode", rep.Rules)
 	}
 }
 
@@ -147,7 +149,7 @@ func TestRulesFlag(t *testing.T) {
 	if code := run(cleanModule(t), []string{"-rules"}, &out, &bytes.Buffer{}); code != 0 {
 		t.Fatalf("exit code = %d, want 0", code)
 	}
-	for _, rule := range []string{"kernelclock", "detorder", "goryorder", "faultorder", "flagdiscipline", "tracealloc", "simapi", "deadexport"} {
+	for _, rule := range []string{"kernelclock", "detorder", "goryorder", "faultorder", "flagdiscipline", "tracealloc", "simapi", "deadcode"} {
 		if !strings.Contains(out.String(), rule) {
 			t.Errorf("-rules output misses %s:\n%s", rule, out.String())
 		}

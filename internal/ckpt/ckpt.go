@@ -109,7 +109,7 @@ func (l *Log) Restore() (banks [][]byte, writes, n int) {
 // Checkpoints returns how many checkpoints were taken and their total
 // payload bytes.
 //
-//lint:ignore deadexport vscc's PDES identity test fingerprints the log with it
+//lint:ignore deadcode vscc's PDES identity test fingerprints the log with it
 func (l *Log) Checkpoints() (n, bytes int) {
 	if l == nil {
 		return 0, 0
@@ -120,7 +120,7 @@ func (l *Log) Checkpoints() (n, bytes int) {
 // TailLen returns the store and byte counts applied since the last
 // checkpoint.
 //
-//lint:ignore deadexport vscc's PDES identity test fingerprints the log with it
+//lint:ignore deadcode vscc's PDES identity test fingerprints the log with it
 func (l *Log) TailLen() (writes, bytes int) {
 	if l == nil {
 		return 0, 0

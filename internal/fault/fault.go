@@ -471,7 +471,7 @@ func (inj *Injector) note(kind, site string, dev int) {
 
 // Events returns a copy of the event log (nil on a nil injector).
 //
-//lint:ignore deadexport pcie's and fault's rerun tests compare two runs' logs with it
+//lint:ignore deadcode pcie's and fault's rerun tests compare two runs' logs with it
 func (inj *Injector) Events() []Event {
 	if inj == nil {
 		return nil
@@ -481,7 +481,7 @@ func (inj *Injector) Events() []Event {
 
 // Stat returns the total count of one event kind, e.g. "inject.drop".
 //
-//lint:ignore deadexport the recovery tests of six packages count injections and recoveries with it
+//lint:ignore deadcode the recovery tests of six packages count injections and recoveries with it
 func (inj *Injector) Stat(kind string) int64 {
 	if inj == nil {
 		return 0

@@ -77,3 +77,7 @@ func FuzzBankRoundTrip(f *testing.F) {
 		}
 	})
 }
+
+// read returns a core's bank image: the oracle FuzzRegisterFusion checks
+// the merge against.
+func (rf *registerFile) read(core int) [BankBytes]byte { return rf.banks[core] }

@@ -163,9 +163,6 @@ func (b *Banks) Write(core int, data []byte, mask uint32) (BankCommand, bool) {
 	return b.rf.write(core, data, mask)
 }
 
-// Read returns core's current bank image.
-func (b *Banks) Read(core int) [BankBytes]byte { return b.rf.read(core) }
-
 // registerFile holds the per-device, per-core banks of one host register
 // window.
 type registerFile struct {
@@ -189,6 +186,3 @@ func (rf *registerFile) write(core int, data []byte, mask uint32) (BankCommand, 
 	trigger := mask&(1<<16) != 0 && bank[16] != 0
 	return decodeBank(bank[:]), trigger
 }
-
-// read returns a core's bank image.
-func (rf *registerFile) read(core int) [BankBytes]byte { return rf.banks[core] }

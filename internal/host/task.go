@@ -824,21 +824,6 @@ func (t *Task) MMIOWriteLine(p *sim.Proc, srcDev, srcCore, hostDev, off int, dat
 	t.Fabric.PostD2H(p, srcDev, mem.LineSize, r.land)
 }
 
-// MMIORead implements scc.OffChipPort: a blocking register read.
-func (t *Task) MMIORead(p *sim.Proc, srcDev, srcCore, hostDev, off int, buf []byte) {
-	t.meshToSIF(p, srcDev, srcCore, t.Params.ReqBytes)
-	t.chargeBW(p, srcDev, srcCore, t.Params.ReqBytes+t.Params.RespBytes)
-	t.devWait(p, srcDev)
-	link := t.Fabric.Link(srcDev)
-	link.D2H.Transfer(p, t.Params.ReqBytes)
-	p.Delay(t.Fabric.Params.HostOpCycles)
-	t.gate.Wait(p)
-	bank := t.registerFile(hostDev).read(off / BankBytes)
-	link.H2D.Transfer(p, t.Params.RespBytes)
-	rel := off % BankBytes
-	copy(buf, bank[rel:])
-}
-
 func (t *Task) registerFile(dev int) *registerFile {
 	rf, ok := t.regs[dev]
 	if !ok {

@@ -357,24 +357,6 @@ func TestVDMARegisterFusionSingleTransaction(t *testing.T) {
 	}
 }
 
-func TestMMIOReadReturnsRegisterState(t *testing.T) {
-	r := newRig(t, 1, pcie.AckHost)
-	want := EncodeBank(BankCommand{DstDev: 0, DstTile: 7, DstOff: 96, Count: 123, SrcOff: 45})
-	got := make([]byte, BankBytes)
-	r.chips[0].Launch(2, "prog", func(ctx *scc.Ctx) {
-		ctx.MMIOWrite(0, 2*BankBytes, want[:])
-		ctx.FlushWCB()
-		ctx.Delay(50_000)
-		ctx.MMIORead(0, 2*BankBytes, got)
-	})
-	if err := r.k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want[:]) {
-		t.Errorf("register readback mismatch:\ngot  %v\nwant %v", got, want[:])
-	}
-}
-
 func TestBankCommandEncodeDecodeRoundTrip(t *testing.T) {
 	in := BankCommand{
 		DstDev: 4, DstTile: 23, DstOff: 16352,

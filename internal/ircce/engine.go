@@ -221,7 +221,7 @@ func allDone(reqs []*Request) bool {
 
 // Pending reports the number of incomplete requests.
 //
-//lint:ignore deadexport vscc's async tests check that a refused or finished request leaves nothing queued
+//lint:ignore deadcode vscc's async tests check that a refused or finished request leaves nothing queued
 func (e *Engine) Pending() int {
 	n := len(e.sendQ)
 	for _, q := range e.recvQ {

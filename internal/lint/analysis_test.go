@@ -159,7 +159,7 @@ func (pr *Program) loadDir(dir, importPath string) (*Package, error) {
 	}
 	pr.pkgs[importPath] = pkg
 	pr.check(pkg)
-	pr.cg, pr.live = nil, nil
+	pr.cg, pr.dead = nil, nil
 	return pkg, nil
 }
 
@@ -179,6 +179,6 @@ func (pr *Program) ParseFixtureFile(filename, src, importPath string) (*Package,
 	}
 	pr.pkgs[importPath] = pkg
 	pr.check(pkg)
-	pr.cg, pr.live = nil, nil
+	pr.cg, pr.dead = nil, nil
 	return pkg, nil
 }

@@ -255,8 +255,7 @@ var kernelVisibleFuncs = map[string]string{
 	"Signal": "cond signal", "Broadcast": "cond broadcast",
 	"Push": "queue push", "Pop": "queue pop",
 	// MPB/LMB stores and flag signals — memory-image and protocol order.
-	"WriteMPB": "MPB store", "WriteV": "MPB store",
-	"HostWriteLMB": "LMB store", "WriteLMB": "LMB store",
+	"WriteMPB": "MPB store", "HostWriteLMB": "LMB store", "WriteLMB": "LMB store",
 	"SignalSent": "flag signal", "SignalReady": "flag signal",
 	"setSent": "flag signal", "setReady": "flag signal", "FlushWCB": "WCB flush",
 }

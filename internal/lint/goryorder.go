@@ -10,13 +10,13 @@ import (
 // GoryOrderAnalyzer checks the gory-protocol ordering discipline of the
 // SCC's non-coherent memory model (paper §3.1, RCCE's "gory" interface):
 //
-//   - flush-before-flag: after an MPB data write (WriteMPB/WriteV), the
+//   - flush-before-flag: after an MPB data write (WriteMPB), the
 //     write-combine buffer must be flushed (FlushWCB) before any flag is
 //     signalled (SignalSent/SignalReady/setSent/setReady, or a
 //     raw WriteMPB of a flag byte). A flag that overtakes combined data
 //     publishes a message the receiver cannot yet see.
 //   - invalidate-before-read: after waiting on (or consuming) a flag,
-//     an MPB data read (ReadMPB/ReadV) must be preceded by
+//     an MPB data read (ReadMPB) must be preceded by
 //     InvalidateMPB, or the L1 may serve stale MPBT lines cached before
 //     the peer's write.
 //
@@ -64,17 +64,14 @@ const (
 // goryPrimitives are the event classes, matched by callee name.
 var goryPrimitives = map[string]int{
 	"FlushWCB": evFlush,
-	// Put/PutV flush the WCB internally before returning (rank.go,
-	// gory.go), so at the call site they leave no combined data behind
-	// — including any earlier unflushed WriteMPB.
-	"Put": evFlush, "PutV": evFlush,
-	"InvalidateMPB": evInval,
-	// Get/GetV invalidate internally before reading, so at the call
-	// site they behave like an invalidate (the L1 holds only fresh
-	// lines afterwards).
-	"Get": evInval, "GetV": evInval,
-	"WriteMPB": evDataWrite, "WriteV": evDataWrite,
-	"ReadMPB": evDataRead, "ReadV": evDataRead,
+	// Put flushes the WCB internally before returning (rank.go), so at
+	// the call site it leaves no combined data behind — including any
+	// earlier unflushed WriteMPB.
+	"Put": evFlush, "InvalidateMPB": evInval,
+	// Get invalidates internally before reading, so at the call site it
+	// behaves like an invalidate (the L1 holds only fresh lines
+	// afterwards).
+	"Get": evInval, "WriteMPB": evDataWrite, "ReadMPB": evDataRead,
 	"SignalSent": evSignal, "SignalReady": evSignal,
 	"setSent": evSignal, "setReady": evSignal,
 	"waitSent": evWait, "waitReady": evWait, "waitClearFlag": evWait, "WaitFlag": evWait,

@@ -18,11 +18,12 @@
 package lint
 
 import (
+	"cmp"
 	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -122,7 +123,8 @@ func RunPackage(pr *Program, pkg *Package, analyzers []*Analyzer) []Diagnostic {
 			Info:  pkg.Info,
 			report: func(pos token.Pos, msg string, chain []string) {
 				position := pr.Fset.Position(pos)
-				if sup.suppressed(rule, position) {
+				if e := sup.covering(rule, position); e != nil {
+					e.used = true
 					return
 				}
 				diags = append(diags, Diagnostic{Rule: rule, Position: position, Message: msg, Chain: chain})
@@ -136,18 +138,9 @@ func RunPackage(pr *Program, pkg *Package, analyzers []*Analyzer) []Diagnostic {
 }
 
 func sortDiagnostics(diags []Diagnostic) {
-	sort.Slice(diags, func(i, j int) bool {
-		a, b := diags[i], diags[j]
-		if a.Position.Filename != b.Position.Filename {
-			return a.Position.Filename < b.Position.Filename
-		}
-		if a.Position.Line != b.Position.Line {
-			return a.Position.Line < b.Position.Line
-		}
-		if a.Position.Column != b.Position.Column {
-			return a.Position.Column < b.Position.Column
-		}
-		return a.Rule < b.Rule
+	slices.SortStableFunc(diags, func(a, b Diagnostic) int {
+		return cmp.Or(strings.Compare(a.Position.Filename, b.Position.Filename),
+			a.Position.Line-b.Position.Line, a.Position.Column-b.Position.Column, strings.Compare(a.Rule, b.Rule))
 	})
 }
 
@@ -161,9 +154,8 @@ type supEntry struct {
 
 // suppressions indexes //lint:ignore comments by (file, line).
 type suppressions struct {
-	// byLine maps file -> comment line -> entries on that line.
-	byLine    map[string]map[int][]*supEntry
-	entries   []*supEntry // in scan order, for the unused report
+	byLine    map[token.Position][]*supEntry // keyed by Filename and Line only
+	entries   []*supEntry                    // in scan order, for the unused report
 	malformed []Diagnostic
 }
 
@@ -171,7 +163,7 @@ const ignorePrefix = "//lint:ignore"
 
 // collectSuppressions scans every comment of the package.
 func collectSuppressions(fset *token.FileSet, pkg *Package) *suppressions {
-	s := &suppressions{byLine: map[string]map[int][]*supEntry{}}
+	s := &suppressions{byLine: map[token.Position][]*supEntry{}}
 	for _, f := range pkg.AllFiles() {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
@@ -190,12 +182,8 @@ func collectSuppressions(fset *token.FileSet, pkg *Package) *suppressions {
 					continue
 				}
 				e := &supEntry{pos: pos, rules: strings.Split(fields[0], ",")}
-				lines := s.byLine[pos.Filename]
-				if lines == nil {
-					lines = map[int][]*supEntry{}
-					s.byLine[pos.Filename] = lines
-				}
-				lines[pos.Line] = append(lines[pos.Line], e)
+				line := token.Position{Filename: pos.Filename, Line: pos.Line}
+				s.byLine[line] = append(s.byLine[line], e)
 				s.entries = append(s.entries, e)
 			}
 		}
@@ -203,25 +191,17 @@ func collectSuppressions(fset *token.FileSet, pkg *Package) *suppressions {
 	return s
 }
 
-// suppressed reports whether a rule finding at position is covered by a
-// suppression on the same line or the line directly above, marking the
-// covering entry used.
-func (s *suppressions) suppressed(rule string, pos token.Position) bool {
-	lines := s.byLine[pos.Filename]
-	if lines == nil {
-		return false
-	}
+// covering returns the suppression of rule on pos's line or the line
+// directly above, nil if there is none.
+func (s *suppressions) covering(rule string, pos token.Position) *supEntry {
 	for _, l := range []int{pos.Line, pos.Line - 1} {
-		for _, e := range lines[l] {
-			for _, r := range e.rules {
-				if r == rule || r == "all" {
-					e.used = true
-					return true
-				}
+		for _, e := range s.byLine[token.Position{Filename: pos.Filename, Line: l}] {
+			if slices.Contains(e.rules, rule) || slices.Contains(e.rules, "all") {
+				return e
 			}
 		}
 	}
-	return false
+	return nil
 }
 
 // unused reports the suppression comments that covered no finding. A
@@ -230,20 +210,10 @@ func (s *suppressions) suppressed(rule string, pos token.Position) bool {
 // suppression for a rule outside this run might be load-bearing for a
 // different tool or invocation. "all" counts as ran when any rule did.
 func (s *suppressions) unused(ran map[string]bool) []Diagnostic {
+	ran["all"] = len(ran) > 0
 	var out []Diagnostic
 	for _, e := range s.entries {
-		if e.used {
-			continue
-		}
-		covered := true
-		for _, r := range e.rules {
-			if r == "all" {
-				covered = covered && len(ran) > 0
-			} else {
-				covered = covered && ran[r]
-			}
-		}
-		if !covered {
+		if e.used || slices.ContainsFunc(e.rules, func(r string) bool { return !ran[r] }) {
 			continue
 		}
 		out = append(out, Diagnostic{
@@ -352,8 +322,8 @@ func pkgPathIn(pkgPath string, suffixes ...string) bool {
 //     root (whose integration tests exercise raw protocols),
 //   - faultorder audits the inter-device protocol layers (vscc, ircce),
 //     where every engaged wait must carry a cycle budget,
-//   - flagdiscipline, tracealloc, simapi and deadexport audit
-//     everything (deadexport skips package main).
+//   - flagdiscipline, tracealloc, simapi and deadcode audit
+//     everything.
 func DefaultAnalyzers() []*Analyzer {
 	return []*Analyzer{
 		KernelClockAnalyzer(),
@@ -363,7 +333,7 @@ func DefaultAnalyzers() []*Analyzer {
 		FlagDisciplineAnalyzer(),
 		TraceAllocAnalyzer(),
 		SimAPIAnalyzer(),
-		DeadExportAnalyzer(),
+		DeadCodeAnalyzer(),
 	}
 }
 

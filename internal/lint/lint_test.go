@@ -37,8 +37,9 @@ func TestAnalyzersGolden(t *testing.T) {
 		{FlagDisciplineAnalyzer(), "flagdiscipline_ext", "vscc/internal/ircce", nil},
 		{TraceAllocAnalyzer(), "tracealloc", "fixture/tracealloc", nil},
 		{SimAPIAnalyzer(), "simapi", "fixture/simapi", nil},
-		{DeadExportAnalyzer(), "deadexport", "fixture/deadexport", []FixtureDep{
-			{Dir: filepath.Join("testdata", "src", "deadexport_main"), ImportPath: "fixture/deadexport/cmd", User: true},
+		{DeadCodeAnalyzer(), "deadcode", "fixture/deadcode", []FixtureDep{
+			{Dir: filepath.Join("testdata", "src", "deadcode_main"), ImportPath: "fixture/deadcode/cmd", User: true},
+			{Dir: filepath.Join("testdata", "src", "deadcode_bench"), ImportPath: "fixture/deadcode/bench", User: true},
 		}},
 	}
 	for _, tt := range tests {

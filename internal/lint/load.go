@@ -72,9 +72,9 @@ type Program struct {
 
 	pkgs map[string]*Package
 
-	// cg and live are built lazily and dropped when packages are added.
+	// cg and dead are built lazily and dropped when packages are added.
 	cg   *CallGraph
-	live *liveIndex
+	dead *reachability
 }
 
 // NewProgram returns an empty Program, for loading packages outside any
@@ -91,15 +91,6 @@ func (pr *Program) CallGraph() *CallGraph {
 		pr.cg = NewCallGraph(pr)
 	}
 	return pr.cg
-}
-
-// liveIndex returns the module-wide use index of deadexport, building it
-// on first use, the way CallGraph does.
-func (pr *Program) liveIndex() *liveIndex {
-	if pr.live == nil {
-		pr.live = newLiveIndex(pr)
-	}
-	return pr.live
 }
 
 // Packages returns all loaded packages in import-path order.

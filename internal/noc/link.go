@@ -141,16 +141,6 @@ func (l *Link) TransferAsync(p *sim.Proc, bytes int, onDelivered func()) {
 	p.Delay(l.nextFree - now)
 }
 
-// earliestCompletion returns when a transfer submitted now would complete,
-// without reserving the channel — used by lookahead heuristics.
-func (l *Link) earliestCompletion(now sim.Cycles, bytes int) sim.Cycles {
-	start := now
-	if l.nextFree > start {
-		start = l.nextFree
-	}
-	return start + l.OccupancyFor(bytes) + l.Latency
-}
-
 // LinkStats is a snapshot of link usage counters.
 type LinkStats struct {
 	Transfers     uint64

@@ -85,32 +85,6 @@ func (m *Mesh) Hops(a, b Coord) int {
 	return dx + dy
 }
 
-// route returns the tile sequence of the XY (X first, then Y) path from a
-// to b, inclusive of both endpoints.
-func (m *Mesh) route(a, b Coord) []Coord {
-	m.check(a)
-	m.check(b)
-	path := []Coord{a}
-	cur := a
-	for cur.X != b.X {
-		if cur.X < b.X {
-			cur.X++
-		} else {
-			cur.X--
-		}
-		path = append(path, cur)
-	}
-	for cur.Y != b.Y {
-		if cur.Y < b.Y {
-			cur.Y++
-		} else {
-			cur.Y--
-		}
-		path = append(path, cur)
-	}
-	return path
-}
-
 // flits returns the number of flits needed for a payload.
 func (m *Mesh) flits(bytes int) int {
 	if bytes <= 0 {
@@ -128,13 +102,6 @@ func (m *Mesh) TransferLatency(a, b Coord, bytes int) sim.Cycles {
 	head := 2*p.InjectCycles + sim.Cycles(hops+1)*p.RouterCycles + sim.Cycles(hops)*p.LinkCycles
 	tail := sim.Cycles(m.flits(bytes)-1) * p.FlitCycles
 	return head + tail
-}
-
-// roundTripLatency returns the cycles for a request of reqBytes to tile b
-// and a response of respBytes back to a — the cost shape of a remote MPB
-// read.
-func (m *Mesh) roundTripLatency(a, b Coord, reqBytes, respBytes int) sim.Cycles {
-	return m.TransferLatency(a, b, reqBytes) + m.TransferLatency(b, a, respBytes)
 }
 
 func (m *Mesh) check(c Coord) {

@@ -104,15 +104,6 @@ func TestTransferLatencyOnChipClass(t *testing.T) {
 	}
 }
 
-func TestRoundTripLatency(t *testing.T) {
-	m := sccMesh()
-	a, b := Coord{0, 0}, Coord{2, 1}
-	rt := m.roundTripLatency(a, b, 8, 32)
-	if want := m.TransferLatency(a, b, 8) + m.TransferLatency(b, a, 32); rt != want {
-		t.Errorf("round trip = %d, want %d", rt, want)
-	}
-}
-
 func TestMeshBoundsPanic(t *testing.T) {
 	m := sccMesh()
 	defer func() {
@@ -193,13 +184,6 @@ func TestLinkStats(t *testing.T) {
 	}
 }
 
-func TestLinkEarliestCompletion(t *testing.T) {
-	l := NewLink("l", 7, 1.0)
-	if got := l.earliestCompletion(100, 50); got != 157 {
-		t.Errorf("earliestCompletion = %d, want 157", got)
-	}
-}
-
 // Property: transfer latency is additive-monotone: latency(a,c) <=
 // latency via any intermediate forwarding (triangle inequality for XY
 // metric distances on the mesh holds for hop counts).
@@ -214,4 +198,30 @@ func TestPropertyHopsTriangle(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
+}
+
+// route returns the tile sequence of the XY (X first, then Y) path from a
+// to b, inclusive of both endpoints: the oracle Hops is checked against.
+func (m *Mesh) route(a, b Coord) []Coord {
+	m.check(a)
+	m.check(b)
+	path := []Coord{a}
+	cur := a
+	for cur.X != b.X {
+		if cur.X < b.X {
+			cur.X++
+		} else {
+			cur.X--
+		}
+		path = append(path, cur)
+	}
+	for cur.Y != b.Y {
+		if cur.Y < b.Y {
+			cur.Y++
+		} else {
+			cur.Y--
+		}
+		path = append(path, cur)
+	}
+	return path
 }

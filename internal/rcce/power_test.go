@@ -3,7 +3,6 @@ package rcce
 import (
 	"testing"
 
-	"vscc/internal/scc"
 	"vscc/internal/sim"
 )
 
@@ -54,61 +53,20 @@ func TestSetFrequencyDividerSlowsRank(t *testing.T) {
 	}
 }
 
-func TestISetPowerRaisesVoltageThenFrequency(t *testing.T) {
-	s := newSession(t, 1)
-	err := s.Run(func(r *Rank) {
-		t0 := r.Now()
-		req, err := r.iSetPower(2) // 800 MHz needs 1.1 V: slow transition
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		// iSetPower returns immediately.
-		if r.Now()-t0 > 1000 {
-			t.Errorf("iSetPower blocked for %d cycles", r.Now()-t0)
-		}
-		if err := r.waitPower(req); err != nil {
-			t.Error(err)
-			return
-		}
-		if r.Now()-t0 < scc.VoltageChangeCycles {
-			t.Errorf("power change completed in %d cycles, want >= %d", r.Now()-t0, scc.VoltageChangeCycles)
-		}
-		if r.FrequencyMHz() != 800 {
-			t.Errorf("frequency = %d MHz, want 800", r.FrequencyMHz())
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestSetPowerDownAndUp(t *testing.T) {
 	s := newSession(t, 1)
 	err := s.Run(func(r *Rank) {
-		if err := setPower(r, 8); err != nil { // 200 MHz
+		if err := r.SetFrequencyDivider(8); err != nil { // 200 MHz
 			t.Error(err)
 		}
 		if r.FrequencyMHz() != 200 {
 			t.Errorf("frequency = %d, want 200", r.FrequencyMHz())
 		}
-		if err := setPower(r, 3); err != nil { // back to 533: needs 0.9 V again
+		if err := r.SetFrequencyDivider(3); err != nil { // back to 533 at the same 0.9 V
 			t.Error(err)
 		}
 		if r.FrequencyMHz() != 533 {
 			t.Errorf("frequency = %d, want 533", r.FrequencyMHz())
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestISetPowerBadDivider(t *testing.T) {
-	s := newSession(t, 1)
-	err := s.Run(func(r *Rank) {
-		if _, err := r.iSetPower(1); err == nil {
-			t.Error("divider 1 accepted")
 		}
 	})
 	if err != nil {
@@ -125,7 +83,7 @@ func TestCommunicationUnaffectedByPeerFrequency(t *testing.T) {
 	err := s.Run(func(r *Rank) {
 		switch r.ID() {
 		case 2: // tile 1: slow it down without affecting rank 0/1 flags
-			if err := setPower(r, 8); err != nil {
+			if err := r.SetFrequencyDivider(8); err != nil {
 				t.Error(err)
 			}
 			r.Barrier()
@@ -145,13 +103,4 @@ func TestCommunicationUnaffectedByPeerFrequency(t *testing.T) {
 			t.Fatal("payload corrupted under frequency scaling")
 		}
 	}
-}
-
-// setPower moves r's tile to divider and waits for the change.
-func setPower(r *Rank, divider int) error {
-	req, err := r.iSetPower(divider)
-	if err != nil {
-		return err
-	}
-	return r.waitPower(req)
 }

@@ -3,7 +3,6 @@ package rcce
 import (
 	"fmt"
 
-	"vscc/internal/mem"
 	"vscc/internal/scc"
 	"vscc/internal/sim"
 )
@@ -32,16 +31,7 @@ type Rank struct {
 	id  int
 	ctx *scc.Ctx
 
-	gen    byte // barrier generation
-	haveCB bool
-
-	// MPB allocator state (top-down bump, line granular).
-	allocLow int // lowest allocated offset
-}
-
-func (r *Rank) initMPB() {
-	r.allocLow = PayloadBytes
-	r.gen = 0
+	gen byte // barrier generation
 }
 
 // ID returns the rank number.
@@ -145,23 +135,6 @@ func (r *Rank) waitClearFlagFor(off int, budget sim.Cycles) bool {
 	r.ctx.FlushWCB()
 	r.s.reportFlagWrite(r.place(r.id).Dev)
 	return true
-}
-
-// --- MPB allocator ---------------------------------------------------------
-
-// mallocMPB allocates size bytes (rounded to 32 B lines) of this rank's
-// MPB payload area, top-down (RCCE_malloc). Send/Recv chunking does not
-// consult it, and no program allocates yet.
-func (r *Rank) mallocMPB(size int) (int, error) {
-	if size <= 0 {
-		return 0, fmt.Errorf("rcce: malloc of %d bytes", size)
-	}
-	size = (size + mem.LineSize - 1) &^ (mem.LineSize - 1)
-	if r.allocLow-size < 0 {
-		return 0, fmt.Errorf("rcce: MPB exhausted: %d bytes requested, %d free", size, r.allocLow)
-	}
-	r.allocLow -= size
-	return r.allocLow, nil
 }
 
 // --- two-sided interface -----------------------------------------------

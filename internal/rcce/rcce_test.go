@@ -332,48 +332,6 @@ func TestReduceMax(t *testing.T) {
 	}
 }
 
-func TestMallocMPB(t *testing.T) {
-	s := newSession(t, 1)
-	err := s.Run(func(r *Rank) {
-		off1, err := r.mallocMPB(100) // rounds to 128
-		if err != nil {
-			t.Error(err)
-		}
-		off2, err := r.mallocMPB(32)
-		if err != nil {
-			t.Error(err)
-		}
-		if off1 != PayloadBytes-128 || off2 != off1-32 {
-			t.Errorf("offsets %d, %d; want top-down line-rounded %d, %d", off1, off2, PayloadBytes-128, PayloadBytes-160)
-		}
-		if _, err := r.mallocMPB(0); err == nil {
-			t.Error("zero-byte malloc should error")
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestMallocExhaustion(t *testing.T) {
-	s := newSession(t, 1)
-	err := s.Run(func(r *Rank) {
-		if _, err := r.mallocMPB(PayloadBytes + 32); err == nil {
-			t.Error("oversized malloc should fail")
-		}
-		// Exhaust then fail.
-		if _, err := r.mallocMPB(PayloadBytes); err != nil {
-			t.Errorf("exact-fit malloc failed: %v", err)
-		}
-		if _, err := r.mallocMPB(32); err == nil {
-			t.Error("malloc on exhausted MPB should fail")
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestLinearPlacesSkipsFailedCores(t *testing.T) {
 	k := sim.NewKernel()
 	chip := scc.NewChip(k, 0, scc.DefaultParams())
@@ -390,21 +348,6 @@ func TestLinearPlacesSkipsFailedCores(t *testing.T) {
 	}
 	if _, err := LinearPlaces([]*scc.Chip{chip}, 47); err == nil {
 		t.Error("requesting more ranks than available cores should fail")
-	}
-}
-
-func TestDescendingPlaces(t *testing.T) {
-	k := sim.NewKernel()
-	chip := scc.NewChip(k, 0, scc.DefaultParams())
-	places, err := descendingPlaces(chip, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []int{47, 46, 45, 44}
-	for i, pl := range places {
-		if pl.Core != want[i] {
-			t.Errorf("rank %d on core %d, want %d", i, pl.Core, want[i])
-		}
 	}
 }
 

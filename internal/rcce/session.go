@@ -200,21 +200,6 @@ func LinearPlaces(chips []*scc.Chip, n int) ([]Place, error) {
 	return places[:n], nil
 }
 
-// descendingPlaces mirrors the RCCE default on a single chip, where
-// ranks map to physical cores sorted in descending id order (paper §3).
-func descendingPlaces(chip *scc.Chip, n int) ([]Place, error) {
-	alive := chip.AliveCores()
-	sort.Sort(sort.Reverse(sort.IntSlice(alive)))
-	if n > len(alive) {
-		return nil, fmt.Errorf("rcce: requested %d ranks, only %d cores available", n, len(alive))
-	}
-	places := make([]Place, n)
-	for i := 0; i < n; i++ {
-		places[i] = Place{Dev: chip.Index, Core: alive[i]}
-	}
-	return places, nil
-}
-
 // NumRanks returns the session size.
 func (s *Session) NumRanks() int { return len(s.places) }
 
@@ -240,7 +225,6 @@ func (s *Session) Launch(rank int, program func(*Rank)) {
 	name := fmt.Sprintf("rank%03d(d%d.c%02d)", rank, pl.Dev, pl.Core)
 	s.procs[rank] = chip.Launch(pl.Core, name, func(ctx *scc.Ctx) {
 		r := &Rank{s: s, id: rank, ctx: ctx}
-		r.initMPB()
 		defer func() {
 			if rec := recover(); rec != nil {
 				if err, ok := rec.(error); ok {

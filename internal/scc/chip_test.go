@@ -346,8 +346,6 @@ func (e *echoPort) MMIOWriteLine(p *sim.Proc, srcDev, srcCore, hostDev, off int,
 	e.writes++
 }
 
-func (e *echoPort) MMIORead(p *sim.Proc, srcDev, srcCore, hostDev, off int, buf []byte) {}
-
 // A warm core reads and writes MPB lines, on-chip and across the
 // off-chip port, with cache misses and write-combine drains, without
 // allocating: the fetch line, the cached lines and the drained line are

@@ -209,13 +209,6 @@ func (c *Ctx) MMIOWrite(hostDev, off int, data []byte) {
 	}
 }
 
-// MMIORead reads a host register — uncached, blocking for the full
-// off-chip round trip.
-func (c *Ctx) MMIORead(hostDev, off int, buf []byte) {
-	c.chip().barrier(c.Proc)
-	c.chip().offChip().MMIORead(c.Proc, c.chip().Index, c.Core.ID, hostDev, off, buf)
-}
-
 // WaitFlag blocks until pred is satisfied by the flag byte at (tile, off)
 // in this device's on-chip memory, spinning with invalidate+reload
 // semantics. RCCE spins exclusively on local flags (paper §3.1 footnote),

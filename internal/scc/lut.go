@@ -8,13 +8,10 @@ import "fmt"
 // that extending RCCE to vSCC needed only "minor modifications to the
 // hardware abstraction layer ... such as a mapping of remote on-chip
 // memory" — i.e., LUT entries pointing at other devices' MPBs. This file
-// models that translation layer; the gory address API on Ctx resolves
-// virtual addresses through it.
+// models that table: the boot-time map and the vSCC remote windows.
 const (
 	// LUTEntries is the number of pages per core.
 	LUTEntries = 256
-	// LUTPageBytes is the page granularity (16 MB).
-	LUTPageBytes = 16 << 20
 )
 
 // LUTTargetKind classifies what a LUT entry points at.
@@ -46,25 +43,6 @@ type LUTEntry struct {
 // on every core.
 type LUT struct {
 	entries [LUTEntries]LUTEntry
-}
-
-// VAddr is a 32-bit core-local virtual address.
-type VAddr uint32
-
-// Page returns the LUT index of an address.
-func (a VAddr) Page() int { return int(a >> 24) }
-
-// PageOff returns the offset within the page.
-func (a VAddr) PageOff() int { return int(a & (LUTPageBytes - 1)) }
-
-// Resolve translates a virtual address to its target, faulting (error)
-// on unmapped pages.
-func (l *LUT) Resolve(a VAddr) (LUTEntry, int, error) {
-	e := l.entries[a.Page()]
-	if e.Kind == LUTUnmapped {
-		return LUTEntry{}, 0, fmt.Errorf("scc: LUT fault at %#x (page %d unmapped)", uint32(a), a.Page())
-	}
-	return e, e.Off + a.PageOff(), nil
 }
 
 // DefaultLUT builds the boot-time table of core id on device dev: page 0
@@ -100,77 +78,4 @@ func (l *LUT) MapRemoteDevice(d int) error {
 	}
 	l.entries[page] = LUTEntry{Kind: LUTMPB, Dev: d, Tile: 0, Off: 0}
 	return nil
-}
-
-// MPBAddr builds the virtual address of (tile, off) in the own-device
-// MPB window.
-func MPBAddr(tile, off int) VAddr {
-	return VAddr(MPBPage)<<24 | VAddr(tile*16384+off)
-}
-
-// RemoteMPBAddr builds the virtual address of (tile, off) on device d
-// through the vSCC window.
-func RemoteMPBAddr(d, tile, off int) VAddr {
-	return VAddr(RemoteMPBPageBase+d)<<24 | VAddr(tile*16384+off)
-}
-
-// mpbTarget converts a resolved LUT entry + offset into (dev, tile,
-// tileOff), splitting the flat MPB window into per-tile LMBs.
-func mpbTarget(e LUTEntry, off int) (dev, tile, tileOff int, err error) {
-	tile = e.Tile + off/16384
-	tileOff = off % 16384
-	if tile >= NumTiles {
-		return 0, 0, 0, fmt.Errorf("scc: MPB window offset %d beyond the chip", off)
-	}
-	return e.Dev, tile, tileOff, nil
-}
-
-// ReadV reads through the core's LUT: the virtual-address flavour of
-// ReadMPB (and MMIORead for host pages).
-func (c *Ctx) ReadV(a VAddr, buf []byte) error {
-	e, off, err := c.Core.LUT.Resolve(a)
-	if err != nil {
-		return err
-	}
-	switch e.Kind {
-	case LUTMPB:
-		dev, tile, tileOff, err := mpbTarget(e, off)
-		if err != nil {
-			return err
-		}
-		c.ReadMPB(dev, tile, tileOff, buf)
-		return nil
-	case LUTHostMMIO:
-		c.MMIORead(e.Dev, off, buf)
-		return nil
-	case LUTPrivate:
-		c.CopyPrivate(len(buf))
-		return nil
-	}
-	return fmt.Errorf("scc: ReadV through unmapped page")
-}
-
-// WriteV writes through the core's LUT: the virtual-address flavour of
-// WriteMPB / MMIOWrite.
-func (c *Ctx) WriteV(a VAddr, data []byte) error {
-	e, off, err := c.Core.LUT.Resolve(a)
-	if err != nil {
-		return err
-	}
-	switch e.Kind {
-	case LUTMPB:
-		dev, tile, tileOff, err := mpbTarget(e, off)
-		if err != nil {
-			return err
-		}
-		c.WriteMPB(dev, tile, tileOff, data)
-		return nil
-	case LUTHostMMIO:
-		c.MMIOWrite(e.Dev, off, data)
-		return nil
-	case LUTPrivate:
-		c.CopyPrivate(len(data))
-		return nil
-	}
-	return fmt.Errorf("scc: WriteV through unmapped page")
 }

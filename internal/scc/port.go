@@ -26,7 +26,4 @@ type OffChipPort interface {
 	// communication task. hostDev selects the logical register bank
 	// (one per device).
 	MMIOWriteLine(p *sim.Proc, srcDev, srcCore, hostDev, off int, data []byte, mask uint32)
-
-	// MMIORead reads host registers, blocking for the round trip.
-	MMIORead(p *sim.Proc, srcDev, srcCore, hostDev, off int, buf []byte)
 }

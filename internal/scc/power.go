@@ -10,8 +10,7 @@ import (
 // tile, clock = 1600 MHz / divider) and 6 voltage islands of 2x2 tiles.
 // RCCE 2.0 ships a power API on top of this; the models here supply the
 // substrate: per-tile frequency dividers scale every core-side cycle
-// cost, and voltage changes take a (long) transition time and must
-// satisfy the divider's minimum voltage.
+// cost and must stay within what the island's supply voltage supports.
 const (
 	// GlobalClockMHz is the SCC's global clock; tile frequency is
 	// GlobalClockMHz / divider.
@@ -26,9 +25,6 @@ const (
 	VoltageIslands = 6
 	// TilesPerVoltageIsland groups tiles into domains.
 	TilesPerVoltageIsland = NumTiles / VoltageIslands
-	// VoltageChangeCycles is the domain transition time in 533 MHz
-	// reference cycles (~1 ms on hardware).
-	VoltageChangeCycles sim.Cycles = 500_000
 )
 
 // VoltageLevel is a supply level in millivolts.
@@ -78,8 +74,6 @@ const (
 type powerState struct {
 	dividers [NumTiles]int
 	voltages [VoltageIslands]VoltageLevel
-	// busyUntil serializes voltage transitions per island.
-	busyUntil [VoltageIslands]sim.Cycles
 
 	// energy integration: joules accumulated per tile up to lastAccrue.
 	joules     [NumTiles]float64
@@ -128,9 +122,6 @@ func (c *Chip) TileFrequencyMHz(tile int) int {
 	return GlobalClockMHz / c.power.dividers[tile]
 }
 
-// IslandVoltage returns a voltage island's current level.
-func (c *Chip) IslandVoltage(island int) VoltageLevel { return c.power.voltages[island] }
-
 // scaleCost converts a cycle cost expressed at the 533 MHz reference
 // clock into the tile's current clock domain.
 func (c *Chip) scaleCost(tile int, cost sim.Cycles) sim.Cycles {
@@ -155,34 +146,5 @@ func (c *Chip) SetTileDivider(tile, divider int) error {
 	}
 	c.accrueEnergy(tile, c.Kernel.Now())
 	c.power.dividers[tile] = divider
-	return nil
-}
-
-// SetIslandVoltage starts a voltage transition on an island; it
-// completes after VoltageChangeCycles. Lowering the voltage below what a
-// tile's current divider requires is rejected.
-func (c *Chip) SetIslandVoltage(p *sim.Proc, island int, level VoltageLevel) error {
-	if island < 0 || island >= VoltageIslands {
-		return fmt.Errorf("scc: voltage island %d out of range", island)
-	}
-	for t := island * TilesPerVoltageIsland; t < (island+1)*TilesPerVoltageIsland; t++ {
-		if MinVoltageFor(c.power.dividers[t]) > level {
-			return fmt.Errorf("scc: tile %d divider %d incompatible with %d mV", t, c.power.dividers[t], level)
-		}
-	}
-	// Serialize transitions per island: a change issued while one is in
-	// flight waits for it.
-	start := p.Now()
-	if c.power.busyUntil[island] > start {
-		start = c.power.busyUntil[island]
-	}
-	done := start + VoltageChangeCycles
-	c.power.busyUntil[island] = done
-	//lint:ignore simapi done = start + transition cycles with start >= now
-	p.Delay(done - p.Now())
-	for t := island * TilesPerVoltageIsland; t < (island+1)*TilesPerVoltageIsland; t++ {
-		c.accrueEnergy(t, p.Now())
-	}
-	c.power.voltages[island] = level
 	return nil
 }

@@ -12,6 +12,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"unicode/utf8"
 )
 
 // Event is one record of the dialect this package writes: metadata
@@ -153,7 +154,10 @@ func (cw *chromeWriter) close() error {
 
 // quoteJSON returns s as a quoted JSON string. Track and event names are
 // plain ASCII identifiers in practice; quotes, backslashes and control
-// characters are escaped for safety.
+// characters are escaped for safety. A byte that is not UTF-8 is written
+// \ufffd, as encoding/json writes it — a job name from a workload file
+// may carry one — and so is U+FFFD itself, which is what the reader
+// makes of that escape: a decoded document writes back byte for byte.
 func quoteJSON(s string) string {
 	buf := make([]byte, 0, len(s)+2)
 	buf = append(buf, '"')
@@ -164,6 +168,14 @@ func quoteJSON(s string) string {
 			buf = append(buf, '\\', c)
 		case c < 0x20:
 			buf = append(buf, fmt.Sprintf("\\u%04x", c)...)
+		case c >= utf8.RuneSelf:
+			r, size := utf8.DecodeRuneInString(s[i:])
+			if r == utf8.RuneError {
+				buf = append(buf, `\ufffd`...)
+			} else {
+				buf = append(buf, s[i:i+size]...)
+			}
+			i += size - 1
 		default:
 			buf = append(buf, c)
 		}

@@ -5,13 +5,14 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
+	"unicode/utf8"
 
 	"vscc/internal/sim"
 )
 
 // buildTestCapture records a small but representative sink: two
 // processes, spans, a zero-length span, counters and awkward event names.
-func buildTestCapture(t *testing.T) Capture {
+func buildTestCapture(t testing.TB) Capture {
 	t.Helper()
 	s := NewSink(sim.NewKernel())
 	l0 := s.Track("noc", "link0")
@@ -125,6 +126,31 @@ func TestChromeRoundTrip(t *testing.T) {
 	}
 	if !bytes.Equal(back.Bytes(), exported.Bytes()) {
 		t.Errorf("round trip differs:\n%s\n--- want\n%s", back.String(), exported.String())
+	}
+}
+
+// A span name that is not UTF-8 — a job name read from a workload file —
+// exports as valid JSON and round-trips byte for byte.
+func TestChromeRoundTripInvalidUTF8(t *testing.T) {
+	s := NewSink(sim.NewKernel())
+	s.Span(s.Track("sched", "jobs"), "\xff", 0, 10)
+	var exported bytes.Buffer
+	if err := WriteChrome(&exported, []Capture{{Sink: s}}); err != nil {
+		t.Fatal(err)
+	}
+	if !utf8.Valid(exported.Bytes()) || !json.Valid(exported.Bytes()) {
+		t.Fatalf("export is not valid UTF-8 JSON:\n%q", exported.String())
+	}
+	events, err := ReadChrome(bytes.NewReader(exported.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var back bytes.Buffer
+	if err := WriteEvents(&back, events); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(back.Bytes(), exported.Bytes()) {
+		t.Errorf("round trip differs:\n%q\n--- want\n%q", back.String(), exported.String())
 	}
 }
 

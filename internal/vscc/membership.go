@@ -153,7 +153,7 @@ func (m *Membership) Lost(dev int) bool { return m.devs[dev].lost() }
 
 // State returns the device's membership state.
 //
-//lint:ignore deadexport the root and taskrt recovery tests check that a crashed device came back up
+//lint:ignore deadcode the root and taskrt recovery tests check that a crashed device came back up
 func (m *Membership) State(dev int) DevState { return m.devs[dev].state }
 
 // Quiesced reports whether the device is up with no rejoin replay in

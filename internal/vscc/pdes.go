@@ -317,11 +317,6 @@ func (pt *pdesPort) MMIOWriteLine(p *sim.Proc, srcDev, srcCore, hostDev, off int
 	pt.post(arrive, func() { pt.sys.eng.mmioWrite(hostDev, off, buf, mask) })
 }
 
-// MMIORead implements scc.OffChipPort: a blocking register read.
-func (pt *pdesPort) MMIORead(p *sim.Proc, srcDev, srcCore, hostDev, off int, buf []byte) {
-	pt.roundTrip(p, "pcie mmio read", buf, func(wake func([]byte)) { pt.sys.eng.mmioRead(srcDev, hostDev, off, len(buf), wake) })
-}
-
 // deliver applies (or holds, while the device is down) one
 // LMB-mutating delivery from the host.
 func (pt *pdesPort) deliver(bytes int, fn func()) {
@@ -551,16 +546,6 @@ func (e *pdesHost) mmioWrite(hostDev, off int, data [mem.LineSize]byte, mask uin
 	case host.CmdCopy:
 		e.vdmaCopy(cmd, done)
 	}
-}
-
-// mmioRead serves a blocking register read.
-func (e *pdesHost) mmioRead(srcDev, hostDev, off, n int, wake func([]byte)) {
-	done := e.op()
-	bank := e.banks[hostDev].Read(off / host.BankBytes)
-	resp := make([]byte, n)
-	copy(resp, bank[off%host.BankBytes:])
-	_, arrive := e.h2d[srcDev].reserve(done, n)
-	e.post(arrive, srcDev, func() { wake(resp) })
 }
 
 // update executes CmdUpdate: fetch the published range of the
