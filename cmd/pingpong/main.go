@@ -27,6 +27,7 @@ import (
 	"vscc/internal/scc"
 	"vscc/internal/sim"
 	"vscc/internal/stats"
+	"vscc/internal/trace"
 	"vscc/internal/vscc"
 )
 
@@ -159,7 +160,7 @@ func timelineOf(w io.Writer, title string, proto rcce.Protocol) error {
 	if err != nil {
 		return err
 	}
-	tl := sim.NewTimeline(k)
+	tl := trace.NewSink(k)
 	opts := []rcce.Option{rcce.WithTimeline(tl)}
 	if proto != nil {
 		opts = append(opts, rcce.WithProtocol(proto))
@@ -179,6 +180,6 @@ func timelineOf(w io.Writer, title string, proto rcce.Protocol) error {
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "-- %s:\n%s", title, tl.Render(96))
+	fmt.Fprintf(w, "-- %s:\n%s", title, tl.Timeline(96))
 	return nil
 }

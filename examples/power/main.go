@@ -1,8 +1,8 @@
-// Power: the SCC's frequency/voltage islands through the RCCE 2.0 power
-// API. A bulk-synchronous computation with imbalanced work lets the
-// lightly loaded ranks clock their tiles down while waiting at the
-// barrier — same completion time, lower power — and clock back up for
-// the communication phase.
+// Power: the SCC's frequency islands through the RCCE 2.0 power API. A
+// bulk-synchronous computation with imbalanced work lets the lightly
+// loaded ranks clock their tiles down while waiting at the barrier —
+// same completion time, lower power — and clock back up for the
+// communication phase.
 package main
 
 import (
@@ -42,8 +42,8 @@ func run(scaleDown bool) (finish sim.Cycles, avgMHz, joules float64) {
 		if scaleDown && r.ID() != 0 {
 			// Light ranks: a quarter of the work — halve the clock
 			// (divider 6 -> 266 MHz) and still arrive before the
-			// bottleneck rank. Frequency-only changes are instant; the
-			// island stays at 0.9 V, which supports divider >= 3.
+			// bottleneck rank. Frequency changes are instant; the
+			// supply stays at 0.9 V, which supports divider >= 3.
 			if err := r.SetFrequencyDivider(6); err != nil {
 				panic(err)
 			}
@@ -92,6 +92,5 @@ func main() {
 	slowdown := float64(scaled)/float64(full) - 1
 	saved := 1 - scaledJ/fullJ
 	fmt.Printf("\ncompletion time cost of the scaling: %.1f %% — energy saved: %.1f %%\n", 100*slowdown, 100*saved)
-	fmt.Println("(the barrier hides the slow tiles; P ~ V^2*f, so halving idle-wait clocks is free performance-wise)")
-	fmt.Println("frequency changes are instant; voltage transitions (RCCE_iset_power) cost ~1 ms per island.")
+	fmt.Println("(the barrier hides the slow tiles; at a fixed 0.9 V dynamic power ~ f, so halving idle-wait clocks is free performance-wise)")
 }

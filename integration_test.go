@@ -5,7 +5,6 @@ package vscc_test
 
 import (
 	"bytes"
-	"math"
 	"testing"
 
 	"vscc/internal/ircce"
@@ -55,7 +54,7 @@ func TestVDMATimelineOverlapsPutAndGet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tl := sim.NewTimeline(k)
+	tl := trace.NewSink(k)
 	session, err := sys.NewSession(96, rcce.WithTimeline(tl))
 	if err != nil {
 		t.Fatal(err)
@@ -71,9 +70,32 @@ func TestVDMATimelineOverlapsPutAndGet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !tl.Overlap("put", "localget") {
+	if !overlaps(t, tl, "put", "localget") {
 		t.Error("vDMA pipeline did not overlap sender put with receiver get")
 	}
+}
+
+// overlaps reports whether a span named a overlaps one named b on the
+// timeline sink, read back through its Chrome export.
+func overlaps(t *testing.T, tl *trace.Sink, a, b string) bool {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := trace.WriteChrome(&buf, []trace.Capture{{Sink: tl}}); err != nil {
+		t.Fatal(err)
+	}
+	evs, err := trace.ReadChrome(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, x := range evs {
+		for _, y := range evs {
+			if x.Ph == "X" && y.Ph == "X" && x.Name == a && y.Name == b &&
+				x.Ts < y.Ts+y.Dur && y.Ts < x.Ts+x.Dur {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 func TestEndToEndDeterminism(t *testing.T) {
@@ -104,42 +126,6 @@ func TestEndToEndDeterminism(t *testing.T) {
 	if first != second {
 		t.Fatalf("nondeterministic full-stack run: %d vs %d", first, second)
 	}
-}
-
-func TestDegradedSystemStillComputesCorrectly(t *testing.T) {
-	// Silent core failures (paper §4): a 2-device system boots with
-	// failed cores; the session maps around them and BT still verifies
-	// against the healthy run.
-	healthy := runBTChecksum(t, nil)
-	degraded := runBTChecksum(t, map[int][]int{0: {3, 17}, 1: {0, 40, 41}})
-	for m := 0; m < 5; m++ {
-		rel := math.Abs(degraded[m]-healthy[m]) / math.Abs(healthy[m])
-		if rel > 1e-9 {
-			t.Errorf("degraded checksum[%d] differs by %.2e", m, rel)
-		}
-	}
-}
-
-func runBTChecksum(t *testing.T, failed map[int][]int) npb.Vec5 {
-	t.Helper()
-	k := sim.NewKernel()
-	sys, err := vscc.NewSystem(k, vscc.Config{Devices: 2, Scheme: vscc.SchemeVDMA, FailedCores: failed})
-	if err != nil {
-		t.Fatal(err)
-	}
-	session, err := sys.NewSession(9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := npb.NewDecomp(npb.ClassS.N, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := npb.RunOn(session, d, npb.Config{Class: npb.ClassS, Iterations: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res.Checksum
 }
 
 func TestMixedProtocolsOneSession(t *testing.T) {

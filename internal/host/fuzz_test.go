@@ -20,9 +20,9 @@ func FuzzRegisterFusion(f *testing.F) {
 	f.Add([]byte{0xFF}, uint32(1), uint32(1<<16))
 	f.Add(make([]byte, BankBytes+16), uint32(0xAAAAAAAA), uint32(0x55555555))
 	f.Fuzz(func(t *testing.T, data []byte, mask1, mask2 uint32) {
-		rf := newRegisterFile()
+		rf := NewBanks()
 		before := rf.read(0)
-		cmd, trigger := rf.write(0, data, mask1)
+		cmd, trigger := rf.Write(0, data, mask1)
 		after := rf.read(0)
 		for i := 0; i < BankBytes; i++ {
 			if mask1&(1<<uint(i)) == 0 || i >= len(data) {
@@ -39,12 +39,12 @@ func FuzzRegisterFusion(f *testing.F) {
 		// Validation must classify any decoded command without panicking,
 		// for any device count.
 		for _, n := range []int{0, 1, 4} {
-			_ = cmd.validate(n)
+			_ = cmd.Validate(n)
 		}
 		// A second partial write (the torn-programming case) must behave
 		// the same way.
-		cmd2, _ := rf.write(0, data, mask2)
-		_ = cmd2.validate(4)
+		cmd2, _ := rf.Write(0, data, mask2)
+		_ = cmd2.Validate(4)
 	})
 }
 
@@ -80,4 +80,4 @@ func FuzzBankRoundTrip(f *testing.F) {
 
 // read returns a core's bank image: the oracle FuzzRegisterFusion checks
 // the merge against.
-func (rf *registerFile) read(core int) [BankBytes]byte { return rf.banks[core] }
+func (b *Banks) read(core int) [BankBytes]byte { return b.banks[core] }

@@ -185,7 +185,7 @@ func (r *landing) arrive() {
 		if t.faults.CorruptMMIO(r.srcDev) {
 			r.data[t.faults.Pick("host.mmio", r.srcDev, len(r.data))] ^= 0x20
 		}
-		cmd, trigger := t.registerFile(r.dev).write(r.off/BankBytes, r.data, r.mask)
+		cmd, trigger := t.banks(r.dev).Write(r.off/BankBytes, r.data, r.mask)
 		if !trigger {
 			break
 		}

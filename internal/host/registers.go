@@ -103,11 +103,12 @@ func decodeBank(b []byte) BankCommand {
 	}
 }
 
-// validate rejects a command whose decoded fields cannot describe a
+// Validate rejects a command whose decoded fields cannot describe a
 // legal operation — the backstop that keeps a corrupted register image
 // (MMIO corruption, partial programming) from crashing the host task or
-// scribbling on the wrong device.
-func (c BankCommand) validate(numDevs int) error {
+// scribbling on the wrong device. The PDES per-kernel host
+// (internal/vscc) decodes the same register images and uses it too.
+func (c BankCommand) Validate(numDevs int) error {
 	switch c.Cmd {
 	case CmdCopy, CmdUpdate, CmdInvalidate:
 	default:
@@ -140,49 +141,27 @@ func (c BankCommand) validate(numDevs int) error {
 	return nil
 }
 
-// Validate is the exported form of validate: alternative host engines
-// (the PDES per-kernel host, internal/vscc) decode the same register
-// images and need the same backstop against corrupted commands.
-func (c BankCommand) Validate(numDevs int) error { return c.validate(numDevs) }
-
-// Banks is an exported register file for host engines living outside
-// this package. The classic single-kernel Task keeps its private
-// registerFile; the PDES host kernel holds one Banks per device so the
-// MMIO decode path is shared, not duplicated.
+// Banks is the register file of one device's host register window: one
+// bank per core. The classic Task holds one per device, and so does the
+// PDES host kernel (internal/vscc), so the MMIO decode path is shared.
 type Banks struct {
-	rf *registerFile
-}
-
-// NewBanks returns an empty register window.
-func NewBanks() *Banks { return &Banks{rf: newRegisterFile()} }
-
-// Write merges a masked line write into core's bank and returns the
-// decoded command plus whether the control byte was armed (the write
-// that triggers execution).
-func (b *Banks) Write(core int, data []byte, mask uint32) (BankCommand, bool) {
-	return b.rf.write(core, data, mask)
-}
-
-// registerFile holds the per-device, per-core banks of one host register
-// window.
-type registerFile struct {
 	banks map[int][BankBytes]byte // core id -> bank image
 }
 
-func newRegisterFile() *registerFile {
-	return &registerFile{banks: make(map[int][BankBytes]byte)}
-}
+// NewBanks returns an empty register window.
+func NewBanks() *Banks { return &Banks{banks: make(map[int][BankBytes]byte)} }
 
-// write merges a masked line write into a core's bank and reports
-// whether the control byte was touched with a non-zero command.
-func (rf *registerFile) write(core int, data []byte, mask uint32) (BankCommand, bool) {
-	bank := rf.banks[core]
+// Write merges a masked line write into core's bank and returns the
+// decoded command plus whether the control byte was armed with a
+// non-zero command (the write that triggers execution).
+func (b *Banks) Write(core int, data []byte, mask uint32) (BankCommand, bool) {
+	bank := b.banks[core]
 	for i := 0; i < BankBytes && i < len(data); i++ {
 		if mask&(1<<uint(i)) != 0 {
 			bank[i] = data[i]
 		}
 	}
-	rf.banks[core] = bank
+	b.banks[core] = bank
 	trigger := mask&(1<<16) != 0 && bank[16] != 0
 	return decodeBank(bank[:]), trigger
 }

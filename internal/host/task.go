@@ -92,7 +92,7 @@ type Task struct {
 	Chips  []*scc.Chip
 
 	regions   *regionTable
-	regs      map[int]*registerFile
+	regs      map[int]*Banks
 	caches    map[*Region]*cacheEntry
 	cacheList []*cacheEntry // deterministic iteration order
 	wcbs      map[*Region]*hostWCB
@@ -180,7 +180,7 @@ func New(k *sim.Kernel, fabric *pcie.Fabric, chips []*scc.Chip, params Params) (
 		Fabric:    fabric,
 		Chips:     chips,
 		regions:   newRegionTable(),
-		regs:      make(map[int]*registerFile),
+		regs:      make(map[int]*Banks),
 		caches:    make(map[*Region]*cacheEntry),
 		wcbs:      make(map[*Region]*hostWCB),
 		streams:   make(map[streamKey]*stream),
@@ -313,7 +313,7 @@ func (t *Task) restart() {
 	for _, st := range t.streamLst {
 		st.active = false
 	}
-	t.regs = make(map[int]*registerFile)
+	t.regs = make(map[int]*Banks)
 	t.stats.HostRestarts++
 	t.faults.RecordRecovery("watchdog-restart", "host", -1)
 	t.gate.Open()
@@ -824,10 +824,11 @@ func (t *Task) MMIOWriteLine(p *sim.Proc, srcDev, srcCore, hostDev, off int, dat
 	t.Fabric.PostD2H(p, srcDev, mem.LineSize, r.land)
 }
 
-func (t *Task) registerFile(dev int) *registerFile {
+// banks returns device dev's register window, made on first use.
+func (t *Task) banks(dev int) *Banks {
 	rf, ok := t.regs[dev]
 	if !ok {
-		rf = newRegisterFile()
+		rf = NewBanks()
 		t.regs[dev] = rf
 	}
 	return rf
@@ -838,7 +839,7 @@ func (t *Task) registerFile(dev int) *registerFile {
 // rejected rather than executed, and the device-side protocol recovers
 // by re-programming.
 func (t *Task) execute(cmd BankCommand) {
-	if err := cmd.validate(len(t.Chips)); err != nil {
+	if err := cmd.Validate(len(t.Chips)); err != nil {
 		t.stats.RejectedCommands++
 		t.faults.RecordRecovery("mmio-reject", "host.mmio", cmd.SrcDev)
 		return

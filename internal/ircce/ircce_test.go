@@ -8,6 +8,7 @@ import (
 	"vscc/internal/rcce"
 	"vscc/internal/scc"
 	"vscc/internal/sim"
+	"vscc/internal/trace"
 )
 
 func newSession(t testing.TB, n int, opts ...rcce.Option) *rcce.Session {
@@ -84,7 +85,7 @@ func TestPipelinedInterleavesPutAndGet(t *testing.T) {
 	k := sim.NewKernel()
 	chip := scc.NewChip(k, 0, scc.DefaultParams())
 	places, _ := rcce.LinearPlaces([]*scc.Chip{chip}, 2)
-	tl := sim.NewTimeline(k)
+	tl := trace.NewSink(k)
 	s, err := rcce.NewSession(k, []*scc.Chip{chip}, places,
 		rcce.WithProtocol(&PipelinedProtocol{Threshold: 1024}),
 		rcce.WithTimeline(tl))
@@ -102,9 +103,32 @@ func TestPipelinedInterleavesPutAndGet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !tl.Overlap("put", "get") {
+	if !overlaps(t, tl, "put", "get") {
 		t.Error("pipelined protocol did not interleave put and get")
 	}
+}
+
+// overlaps reports whether a span named a overlaps one named b on the
+// timeline sink, read back through its Chrome export.
+func overlaps(t *testing.T, tl *trace.Sink, a, b string) bool {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := trace.WriteChrome(&buf, []trace.Capture{{Sink: tl}}); err != nil {
+		t.Fatal(err)
+	}
+	evs, err := trace.ReadChrome(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, x := range evs {
+		for _, y := range evs {
+			if x.Ph == "X" && y.Ph == "X" && x.Name == a && y.Name == b &&
+				x.Ts < y.Ts+y.Dur && y.Ts < x.Ts+x.Dur {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 func TestPipelinedFasterThanBlockingForLargeMessages(t *testing.T) {

@@ -80,7 +80,6 @@ func (pp *PipelinedProtocol) state(me, peer int) *pipeSeq {
 
 // Send implements rcce.Protocol (pipelined local put).
 func (pp *PipelinedProtocol) Send(r *rcce.Rank, dest int, data []byte) {
-	tl := r.Session().Timeline()
 	pk := pp.packetBytes()
 	st := pp.state(r.ID(), dest)
 	myDev, myTile, myBase := r.MPBOf(r.ID())
@@ -100,14 +99,14 @@ func (pp *PipelinedProtocol) Send(r *rcce.Rank, dest int, data []byte) {
 			lo, hi := byte(seq-2), byte(seq-1)
 			t0 := r.Now()
 			ctx.WaitFlagFor(myTile, myBase+readyOff, func(b byte) bool { return b == lo || b == hi }, 0)
-			tl.Record("sender", "waitcredit", t0, r.Now())
+			r.Phase("sender", "waitcredit", t0)
 		}
 		slotOff := int((seq - 1) % 2 * uint64(pk))
 		t0 := r.Now()
 		ctx.CopyPrivate(n)
 		ctx.WriteMPB(myDev, myTile, myBase+slotOff, data[:n])
 		ctx.FlushWCB()
-		tl.Record("sender", "put", t0, r.Now())
+		r.Phase("sender", "put", t0)
 		sink := r.Sink()
 		sink.Add("ircce.packets", 1)
 		sink.Observe("ircce.packet_bytes", float64(n))
@@ -119,12 +118,11 @@ func (pp *PipelinedProtocol) Send(r *rcce.Rank, dest int, data []byte) {
 	final := byte(st.out)
 	t0 := r.Now()
 	ctx.WaitFlagFor(myTile, myBase+readyOff, func(b byte) bool { return b == final }, 0)
-	tl.Record("sender", "waitack", t0, r.Now())
+	r.Phase("sender", "waitack", t0)
 }
 
 // Recv implements rcce.Protocol (pipelined remote get).
 func (pp *PipelinedProtocol) Recv(r *rcce.Rank, src int, buf []byte) {
-	tl := r.Session().Timeline()
 	pk := pp.packetBytes()
 	st := pp.state(r.ID(), src)
 	_, myTile, myBase := r.MPBOf(r.ID())
@@ -143,13 +141,13 @@ func (pp *PipelinedProtocol) Recv(r *rcce.Rank, src int, buf []byte) {
 		lo, hi := byte(seq), byte(seq+1)
 		t0 := r.Now()
 		ctx.WaitFlagFor(myTile, myBase+sentOff, func(b byte) bool { return b == lo || b == hi }, 0)
-		tl.Record("receiver", "waitdata", t0, r.Now())
+		r.Phase("receiver", "waitdata", t0)
 		slotOff := int((seq - 1) % 2 * uint64(pk))
 		t0 = r.Now()
 		ctx.InvalidateMPB()
 		ctx.ReadMPB(srcDev, srcTile, srcBase+slotOff, buf[:n])
 		ctx.CopyPrivate(n)
-		tl.Record("receiver", "get", t0, r.Now())
+		r.Phase("receiver", "get", t0)
 		// Acknowledge the drained packet at the sender.
 		pp.writeCounter(r, src, rcce.FlagReady, byte(seq))
 		buf = buf[n:]

@@ -84,27 +84,29 @@ func (l *Link) OccupancyFor(bytes int) sim.Cycles {
 	return sim.Cycles((uint64(bytes)*l.cyclesPerByteX1024 + 1023) / 1024)
 }
 
-// Transfer moves bytes across the link from process context, blocking the
-// caller for queueing delay + latency + serialization. It returns the
-// cycles actually spent.
-func (l *Link) Transfer(p *sim.Proc, bytes int) sim.Cycles {
-	now := p.Now()
-	start := now
-	if l.nextFree > start {
-		start = l.nextFree
-	}
+// reserve queues a transfer of bytes, issued at now, behind the
+// channel's earlier ones: it books the occupancy, the usage counters and
+// the trace record, and returns the cycle the last byte is on the wire.
+func (l *Link) reserve(now sim.Cycles, bytes int) sim.Cycles {
+	start := max(now, l.nextFree)
 	occ := l.OccupancyFor(bytes)
 	l.nextFree = start + occ
-	done := l.nextFree + l.Latency
 	queued := start - now
 	l.transfers++
 	l.bytesTotal += uint64(bytes)
 	l.busyCycles += occ
 	l.waitedCycles += queued
-	if queued > l.maxQueueDelay {
-		l.maxQueueDelay = queued
-	}
+	l.maxQueueDelay = max(l.maxQueueDelay, queued)
 	l.record(bytes, start, occ, queued)
+	return l.nextFree
+}
+
+// Transfer moves bytes across the link from process context, blocking the
+// caller for queueing delay + latency + serialization. It returns the
+// cycles actually spent.
+func (l *Link) Transfer(p *sim.Proc, bytes int) sim.Cycles {
+	now := p.Now()
+	done := l.reserve(now, bytes) + l.Latency
 	//lint:ignore simapi done = start + occupancy + latency with start >= now
 	p.Delay(done - now)
 	return done - now
@@ -118,27 +120,12 @@ func (l *Link) Transfer(p *sim.Proc, bytes int) sim.Cycles {
 // one link never reorder.
 func (l *Link) TransferAsync(p *sim.Proc, bytes int, onDelivered func()) {
 	now := p.Now()
-	start := now
-	if l.nextFree > start {
-		start = l.nextFree
-	}
-	occ := l.OccupancyFor(bytes)
-	l.nextFree = start + occ
-	deliveredAt := l.nextFree + l.Latency
-	queued := start - now
-	l.transfers++
-	l.bytesTotal += uint64(bytes)
-	l.busyCycles += occ
-	l.waitedCycles += queued
-	if queued > l.maxQueueDelay {
-		l.maxQueueDelay = queued
-	}
-	l.record(bytes, start, occ, queued)
+	onWire := l.reserve(now, bytes)
 	if onDelivered != nil {
-		p.Kernel().At(deliveredAt, onDelivered)
+		p.Kernel().At(onWire+l.Latency, onDelivered)
 	}
-	//lint:ignore simapi nextFree = start + occupancy with start >= now
-	p.Delay(l.nextFree - now)
+	//lint:ignore simapi onWire = start + occupancy with start >= now
+	p.Delay(onWire - now)
 }
 
 // LinkStats is a snapshot of link usage counters.

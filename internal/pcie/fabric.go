@@ -69,10 +69,6 @@ type Params struct {
 	HostOpCycles sim.Cycles
 	// DMASetupCycles is the host DMA engine programming cost per burst.
 	DMASetupCycles sim.Cycles
-	// AllowUnstableFPGA permits AckFPGA with three or more devices; the
-	// hardware configuration the paper reports as unusable. Only for
-	// failure-injection experiments.
-	AllowUnstableFPGA bool
 }
 
 // DefaultParams returns the calibrated fabric timing.
@@ -83,7 +79,6 @@ func DefaultParams() Params {
 		SIFAckCycles:      120,
 		HostOpCycles:      160,
 		DMASetupCycles:    400,
-		AllowUnstableFPGA: false,
 	}
 }
 
@@ -115,7 +110,7 @@ func New(n int, params Params, ack AckMode) (*Fabric, error) {
 	if n <= 0 {
 		return nil, errors.New("pcie: fabric with no devices")
 	}
-	if ack == AckFPGA && n > 2 && !params.AllowUnstableFPGA {
+	if ack == AckFPGA && n > 2 {
 		return nil, fmt.Errorf("pcie: FPGA fast write-acks are unstable for %d devices (max 2); see §2.3", n)
 	}
 	f := &Fabric{Params: params, Ack: ack}

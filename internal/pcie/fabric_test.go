@@ -32,10 +32,8 @@ func TestFPGAFastAckStabilityRule(t *testing.T) {
 	if _, err := New(3, DefaultParams(), AckFPGA); err == nil {
 		t.Error("3-device FPGA fast-ack should be rejected")
 	}
-	p := DefaultParams()
-	p.AllowUnstableFPGA = true
-	if _, err := New(5, p, AckFPGA); err != nil {
-		t.Errorf("explicit unstable override should be allowed: %v", err)
+	if _, err := New(5, DefaultParams(), AckFPGA); err == nil {
+		t.Error("5-device FPGA fast-ack should be rejected")
 	}
 	// The other ack modes have no device limit.
 	if _, err := New(5, DefaultParams(), AckHost); err != nil {

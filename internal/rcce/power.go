@@ -12,8 +12,8 @@ func (r *Rank) FrequencyMHz() int {
 }
 
 // SetFrequencyDivider changes the rank's tile clock immediately
-// (RCCE_set_frequency_divider). The island voltage must already support
-// the target frequency: this call does not raise it.
+// (RCCE_set_frequency_divider), within [scc.MinDivider, scc.MaxDivider]:
+// the supply stays at 0.9 V, so 533 MHz is the fastest clock.
 func (r *Rank) SetFrequencyDivider(divider int) error {
 	return r.s.Chip(r.id).SetTileDivider(scc.CoreTile(r.place(r.id).Core), divider)
 }

@@ -34,7 +34,6 @@ const ChunkBytes = PayloadBytes
 
 // Send implements Protocol.
 func (DefaultProtocol) Send(r *Rank, dest int, data []byte) {
-	tl := r.s.timeline
 	myDev, myTile, myBase := r.mpb(r.id)
 	for len(data) > 0 {
 		n := len(data)
@@ -46,20 +45,19 @@ func (DefaultProtocol) Send(r *Rank, dest int, data []byte) {
 		r.ctx.CopyPrivate(n)
 		r.ctx.WriteMPB(myDev, myTile, myBase, data[:n])
 		r.ctx.FlushWCB()
-		tl.Record("sender", "put", t0, r.Now())
+		r.Phase("sender", "put", t0)
 		// Signal chunk availability at the receiver.
 		r.setSent(dest, 1)
 		// Wait for the receiver's drain acknowledgement.
 		t0 = r.Now()
 		r.waitReady(dest)
-		tl.Record("sender", "waitack", t0, r.Now())
+		r.Phase("sender", "waitack", t0)
 		data = data[n:]
 	}
 }
 
 // Recv implements Protocol.
 func (DefaultProtocol) Recv(r *Rank, src int, buf []byte) {
-	tl := r.s.timeline
 	srcDev, srcTile, srcBase := r.mpb(src)
 	for len(buf) > 0 {
 		n := len(buf)
@@ -69,13 +67,13 @@ func (DefaultProtocol) Recv(r *Rank, src int, buf []byte) {
 		// Wait for the sender's flag.
 		t0 := r.Now()
 		r.waitSent(src)
-		tl.Record("receiver", "waitdata", t0, r.Now())
+		r.Phase("receiver", "waitdata", t0)
 		// Remote get: sender's MPB -> private memory.
 		t0 = r.Now()
 		r.ctx.InvalidateMPB()
 		r.ctx.ReadMPB(srcDev, srcTile, srcBase, buf[:n])
 		r.ctx.CopyPrivate(n)
-		tl.Record("receiver", "get", t0, r.Now())
+		r.Phase("receiver", "get", t0)
 		// Release the sender's buffer.
 		r.setReady(src, 1)
 		buf = buf[n:]

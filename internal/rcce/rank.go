@@ -50,6 +50,16 @@ func (r *Rank) Ctx() *scc.Ctx { return r.ctx }
 // Now returns the current simulated time.
 func (r *Rank) Now() sim.Cycles { return r.ctx.Now() }
 
+// Phase records the protocol phase label of actor ("sender",
+// "receiver") as the span [from, now] on track ("rcce", actor) of the
+// session's timeline sink (WithTimeline); from == now records an
+// instant. Without a timeline it does nothing.
+func (r *Rank) Phase(actor, label string, from sim.Cycles) {
+	if tl := r.s.timeline; tl != nil {
+		tl.Span(tl.Track("rcce", actor), label, from, r.Now())
+	}
+}
+
 // ComputeFlops charges floating-point work to the rank's core.
 func (r *Rank) ComputeFlops(n float64) { r.ctx.ComputeFlops(n) }
 

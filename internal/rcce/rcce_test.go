@@ -3,11 +3,13 @@ package rcce
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 
 	"vscc/internal/scc"
 	"vscc/internal/sim"
+	"vscc/internal/trace"
 )
 
 // newSession builds a single-chip session with n ranks on ascending cores.
@@ -332,21 +334,21 @@ func TestReduceMax(t *testing.T) {
 	}
 }
 
-func TestLinearPlacesSkipsFailedCores(t *testing.T) {
+// LinearPlaces fills device 0's cores in order, then device 1's from
+// rank 48, and refuses more ranks than the devices have cores.
+func TestLinearPlaces(t *testing.T) {
 	k := sim.NewKernel()
-	chip := scc.NewChip(k, 0, scc.DefaultParams())
-	chip.SetAlive(0, false)
-	chip.SetAlive(5, false)
-	places, err := LinearPlaces([]*scc.Chip{chip}, 46)
+	chips := []*scc.Chip{scc.NewChip(k, 0, scc.DefaultParams()), scc.NewChip(k, 1, scc.DefaultParams())}
+	places, err := LinearPlaces(chips, 96)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, pl := range places {
-		if pl.Core == 0 || pl.Core == 5 {
-			t.Errorf("failed core %d mapped to a rank", pl.Core)
+	for rank, pl := range places {
+		if want := (Place{Dev: rank / 48, Core: rank % 48}); pl != want {
+			t.Fatalf("rank %d at %+v, want %+v", rank, pl, want)
 		}
 	}
-	if _, err := LinearPlaces([]*scc.Chip{chip}, 47); err == nil {
+	if _, err := LinearPlaces(chips, 97); err == nil {
 		t.Error("requesting more ranks than available cores should fail")
 	}
 }
@@ -366,10 +368,6 @@ func TestSessionValidation(t *testing.T) {
 	}
 	if _, err := NewSession(k, chips, []Place{{Dev: 0, Core: 3}, {Dev: 0, Core: 3}}); err == nil {
 		t.Error("duplicate placement should fail")
-	}
-	chip.SetAlive(7, false)
-	if _, err := NewSession(k, chips, []Place{{Dev: 0, Core: 7}}); err == nil {
-		t.Error("placement on failed core should fail")
 	}
 }
 
@@ -397,11 +395,32 @@ func TestTrafficObserver(t *testing.T) {
 	}
 }
 
+// phaseSpans reads the spans of a timeline sink back through its Chrome
+// export.
+func phaseSpans(t *testing.T, tl *trace.Sink) []trace.Event {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := trace.WriteChrome(&buf, []trace.Capture{{Sink: tl}}); err != nil {
+		t.Fatal(err)
+	}
+	evs, err := trace.ReadChrome(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var spans []trace.Event
+	for _, ev := range evs {
+		if ev.Ph == "X" {
+			spans = append(spans, ev)
+		}
+	}
+	return spans
+}
+
 func TestTimelineRecordsProtocolPhases(t *testing.T) {
 	k := sim.NewKernel()
 	chip := scc.NewChip(k, 0, scc.DefaultParams())
 	places, _ := LinearPlaces([]*scc.Chip{chip}, 2)
-	tl := sim.NewTimeline(k)
+	tl := trace.NewSink(k)
 	s, err := NewSession(k, []*scc.Chip{chip}, places, WithTimeline(tl))
 	if err != nil {
 		t.Fatal(err)
@@ -416,22 +435,69 @@ func TestTimelineRecordsProtocolPhases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var havePut, haveGet bool
-	for _, sp := range tl.Spans() {
-		if sp.Label == "put" {
-			havePut = true
-		}
-		if sp.Label == "get" {
-			haveGet = true
+	var puts, gets []trace.Event
+	for _, sp := range phaseSpans(t, tl) {
+		switch sp.Name {
+		case "put":
+			puts = append(puts, sp)
+		case "get":
+			gets = append(gets, sp)
 		}
 	}
-	if !havePut || !haveGet {
-		t.Errorf("timeline missing phases: put=%v get=%v", havePut, haveGet)
+	if len(puts) == 0 || len(gets) == 0 {
+		t.Fatalf("timeline missing phases: %d puts, %d gets", len(puts), len(gets))
 	}
 	// Fig 2a semantics: in the blocking protocol the receiver's get
 	// strictly follows the sender's put (no pipelining).
-	if tl.Overlap("put", "get") {
-		t.Error("blocking protocol should not interleave put and get")
+	for _, p := range puts {
+		for _, g := range gets {
+			if p.Ts < g.Ts+g.Dur && g.Ts < p.Ts+p.Dur {
+				t.Errorf("blocking put %+v overlaps get %+v", p, g)
+			}
+		}
+	}
+}
+
+// Phase records [from, now] on track ("rcce", actor), an instant
+// stamped at the current cycle when from is now.
+func TestPhaseMarkUsesNow(t *testing.T) {
+	k := sim.NewKernel()
+	chip := scc.NewChip(k, 0, scc.DefaultParams())
+	places, _ := LinearPlaces([]*scc.Chip{chip}, 1)
+	tl := trace.NewSink(k)
+	s, err := NewSession(k, []*scc.Chip{chip}, places, WithTimeline(tl))
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = s.Run(func(r *Rank) {
+		r.Ctx().Delay(77)
+		r.Phase("sender", "put", 10)
+		r.Phase("sender", "dma-armed", r.Now())
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := phaseSpans(t, tl)
+	if len(got) != 2 || got[0].Name != "put" || got[0].Ts != 10 || got[0].Dur != 67 ||
+		got[1].Name != "dma-armed" || got[1].Ts != 77 || got[1].Dur != 0 {
+		t.Errorf("phases = %+v, want put [10,77] and instant dma-armed at 77", got)
+	}
+	if out := tl.Timeline(10); !strings.HasPrefix(out, "timeline 10..77") || !strings.Contains(out, "\nsender ") {
+		t.Errorf("track not named after the actor:\n%s", out)
+	}
+}
+
+// Without a timeline Phase does nothing and allocates nothing.
+func TestPhaseNilSafe(t *testing.T) {
+	var allocs float64
+	err := newSession(t, 1).Run(func(r *Rank) {
+		allocs = testing.AllocsPerRun(100, func() { r.Phase("sender", "put", 0) })
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs != 0 {
+		t.Errorf("Phase without a timeline allocates %.1f, want 0", allocs)
 	}
 }
 

@@ -15,7 +15,6 @@ package rcce
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"vscc/internal/fault"
 	"vscc/internal/mem"
@@ -69,7 +68,7 @@ type Session struct {
 	places []Place
 
 	protocol Protocol
-	timeline *sim.Timeline
+	timeline *trace.Sink
 	sink     *trace.Sink
 
 	// devSinks, when set, routes each rank's observability to its own
@@ -113,8 +112,10 @@ type Option func(*Session)
 // protocol.
 func WithProtocol(p Protocol) Option { return func(s *Session) { s.protocol = p } }
 
-// WithTimeline records protocol phases for Fig. 2 style diagrams.
-func WithTimeline(t *sim.Timeline) Option { return func(s *Session) { s.timeline = t } }
+// WithTimeline records protocol phases (Rank.Phase) on their own sink,
+// for Fig. 2 style diagrams (trace.Sink.Timeline). It is apart from
+// WithSink so the phases stay out of the session's ordinary trace.
+func WithTimeline(t *trace.Sink) Option { return func(s *Session) { s.timeline = t } }
 
 // WithTrafficObserver registers a callback for every delivered message.
 func WithTrafficObserver(fn func(src, dest, bytes int)) Option {
@@ -155,9 +156,6 @@ func NewSession(k *sim.Kernel, chips []*scc.Chip, places []Place, opts ...Option
 		if pl.Core < 0 || pl.Core >= scc.NumCores {
 			return nil, fmt.Errorf("rcce: rank %d placed on invalid core %d", i, pl.Core)
 		}
-		if !chips[pl.Dev].Alive(pl.Core) {
-			return nil, fmt.Errorf("rcce: rank %d placed on failed core %d of device %d", i, pl.Core, pl.Dev)
-		}
 		if seen[pl] {
 			return nil, fmt.Errorf("rcce: duplicate placement %+v", pl)
 		}
@@ -182,22 +180,16 @@ func NewSession(k *sim.Kernel, chips []*scc.Chip, places []Place, opts ...Option
 
 // LinearPlaces builds the default vSCC rank mapping (paper §3): all cores
 // of device 0 in a linear way, continuing on device 1 starting with rank
-// 48, and so on. Failed cores are skipped, reproducing the extended RCCE
-// startup script that writes a configuration file of available cores
-// before the application run (paper §4).
+// 48, and so on.
 func LinearPlaces(chips []*scc.Chip, n int) ([]Place, error) {
-	var places []Place
-	for dev, chip := range chips {
-		alive := chip.AliveCores()
-		sort.Ints(alive)
-		for _, core := range alive {
-			places = append(places, Place{Dev: dev, Core: core})
-		}
+	if total := len(chips) * scc.NumCores; n > total {
+		return nil, fmt.Errorf("rcce: requested %d ranks, only %d cores available", n, total)
 	}
-	if n > len(places) {
-		return nil, fmt.Errorf("rcce: requested %d ranks, only %d cores available", n, len(places))
+	places := make([]Place, n)
+	for i := range places {
+		places[i] = Place{Dev: i / scc.NumCores, Core: i % scc.NumCores}
 	}
-	return places[:n], nil
+	return places, nil
 }
 
 // NumRanks returns the session size.
@@ -211,9 +203,6 @@ func (s *Session) Chip(rank int) *scc.Chip { return s.chips[s.places[rank].Dev] 
 
 // Protocol returns the active wire protocol.
 func (s *Session) Protocol() Protocol { return s.protocol }
-
-// Timeline returns the session's timeline (may be nil).
-func (s *Session) Timeline() *sim.Timeline { return s.timeline }
 
 // SameDevice reports whether two ranks share a device.
 func (s *Session) SameDevice(a, b int) bool { return s.places[a].Dev == s.places[b].Dev }

@@ -72,11 +72,7 @@ type Chip struct {
 	// means a standalone chip; off-chip access panics.
 	OffChip OffChipPort
 
-	// alive tracks core availability; the SCC research system frequently
-	// boots with silent core failures (paper §4).
-	alive []bool
-
-	// power holds the frequency/voltage island state.
+	// power holds the frequency island state.
 	power *powerState
 
 	// check is the runtime MPB consistency oracle (check.go); nil when
@@ -106,7 +102,6 @@ func NewChip(k *sim.Kernel, index int, params Params) *Chip {
 		Kernel: k,
 		Mesh:   noc.New(MeshWidth, MeshHeight, noc.DefaultParams()),
 		Params: params,
-		alive:  make([]bool, NumCores),
 		power:  newPowerState(),
 	}
 	for t := 0; t < NumTiles; t++ {
@@ -127,7 +122,6 @@ func NewChip(k *sim.Kernel, index int, params Params) *Chip {
 			LUT:  lut,
 			chip: c,
 		})
-		c.alive[id] = true
 	}
 	return c
 }
@@ -153,31 +147,10 @@ func CoreLMBOffset(core int) int {
 	return mem.CoreLMBSize
 }
 
-// SetAlive marks a core as available or failed.
-func (c *Chip) SetAlive(core int, alive bool) { c.alive[core] = alive }
-
-// Alive reports whether a core booted successfully.
-func (c *Chip) Alive(core int) bool { return c.alive[core] }
-
-// AliveCores returns the ids of all available cores in ascending order.
-func (c *Chip) AliveCores() []int {
-	var out []int
-	for id, a := range c.alive {
-		if a {
-			out = append(out, id)
-		}
-	}
-	return out
-}
-
-// Launch starts a program on a core as a simulated process. It panics if
-// the core failed at boot.
+// Launch starts a program on a core as a simulated process.
 func (c *Chip) Launch(core int, name string, body func(*Ctx)) *sim.Proc {
 	if core < 0 || core >= NumCores {
 		panic(fmt.Sprintf("scc: launch on invalid core %d", core))
-	}
-	if !c.alive[core] {
-		panic(fmt.Sprintf("scc: launch on failed core %d of device %d", core, c.Index))
 	}
 	co := c.Cores[core]
 	return c.Kernel.Spawn(name, func(p *sim.Proc) {

@@ -196,28 +196,6 @@ func TestL1HitFasterThanMiss(t *testing.T) {
 	}
 }
 
-func TestCoreFailureInjection(t *testing.T) {
-	k := sim.NewKernel()
-	c := newTestChip(k)
-	c.SetAlive(13, false)
-	c.SetAlive(40, false)
-	alive := c.AliveCores()
-	if len(alive) != 46 {
-		t.Fatalf("alive = %d cores, want 46", len(alive))
-	}
-	for _, id := range alive {
-		if id == 13 || id == 40 {
-			t.Fatalf("failed core %d listed alive", id)
-		}
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("launch on failed core did not panic")
-		}
-	}()
-	c.Launch(13, "ghost", func(ctx *Ctx) {})
-}
-
 func TestComputeFlops(t *testing.T) {
 	k := sim.NewKernel()
 	c := newTestChip(k)

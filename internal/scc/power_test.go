@@ -14,30 +14,8 @@ func TestDefaultPowerConfiguration(t *testing.T) {
 			t.Fatalf("tile %d at %d MHz, want 533 (paper's configuration)", tile, f)
 		}
 	}
-	for isl := 0; isl < VoltageIslands; isl++ {
-		if v := c.power.voltages[isl]; v != Voltage0V9 {
-			t.Fatalf("island %d at %d mV, want 900", isl, v)
-		}
-	}
-}
-
-func TestVoltageIslandMapping(t *testing.T) {
-	if TilesPerVoltageIsland != 4 {
-		t.Fatalf("tiles per island = %d, want 4", TilesPerVoltageIsland)
-	}
-	if VoltageIslandOf(0) != 0 || VoltageIslandOf(3) != 0 || VoltageIslandOf(4) != 1 || VoltageIslandOf(23) != 5 {
-		t.Error("island mapping wrong")
-	}
-}
-
-func TestMinVoltageMonotone(t *testing.T) {
-	prev := Voltage1V1
-	for d := MinDivider; d <= MaxDivider; d++ {
-		v := MinVoltageFor(d)
-		if v > prev {
-			t.Errorf("MinVoltageFor(%d)=%d rises above MinVoltageFor(%d)=%d", d, v, d-1, prev)
-		}
-		prev = v
+	if w := c.TilePowerWatts(0); w != TileDynamicWattsNominal+TileLeakageWattsNominal {
+		t.Errorf("nominal tile power = %v W, want %v", w, TileDynamicWattsNominal+TileLeakageWattsNominal)
 	}
 }
 
@@ -69,16 +47,15 @@ func TestFrequencyScalingSlowsCompute(t *testing.T) {
 func TestDividerNeedsVoltage(t *testing.T) {
 	k := sim.NewKernel()
 	c := NewChip(k, 0, DefaultParams())
-	// 800 MHz (divider 2) needs 1.1 V; default islands run at 0.9 V.
+	// 800 MHz (divider 2) needs 1.1 V; the supply stays at 0.9 V.
 	if err := c.SetTileDivider(0, 2); err == nil {
 		t.Fatal("divider 2 at 0.9 V should be rejected")
 	}
-	c.power.voltages[0] = Voltage1V1
-	if err := c.SetTileDivider(0, 2); err != nil {
-		t.Errorf("divider 2 at 1.1 V rejected: %v", err)
+	if err := c.SetTileDivider(0, MinDivider); err != nil {
+		t.Errorf("divider %d at 0.9 V rejected: %v", MinDivider, err)
 	}
-	if c.TileFrequencyMHz(0) != 800 {
-		t.Errorf("tile 0 at %d MHz, want 800", c.TileFrequencyMHz(0))
+	if c.TileFrequencyMHz(0) != 533 {
+		t.Errorf("tile 0 at %d MHz, want 533", c.TileFrequencyMHz(0))
 	}
 }
 
@@ -140,28 +117,5 @@ func TestFrequencyScalingSavesEnergy(t *testing.T) {
 	full := c.TileEnergyJoules(5, oneSecond)
 	if full <= got {
 		t.Errorf("nominal tile (%.3f J) should exceed the scaled tile (%.3f J)", full, got)
-	}
-}
-
-func TestVoltageScalingQuadraticPower(t *testing.T) {
-	k := sim.NewKernel()
-	c := NewChip(k, 0, DefaultParams())
-	nominal := c.TilePowerWatts(0)
-	// Slow the island's tiles so 0.7 V is legal, then drop its supply.
-	for tile := 0; tile < TilesPerVoltageIsland; tile++ {
-		if err := c.SetTileDivider(tile, 8); err != nil {
-			t.Fatal(err)
-		}
-	}
-	c.power.voltages[0] = Voltage0V7
-	scaled := c.TilePowerWatts(0)
-	// (0.7/0.9)^2 * (200/533) dynamic + (0.7/0.9)^2 leakage.
-	vv := (700.0 / 900) * (700.0 / 900)
-	want := TileDynamicWattsNominal*vv*(200.0/533.0) + TileLeakageWattsNominal*vv
-	if scaled < want*0.99 || scaled > want*1.01 {
-		t.Errorf("scaled power = %.3f W, want %.3f", scaled, want)
-	}
-	if scaled >= nominal/2 {
-		t.Errorf("DVFS saved too little: %.3f W vs nominal %.3f W", scaled, nominal)
 	}
 }

@@ -282,10 +282,12 @@ func New(sys *vscc.System, sink *trace.Sink, opts Options) *Scheduler {
 		lutPer:    opts.LUTSlotsPerDevice,
 		cacheFree: opts.CacheLines,
 	}
-	for _, chip := range sys.Chips {
-		alive := chip.AliveCores()
-		sort.Ints(alive)
-		s.free = append(s.free, alive)
+	for range sys.Chips {
+		free := make([]int, scc.NumCores)
+		for c := range free {
+			free[c] = c
+		}
+		s.free = append(s.free, free)
 		s.lutFree = append(s.lutFree, opts.LUTSlotsPerDevice)
 	}
 	sys.Task.EnableQoS()
@@ -403,22 +405,15 @@ func (s *Scheduler) feasible(n int) error {
 	if n > rcce.MaxRanks {
 		return fmt.Errorf("%d ranks exceeds MaxRanks=%d", n, rcce.MaxRanks)
 	}
-	total := 0
-	for _, chip := range s.sys.Chips {
-		total += len(chip.AliveCores())
-	}
-	if n > total {
+	if total := len(s.sys.Chips) * scc.NumCores; n > total {
 		return fmt.Errorf("%d ranks exceeds the machine's %d cores", n, total)
 	}
 	// Worst admissible placement on the empty machine: device-major over
-	// all alive cores, mirroring allocate.
+	// all cores, mirroring allocate.
 	perDev := make([]int, len(s.sys.Chips))
 	left := n
-	for d, chip := range s.sys.Chips {
-		take := len(chip.AliveCores())
-		if take > left {
-			take = left
-		}
+	for d := range s.sys.Chips {
+		take := min(scc.NumCores, left)
 		perDev[d] = take
 		left -= take
 		if left == 0 {

@@ -1,13 +1,16 @@
 // report.go renders a sink's counters, histograms and track occupancy as
 // a plain-text metrics report — the quick-look companion to the Chrome
-// export, answering "where did the cycles go" without a browser.
+// export, answering "where did the cycles go" without a browser — and its
+// spans as a Fig. 2 style ASCII timeline.
 package trace
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
+	"vscc/internal/sim"
 	"vscc/internal/stats"
 )
 
@@ -79,5 +82,65 @@ func Report(caps []Capture) string {
 		fmt.Fprintf(&b, "== metrics: %s ==\n", name)
 		b.WriteString(c.Sink.MetricsReport())
 	}
+	return b.String()
+}
+
+// Timeline draws the sink's spans as fixed-width text, one row per track
+// thread, with time flowing left to right — an ASCII rendition of the
+// paper's Fig. 2 protocol diagrams. Spans are ordered by start cycle,
+// then thread; rows appear in the order their first span does. A span
+// draws as the first letter of its name, a zero-length one as '|'.
+func (s *Sink) Timeline(width int) string {
+	if s.SpanCount() == 0 {
+		return "(empty timeline)\n"
+	}
+	actor := func(sp spanEvent) string { return s.tracks[sp.track].thread }
+	spans := append([]spanEvent(nil), s.spans...)
+	sort.SliceStable(spans, func(i, j int) bool {
+		if spans[i].from != spans[j].from {
+			return spans[i].from < spans[j].from
+		}
+		return actor(spans[i]) < actor(spans[j])
+	})
+	lo, hi := spans[0].from, sim.Cycles(0)
+	var actors []string
+	for _, sp := range spans {
+		hi = max(hi, sp.to)
+		if a := actor(sp); !slices.Contains(actors, a) {
+			actors = append(actors, a)
+		}
+	}
+	if hi == lo {
+		hi = lo + 1
+	}
+	scale := float64(width) / float64(hi-lo)
+	var b strings.Builder
+	fmt.Fprintf(&b, "timeline %d..%d cycles (1 col = %.0f cycles)\n", lo, hi, 1/scale)
+	row := make([]byte, width)
+	for _, a := range actors {
+		for i := range row {
+			row[i] = ' '
+		}
+		for _, sp := range spans {
+			if actor(sp) != a {
+				continue
+			}
+			from := int(float64(sp.from-lo) * scale)
+			to := min(int(float64(sp.to-lo)*scale), width-1)
+			if from == to {
+				row[from] = '|'
+				continue
+			}
+			ch := byte('=')
+			if sp.name != "" {
+				ch = sp.name[0]
+			}
+			for i := from; i <= to; i++ {
+				row[i] = ch
+			}
+		}
+		fmt.Fprintf(&b, "%-10s |%s|\n", a, row)
+	}
+	b.WriteString("legend: first letter of span label; '|' = instant event\n")
 	return b.String()
 }

@@ -141,7 +141,7 @@ func NewPDESSystem(cfg Config, workers int) (*PDESSystem, error) {
 	for d := 0; d < cfg.Devices; d++ {
 		s.eng.h2d[d] = pdesLink{bpc: fabricParams.LinkBytesPerCycle, lat: fabricParams.LinkLatency}
 		s.eng.banks[d] = host.NewBanks()
-		chip := cfg.newChip(s.PDES.Kernel(d), d, chipParams)
+		chip := scc.NewChip(s.PDES.Kernel(d), d, chipParams)
 		pt := &pdesPort{
 			devLifecycle: devLifecycle{k: s.PDES.Kernel(d), dev: d, chip: chip},
 			sys:          s,

@@ -163,13 +163,8 @@ func (s *System) RowAlignedPlaces(q int) ([]rcce.Place, error) {
 	for pj := 0; pj < q; pj++ {
 		dev := pj / rowsPerDevice
 		rowInDev := pj % rowsPerDevice
-		alive := s.Chips[dev].AliveCores()
-		if len(alive) < rowsPerDevice*q {
-			return nil, fmt.Errorf("vscc: device %d has %d cores alive, row-aligned placement needs %d",
-				dev, len(alive), rowsPerDevice*q)
-		}
 		for pi := 0; pi < q; pi++ {
-			places[pi+pj*q] = rcce.Place{Dev: dev, Core: alive[rowInDev*q+pi]}
+			places[pi+pj*q] = rcce.Place{Dev: dev, Core: rowInDev*q + pi}
 		}
 	}
 	return places, nil

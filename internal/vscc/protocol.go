@@ -293,7 +293,6 @@ func (ip *interDeviceProtocol) Recv(r *rcce.Rank, src int, buf []byte) {
 // defined a threshold for a core to directly transfer data"): for a line
 // or two, the receiver's transparent read beats warming the host cache.
 func (ip *interDeviceProtocol) flagSend(r *rcce.Rank, dest int, data []byte, engaged bool) {
-	tl := r.Session().Timeline()
 	ctx := r.Ctx()
 	remote := ip.desc.place == placeRemote
 	holder, put := r.ID(), "put"
@@ -315,7 +314,7 @@ func (ip *interDeviceProtocol) flagSend(r *rcce.Rank, dest int, data []byte, eng
 		if remote || !first {
 			t0 := r.Now()
 			ip.awaitReady(r, dest) // buffer grant / previous chunk drained
-			tl.Record("sender", "waitgrant", t0, r.Now())
+			r.Phase("sender", "waitgrant", t0)
 		}
 		if ip.desc.publish {
 			// Invalidate whatever the host cache still mirrors of this MPB
@@ -329,7 +328,7 @@ func (ip *interDeviceProtocol) flagSend(r *rcce.Rank, dest int, data []byte, eng
 		ctx.CopyPrivate(n)
 		ctx.WriteMPB(dev, tile, base, data[:n])
 		ctx.FlushWCB()
-		tl.Record("sender", put, t0, r.Now())
+		r.Phase("sender", put, t0)
 		if publish {
 			ip.mmio(r, host.BankCommand{Cmd: host.CmdUpdate, SrcOff: base, Count: n})
 			ip.published[r.ID()] = n
@@ -339,7 +338,7 @@ func (ip *interDeviceProtocol) flagSend(r *rcce.Rank, dest int, data []byte, eng
 	}
 	t0 := r.Now()
 	ip.awaitReady(r, dest) // final drain acknowledgement
-	tl.Record("sender", "waitack", t0, r.Now())
+	r.Phase("sender", "waitack", t0)
 }
 
 // unpublish invalidates the host copy of the sender's MPB, if one is
@@ -357,7 +356,6 @@ func (ip *interDeviceProtocol) unpublish(r *rcce.Rank, base int) {
 // chunk from the sender's MPB (served by the host cache and the SIF
 // stream when published) and acknowledges each.
 func (ip *interDeviceProtocol) flagRecv(r *rcce.Rank, src int, buf []byte) {
-	tl := r.Session().Timeline()
 	ctx := r.Ctx()
 	remote := ip.desc.place == placeRemote
 	holder, get := src, "remoteget"
@@ -372,12 +370,12 @@ func (ip *interDeviceProtocol) flagRecv(r *rcce.Rank, src int, buf []byte) {
 		}
 		t0 := r.Now()
 		ip.awaitSent(r, src)
-		tl.Record("receiver", "waitdata", t0, r.Now())
+		r.Phase("receiver", "waitdata", t0)
 		t0 = r.Now()
 		ctx.InvalidateMPB()
 		ctx.ReadMPB(dev, tile, base, buf[:n])
 		ctx.CopyPrivate(n)
-		tl.Record("receiver", get, t0, r.Now())
+		r.Phase("receiver", get, t0)
 		if !remote {
 			r.SignalReady(src)
 		}
@@ -443,7 +441,6 @@ func (ip *interDeviceProtocol) postCount(r *rcce.Rank, peer, kind int, seq uint6
 // register write (address / count / control, Fig. 5). The command raises
 // the sent counter at the receiver and the dmac counter at the sender.
 func (ip *interDeviceProtocol) putAndProgram(r *rcce.Rank, dest int, seq uint64, chunk []byte) host.BankCommand {
-	tl := r.Session().Timeline()
 	ctx := r.Ctx()
 	myDev, myTile, myBase := r.MPBOf(r.ID())
 	dstDev, dstTile, dstBase := r.MPBOf(dest)
@@ -452,7 +449,7 @@ func (ip *interDeviceProtocol) putAndProgram(r *rcce.Rank, dest int, seq uint64,
 	ctx.CopyPrivate(len(chunk))
 	ctx.WriteMPB(myDev, myTile, myBase+slot, chunk)
 	ctx.FlushWCB()
-	tl.Record("sender", "put", t0, r.Now())
+	r.Phase("sender", "put", t0)
 	cmd := host.BankCommand{
 		Cmd:    host.CmdCopy,
 		DstDev: dstDev, DstTile: dstTile, DstOff: dstBase + slot,
@@ -462,21 +459,20 @@ func (ip *interDeviceProtocol) putAndProgram(r *rcce.Rank, dest int, seq uint64,
 		ComplOff: myBase + rcce.FlagByteAt(rcce.FlagDMAC, dest), ComplVal: seqVal(seq),
 	}
 	ip.mmio(r, cmd)
-	tl.Mark("sender", "dma-armed")
+	r.Phase("sender", "dma-armed", r.Now())
 	return cmd
 }
 
 // drainAndAck reads chunk seq out of the receiver's own slot (local get)
 // and publishes the drained count at the sender.
 func (ip *interDeviceProtocol) drainAndAck(r *rcce.Rank, src int, seq uint64, chunk []byte) {
-	tl := r.Session().Timeline()
 	ctx := r.Ctx()
 	myDev, myTile, myBase := r.MPBOf(r.ID())
 	t0 := r.Now()
 	ctx.InvalidateMPB()
 	ctx.ReadMPB(myDev, myTile, myBase+ip.slotOf(seq), chunk)
 	ctx.CopyPrivate(len(chunk))
-	tl.Record("receiver", "localget", t0, r.Now())
+	r.Phase("receiver", "localget", t0)
 	ip.postCount(r, src, rcce.FlagReady, seq)
 }
 
@@ -505,7 +501,6 @@ func (ip *interDeviceProtocol) grantThrough(r *rcce.Rank, src int, seq, lastSeq 
 // writes each chunk straight into the receiver's slot and raises the
 // sent counter itself instead of programming the controller.
 func (ip *interDeviceProtocol) seqSend(r *rcce.Rank, dest int, data []byte, engaged bool) {
-	tl := r.Session().Timeline()
 	ctx := r.Ctx()
 	out := ip.counter(ip.out, r.ID(), dest)
 	dstDev, dstTile, dstBase := r.MPBOf(dest)
@@ -534,14 +529,14 @@ func (ip *interDeviceProtocol) seqSend(r *rcce.Rank, dest int, data []byte, enga
 		// receiver is one chunk behind) or seq+1 (it caught up).
 		t0 := r.Now()
 		ip.waitCount(r, "vscc.vdma.grant", rcce.FlagGrant, dest, func(b byte) bool { return reached(b, seq) }, rearm)
-		tl.Record("sender", "waitgrant", t0, r.Now())
+		r.Phase("sender", "waitgrant", t0)
 		if engaged {
 			if seq-firstSeq >= 2 {
 				// Slot reuse: the vDMA must have finished reading chunk
 				// seq-2 out of this MPB slot.
 				t0 = r.Now()
 				ip.waitCount(r, "vscc.vdma.dmac", rcce.FlagDMAC, dest, func(b byte) bool { return reached(b, seq-2) }, rearm)
-				tl.Record("sender", "waitdma", t0, r.Now())
+				r.Phase("sender", "waitdma", t0)
 			}
 			last.cmd, last.ok = ip.putAndProgram(r, dest, seq, data[:n]), true
 		} else {
@@ -550,7 +545,7 @@ func (ip *interDeviceProtocol) seqSend(r *rcce.Rank, dest int, data []byte, enga
 			ctx.WriteMPB(dstDev, dstTile, dstBase+ip.slotOf(seq), data[:n])
 			ctx.FlushWCB()
 			ip.postCount(r, dest, rcce.FlagSent, seq)
-			tl.Record("sender", "remoteput", t0, r.Now())
+			r.Phase("sender", "remoteput", t0)
 		}
 		data = data[n:]
 	}
@@ -558,12 +553,11 @@ func (ip *interDeviceProtocol) seqSend(r *rcce.Rank, dest int, data []byte, enga
 	final := seqVal(*out)
 	t0 := r.Now()
 	ip.waitCount(r, "vscc.vdma.ready", rcce.FlagReady, dest, func(b byte) bool { return b == final }, rearm)
-	tl.Record("sender", "waitack", t0, r.Now())
+	r.Phase("sender", "waitack", t0)
 }
 
 // seqRecv is seqSend's peer; it cannot tell a direct chunk from a DMA one.
 func (ip *interDeviceProtocol) seqRecv(r *rcce.Rank, src int, buf []byte) {
-	tl := r.Session().Timeline()
 	in := ip.counter(ip.in, r.ID(), src)
 	lastSeq := *in + chunksFor(len(buf), ip.slot)
 	for len(buf) > 0 {
@@ -573,7 +567,7 @@ func (ip *interDeviceProtocol) seqRecv(r *rcce.Rank, src int, buf []byte) {
 		ip.grantThrough(r, src, seq, lastSeq)
 		t0 := r.Now()
 		ip.waitCount(r, "vscc.vdma.sent", rcce.FlagSent, src, func(b byte) bool { return reached(b, seq) }, nil)
-		tl.Record("receiver", "waitdata", t0, r.Now())
+		r.Phase("receiver", "waitdata", t0)
 		ip.drainAndAck(r, src, seq, buf[:n])
 		buf = buf[n:]
 	}

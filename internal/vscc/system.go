@@ -44,9 +44,6 @@ type Config struct {
 	// knob; 0 = half the MPB payload area). Must not exceed half the
 	// payload area.
 	VDMASlotBytes int
-	// FailedCores lists silently failed cores per device index, as the
-	// research system frequently exhibits at startup (§4).
-	FailedCores map[int][]int
 
 	// Check enables the runtime MPB consistency checker (scc.Checker): a
 	// shared staleness oracle across all devices that panics the reading
@@ -95,15 +92,6 @@ func (cfg Config) resolve() (chip scc.Params, fabric pcie.Params, hostTask host.
 	return chip, fabric, hostTask, nil
 }
 
-// newChip builds device d on kernel k, minus its silently failed cores.
-func (cfg Config) newChip(k *sim.Kernel, d int, params scc.Params) *scc.Chip {
-	chip := scc.NewChip(k, d, params)
-	for _, core := range cfg.FailedCores[d] {
-		chip.SetAlive(core, false)
-	}
-	return chip
-}
-
 // NewSystem assembles a vSCC.
 func NewSystem(k *sim.Kernel, cfg Config) (*System, error) {
 	chipParams, fabricParams, hostParams, err := cfg.resolve()
@@ -116,7 +104,7 @@ func NewSystem(k *sim.Kernel, cfg Config) (*System, error) {
 		checker = scc.NewChecker()
 	}
 	for d := 0; d < cfg.Devices; d++ {
-		chip := cfg.newChip(k, d, chipParams)
+		chip := scc.NewChip(k, d, chipParams)
 		if checker != nil {
 			chip.EnableConsistencyCheck(checker)
 		}
@@ -163,16 +151,8 @@ func (s *System) Instrument(sink *trace.Sink) {
 	s.Membership.Instrument(sink)
 }
 
-// TotalCores returns the number of available cores across all devices.
-func (s *System) TotalCores() int { return totalCores(s.Chips) }
-
-func totalCores(chips []*scc.Chip) int {
-	n := 0
-	for _, c := range chips {
-		n += len(c.AliveCores())
-	}
-	return n
-}
+// TotalCores returns the number of cores across all devices.
+func (s *System) TotalCores() int { return len(s.Chips) * scc.NumCores }
 
 // Coord returns a rank placement's (x, y, z) coordinate in the vSCC
 // topology (Fig. 3): tile mesh position plus the device number as z.

@@ -344,33 +344,6 @@ func TestBarrierAcrossDevices(t *testing.T) {
 	}
 }
 
-func TestFailedCoresSkippedInSession(t *testing.T) {
-	k := sim.NewKernel()
-	sys, err := NewSystem(k, Config{
-		Devices: 2, Scheme: SchemeVDMA,
-		FailedCores: map[int][]int{0: {0, 10}, 1: {47}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sys.TotalCores() != 93 {
-		t.Fatalf("total cores = %d, want 93", sys.TotalCores())
-	}
-	session, err := sys.NewSession(93)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for rank := 0; rank < 93; rank++ {
-		pl := session.PlaceOf(rank)
-		if pl.Dev == 0 && (pl.Core == 0 || pl.Core == 10) {
-			t.Errorf("rank %d mapped to failed core %d", rank, pl.Core)
-		}
-		if pl.Dev == 1 && pl.Core == 47 {
-			t.Errorf("rank %d mapped to failed core 47 of device 1", rank)
-		}
-	}
-}
-
 func TestDirectThresholdSmallMessages(t *testing.T) {
 	// Below the threshold the vDMA machinery must not engage.
 	sys := newSystem(t, 2, SchemeVDMA)
