@@ -57,29 +57,36 @@ bench-compare:
 		  echo '```'; echo "$$verdict"; echo '```'; } >>"$$GITHUB_STEP_SUMMARY"; \
 	fi; exit $$rc
 
-# Fault-injection gate: injector unit tests, the fault matrix, the
+# Fault-injection gate: the injector's tests, the fault matrix, the
 # recovery tests and the soak's 1x short schedule, all under the race
-# detector, a short 16-point chaos campaign over both recovery
-# harnesses, plus the coverage floors.
+# detector, the coverage floors, and the whole identity table
+# (identity_test.go): every scenario's serial, parallel, PDES-worker,
+# replica and rerun outputs byte-identical, with its fault, ledger and
+# tenant facts. `go test -short ./...` runs the table's tier-1 subset.
+# CI's fault job runs this target.
 fault: cover
-	$(GO) test -race -short ./internal/fault
+	$(GO) test -race ./internal/fault
 	$(GO) test -race -short -run Fault ./internal/harness .
-	$(GO) run ./cmd/chaos -seed 1 -n 16
+	$(GO) test -count=1 -run Identity .
 
 # Coverage floors on the injector, the PCIe packet layer, the
 # multi-tenant scheduler, the lint suite, the task runtime and the chaos
 # engine (the packages carrying the fault/recovery, admission and
 # analysis machinery). The sched profile merges the package tests with
-# the root multi-tenant integration test. CI's fault job runs this
-# target too, so the floors live here only.
+# the root multi-tenant integration test; -short keeps the root
+# package's identity table, whose rows run subprocesses and add no
+# coverage, to its tier-1 subset. The host and vscc rows only report.
+# CI's fault job runs this target too, so the floors live here only.
 COVERFLOOR = GO="$(GO)" ./scripts/coverfloor.sh
 cover:
 	@$(COVERFLOOR) ./internal/fault 80
 	@$(COVERFLOOR) ./internal/pcie 80
-	@$(COVERFLOOR) ./internal/sched 80 ./internal/sched .
+	@COVERFLAGS=-short $(COVERFLOOR) ./internal/sched 80 ./internal/sched .
 	@$(COVERFLOOR) ./internal/lint 80
 	@$(COVERFLOOR) ./internal/taskrt 80
 	@COVERFLAGS=-short $(COVERFLOOR) ./internal/chaos 80
+	@$(COVERFLOOR) ./internal/host 0
+	@$(COVERFLOOR) ./internal/vscc 0
 
 # Full 10k-transfer fault soak (the short 1x schedule runs in `fault`).
 soak:

@@ -151,7 +151,7 @@ func BenchmarkFig8TrafficMatrix(b *testing.B) {
 // sweep — serial against the bounded worker pool. Every sweep point is
 // an independent simulation, so on an N-core host the pool approaches
 // an N-fold wall-clock cut with byte-identical output (asserted by
-// TestParallelPingPongSweepMatchesSerial).
+// the identity table's pingpong-onchip and bt-classic rows).
 func BenchmarkSweepParallel(b *testing.B) {
 	sizes := []int{1024, 4096, 16384, 65536}
 	for _, par := range []int{1, 2, 4} {

@@ -318,8 +318,8 @@ var ledgerColumns = [...]struct {
 	{"rejoin", 7, "fault.recover.rejoin"},
 	{"epoch", 7, "epoch.advance"},
 	{"ckpt", 7, "ckpt.take"},
-	{"jrn.wr", 10, "replay.writes"}, // stores in the restored image past its checkpoint
-	{"jrn.bytes", 12, "replay.bytes"},
+	{"replay.wr", 10, "replay.writes"}, // stores in the restored image past its checkpoint
+	{"replay.bytes", 12, "replay.bytes"},
 	{"pcie.fr", 10, "replay.frames"}, // held SIF frames, re-driven
 	{"pcie.bytes", 12, "replay.frame_bytes"},
 	{"requeued", 8, "sched.requeued"},       // devretry jobs readmitted off the device

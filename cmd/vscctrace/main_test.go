@@ -67,7 +67,7 @@ func TestRecoveryLedgerDedupesAcrossFiles(t *testing.T) {
 		t.Fatal("no ledger for device 1")
 	}
 	// Last counter sample wins within a file: ckpt.take.d1 ends at 3.
-	if col(l1, "ckpt") != 3 || col(l1, "crash") != 1 || col(l1, "jrn.wr") != 10 || col(l1, "jrn.bytes") != 640 {
+	if col(l1, "ckpt") != 3 || col(l1, "crash") != 1 || col(l1, "replay.wr") != 10 || col(l1, "replay.bytes") != 640 {
 		t.Fatalf("single-file ledger wrong: %+v", *l1)
 	}
 	if col(l1, "injected") != 1 || col(l1, "recovered") != 1 {

@@ -149,7 +149,7 @@ func TestRulesFlag(t *testing.T) {
 	if code := run(cleanModule(t), []string{"-rules"}, &out, &bytes.Buffer{}); code != 0 {
 		t.Fatalf("exit code = %d, want 0", code)
 	}
-	for _, rule := range []string{"kernelclock", "detorder", "goryorder", "faultorder", "flagdiscipline", "tracealloc", "simapi", "deadcode"} {
+	for _, rule := range []string{"kernelclock", "detorder", "goryorder", "bannedcall", "tracealloc", "simapi", "deadcode"} {
 		if !strings.Contains(out.String(), rule) {
 			t.Errorf("-rules output misses %s:\n%s", rule, out.String())
 		}

@@ -1,53 +1,10 @@
 package harness
 
 import (
-	"bytes"
 	"testing"
 
 	"vscc/internal/trace"
-	"vscc/internal/vscc"
 )
-
-// runTracedSweep measures a small traced inter-device sweep at the
-// given parallelism and returns the Chrome export and metrics report.
-func runTracedSweep(t *testing.T, par int) (chrome, report string) {
-	t.Helper()
-	var col trace.Collector
-	prev := SetObserver(col.New)
-	defer SetObserver(prev)
-	SetParallelism(par)
-	defer SetParallelism(0)
-	if _, err := InterDevicePingPong(vscc.SchemeVDMA, []int{1024, 4096}, 1); err != nil {
-		t.Fatal(err)
-	}
-	caps := col.Captures()
-	if len(caps) != 2 {
-		t.Fatalf("captures = %d, want 2", len(caps))
-	}
-	var buf bytes.Buffer
-	if err := trace.WriteChrome(&buf, caps); err != nil {
-		t.Fatal(err)
-	}
-	return buf.String(), trace.Report(caps)
-}
-
-// The observability layer must not break the repository's core
-// invariant: a traced sweep exports byte-identical traces and reports
-// whether the points run serially or fanned out across the worker pool.
-func TestTracedSweepSerialMatchesParallel(t *testing.T) {
-	serialChrome, serialReport := runTracedSweep(t, 1)
-	parChrome, parReport := runTracedSweep(t, 4)
-	if serialChrome != parChrome {
-		t.Error("serial and parallel Chrome exports differ")
-	}
-	if serialReport != parReport {
-		t.Errorf("serial and parallel metrics reports differ:\n--- serial\n%s\n--- parallel\n%s",
-			serialReport, parReport)
-	}
-	if serialChrome == "" || serialReport == "" {
-		t.Error("traced sweep produced empty outputs")
-	}
-}
 
 // With no observer installed every measurement runs untraced (nil
 // sinks), and observers uninstall cleanly.

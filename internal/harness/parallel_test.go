@@ -2,13 +2,9 @@ package harness
 
 import (
 	"errors"
-	"fmt"
 	"reflect"
 	"sync/atomic"
 	"testing"
-
-	"vscc/internal/npb"
-	"vscc/internal/vscc"
 )
 
 // withParallelism runs body under a fixed fan-out, restoring the
@@ -69,63 +65,6 @@ func TestSetParallelismClampsAndDefaults(t *testing.T) {
 	SetParallelism(7)
 	if Parallelism() != 7 {
 		t.Errorf("Parallelism() = %d, want 7", Parallelism())
-	}
-}
-
-// TestParallelPingPongSweepMatchesSerial is the determinism contract of
-// the parallel harness: a sweep fanned out over 4 workers must produce
-// byte-identical points to the same sweep run serially, because every
-// point is an isolated simulation and results are collected in input
-// order.
-func TestParallelPingPongSweepMatchesSerial(t *testing.T) {
-	sizes := []int{64, 1024, 8192}
-	var serial, parallel []PingPongPoint
-	withParallelism(t, 1, func() {
-		var err error
-		serial, err = OnChipPingPong(nil, 0, 1, sizes, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-	})
-	withParallelism(t, 4, func() {
-		var err error
-		parallel, err = OnChipPingPong(nil, 0, 1, sizes, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-	})
-	if !reflect.DeepEqual(serial, parallel) {
-		t.Errorf("parallel sweep diverged from serial:\nserial:   %+v\nparallel: %+v", serial, parallel)
-	}
-	// Byte-identical when rendered, which is what the CLIs emit.
-	if fmt.Sprintf("%+v", serial) != fmt.Sprintf("%+v", parallel) {
-		t.Error("rendered series differ")
-	}
-}
-
-func TestParallelBTSweepMatchesSerial(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-point BT sweep")
-	}
-	cfg := BTSweepConfig{Class: npb.ClassW, Iterations: 1, Scheme: vscc.SchemeVDMA, Devices: 1}
-	counts := []int{4, 9, 16}
-	var serial, parallel []BTPoint
-	withParallelism(t, 1, func() {
-		var err error
-		serial, err = BTSweep(cfg, counts)
-		if err != nil {
-			t.Fatal(err)
-		}
-	})
-	withParallelism(t, 4, func() {
-		var err error
-		parallel, err = BTSweep(cfg, counts)
-		if err != nil {
-			t.Fatal(err)
-		}
-	})
-	if !reflect.DeepEqual(serial, parallel) {
-		t.Errorf("parallel BT sweep diverged:\nserial:   %+v\nparallel: %+v", serial, parallel)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"strings"
 )
 
@@ -77,6 +78,106 @@ var goryPrimitives = map[string]int{
 	"waitSent": evWait, "waitReady": evWait, "waitClearFlag": evWait, "WaitFlag": evWait,
 	"ClearSent": evWait, "ClearReady": evWait,
 	"PeekSent": evWait, "PeekReady": evWait, "PeekFlagByte": evWait,
+}
+
+// BannedCallAnalyzer reports the calls of the bannedCalls name table.
+func BannedCallAnalyzer() *Analyzer {
+	return &Analyzer{
+		Name: "bannedcall",
+		Doc:  "callees banned by package: un-budgeted inter-device waits, raw flag-byte addressing outside protocol extensions, numeric flag kinds",
+		Run:  runBannedCall,
+	}
+}
+
+// flagAddrFuncs are RCCE's raw flag-addressing helpers; the first
+// argument of each is a flag kind. The MPB flag arrays are RCCE-internal
+// layout, exported only so the protocol extensions can build their
+// value-encoded counter protocols on top.
+var flagAddrFuncs = []string{"FlagByteAt", "PeekFlagByte"}
+
+// bannedCalls is the name table behind BannedCallAnalyzer. A row matches
+// a call of one of its callees — a method or bare call, or a call
+// qualified by a package whose path ends in owner — made in a package
+// in reports true for; in _test.go files only when tests is set; and,
+// with numericKind, only when the first argument (the flag kind) is a
+// literal. The message takes the callee name, then that literal.
+var bannedCalls = []struct {
+	callees     []string
+	owner       string
+	in          func(pkgPath string) bool
+	tests       bool
+	numericKind bool
+	msg         string
+}{
+	// Every blocking wait on remote progress in the inter-device layers
+	// carries a cycle budget (DESIGN.md §8), so a lost SIF packet, a
+	// stalled host task or a vanished flag write becomes a bounded,
+	// retryable timeout instead of a silent deadlock. Tests drive raw
+	// protocols on fault-free fabrics, where an unbounded wait is fine.
+	{
+		callees: []string{"WaitFlag"}, owner: "scc",
+		in: func(p string) bool { return pkgPathIn(p, "internal/vscc", "internal/ircce") },
+		msg: "un-budgeted engaged wait %s: a lost packet or stalled host deadlocks here forever; " +
+			"use WaitFlagFor with a cycle budget (0 = no bound when faults are off)",
+	},
+	// Outside the protocol extensions, flag traffic goes through the
+	// rcce hooks, which charge the right costs and keep the flag-vs-data
+	// traffic split honest.
+	{
+		callees: flagAddrFuncs, owner: "rcce", tests: true,
+		in:  func(p string) bool { return !pkgPathIn(p, goryPackages...) },
+		msg: "raw flag-byte addressing (%s) outside a protocol extension: use the rcce hooks (SignalSent/SignalReady/Await*/Peek*/Clear*) instead",
+	},
+	// A bare numeric kind silently breaks when the flag-area layout
+	// changes.
+	{
+		callees: flagAddrFuncs, owner: "rcce", tests: true, numericKind: true,
+		in:  func(string) bool { return true },
+		msg: "numeric flag kind %[2]s in %[1]s: use the named rcce.Flag* constants (FlagSent/FlagReady/FlagGrant/FlagDMAC)",
+	},
+}
+
+func runBannedCall(pass *Pass) {
+	for _, f := range pass.Files {
+		test := pass.IsTestFile(f.Pos())
+		ast.Inspect(f, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			name := calleeName(call)
+			var kind *ast.BasicLit
+			if len(call.Args) > 0 {
+				kind, _ = call.Args[0].(*ast.BasicLit)
+			}
+			for _, row := range bannedCalls {
+				if !slices.Contains(row.callees, name) || test && !row.tests || !row.in(pass.Pkg.Path) ||
+					row.numericKind && kind == nil || !calledFrom(pass.Info, call, row.owner) {
+					continue
+				}
+				if row.numericKind {
+					pass.Reportf(kind.Pos(), row.msg, name, kind.Value)
+				} else {
+					pass.Reportf(call.Pos(), row.msg, name)
+				}
+			}
+			return true
+		})
+	}
+}
+
+// calledFrom filters out same-named functions of other packages: a
+// package-qualified call counts only when the qualifier's path ends in
+// owner; bare calls and method calls on a value always count.
+func calledFrom(info *types.Info, call *ast.CallExpr, owner string) bool {
+	if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
+		if id, ok := sel.X.(*ast.Ident); ok {
+			if pn, ok := info.Uses[id].(*types.PkgName); ok {
+				return hasSuffixPath(pn.Imported().Path(), owner)
+			}
+		}
+	}
+	return true
 }
 
 // goryEvent is one abstract protocol action in a function's linearized

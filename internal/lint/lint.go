@@ -320,17 +320,15 @@ func pkgPathIn(pkgPath string, suffixes ...string) bool {
 //     order can reach kernel-clock-visible state or pick a winner,
 //   - goryorder audits the gory-protocol packages plus the repository
 //     root (whose integration tests exercise raw protocols),
-//   - faultorder audits the inter-device protocol layers (vscc, ircce),
-//     where every engaged wait must carry a cycle budget,
-//   - flagdiscipline, tracealloc, simapi and deadcode audit
-//     everything.
+//   - bannedcall, tracealloc, simapi and deadcode audit everything;
+//     bannedcall's name table says per row which packages may not
+//     call which callee.
 func DefaultAnalyzers() []*Analyzer {
 	return []*Analyzer{
 		KernelClockAnalyzer(),
 		DetOrderAnalyzer(),
 		GoryOrderAnalyzer(),
-		FaultOrderAnalyzer(),
-		FlagDisciplineAnalyzer(),
+		BannedCallAnalyzer(),
 		TraceAllocAnalyzer(),
 		SimAPIAnalyzer(),
 		DeadCodeAnalyzer(),

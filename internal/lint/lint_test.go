@@ -29,12 +29,12 @@ func TestAnalyzersGolden(t *testing.T) {
 		{GoryOrderAnalyzer(), "goryorder", "vscc/internal/rcce", nil},
 		{GoryOrderAnalyzer(), "goryorder_ipa", "vscc/internal/vscc", nil},
 		{GoryOrderAnalyzer(), "goryorder_testfile", "vscc/internal/vscc", nil},
-		{FaultOrderAnalyzer(), "faultorder", "vscc/internal/vscc", nil},
-		{FlagDisciplineAnalyzer(), "flagdiscipline", "fixture/flagdiscipline", []FixtureDep{
+		{BannedCallAnalyzer(), "faultorder", "vscc/internal/vscc", nil},
+		{BannedCallAnalyzer(), "flagdiscipline", "fixture/flagdiscipline", []FixtureDep{
 			{Dir: filepath.Join("testdata", "src", "flagdiscipline_rcce"), ImportPath: "vscc/internal/rcce"},
 			{Dir: filepath.Join("testdata", "src", "flagdiscipline_notrcce"), ImportPath: "example.test/notrcce"},
 		}},
-		{FlagDisciplineAnalyzer(), "flagdiscipline_ext", "vscc/internal/ircce", nil},
+		{BannedCallAnalyzer(), "flagdiscipline_ext", "vscc/internal/ircce", nil},
 		{TraceAllocAnalyzer(), "tracealloc", "fixture/tracealloc", nil},
 		{SimAPIAnalyzer(), "simapi", "fixture/simapi", nil},
 		{DeadCodeAnalyzer(), "deadcode", "fixture/deadcode", []FixtureDep{

@@ -1,6 +1,6 @@
-// Fixture for the faultorder rule: inter-device protocol waits must use
-// the budget-carrying *For primitives. The stubs mirror the scc.Ctx and
-// rcce.Rank method names the analyzer matches on.
+// Fixture for bannedcall's WaitFlag row: inter-device protocol waits
+// must use the budget-carrying *For primitives. The stubs mirror the
+// scc.Ctx and rcce.Rank method names the analyzer matches on.
 package faultorder
 
 type ctx struct{}
@@ -28,6 +28,6 @@ func badWaits(c ctx) {
 }
 
 func suppressedWait(c ctx) {
-	//lint:ignore faultorder on-chip barrier flag; same-device writes cannot be lost
+	//lint:ignore bannedcall on-chip barrier flag; same-device writes cannot be lost
 	c.WaitFlag(0, 0, func(b byte) bool { return b == 1 })
 }

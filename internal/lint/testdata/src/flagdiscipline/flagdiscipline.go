@@ -1,6 +1,6 @@
-// Fixture for the flagdiscipline rule outside the protocol-extension
-// packages: every raw flag-byte access is a finding, and a numeric kind
-// argument adds a second one.
+// Fixture for bannedcall's flag-addressing rows outside the
+// protocol-extension packages: every raw flag-byte access is a finding,
+// and a numeric kind argument adds a second one.
 package flagdiscipline
 
 import (
@@ -30,6 +30,6 @@ func qualified() {
 }
 
 func suppressed(r rank) {
-	//lint:ignore flagdiscipline fixture proves targeted suppression
+	//lint:ignore bannedcall fixture proves targeted suppression
 	_ = r.PeekFlagByte(flagSent, 1)
 }

@@ -1,6 +1,7 @@
-// Fixture for the flagdiscipline rule inside a protocol-extension
-// package (the harness loads it under an internal/ircce import path):
-// raw addressing is legal there, but the kind must be a named constant.
+// Fixture for bannedcall's flag-addressing rows inside a
+// protocol-extension package (the harness loads it under an
+// internal/ircce import path): raw addressing is legal there, but the
+// kind must be a named constant.
 package flagdiscipline_ext
 
 type rank struct{}

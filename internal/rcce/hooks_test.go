@@ -127,7 +127,7 @@ func TestFlagByteAtPanicsOnBadKind(t *testing.T) {
 			t.Error("bad kind did not panic")
 		}
 	}()
-	//lint:ignore flagdiscipline deliberately invalid kind to exercise the panic
+	//lint:ignore bannedcall deliberately invalid kind to exercise the panic
 	FlagByteAt(9, 0)
 }
 

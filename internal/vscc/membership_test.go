@@ -359,3 +359,74 @@ func snapshotLMB(c *scc.Chip) [][]byte {
 	}
 	return img
 }
+
+// TestPromotionCountsCleanEndpointTransfers pins how Send feeds the
+// injector's promotion hysteresis (fault.Injector.CleanTransfer): a
+// transfer that needed no recovery counts as clean on both endpoint
+// devices and on no other device, and a transfer during which an
+// endpoint recovered counts on neither. With PromoteAfter 2, two clean
+// transfers forgive a device's earlier recovery (its count returns to
+// 0); a count still set shows a device that was not credited.
+func TestPromotionCountsCleanEndpointTransfers(t *testing.T) {
+	k := sim.NewKernel()
+	sys, err := NewSystem(k, Config{
+		Devices: 3,
+		Scheme:  SchemeCachedGet,
+		Faults:  &fault.Config{Seed: 1, Recovery: fault.Recovery{PromoteAfter: 2}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inj := sys.Injector
+	counts := func() [3]int {
+		return [3]int{inj.RecoveryCount(0), inj.RecoveryCount(1), inj.RecoveryCount(2)}
+	}
+	session, err := sys.NewSessionAt([]rcce.Place{{Dev: 0, Core: 0}, {Dev: 1, Core: 0}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var afterClean, afterRecovered [3]int
+	err = session.Run(func(r *rcce.Rank) {
+		buf := make([]byte, 4096)
+		xfer := func() {
+			var err error
+			if r.ID() == 0 {
+				err = r.Send(1, buf)
+			} else {
+				err = r.Recv(0, buf)
+			}
+			if err != nil {
+				panic(err)
+			}
+		}
+		if r.ID() == 0 {
+			for d := 0; d < 3; d++ {
+				inj.RecordRecovery("test", "test", d)
+			}
+		}
+		xfer()
+		xfer()
+		if r.ID() == 0 {
+			afterClean = counts()
+		} else {
+			// Rank 0 is now blocked in its third Send: device 1
+			// recovers while that transfer is in flight.
+			r.Ctx().Delay(50_000)
+			inj.RecordRecovery("test", "test", 1)
+		}
+		xfer()
+		xfer() // clean: a streak of 1, short of PromoteAfter
+		if r.ID() == 0 {
+			afterRecovered = counts()
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := [3]int{0, 0, 1}; afterClean != want {
+		t.Errorf("recovery counts after two clean transfers d0->d1 = %v, want %v (both endpoints promoted, device 2 untouched)", afterClean, want)
+	}
+	if want := [3]int{0, 1, 1}; afterRecovered != want {
+		t.Errorf("recovery counts after a recovered and a clean transfer = %v, want %v (the recovered transfer is not clean)", afterRecovered, want)
+	}
+}

@@ -99,8 +99,9 @@ func (cfg Config) newProtocol(scheme Scheme, n int) (*interDeviceProtocol, error
 // manager is armed and the peer's device went down (or restarted into a
 // new epoch) mid-wait, the failure is a device loss, not a lost flag
 // write: with transparent retry (devretry=1) the ladder parks until the
-// device rejoins — the journal replay then completes the handshake
-// byte-identically — and without it the rank fails deterministically
+// device rejoins — the checkpoint-restore replay then completes the
+// handshake, and an operation the outage lost is re-issued by the next
+// attempt's rearm — and without it the rank fails deterministically
 // with rcce.ErrDeviceLost.
 func (ip *interDeviceProtocol) waitLadder(r *rcce.Rank, site string, peer int, wait func(sim.Cycles) bool, rearm func()) {
 	if ip.faults == nil {
@@ -129,9 +130,6 @@ func (ip *interDeviceProtocol) waitLadder(r *rcce.Rank, site string, peer int, w
 			ip.faults.RecordRecovery("device-wait", site, peerDev)
 			ip.mem.AwaitUp(r.Ctx().Proc, peerDev)
 			epoch0 = ip.mem.Epoch(peerDev)
-			if rearm != nil {
-				rearm()
-			}
 			a-- // a device outage consumes no ladder attempt
 			continue
 		}
