@@ -1,6 +1,6 @@
 // Integration tests across the full stack: the 240-core flagship
-// configuration, protocol timelines, failure injection, and
-// application-level data integrity through every layer.
+// configuration, protocol timelines, end-to-end determinism, failure
+// injection, and application-level data integrity through every layer.
 package vscc_test
 
 import (
@@ -96,6 +96,36 @@ func overlaps(t *testing.T, tl *trace.Sink, a, b string) bool {
 		}
 	}
 	return false
+}
+
+func TestEndToEndDeterminism(t *testing.T) {
+	// A full mixed workload — BT timing run over three devices — ends at
+	// the identical simulated cycle on every rerun.
+	run := func() sim.Cycles {
+		k := sim.NewKernel()
+		sys, err := vscc.NewSystem(k, vscc.Config{Devices: 3, Scheme: vscc.SchemeVDMA})
+		if err != nil {
+			t.Fatal(err)
+		}
+		session, err := sys.NewSession(64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, err := npb.NewDecomp(64, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := npb.RunOn(session, d, npb.Config{Class: npb.ClassA, Iterations: 1, Timing: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Cycles
+	}
+	first := run()
+	second := run()
+	if first != second {
+		t.Fatalf("nondeterministic full-stack run: %d vs %d", first, second)
+	}
 }
 
 func TestMixedProtocolsOneSession(t *testing.T) {

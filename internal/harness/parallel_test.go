@@ -5,6 +5,9 @@ import (
 	"reflect"
 	"sync/atomic"
 	"testing"
+
+	"vscc/internal/npb"
+	"vscc/internal/vscc"
 )
 
 // withParallelism runs body under a fixed fan-out, restoring the
@@ -65,6 +68,32 @@ func TestSetParallelismClampsAndDefaults(t *testing.T) {
 	SetParallelism(7)
 	if Parallelism() != 7 {
 		t.Errorf("Parallelism() = %d, want 7", Parallelism())
+	}
+}
+
+func TestParallelBTSweepMatchesSerial(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-point BT sweep")
+	}
+	cfg := BTSweepConfig{Class: npb.ClassW, Iterations: 1, Scheme: vscc.SchemeVDMA, Devices: 1}
+	counts := []int{4, 9, 16}
+	var serial, parallel []BTPoint
+	withParallelism(t, 1, func() {
+		var err error
+		serial, err = BTSweep(cfg, counts)
+		if err != nil {
+			t.Fatal(err)
+		}
+	})
+	withParallelism(t, 4, func() {
+		var err error
+		parallel, err = BTSweep(cfg, counts)
+		if err != nil {
+			t.Fatal(err)
+		}
+	})
+	if !reflect.DeepEqual(serial, parallel) {
+		t.Errorf("parallel BT sweep diverged:\nserial:   %+v\nparallel: %+v", serial, parallel)
 	}
 }
 

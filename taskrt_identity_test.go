@@ -1,10 +1,10 @@
-// Serial-vs-parallel byte-identity for the task runtime (ISSUE PR-9
-// acceptance bar), the same shape as TestPDESSerialParallelIdentity:
+// Serial-vs-parallel byte-identity for the task runtime, in process:
 // a taskrt sweep's replicas are independent simulations, so fanning
 // them over the harness worker pool must be unobservable — the Chrome
 // trace export, the metrics reports and every sweep point must be
 // byte-identical between a serial run and a 4-way -parallel run, with
-// and without a scheduled device crash.
+// and without a scheduled device crash. The taskrt-stencil rows of
+// TestIdentity make the same claim of the taskbench binary.
 package vscc_test
 
 import (
