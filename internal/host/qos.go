@@ -7,8 +7,8 @@
 //     bandwidth a tenant injects, charged at every point where a
 //     tenant-attributable process crosses to the host (reads, writes,
 //     MMIO, vDMA bursts, prefetch/flush/stream DMA);
-//   - deficit-round-robin fair queueing replaces the plain FIFO in the
-//     per-device forwarder daemons, so one tenant's delivery backlog
+//   - the per-device forwarder daemons' deficit-round-robin delivery
+//     queues get one class per tenant, so one tenant's delivery backlog
 //     cannot monopolize a device's host-to-device link;
 //   - per-tenant software-cache partitions bound how many host cache
 //     lines a tenant keeps resident, with intra-tenant FIFO eviction —
@@ -75,30 +75,24 @@ type cacheRef struct {
 type qosState struct {
 	tenants map[int]*tenantQoS
 	byCore  map[[2]int]*tenantQoS // (dev, core) -> tenant
-	drr     []*drrQueue           // per destination device
 }
 
 // drrQuantum is the bytes of host-to-device service each active tenant
 // earns per deficit-round-robin round.
 const drrQuantum = 4 * mem.LineSize
 
-// EnableQoS arms the multi-tenant layer: per-device deficit-round-robin
-// delivery queues (drrQuantum bytes of service per tenant per round) and
-// the tenant table consulted by the bandwidth and cache hooks. It must be
-// called before the kernel runs — the forwarder daemons pick their queue
-// discipline on first dispatch.
+// EnableQoS arms the multi-tenant layer: the tenant table consulted by
+// the bandwidth and cache hooks and by the delivery queues, whose
+// deficit round robin then gives each tenant its own class (drrQuantum
+// bytes of service per tenant per round).
 func (t *Task) EnableQoS() {
 	if t.qos != nil {
 		return
 	}
-	q := &qosState{
+	t.qos = &qosState{
 		tenants: make(map[int]*tenantQoS),
 		byCore:  make(map[[2]int]*tenantQoS),
 	}
-	for d := range t.Chips {
-		q.drr = append(q.drr, newDRRQueue(t.Kernel, d))
-	}
-	t.qos = q
 }
 
 // SetTenant creates or reconfigures a tenant's QoS record.
@@ -170,10 +164,14 @@ func (t *Task) chargeTenant(p *sim.Proc, q *tenantQoS, bytes int) {
 	t.sink.Add(q.bytesName, int64(bytes))
 }
 
-// tenantAt resolves the tenant owning the region a delivery lands in.
-// Unregistered targets (or unbound owners) fall to class -1, which the
-// DRR queue serves like any other class.
+// tenantAt resolves a delivery's DRR class: the tenant owning the region
+// it lands in. Without QoS every delivery is class 0, which makes the
+// queue a FIFO. Unregistered targets (or unbound owners) fall to class
+// -1, which the DRR queue serves like any other class.
 func (t *Task) tenantAt(dev, tile, off int) int {
+	if t.qos == nil {
+		return 0
+	}
 	rg := t.regions.find(dev, tile, off)
 	if rg == nil {
 		return -1
@@ -238,29 +236,57 @@ func (q *tenantQoS) evictOldest() bool {
 
 // --- deficit round robin ------------------------------------------------
 
-// drrQueue is one device's multi-class delivery queue: per-tenant FIFOs
-// served by deficit round robin. Within a tenant, delivery order is
-// exactly the old single-FIFO order, preserving the data-before-flag
-// guarantee per source; across tenants, each active class earns
-// drrQuantum bytes of host-to-device service per round.
+// drrQueue is one device's delivery queue: per-tenant FIFOs served by
+// deficit round robin. Within a tenant, delivery order is FIFO,
+// preserving the data-before-flag guarantee per source; across
+// tenants, each active class earns drrQuantum bytes of host-to-device
+// service per round. With one class it is a plain FIFO.
 type drrQueue struct {
 	cond    *sim.Cond
 	classes map[int]*drrClass
-	active  []*drrClass // round-robin service order
+	active  fifo[*drrClass] // round-robin service order
 	total   int
 }
 
 type drrClass struct {
-	tenant  int
-	items   []*landing
-	head    int
+	items   fifo[*landing]
 	deficit int
 	queued  bool // on the active list
 }
 
+// fifo is a slice-backed queue, items[head:]. It compacts in place
+// before it grows, so its capacity stays within twice its longest
+// backlog and a warm fifo never allocates, even one that never drains.
+type fifo[T any] struct {
+	items []T
+	head  int
+}
+
+func (f *fifo[T]) len() int { return len(f.items) - f.head }
+
+func (f *fifo[T]) front() T { return f.items[f.head] }
+
+func (f *fifo[T]) push(v T) {
+	if len(f.items) == cap(f.items) && f.head > 0 {
+		f.items, f.head = f.items[:copy(f.items, f.items[f.head:])], 0
+	}
+	f.items = append(f.items, v)
+}
+
+func (f *fifo[T]) pop() T {
+	v := f.items[f.head]
+	var zero T
+	f.items[f.head] = zero // release for the GC
+	f.head++
+	if f.head == len(f.items) {
+		f.items, f.head = f.items[:0], 0
+	}
+	return v
+}
+
 func newDRRQueue(k *sim.Kernel, dev int) *drrQueue {
 	return &drrQueue{
-		cond:    sim.NewCond(k, fmt.Sprintf("drrq.d%d", dev)),
+		cond:    sim.NewCond(k, fmt.Sprintf("deliverq.d%d", dev)),
 		classes: make(map[int]*drrClass),
 	}
 }
@@ -268,13 +294,11 @@ func newDRRQueue(k *sim.Kernel, dev int) *drrQueue {
 func (q *drrQueue) class(tenant int) *drrClass {
 	c, ok := q.classes[tenant]
 	if !ok {
-		c = &drrClass{tenant: tenant}
+		c = &drrClass{}
 		q.classes[tenant] = c
 	}
 	return c
 }
-
-func (c *drrClass) size() int { return len(c.items) - c.head }
 
 // drrCost is a delivery's service cost in bytes on the H2D link.
 func drrCost(it *landing) int {
@@ -287,15 +311,11 @@ func drrCost(it *landing) int {
 // enqueue adds one delivery to a tenant's class and wakes the forwarder.
 func (q *drrQueue) enqueue(tenant int, it *landing) {
 	c := q.class(tenant)
-	if c.head == len(c.items) {
-		c.items = c.items[:0]
-		c.head = 0
-	}
-	c.items = append(c.items, it)
+	c.items.push(it)
 	if !c.queued {
 		c.queued = true
 		c.deficit = drrQuantum
-		q.active = append(q.active, c)
+		q.active.push(c)
 	}
 	q.total++
 	q.cond.Signal()
@@ -307,30 +327,20 @@ func (q *drrQueue) pop(p *sim.Proc) *landing {
 		q.cond.Wait(p)
 	}
 	for {
-		c := q.active[0]
-		if c.size() == 0 {
-			// Fully served earlier in this visit; retire from the round.
-			c.queued = false
-			c.deficit = 0
-			q.active = q.active[1:]
-			continue
-		}
-		cost := drrCost(c.items[c.head])
-		if c.deficit >= cost {
-			it := c.items[c.head]
-			c.items[c.head] = nil
-			c.head++
+		c := q.active.front()
+		if cost := drrCost(c.items.front()); c.deficit >= cost {
+			it := c.items.pop()
 			c.deficit -= cost
 			q.total--
-			if c.size() == 0 {
+			if c.items.len() == 0 {
 				c.queued = false
 				c.deficit = 0
-				q.active = q.active[1:]
+				q.active.pop()
 			}
 			return it
 		}
 		// Quantum exhausted: move to the back of the round and recharge.
-		q.active = append(q.active[1:], c)
+		q.active.push(q.active.pop())
 		c.deficit += drrQuantum
 	}
 }

@@ -2,7 +2,9 @@ package host
 
 import (
 	"testing"
+	"testing/quick"
 
+	"vscc/internal/mem"
 	"vscc/internal/pcie"
 	"vscc/internal/scc"
 	"vscc/internal/sim"
@@ -99,6 +101,78 @@ func TestDRRQueueFlagCost(t *testing.T) {
 	}
 	if !second.isFlag {
 		t.Fatal("tenant 2's flag delivery should be served in the next visit, not starved")
+	}
+}
+
+// Two tenants that never drain: each warm round pops and re-enqueues a
+// full cycle of both backlogs, so every class runs out of quantum and
+// moves to the back of the round several times. The queue must not
+// allocate, and neither the round list nor a class FIFO may grow with
+// the number of rounds.
+func TestDRRQueueBackloggedAllocatesNothing(t *testing.T) {
+	q := newDRRQueue(sim.NewKernel(), 0)
+	const backlog = 8 // deliveries per tenant, 2*drrQuantum bytes
+	for i := 0; i < 2*backlog; i++ {
+		tenant := 1 + i%2
+		q.enqueue(tenant, &landing{srcDev: tenant, data: make([]byte, mem.LineSize)})
+	}
+	round := func() {
+		for i := 0; i < 2*backlog; i++ {
+			it := q.pop(nil)
+			q.enqueue(it.srcDev, it)
+		}
+	}
+	for i := 0; i < 10; i++ {
+		round()
+	}
+	if allocs := testing.AllocsPerRun(100, round); allocs != 0 {
+		t.Errorf("a warm round of two backlogged tenants allocates %v times, want 0", allocs)
+	}
+	if n := cap(q.active.items); n > 4 {
+		t.Errorf("round list capacity %d after 110 rounds, want at most 4 for 2 tenants", n)
+	}
+	for tenant, c := range q.classes {
+		if n := cap(c.items.items); n > 2*backlog {
+			t.Errorf("tenant %d FIFO capacity %d after 110 rounds, want at most %d", tenant, n, 2*backlog)
+		}
+	}
+}
+
+// With one class the delivery queue is the forwarder's plain FIFO: for
+// any number of queues, each with a producer process pushing at its
+// own pace and a consumer parked on the empty queue, every value
+// arrives in push order and every queue drains. A delivery larger than
+// the quantum recharges its class without reordering it.
+func TestDRRQueueSingleClassFIFO(t *testing.T) {
+	f := func(nQueues, nItems uint8, sizes []uint16) bool {
+		queues := int(nQueues%8) + 1
+		items := int(nItems%32) + 1
+		k := sim.NewKernel()
+		ok := true
+		for d := 0; d < queues; d++ {
+			q := newDRRQueue(k, d)
+			k.Spawn("prod", func(p *sim.Proc) {
+				for i := 0; i < items; i++ {
+					p.Delay(sim.Cycles(d + 1))
+					n := 0
+					if len(sizes) > 0 {
+						n = int(sizes[i%len(sizes)]) % (3 * drrQuantum)
+					}
+					q.enqueue(0, &landing{off: i, data: make([]byte, n)})
+				}
+			})
+			k.Spawn("cons", func(p *sim.Proc) {
+				for i := 0; i < items; i++ {
+					if q.pop(p).off != i {
+						ok = false
+					}
+				}
+			})
+		}
+		return k.Run() == nil && ok && k.Now() == sim.Cycles(items*queues)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
+		t.Error(err)
 	}
 }
 

@@ -101,12 +101,13 @@ type Task struct {
 	streams   map[streamKey]*stream
 	streamLst []*stream
 
-	// deliverQ is the per-device outbound delivery queue, drained in FIFO
-	// order by one forwarder daemon per device — the paper's
-	// "multithreaded daemon" with one thread per device (§3.2). FIFO
-	// through a single queue and link preserves data-before-flag order
-	// from any one source.
-	deliverQ []*sim.Queue[*landing]
+	// deliverQ is the per-device outbound delivery queue, drained by one
+	// forwarder daemon per device — the paper's "multithreaded daemon"
+	// with one thread per device (§3.2). It is FIFO within a tenant's
+	// class, and without QoS every delivery is in class 0; FIFO through
+	// a single queue and link preserves data-before-flag order from any
+	// one source.
+	deliverQ []*drrQueue
 	// wcbPending counts in-flight write-combining flush bursts per
 	// target device; flag deliveries fence on it.
 	wcbPending []int
@@ -201,7 +202,7 @@ func New(k *sim.Kernel, fabric *pcie.Fabric, chips []*scc.Chip, params Params) (
 		t.devGates = append(t.devGates, g)
 		t.wcbPending = append(t.wcbPending, 0)
 		t.wcbCond = append(t.wcbCond, sim.NewCond(k, fmt.Sprintf("wcbpending.d%d", d)))
-		t.deliverQ = append(t.deliverQ, sim.NewQueue[*landing](k, fmt.Sprintf("deliverq.d%d", d)))
+		t.deliverQ = append(t.deliverQ, newDRRQueue(k, d))
 		chips[d].OffChip = t
 		d := d
 		k.SpawnDaemon(fmt.Sprintf("commtask.d%d", d), func(p *sim.Proc) { t.runForwarder(p, d) })
@@ -652,33 +653,20 @@ func (t *Task) WriteLine(p *sim.Proc, srcDev, srcCore, dev, tile, off int, data 
 }
 
 // enqueueDeliver hands a line write's record to the target device's
-// forwarder daemon. Under multi-tenancy it lands in the destination
-// tenant's DRR class instead of the shared FIFO.
+// forwarder daemon, in the destination tenant's DRR class.
 func (t *Task) enqueueDeliver(r *landing) {
-	if t.qos != nil {
-		t.qos.drr[r.dev].enqueue(t.tenantAt(r.dev, r.tile, r.off), r)
-		return
-	}
-	t.deliverQ[r.dev].Push(r)
+	t.deliverQ[r.dev].enqueue(t.tenantAt(r.dev, r.tile, r.off), r)
 }
 
 // runForwarder is the per-device daemon thread: it drains the delivery
-// queue in FIFO order onto the device's host-to-device link. Flag items
-// first force write-combining buffers targeting the device to flush and
-// wait for those bursts to land, so a flag can never overtake combined
-// data (§3.1).
+// queue onto the device's host-to-device link. Flag items first force
+// write-combining buffers targeting the device to flush and wait for
+// those bursts to land, so a flag can never overtake combined data
+// (§3.1).
 func (t *Task) runForwarder(p *sim.Proc, dev int) {
 	q := t.deliverQ[dev]
 	for {
-		var r *landing
-		if t.qos != nil {
-			// Multi-tenant: deficit-round-robin across tenant classes
-			// (EnableQoS runs before the kernel, so the discipline is
-			// fixed by the time the daemon first dispatches).
-			r = t.qos.drr[dev].pop(p)
-		} else {
-			r = q.Pop(p)
-		}
+		r := q.pop(p)
 		t.gate.Wait(p)
 		t0 := p.Now()
 		isFlag := r.isFlag

@@ -251,8 +251,11 @@ var kernelVisibleFuncs = map[string]string{
 	"AfterCancel": "event scheduling", "Spawn": "process spawn",
 	"SpawnDaemon": "process spawn", "Post": "event posting",
 	"Delay": "process delay", "Unpark": "process wakeup",
-	// sim.Cond / sim.Queue — wake order is delivery order.
+	// sim.Cond — wake order is delivery order.
 	"Signal": "cond signal", "Broadcast": "cond broadcast",
+	// A model queue's push and pop order is its delivery order
+	// (ircce.Engine.Push advances the queued MPB transfers), whatever
+	// primitive the queue waits on.
 	"Push": "queue push", "Pop": "queue pop",
 	// MPB/LMB stores and flag signals — memory-image and protocol order.
 	"WriteMPB": "MPB store", "HostWriteLMB": "LMB store", "WriteLMB": "LMB store",

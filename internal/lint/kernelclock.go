@@ -62,8 +62,8 @@ var forbiddenTimeFuncs = map[string]bool{
 var concurrencyAdvice = map[string]string{
 	"goroutine":       "raw goroutine in a model package: spawn simulated processes with sim.Kernel.Spawn/SpawnDaemon so the kernel serializes execution deterministically",
 	"select":          "select statement in a model package: nondeterministic case choice; block on sim primitives instead",
-	"channel send":    "channel send in a model package: use sim.Queue.Push / sim.Cond.Broadcast",
-	"channel receive": "channel receive in a model package: use sim.Queue.Pop / sim.Cond.Wait",
+	"channel send":    "channel send in a model package: hand work over on a sim.Cond (Signal / Broadcast)",
+	"channel receive": "channel receive in a model package: wait on a sim.Cond (Wait) or a sim.Gate",
 }
 
 // scanClockUses visits, in syntactic order, every wall-clock entry point
@@ -126,7 +126,7 @@ func runKernelClock(pass *Pass) {
 				pass.Reportf(imp.Pos(), "import of %s: unseeded process-global randomness breaks deterministic replay; derive randomness from an explicitly seeded source threaded through the harness", path)
 			case "sync", "sync/atomic":
 				if !engine {
-					pass.Reportf(imp.Pos(), "import of %s in a model package: synchronization must use internal/sim primitives (Cond, Queue, Gate), which keep the event order deterministic", path)
+					pass.Reportf(imp.Pos(), "import of %s in a model package: synchronization must use internal/sim primitives (Cond, Gate), which keep the event order deterministic", path)
 				}
 			}
 		}
@@ -146,7 +146,7 @@ func runKernelClock(pass *Pass) {
 				checkTransitiveClock(pass, n)
 			case *ast.ChanType: // declares, moves nothing: a finding here, never a witness
 				if !engine {
-					pass.Reportf(n.Pos(), "channel type in a model package: cross-process signalling must use sim.Cond/sim.Queue, which wake processes in deterministic event order")
+					pass.Reportf(n.Pos(), "channel type in a model package: cross-process signalling must use sim.Cond/sim.Gate, which wake processes in deterministic event order")
 				}
 			}
 			return true

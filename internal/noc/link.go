@@ -84,10 +84,13 @@ func (l *Link) OccupancyFor(bytes int) sim.Cycles {
 	return sim.Cycles((uint64(bytes)*l.cyclesPerByteX1024 + 1023) / 1024)
 }
 
-// reserve queues a transfer of bytes, issued at now, behind the
+// Reserve queues a transfer of bytes, issued at now, behind the
 // channel's earlier ones: it books the occupancy, the usage counters and
-// the trace record, and returns the cycle the last byte is on the wire.
-func (l *Link) reserve(now sim.Cycles, bytes int) sim.Cycles {
+// the trace record, and returns the cycle the last byte is on the wire;
+// the bytes arrive Latency later. It moves no process, so an event
+// callback may book a transfer too. Reservations are not synchronized:
+// one kernel owns a link.
+func (l *Link) Reserve(now sim.Cycles, bytes int) sim.Cycles {
 	start := max(now, l.nextFree)
 	occ := l.OccupancyFor(bytes)
 	l.nextFree = start + occ
@@ -106,7 +109,7 @@ func (l *Link) reserve(now sim.Cycles, bytes int) sim.Cycles {
 // cycles actually spent.
 func (l *Link) Transfer(p *sim.Proc, bytes int) sim.Cycles {
 	now := p.Now()
-	done := l.reserve(now, bytes) + l.Latency
+	done := l.Reserve(now, bytes) + l.Latency
 	//lint:ignore simapi done = start + occupancy + latency with start >= now
 	p.Delay(done - now)
 	return done - now
@@ -120,7 +123,7 @@ func (l *Link) Transfer(p *sim.Proc, bytes int) sim.Cycles {
 // one link never reorder.
 func (l *Link) TransferAsync(p *sim.Proc, bytes int, onDelivered func()) {
 	now := p.Now()
-	onWire := l.reserve(now, bytes)
+	onWire := l.Reserve(now, bytes)
 	if onDelivered != nil {
 		p.Kernel().At(onWire+l.Latency, onDelivered)
 	}

@@ -258,8 +258,7 @@ type Scheduler struct {
 	armed   bool
 }
 
-// New builds a scheduler over sys. It enables the host QoS layer, so it
-// must be called before the kernel runs.
+// New builds a scheduler over sys and enables the host QoS layer.
 func New(sys *vscc.System, sink *trace.Sink, opts Options) *Scheduler {
 	if opts.CacheLines == 0 {
 		opts.CacheLines = DefaultCacheLines

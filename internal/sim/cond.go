@@ -197,42 +197,3 @@ func (g *Gate) Wait(p *Proc) {
 		g.cond.Wait(p)
 	}
 }
-
-// Queue is an unbounded FIFO of items exchanged between processes in
-// simulated time — the simulation analogue of a Go channel.
-type Queue[T any] struct {
-	cond *Cond
-
-	// items[head:] are the queued values; dequeuing advances head so a
-	// drained queue reuses its backing array (see Cond.waiters).
-	items []T
-	head  int
-}
-
-// NewQueue returns an empty queue.
-func NewQueue[T any](k *Kernel, name string) *Queue[T] {
-	return &Queue[T]{cond: NewCond(k, name)}
-}
-
-// Push appends an item and wakes one waiting consumer.
-func (q *Queue[T]) Push(v T) {
-	if q.head == len(q.items) {
-		q.items = q.items[:0]
-		q.head = 0
-	}
-	q.items = append(q.items, v)
-	q.cond.Signal()
-}
-
-// Pop removes and returns the oldest item, blocking while the queue is
-// empty.
-func (q *Queue[T]) Pop(p *Proc) T {
-	for q.head == len(q.items) {
-		q.cond.Wait(p)
-	}
-	var zero T
-	v := q.items[q.head]
-	q.items[q.head] = zero // release for the GC
-	q.head++
-	return v
-}

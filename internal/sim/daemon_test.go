@@ -7,7 +7,7 @@ import (
 
 func TestDaemonDoesNotDeadlockRun(t *testing.T) {
 	k := NewKernel()
-	q := NewQueue[int](k, "work")
+	q := newWorkQueue(k, "work")
 	served := 0
 	k.SpawnDaemon("server", func(p *Proc) {
 		for {

@@ -54,7 +54,7 @@ func switchScenario(k *Kernel) *[]string {
 	}
 	k.At(9, func() { conds[0].Signal() })
 
-	q := NewQueue[int](k, "work")
+	q := newWorkQueue(k, "work")
 	k.SpawnDaemon("server", func(p *Proc) {
 		for {
 			v := q.Pop(p)

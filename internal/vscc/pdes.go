@@ -6,7 +6,7 @@ package vscc
 // link latency. Each device's mesh, MPB state, L1/WCB models and rcce
 // ranks stay kernel-local; the only cross-kernel traffic is the PCIe
 // fabric boundary, re-implemented here as explicit request/response
-// messages over per-direction link models (pdesLink).
+// messages booked on the classic fabric's per-direction links.
 //
 // The classic single-kernel engine (System) couples devices through
 // shared structures with zero-latency effects — host.Task delivery
@@ -29,6 +29,7 @@ import (
 	"vscc/internal/fault"
 	"vscc/internal/host"
 	"vscc/internal/mem"
+	"vscc/internal/noc"
 	"vscc/internal/pcie"
 	"vscc/internal/rcce"
 	"vscc/internal/scc"
@@ -43,32 +44,14 @@ const (
 	pdesAckBytes = 4
 )
 
-// pdesLink models one direction of a device's PCIe link: a serial
-// resource with fixed latency and finite bandwidth, owned by exactly
-// one kernel (device-to-host by the device, host-to-device by the
-// host), so reservations never cross kernels and stay deterministic.
-type pdesLink struct {
-	free sim.Cycles // cycle the link becomes idle
-	bpc  float64    // bytes per cycle
-	lat  sim.Cycles // propagation latency
-}
-
-// reserve books n bytes at or after now; done is when the last byte
-// leaves (the sender may proceed), arrive when it lands on the far
-// side. Successive reservations arrive in reservation order — the FIFO
-// property every data-before-flag argument below rests on.
-func (l *pdesLink) reserve(now sim.Cycles, n int) (done, arrive sim.Cycles) {
-	start := now
-	if l.free > start {
-		start = l.free
-	}
-	occ := sim.Cycles(float64(n) / l.bpc)
-	if occ < 1 {
-		occ = 1
-	}
-	done = start + occ
-	l.free = done
-	return done, done + l.lat
+// arrival books n bytes on l at or after now and returns the cycle they
+// land on the far side. Each link of the fabric is owned by exactly one
+// kernel — device-to-host by the device, host-to-device by the host — so
+// reservations never cross kernels, and successive ones arrive in
+// reservation order: the FIFO property every data-before-flag argument
+// below rests on.
+func arrival(l *noc.Link, now sim.Cycles, n int) sim.Cycles {
+	return l.Reserve(now, n) + l.Latency
 }
 
 // PDESSystem is the domain-decomposed counterpart of System: the same
@@ -79,9 +62,12 @@ type PDESSystem struct {
 	Chips  []*scc.Chip
 
 	workers int
-	params  pcie.Params
-	eng     *pdesHost
-	ports   []*pdesPort
+	// fabric holds the PCIe links (pcie.New, as the classic engine
+	// builds them); only its links and Params are used, never its
+	// framed packet layer.
+	fabric *pcie.Fabric
+	eng    *pdesHost
+	ports  []*pdesPort
 	// sinks holds one observability sink per kernel (devices 0..N-1,
 	// host at N); nil entries disable recording for that kernel.
 	sinks []*trace.Sink
@@ -121,11 +107,15 @@ func NewPDESSystem(cfg Config, workers int) (*PDESSystem, error) {
 	if err := pdesUnsupportedFaults(cfg.Faults); err != nil {
 		return nil, err
 	}
+	fabric, err := pcie.New(cfg.Devices, fabricParams, cfg.Scheme.ackMode())
+	if err != nil {
+		return nil, err
+	}
 
 	s := &PDESSystem{
 		Config:  cfg,
 		workers: workers,
-		params:  fabricParams,
+		fabric:  fabric,
 		// Kernel i simulates device i; kernel Devices the host/PCIe side.
 		PDES:  sim.NewPDES(cfg.Devices+1, fabricParams.LinkLatency),
 		sinks: make([]*trace.Sink, cfg.Devices+1),
@@ -134,18 +124,15 @@ func NewPDESSystem(cfg Config, workers int) (*PDESSystem, error) {
 		sys:   s,
 		k:     s.PDES.Kernel(cfg.Devices),
 		idx:   cfg.Devices,
-		h2d:   make([]pdesLink, cfg.Devices),
 		banks: make([]*host.Banks, cfg.Devices),
 		cache: make(map[mpbHalf]*pdesHostCopy),
 	}
 	for d := 0; d < cfg.Devices; d++ {
-		s.eng.h2d[d] = pdesLink{bpc: fabricParams.LinkBytesPerCycle, lat: fabricParams.LinkLatency}
 		s.eng.banks[d] = host.NewBanks()
 		chip := scc.NewChip(s.PDES.Kernel(d), d, chipParams)
 		pt := &pdesPort{
 			devLifecycle: devLifecycle{k: s.PDES.Kernel(d), dev: d, chip: chip},
 			sys:          s,
-			d2h:          pdesLink{bpc: fabricParams.LinkBytesPerCycle, lat: fabricParams.LinkLatency},
 			stream:       make(map[mpbHalf]*pdesStream),
 		}
 		chip.OffChip = pt
@@ -161,11 +148,15 @@ func NewPDESSystem(cfg Config, workers int) (*PDESSystem, error) {
 // Instrument attaches one sink per kernel: sinks[d] for device d,
 // sinks[Devices] for the host kernel. Nil entries (or a nil slice)
 // disable. Per-kernel sinks are mandatory under PDES because
-// trace.Sink is not concurrency-safe.
+// trace.Sink is not concurrency-safe; each PCIe link records on its
+// owner's sink (device d's D2H on sinks[d], every H2D on the host's).
 func (s *PDESSystem) Instrument(sinks []*trace.Sink) {
 	copy(s.sinks, sinks)
 	for d, pt := range s.ports {
 		pt.sink = s.sinks[d]
+		link := s.fabric.Link(d)
+		link.D2H.Instrument(s.sinks[d])
+		link.H2D.Instrument(s.sinks[s.hostIdx()])
 	}
 }
 
@@ -242,7 +233,6 @@ type pdesPort struct {
 	held []pdesHeld
 
 	sys *PDESSystem
-	d2h pdesLink
 
 	// stream holds host-pushed copies of published sender ranges;
 	// invalidations arrive on the same FIFO host-to-device link as any
@@ -256,6 +246,9 @@ func (pt *pdesPort) post(at sim.Cycles, fn func()) {
 	pt.sys.PDES.Post(pt.dev, at, pt.sys.hostIdx(), fn)
 }
 
+// d2h is the device's device-to-host link, owned by this kernel.
+func (pt *pdesPort) d2h() *noc.Link { return pt.sys.fabric.Link(pt.dev).D2H }
+
 // sendLine queues one masked line on the device-to-host link, stalling p
 // while the store occupies the SIF queue, and returns the line with its
 // arrival cycle at the host. The line is copied out of the caller's WCB
@@ -264,16 +257,17 @@ func (pt *pdesPort) post(at sim.Cycles, fn func()) {
 func (pt *pdesPort) sendLine(p *sim.Proc, data []byte) (buf [mem.LineSize]byte, arrive sim.Cycles) {
 	copy(buf[:], data)
 	now := p.Now()
-	done, arrive := pt.d2h.reserve(now, mem.LineSize)
-	//lint:ignore simapi proof: reserve returns done = max(now, free) + occupancy >= now
+	l := pt.d2h()
+	done := l.Reserve(now, mem.LineSize)
+	//lint:ignore simapi proof: Reserve returns done = max(now, free) + occupancy >= now
 	p.Delay(done - now)
-	return buf, arrive
+	return buf, done + l.Latency
 }
 
 // roundTrip sends a line-sized request up the link, parks p until the
 // host's response comes back, and copies it into buf.
 func (pt *pdesPort) roundTrip(p *sim.Proc, why string, buf []byte, serve func(wake func([]byte))) {
-	_, arrive := pt.d2h.reserve(p.Now(), pdesReqBytes)
+	arrive := arrival(pt.d2h(), p.Now(), pdesReqBytes)
 	var resp []byte
 	wake := func(data []byte) { resp = data; p.Unpark() }
 	pt.post(arrive, func() { serve(wake) })
@@ -292,7 +286,7 @@ func (pt *pdesPort) WriteLine(p *sim.Proc, srcDev, srcCore, dev, tile, off int, 
 	pt.post(arrive, func() { pt.sys.eng.write(srcDev, dev, tile, off, buf, mask, pol, wake) })
 	switch pol {
 	case ackFPGA:
-		p.Delay(pt.sys.params.SIFAckCycles)
+		p.Delay(pt.sys.fabric.Params.SIFAckCycles)
 	case ackHost, ackRemote:
 		p.Park("pcie write ack")
 	}
@@ -303,7 +297,7 @@ func (pt *pdesPort) ReadLine(p *sim.Proc, srcDev, srcCore, dev, tile, off int, b
 	// Stream-buffer hit: the host cache already pushed this published
 	// range here; the read is a local SIF access.
 	if s := pt.stream[mpbHalf{dev, tile, off / mem.CoreLMBSize}]; s != nil && off >= s.off && off+len(buf) <= s.off+len(s.data) {
-		p.Delay(pt.sys.params.SIFAckCycles)
+		p.Delay(pt.sys.fabric.Params.SIFAckCycles)
 		copy(buf, s.data[off-s.off:])
 		return
 	}
@@ -421,12 +415,14 @@ type pdesHost struct {
 	k     *sim.Kernel
 	idx   int
 	busy  sim.Cycles
-	h2d   []pdesLink
 	banks []*host.Banks
 	cache map[mpbHalf]*pdesHostCopy
 }
 
 func (e *pdesHost) sink() *trace.Sink { return e.sys.sinks[e.idx] }
+
+// h2d is device dev's host-to-device link, owned by the host kernel.
+func (e *pdesHost) h2d(dev int) *noc.Link { return e.sys.fabric.Link(dev).H2D }
 
 // post sends fn to device dev's kernel, arriving at cycle at.
 func (e *pdesHost) post(at sim.Cycles, dev int, fn func()) {
@@ -441,7 +437,7 @@ func (e *pdesHost) op() sim.Cycles {
 	if e.busy > start {
 		start = e.busy
 	}
-	e.busy = start + e.sys.params.HostOpCycles
+	e.busy = start + e.sys.fabric.Params.HostOpCycles
 	e.sink().Add("pdes.host.ops", 1)
 	return e.busy
 }
@@ -454,21 +450,21 @@ func (e *pdesHost) write(srcDev, dev, tile, off int, data [mem.LineSize]byte, ma
 	if pol == ackHost && wake != nil {
 		// Host receipt: acknowledged as soon as the host has the line,
 		// concurrently with the forward delivery.
-		_, arrive := e.h2d[srcDev].reserve(done, pdesAckBytes)
+		arrive := arrival(e.h2d(srcDev), done, pdesAckBytes)
 		e.post(arrive, srcDev, wake)
 		wake = nil
 	}
-	_, arrive := e.h2d[dev].reserve(done, mem.LineSize)
+	arrive := arrival(e.h2d(dev), done, mem.LineSize)
 	remoteWake := wake // non-nil only for ackRemote
 	e.post(arrive, dev, func() {
 		dst.deliver(int(mem.LineSize), func() {
 			dst.applyMasked(tile, off, data, mask)
 			if remoteWake != nil {
 				// Remote acknowledgement: back across both links.
-				_, ackArrive := dst.d2h.reserve(dst.k.Now(), pdesAckBytes)
+				ackArrive := arrival(dst.d2h(), dst.k.Now(), pdesAckBytes)
 				dst.post(ackArrive, func() {
 					done := e.op()
-					_, a := e.h2d[srcDev].reserve(done, pdesAckBytes)
+					a := arrival(e.h2d(srcDev), done, pdesAckBytes)
 					e.post(a, srcDev, remoteWake)
 				})
 			}
@@ -482,12 +478,12 @@ func (e *pdesHost) write(srcDev, dev, tile, off int, data [mem.LineSize]byte, ma
 // arrives.
 func (e *pdesHost) fetch(from sim.Cycles, dev, tile, off, n int, then func(data []byte)) {
 	owner := e.sys.ports[dev]
-	_, arrive := e.h2d[dev].reserve(from, pdesReqBytes)
+	arrive := arrival(e.h2d(dev), from, pdesReqBytes)
 	e.post(arrive, dev, func() {
 		owner.deliver(n, func() {
 			data := make([]byte, n)
 			owner.chip.HostReadLMB(tile, off, data)
-			_, back := owner.d2h.reserve(owner.k.Now(), n)
+			back := arrival(owner.d2h(), owner.k.Now(), n)
 			owner.post(back, func() { then(data) })
 		})
 	})
@@ -504,7 +500,7 @@ func (e *pdesHost) read(srcDev, dev, tile, off, n int, wake func([]byte)) {
 		c.readers[srcDev] = true
 		data := c.data
 		cOff := c.off
-		_, arrive := e.h2d[srcDev].reserve(done, len(data))
+		arrive := arrival(e.h2d(srcDev), done, len(data))
 		rd := e.sys.ports[srcDev]
 		e.post(arrive, srcDev, func() {
 			rd.stream[key] = &pdesStream{off: cOff, data: data}
@@ -517,7 +513,7 @@ func (e *pdesHost) read(srcDev, dev, tile, off, n int, wake func([]byte)) {
 	// Transparent forward to the owning device (4 hops).
 	e.sink().Add("pdes.cache.forwards", 1)
 	e.fetch(done, dev, tile, off, n, func(data []byte) {
-		_, a := e.h2d[srcDev].reserve(e.op(), n)
+		a := arrival(e.h2d(srcDev), e.op(), n)
 		e.post(a, srcDev, func() { wake(data) })
 	})
 }
@@ -592,7 +588,7 @@ func (e *pdesHost) invalidate(cmd host.BankCommand, done sim.Cycles) {
 		}
 		c.readers[rd] = false
 		pt := e.sys.ports[rd]
-		_, arrive := e.h2d[rd].reserve(done, pdesAckBytes)
+		arrive := arrival(e.h2d(rd), done, pdesAckBytes)
 		// Never held: a crashed device's streams were already lost in the
 		// wipe.
 		e.post(arrive, rd, func() { delete(pt.stream, key) })
@@ -608,10 +604,10 @@ func (e *pdesHost) vdmaCopy(cmd host.BankCommand, done sim.Cycles) {
 	srcDev := cmd.SrcDev
 	srcTile := scc.CoreTile(cmd.SrcCore)
 	src := e.sys.ports[srcDev]
-	e.fetch(done+e.sys.params.DMASetupCycles, srcDev, srcTile, cmd.SrcOff, cmd.Count, func(data []byte) {
+	e.fetch(done+e.sys.fabric.Params.DMASetupCycles, srcDev, srcTile, cmd.SrcOff, cmd.Count, func(data []byte) {
 		done := e.op()
 		if cmd.Flags&host.FlagCompletion != 0 {
-			_, ca := e.h2d[srcDev].reserve(done, pdesAckBytes)
+			ca := arrival(e.h2d(srcDev), done, pdesAckBytes)
 			e.post(ca, srcDev, func() {
 				src.deliver(1, func() {
 					src.chip.HostWriteLMB(srcTile, cmd.ComplOff, []byte{cmd.ComplVal})
@@ -619,7 +615,7 @@ func (e *pdesHost) vdmaCopy(cmd host.BankCommand, done sim.Cycles) {
 			})
 		}
 		dst := e.sys.ports[cmd.DstDev]
-		_, da := e.h2d[cmd.DstDev].reserve(done, cmd.Count)
+		da := arrival(e.h2d(cmd.DstDev), done, cmd.Count)
 		e.post(da, cmd.DstDev, func() {
 			dst.deliver(cmd.Count, func() {
 				dst.chip.HostWriteLMB(cmd.DstTile, cmd.DstOff, data)

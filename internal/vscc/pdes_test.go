@@ -13,6 +13,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"slices"
 	"testing"
 
 	"vscc/internal/fault"
@@ -206,6 +207,47 @@ func TestPDESRerunIdentity(t *testing.T) {
 	a := runPDESWorkload(t, SchemeVDMA, devCrashSpec(), 4)
 	b := runPDESWorkload(t, SchemeVDMA, devCrashSpec(), 4)
 	a.diff(t, b)
+}
+
+// TestPDESTracesItsLinks checks that every PCIe link records on its
+// owner's sink — device d's D2H bytes on sinks[d], its H2D bytes on the
+// host kernel's — under the same names as a classic trace, and that the
+// counts do not depend on the worker count.
+func TestPDESTracesItsLinks(t *testing.T) {
+	linkBytes := func(workers int) []int64 {
+		sys, err := NewPDESSystem(Config{Devices: 2, Scheme: SchemeVDMA}, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sinks := make([]*trace.Sink, 3)
+		for i := range sinks {
+			sinks[i] = trace.NewSink(sys.PDES.Kernel(i))
+		}
+		sys.Instrument(sinks)
+		session, err := sys.NewSessionAt(pinPlaces)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pingPong(t, session, 4096)
+		host := sinks[2]
+		var got []int64
+		for d := 0; d < 2; d++ {
+			up := fmt.Sprintf("noc.pcie.d%d.d2h.bytes", d)
+			down := fmt.Sprintf("noc.pcie.d%d.h2d.bytes", d)
+			if sinks[d].CounterValue(up) == 0 || host.CounterValue(down) == 0 {
+				t.Errorf("%d workers: %s = %d on device %d's sink, %s = %d on the host's; want both > 0",
+					workers, up, sinks[d].CounterValue(up), d, down, host.CounterValue(down))
+			}
+			if host.CounterValue(up) != 0 || sinks[d].CounterValue(down) != 0 {
+				t.Errorf("%d workers: device %d's links record on the wrong kernel's sink", workers, d)
+			}
+			got = append(got, sinks[d].CounterValue(up), host.CounterValue(down))
+		}
+		return got
+	}
+	if one, two := linkBytes(1), linkBytes(2); !slices.Equal(one, two) {
+		t.Errorf("link bytes with 1 worker %v, with 2 workers %v", one, two)
+	}
 }
 
 // TestPDESResultMatchesClassic cross-checks payload integrity against
