@@ -57,16 +57,14 @@ bench-compare:
 		  echo '```'; echo "$$verdict"; echo '```'; } >>"$$GITHUB_STEP_SUMMARY"; \
 	fi; exit $$rc
 
-# Fault-injection gate: the injector's tests, the fault matrix, the
-# recovery tests and the soak's 1x short schedule, all under the race
-# detector, the coverage floors, and the whole identity table
+# Fault-injection gate: the coverage floors and the whole identity table
 # (identity_test.go): every scenario's serial, parallel, PDES-worker,
 # replica and rerun outputs byte-identical, with its fault, ledger and
 # tenant facts. `go test -short ./...` runs the table's tier-1 subset.
-# CI's fault job runs this target.
+# The injector's, fault matrix's and recovery tests run under the race
+# detector once, in `make race` (CI: the build job's race step), the
+# harness soaks at full length. CI's fault job runs this target.
 fault: cover
-	$(GO) test -race ./internal/fault
-	$(GO) test -race -short -run Fault ./internal/harness .
 	$(GO) test -count=1 -run Identity .
 
 # Coverage floors on the injector, the PCIe packet layer, the
@@ -88,7 +86,7 @@ cover:
 	@$(COVERFLOOR) ./internal/host 0
 	@$(COVERFLOOR) ./internal/vscc 0
 
-# Full 10k-transfer fault soak (the short 1x schedule runs in `fault`).
+# The 10k-transfer fault soak alone (`make race` runs it with the rest).
 soak:
 	$(GO) test -run FaultSoak -v ./internal/harness
 

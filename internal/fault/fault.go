@@ -17,9 +17,11 @@
 package fault
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -79,6 +81,48 @@ type Config struct {
 	// Recovery tunes the detection/retry machinery; zero fields take
 	// DefaultRecovery values.
 	Recovery Recovery
+}
+
+// Class is one per-10k rate class of Config.
+type Class int
+
+// The rate classes: PacketFault decides the SIF packet classes (Drop,
+// Dup, Corrupt, Delay), Inject the device classes.
+const (
+	Drop Class = iota
+	Dup
+	Corrupt
+	Delay
+	FlagLoss
+	CacheCorrupt
+	MMIOCorrupt
+)
+
+// classes declares each rate class once: the -fault key that sets its
+// rate, where it is decided, the event kind a hit logs, and its Config
+// field. A packet class's site is a suffix to the SIF link's site
+// ("pcie.h2d" + ".drop"); a device class is decided at its own site.
+var classes = [...]struct {
+	key, site, kind string
+	rate            func(*Config) *int
+}{
+	Drop:         {"drop", ".drop", "inject.drop", func(c *Config) *int { return &c.DropPer10k }},
+	Dup:          {"dup", ".dup", "inject.dup", func(c *Config) *int { return &c.DupPer10k }},
+	Corrupt:      {"corrupt", ".corrupt", "inject.corrupt", func(c *Config) *int { return &c.CorruptPer10k }},
+	Delay:        {"delay", ".delay", "inject.delay", func(c *Config) *int { return &c.DelayPer10k }},
+	FlagLoss:     {"flagloss", "scc.flag", "inject.flagloss", func(c *Config) *int { return &c.FlagLossPer10k }},
+	CacheCorrupt: {"cachecorrupt", "host.cache", "inject.cachecorrupt", func(c *Config) *int { return &c.CacheCorruptPer10k }},
+	MMIOCorrupt:  {"mmio", "host.mmio", "inject.mmiocorrupt", func(c *Config) *int { return &c.MMIOCorruptPer10k }},
+}
+
+// RatesArmed reports whether any rate class has a nonzero rate.
+func (c *Config) RatesArmed() bool {
+	for _, r := range classes {
+		if *r.rate(c) != 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // DeviceFault schedules one whole-device outage: device Dev fails at
@@ -183,27 +227,13 @@ func DefaultRecovery() Recovery {
 // (permanent latch).
 func (r Recovery) withDefaults() Recovery {
 	d := DefaultRecovery()
-	if r.RetxTimeout == 0 {
-		r.RetxTimeout = d.RetxTimeout
-	}
-	if r.MaxRetx == 0 {
-		r.MaxRetx = d.MaxRetx
-	}
-	if r.WaitBudget == 0 {
-		r.WaitBudget = d.WaitBudget
-	}
-	if r.MaxWaitRetries == 0 {
-		r.MaxWaitRetries = d.MaxWaitRetries
-	}
-	if r.WatchdogCycles == 0 {
-		r.WatchdogCycles = d.WatchdogCycles
-	}
-	if r.VerifyRetries == 0 {
-		r.VerifyRetries = d.VerifyRetries
-	}
-	if r.PromoteAfter == 0 {
-		r.PromoteAfter = d.PromoteAfter
-	}
+	r.RetxTimeout = cmp.Or(r.RetxTimeout, d.RetxTimeout)
+	r.MaxRetx = cmp.Or(r.MaxRetx, d.MaxRetx)
+	r.WaitBudget = cmp.Or(r.WaitBudget, d.WaitBudget)
+	r.MaxWaitRetries = cmp.Or(r.MaxWaitRetries, d.MaxWaitRetries)
+	r.WatchdogCycles = cmp.Or(r.WatchdogCycles, d.WatchdogCycles)
+	r.VerifyRetries = cmp.Or(r.VerifyRetries, d.VerifyRetries)
+	r.PromoteAfter = cmp.Or(r.PromoteAfter, d.PromoteAfter)
 	return r
 }
 
@@ -252,16 +282,14 @@ type Injector struct {
 }
 
 type streamKey struct {
-	site string
-	dev  int
+	site, suffix string
+	dev          int
 }
 
 // NewInjector builds an injector for kernel k. cfg.Recovery is
 // normalized through DefaultRecovery.
 func NewInjector(k *sim.Kernel, cfg Config) *Injector {
-	if cfg.DelayCycles == 0 {
-		cfg.DelayCycles = 2000
-	}
+	cfg.DelayCycles = cmp.Or(cfg.DelayCycles, 2000)
 	return &Injector{
 		k:         k,
 		cfg:       cfg,
@@ -298,26 +326,20 @@ func (inj *Injector) Recovery() Recovery {
 	return inj.rec
 }
 
-// stream returns the decision stream for (site, dev), creating it from
-// the seed on first use. The per-site keying makes each site's decision
-// sequence independent of every other site's traffic.
-func (inj *Injector) stream(site string, dev int) *uint64 {
-	key := streamKey{site, dev}
+// stream returns the decision stream for (site+suffix, dev), creating
+// it from the seed on first use. The per-site keying makes each site's
+// decision sequence independent of every other site's traffic. The
+// suffix (".drop", ".pick") stays a separate key so no decision builds
+// a string; FNV-1a continued over it hashes the joined name.
+func (inj *Injector) stream(site, suffix string, dev int) *uint64 {
+	key := streamKey{site, suffix, dev}
 	s, ok := inj.streams[key]
 	if !ok {
 		s = new(uint64)
-		*s = inj.cfg.Seed ^ hashSite(site) ^ (uint64(dev+1) * 0x9E3779B97F4A7C15)
+		*s = inj.cfg.Seed ^ fnv1a(fnv1a(0xCBF29CE484222325, site), suffix) ^ (uint64(dev+1) * 0x9E3779B97F4A7C15)
 		inj.streams[key] = s
 	}
 	return s
-}
-
-// roll draws one decision at rate-per-10k from the site's stream.
-func (inj *Injector) roll(site string, dev, per10k int) bool {
-	if per10k <= 0 {
-		return false
-	}
-	return SplitMix64(inj.stream(site, dev))%10_000 < uint64(per10k)
 }
 
 // Pick returns a deterministic index in [0, n) for the site's next
@@ -326,7 +348,7 @@ func (inj *Injector) Pick(site string, dev, n int) int {
 	if inj == nil || n <= 0 {
 		return 0
 	}
-	return int(SplitMix64(inj.stream(site+".pick", dev)) % uint64(n))
+	return int(SplitMix64(inj.stream(site, ".pick", dev)) % uint64(n))
 }
 
 // PacketFault decides the fate of one SIF packet at a site
@@ -338,50 +360,44 @@ func (inj *Injector) PacketFault(site string, dev int) PacketVerdict {
 	}
 	var v PacketVerdict
 	switch {
-	case inj.roll(site+".drop", dev, inj.cfg.DropPer10k):
+	case inj.hit(Drop, site, dev):
 		v.Drop = true
-		inj.note("inject.drop", site, dev)
-	case inj.roll(site+".dup", dev, inj.cfg.DupPer10k):
+	case inj.hit(Dup, site, dev):
 		v.Dup = true
-		inj.note("inject.dup", site, dev)
-	case inj.roll(site+".corrupt", dev, inj.cfg.CorruptPer10k):
+	case inj.hit(Corrupt, site, dev):
 		v.Corrupt = true
-		inj.note("inject.corrupt", site, dev)
 	}
-	if !v.Drop && !v.Corrupt && inj.roll(site+".delay", dev, inj.cfg.DelayPer10k) {
+	if !v.Drop && !v.Corrupt && inj.hit(Delay, site, dev) {
 		v.Delay = inj.cfg.DelayCycles
-		inj.note("inject.delay", site, dev)
 	}
 	return v
 }
 
-// LoseFlagWrite decides whether a host-side flag store into device dev's
-// MPB vanishes.
-func (inj *Injector) LoseFlagWrite(dev int) bool {
-	if inj == nil || !inj.roll("scc.flag", dev, inj.cfg.FlagLossPer10k) {
-		return false
-	}
-	inj.note("inject.flagloss", "scc.flag", dev)
-	return true
+// Inject decides one fault of a device class for device dev: FlagLoss
+// (a host-side flag store into its MPB vanishes), CacheCorrupt (a
+// software-cache line landing for it is silently damaged) or MMIOCorrupt
+// (a fused vDMA register write from it is damaged on the wire).
+func (inj *Injector) Inject(c Class, dev int) bool {
+	return inj != nil && inj.hit(c, "", dev)
 }
 
-// CorruptCacheLine decides whether a software-cache line landing for
-// device dev is silently damaged.
-func (inj *Injector) CorruptCacheLine(dev int) bool {
-	if inj == nil || !inj.roll("host.cache", dev, inj.cfg.CacheCorruptPer10k) {
+// hit draws one decision of class c for device dev and logs a hit. A
+// packet class draws at the SIF link's site keyed by its row's suffix;
+// a device class passes link "" and draws at its row's site.
+func (inj *Injector) hit(c Class, link string, dev int) bool {
+	r := &classes[c]
+	per10k := *r.rate(&inj.cfg)
+	if per10k <= 0 {
 		return false
 	}
-	inj.note("inject.cachecorrupt", "host.cache", dev)
-	return true
-}
-
-// CorruptMMIO decides whether a fused vDMA register write from device
-// dev is damaged on the wire.
-func (inj *Injector) CorruptMMIO(dev int) bool {
-	if inj == nil || !inj.roll("host.mmio", dev, inj.cfg.MMIOCorruptPer10k) {
+	site, suffix := r.site, ""
+	if link != "" {
+		site, suffix = link, r.site
+	}
+	if SplitMix64(inj.stream(site, suffix, dev))%10_000 >= uint64(per10k) {
 		return false
 	}
-	inj.note("inject.mmiocorrupt", "host.mmio", dev)
+	inj.note(r.kind, site, dev)
 	return true
 }
 
@@ -441,13 +457,11 @@ func (inj *Injector) CleanTransfer(dev int) {
 	}
 	inj.clean[dev] = 0
 	if inj.Degraded(dev) {
-		inj.recovered[dev] = 0
 		inj.note("recover.promote", "vscc.proto", dev)
-	} else {
-		// A long clean streak also forgives sub-threshold recoveries,
-		// so ancient faults cannot combine with fresh ones to degrade.
-		inj.recovered[dev] = 0
 	}
+	// A long clean streak also forgives sub-threshold recoveries, so
+	// ancient faults cannot combine with fresh ones to degrade.
+	inj.recovered[dev] = 0
 }
 
 // note appends to the event log and mirrors into stats and the sink —
@@ -495,13 +509,8 @@ func (inj *Injector) Summary() string {
 	if inj == nil {
 		return ""
 	}
-	kinds := make([]string, 0, len(inj.stats))
-	for k := range inj.stats {
-		kinds = append(kinds, k)
-	}
-	sort.Strings(kinds)
 	var b strings.Builder
-	for _, k := range kinds {
+	for _, k := range slices.Sorted(maps.Keys(inj.stats)) {
 		fmt.Fprintf(&b, "%s=%d\n", k, inj.stats[k])
 	}
 	if inj.dropped > 0 {
@@ -522,11 +531,11 @@ func SplitMix64(state *uint64) uint64 {
 	return z ^ (z >> 31)
 }
 
-// hashSite is FNV-1a over the site name.
-func hashSite(site string) uint64 {
-	h := uint64(0xCBF29CE484222325)
-	for i := 0; i < len(site); i++ {
-		h ^= uint64(site[i])
+// fnv1a continues the 64-bit FNV-1a hash h over s: from the offset
+// basis, fnv1a(fnv1a(basis, a), b) is the hash of a+b.
+func fnv1a(h uint64, s string) uint64 {
+	for i := 0; i < len(s); i++ {
+		h ^= uint64(s[i])
 		h *= 0x100000001B3
 	}
 	return h
@@ -571,8 +580,8 @@ func ParseSpec(spec string) (*Config, error) {
 	// (trimmed) spec, so a long machine-assembled spec — a chaos
 	// campaign reproducer, a CI matrix entry — pinpoints its bad token
 	// without manual counting.
-	off := 0
-	for _, tok := range strings.Split(spec, ",") {
+	for tok, rest, more, off := "", spec, true, 0; more; off += len(tok) + 1 {
+		tok, rest, more = strings.Cut(rest, ",")
 		trimmed := strings.TrimSpace(tok)
 		at := off + strings.Index(tok, trimmed)
 		key, val, ok := strings.Cut(trimmed, "=")
@@ -582,30 +591,17 @@ func ParseSpec(spec string) (*Config, error) {
 		if err := applySetting(cfg, key, val); err != nil {
 			return nil, fmt.Errorf("fault: spec token %q at byte %d: %w", trimmed, at, err)
 		}
-		off += len(tok) + 1
 	}
 	return cfg, nil
 }
 
 func applySetting(cfg *Config, key, val string) error {
-	// Errors stay token-relative: ParseSpec wraps them with the
-	// offending token and its byte offset.
-	atoi := func(s string) (int, error) {
-		n, err := strconv.Atoi(s)
-		if err != nil {
-			return 0, fmt.Errorf("bad number %q", s)
-		}
-		return n, nil
-	}
-	// Cycle-valued settings reject a negative count: sim.Cycles is
-	// unsigned, so -1 would wrap to ~2^64 and freeze its target forever.
-	cycles := func(s string) (sim.Cycles, error) {
-		n, err := atoi(s)
-		if err == nil && n < 0 {
-			err = fmt.Errorf("negative cycle count %q", s)
-		}
-		return sim.Cycles(n), err
-	}
+	// A count or cycle-count setting names only its field here: its
+	// value is parsed once, after the switch. Errors stay token-relative:
+	// ParseSpec wraps them with the offending token and its byte offset.
+	var count *int
+	var cyc *sim.Cycles
+	cycVal := val
 	switch key {
 	case "seed":
 		n, err := strconv.ParseUint(val, 10, 64)
@@ -613,92 +609,39 @@ func applySetting(cfg *Config, key, val string) error {
 			return fmt.Errorf("bad seed %q", val)
 		}
 		cfg.Seed = n
-	case "drop":
-		n, err := atoi(val)
-		if err != nil {
-			return err
-		}
-		cfg.DropPer10k = n
-	case "dup":
-		n, err := atoi(val)
-		if err != nil {
-			return err
-		}
-		cfg.DupPer10k = n
-	case "delay":
-		rate, extra, hasCycles := strings.Cut(val, ":")
-		n, err := atoi(rate)
-		if err != nil {
-			return err
-		}
-		cfg.DelayPer10k = n
-		if hasCycles {
-			c, err := cycles(extra)
-			if err != nil {
-				return err
-			}
-			cfg.DelayCycles = c
-		}
-	case "corrupt":
-		n, err := atoi(val)
-		if err != nil {
-			return err
-		}
-		cfg.CorruptPer10k = n
-	case "flagloss":
-		n, err := atoi(val)
-		if err != nil {
-			return err
-		}
-		cfg.FlagLossPer10k = n
-	case "cachecorrupt":
-		n, err := atoi(val)
-		if err != nil {
-			return err
-		}
-		cfg.CacheCorruptPer10k = n
-	case "mmio":
-		n, err := atoi(val)
-		if err != nil {
-			return err
-		}
-		cfg.MMIOCorruptPer10k = n
 	case "stall":
 		at, dur, ok := strings.Cut(val, ":")
 		if !ok {
 			return fmt.Errorf("want AT:FOR, got %q", val)
 		}
-		a, err := cycles(at)
+		a, err := parseCycles(at)
 		if err != nil {
 			return err
 		}
-		d, err := cycles(dur)
+		d, err := parseCycles(dur)
 		if err != nil {
 			return err
 		}
 		cfg.StallAt = append(cfg.StallAt, StallWindow{At: a, For: d})
 	case "crash":
-		n, err := cycles(val)
-		if err != nil {
-			return err
-		}
-		cfg.CrashAt = append(cfg.CrashAt, n)
+		cfg.CrashAt = append(cfg.CrashAt, 0)
+		cyc = &cfg.CrashAt[len(cfg.CrashAt)-1]
 	case "devcrash", "devlinkdown":
 		parts := strings.Split(val, ":")
 		if len(parts) != 2 && len(parts) != 3 {
 			return fmt.Errorf("want AT:DEV[:DOWN], got %q", val)
 		}
-		at, err := cycles(parts[0])
+		at, err := parseCycles(parts[0])
 		if err != nil {
 			return err
 		}
-		dev, err := atoi(parts[1])
+		dev, err := parseCount(parts[1])
 		if err != nil {
 			return err
 		}
 		df := DeviceFault{At: at, Dev: dev}
 		if len(parts) == 3 {
-			if df.Down, err = cycles(parts[2]); err != nil {
+			if df.Down, err = parseCycles(parts[2]); err != nil {
 				return err
 			}
 		}
@@ -707,74 +650,70 @@ func applySetting(cfg *Config, key, val string) error {
 		} else {
 			cfg.DevLinkDownAt = append(cfg.DevLinkDownAt, df)
 		}
-	case "ckpt":
-		n, err := cycles(val)
-		if err != nil {
-			return err
-		}
-		cfg.CkptInterval = n
-	case "rejoin":
-		n, err := cycles(val)
-		if err != nil {
-			return err
-		}
-		cfg.RejoinCycles = n
-	case "retx":
-		n, err := cycles(val)
-		if err != nil {
-			return err
-		}
-		cfg.Recovery.RetxTimeout = n
-	case "maxretx":
-		n, err := atoi(val)
-		if err != nil {
-			return err
-		}
-		cfg.Recovery.MaxRetx = n
-	case "budget":
-		n, err := cycles(val)
-		if err != nil {
-			return err
-		}
-		cfg.Recovery.WaitBudget = n
-	case "waitretries":
-		n, err := atoi(val)
-		if err != nil {
-			return err
-		}
-		cfg.Recovery.MaxWaitRetries = n
-	case "watchdog":
-		n, err := cycles(val)
-		if err != nil {
-			return err
-		}
-		cfg.Recovery.WatchdogCycles = n
-	case "verify":
-		n, err := atoi(val)
-		if err != nil {
-			return err
-		}
-		cfg.Recovery.VerifyRetries = n
-	case "degrade":
-		n, err := atoi(val)
-		if err != nil {
-			return err
-		}
-		cfg.Recovery.DegradeAfter = n
-	case "promote":
-		n, err := atoi(val)
-		if err != nil {
-			return err
-		}
-		cfg.Recovery.PromoteAfter = n
 	case "devretry":
-		n, err := atoi(val)
+		n, err := parseCount(val)
 		if err != nil {
 			return err
 		}
 		cfg.Recovery.DeviceRetry = n != 0
+	case "ckpt":
+		cyc = &cfg.CkptInterval
+	case "rejoin":
+		cyc = &cfg.RejoinCycles
+	case "retx":
+		cyc = &cfg.Recovery.RetxTimeout
+	case "maxretx":
+		count = &cfg.Recovery.MaxRetx
+	case "budget":
+		cyc = &cfg.Recovery.WaitBudget
+	case "waitretries":
+		count = &cfg.Recovery.MaxWaitRetries
+	case "watchdog":
+		cyc = &cfg.Recovery.WatchdogCycles
+	case "verify":
+		count = &cfg.Recovery.VerifyRetries
+	case "degrade":
+		count = &cfg.Recovery.DegradeAfter
+	case "promote":
+		count = &cfg.Recovery.PromoteAfter
 	default:
-		return errors.New("unknown setting")
+		c := Class(0)
+		for c < Class(len(classes)) && classes[c].key != key {
+			c++
+		}
+		if c == Class(len(classes)) {
+			return errors.New("unknown setting")
+		}
+		count = classes[c].rate(cfg)
+		if rate, extra, ok := strings.Cut(val, ":"); ok && c == Delay {
+			// delay=N:CYCLES: the rate, then the extra latency.
+			val, cycVal, cyc = rate, extra, &cfg.DelayCycles
+		}
 	}
-	return nil
+	var err error
+	if count != nil {
+		*count, err = parseCount(val)
+	}
+	if cyc != nil && err == nil {
+		*cyc, err = parseCycles(cycVal)
+	}
+	return err
+}
+
+func parseCount(s string) (int, error) {
+	n, err := strconv.Atoi(s)
+	if err != nil {
+		return 0, fmt.Errorf("bad number %q", s)
+	}
+	return n, nil
+}
+
+// parseCycles rejects a negative count: sim.Cycles is unsigned, so -1
+// would wrap to ~2^64 and freeze its target forever.
+func parseCycles(s string) (sim.Cycles, error) {
+	n, err := parseCount(s)
+	if err == nil && n < 0 {
+		err = fmt.Errorf("negative cycle count %q", s)
+	}
+	return sim.Cycles(n), err
 }

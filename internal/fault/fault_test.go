@@ -12,7 +12,7 @@ func TestNilInjectorIsInert(t *testing.T) {
 	if v := inj.PacketFault("pcie.h2d", 0); v != (PacketVerdict{}) {
 		t.Errorf("nil injector issued a packet fault: %+v", v)
 	}
-	if inj.LoseFlagWrite(0) || inj.CorruptCacheLine(0) || inj.CorruptMMIO(0) {
+	if inj.Inject(FlagLoss, 0) || inj.Inject(CacheCorrupt, 0) || inj.Inject(MMIOCorrupt, 0) {
 		t.Error("nil injector injected a fault")
 	}
 	if inj.Degraded(0) {
@@ -73,7 +73,7 @@ func TestSiteStreamsAreIndependent(t *testing.T) {
 			if interleave {
 				inj.PacketFault("pcie.d2h", 0) // extra traffic elsewhere
 			}
-			out = append(out, inj.LoseFlagWrite(2))
+			out = append(out, inj.Inject(FlagLoss, 2))
 		}
 		return out
 	}
@@ -374,7 +374,7 @@ func TestParseSpecErrorPositions(t *testing.T) {
 func TestEventLogCapsAndSummary(t *testing.T) {
 	inj := NewInjector(sim.NewKernel(), Config{FlagLossPer10k: 10_000})
 	for i := 0; i < maxEvents+10; i++ {
-		inj.LoseFlagWrite(0)
+		inj.Inject(FlagLoss, 0)
 	}
 	if len(inj.Events()) != maxEvents {
 		t.Errorf("event log holds %d entries, want cap %d", len(inj.Events()), maxEvents)
@@ -401,4 +401,18 @@ func contains(s, sub string) bool {
 		}
 	}
 	return false
+}
+
+// A framed packet's decision builds no string: each stream is keyed by
+// (site, suffix, dev), so a decision at zero rates — the common case of
+// a fault-armed run — allocates nothing, nor does a corruption pick on
+// a warm stream.
+func TestDecisionsAllocateNothing(t *testing.T) {
+	inj := NewInjector(sim.NewKernel(), Config{Seed: 7})
+	if n := testing.AllocsPerRun(100, func() { inj.PacketFault("pcie.h2d", 1) }); n != 0 {
+		t.Errorf("PacketFault at zero rates: %v allocations, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { inj.Pick("pcie.h2d", 1, 16) }); n != 0 {
+		t.Errorf("Pick: %v allocations, want 0", n)
+	}
 }

@@ -20,9 +20,8 @@ import (
 const devSoakSpec = soakSpec + ",devcrash=200000:1,devretry=1"
 
 // TestFaultSoakDeviceCrash is the crash-recovery determinism gate. Full
-// runs play 10k transfers per sweep; `-short` is the 1x schedule wired
-// into `make check` and CI, with the nightly soak job running the full
-// one.
+// runs — `make check`'s race step, CI's build job and the nightly soak
+// job — play 10k transfers per sweep; `-short` is the 1x schedule.
 func TestFaultSoakDeviceCrash(t *testing.T) {
 	transfers := 10_000
 	if testing.Short() {

@@ -17,8 +17,8 @@ import (
 // digest — per-point end cycle plus the injector's event totals — must
 // be byte-identical across the two sweeps, the same contract the
 // determinism gates hold for the fault-free sweeps. Ten thousand
-// transfers in the full run; `-short` is the 1x schedule wired into
-// `make check` and the CI fault job.
+// transfers in the full run, which `make check`'s race step and the CI
+// build job play; `-short` is the 1x schedule.
 
 // soakSpec is the seeded schedule every soak point runs under. The
 // rates are low enough that every class still completes through

@@ -1,6 +1,7 @@
 package host
 
 import (
+	"vscc/internal/fault"
 	"vscc/internal/mem"
 	"vscc/internal/scc"
 	"vscc/internal/sim"
@@ -142,7 +143,7 @@ func (r *landing) arrive() {
 		e.markValid(r.off, len(r.data))
 		// Injected host-memory corruption: flip one byte after the
 		// checksum was taken, so cacheClean catches it on first use.
-		if t.faults.CorruptCacheLine(e.rg.Dev) {
+		if t.faults.Inject(fault.CacheCorrupt, e.rg.Dev) {
 			r.data[t.faults.Pick("host.cache", e.rg.Dev, len(r.data))] ^= 0x80
 		}
 		e.pending--
@@ -182,7 +183,7 @@ func (r *landing) arrive() {
 		t.Kernel.After(t.Fabric.Params.HostOpCycles, r.land)
 		return
 	case landRegister:
-		if t.faults.CorruptMMIO(r.srcDev) {
+		if t.faults.Inject(fault.MMIOCorrupt, r.srcDev) {
 			r.data[t.faults.Pick("host.mmio", r.srcDev, len(r.data))] ^= 0x20
 		}
 		cmd, trigger := t.banks(r.dev).Write(r.off/BankBytes, r.data, r.mask)

@@ -408,31 +408,36 @@ func (s *Scheduler) feasible(n int) error {
 		return fmt.Errorf("%d ranks exceeds the machine's %d cores", n, total)
 	}
 	// Worst admissible placement on the empty machine: device-major over
-	// all cores, mirroring allocate.
-	perDev := make([]int, len(s.sys.Chips))
-	left := n
-	for d := range s.sys.Chips {
-		take := min(scc.NumCores, left)
-		perDev[d] = take
-		left -= take
-		if left == 0 {
-			break
+	// all cores, as allocate packs.
+	_, lut := pack(n, len(s.sys.Chips), func(int) int { return scc.NumCores })
+	for d, need := range lut {
+		if need > s.lutPer {
+			return fmt.Errorf("needs %d LUT slots on device %d, partition holds %d", need, d, s.lutPer)
 		}
 	}
+	return nil
+}
+
+// pack places n ranks device-major, filling device d's free(d) cores
+// before the next device's, and charges each of the span devices used
+// c*(span-1) LUT slots for its c ranks' windows onto the others. The
+// caller checks that the devs devices hold n free cores.
+func pack(n, devs int, free func(d int) int) (perDev, lut []int) {
+	perDev, lut = make([]int, devs), make([]int, devs)
 	span := 0
-	for _, c := range perDev {
-		if c > 0 {
+	for d, left := 0, n; d < devs && left > 0; d++ {
+		perDev[d] = min(free(d), left)
+		left -= perDev[d]
+		if perDev[d] > 0 {
 			span++
 		}
 	}
 	if span > 1 {
 		for d, c := range perDev {
-			if need := c * (span - 1); need > s.lutPer {
-				return fmt.Errorf("needs %d LUT slots on device %d, partition holds %d", need, d, s.lutPer)
-			}
+			lut[d] = c * (span - 1)
 		}
 	}
-	return nil
+	return perDev, lut
 }
 
 // tryAdmit starts queued jobs in FIFO order until the head no longer
@@ -460,35 +465,10 @@ func (s *Scheduler) allocate(n int) ([]rcce.Place, []int, bool) {
 	if n > total {
 		return nil, nil, false
 	}
-	perDev := make([]int, len(s.free))
-	left := n
-	for d := range s.free {
-		take := len(s.free[d])
-		if take > left {
-			take = left
-		}
-		perDev[d] = take
-		left -= take
-		if left == 0 {
-			break
-		}
-	}
-	span := 0
-	for _, c := range perDev {
-		if c > 0 {
-			span++
-		}
-	}
-	lut := make([]int, len(s.free))
-	if span > 1 {
-		for d, c := range perDev {
-			if c == 0 {
-				continue
-			}
-			lut[d] = c * (span - 1)
-			if lut[d] > s.lutFree[d] {
-				return nil, nil, false
-			}
+	perDev, lut := pack(n, len(s.free), func(d int) int { return len(s.free[d]) })
+	for d, need := range lut {
+		if need > s.lutFree[d] {
+			return nil, nil, false
 		}
 	}
 	var places []rcce.Place
@@ -782,9 +762,12 @@ func (s *Scheduler) release(j *job) {
 func (s *Scheduler) wipeFlags(pl rcce.Place) {
 	tile := scc.CoreTile(pl.Core)
 	base := scc.CoreLMBOffset(pl.Core)
-	zeros := make([]byte, mem.CoreLMBSize-rcce.PayloadBytes)
-	s.sys.Chips[pl.Dev].HostWriteLMB(tile, base+rcce.PayloadBytes, zeros)
+	s.sys.Chips[pl.Dev].HostWriteLMB(tile, base+rcce.PayloadBytes, flagZeros[:])
 }
+
+// flagZeros is the one zero block wipeFlags stores: the LMB and every
+// write observer (the checkpoint log) copy what they are handed.
+var flagZeros [mem.CoreLMBSize - rcce.PayloadBytes]byte
 
 func insertSorted(xs []int, v int) []int {
 	i := sort.SearchInts(xs, v)

@@ -804,23 +804,15 @@ func (rt *Runtime) move(r *rcce.Rank, rg *Region, read bool) {
 	switch class {
 	case vscc.MoveDirect:
 		rt.stage(r, rg, read, rg.bytes, stageA)
-	case vscc.MoveCachedMPB:
-		// One staging pass through the first MPB half.
-		for off := 0; off < rg.bytes; off += stageHalf {
-			n := min(stageHalf, rg.bytes-off)
-			rt.stage(r, rg, read, n, stageA)
-		}
-	default: // vscc.MoveVDMA
-		// Double-buffered: consecutive chunks alternate MPB halves, the
-		// virtual DMA controller's pipelining pattern (Fig. 4a/5).
+	default:
+		// Chunked staging. MoveCachedMPB passes every chunk through the
+		// first MPB half; MoveVDMA double-buffers, alternating halves —
+		// the virtual DMA controller's pipelining pattern (Fig. 4a/5).
 		slot := stageA
 		for off := 0; off < rg.bytes; off += stageHalf {
-			n := min(stageHalf, rg.bytes-off)
-			rt.stage(r, rg, read, n, slot)
-			if slot == stageA {
-				slot = stageB
-			} else {
-				slot = stageA
+			rt.stage(r, rg, read, min(stageHalf, rg.bytes-off), slot)
+			if class == vscc.MoveVDMA {
+				slot = stageA + stageB - slot // the other half
 			}
 		}
 	}

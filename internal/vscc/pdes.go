@@ -79,8 +79,7 @@ func pdesUnsupportedFaults(f *fault.Config) error {
 	if f == nil {
 		return nil
 	}
-	if f.DropPer10k != 0 || f.DupPer10k != 0 || f.DelayPer10k != 0 || f.CorruptPer10k != 0 ||
-		f.FlagLossPer10k != 0 || f.CacheCorruptPer10k != 0 || f.MMIOCorruptPer10k != 0 {
+	if f.RatesArmed() {
 		return errors.New("vscc: pdes supports only device-crash faults; packet/flag/cache/mmio faults need the framed single-kernel fabric")
 	}
 	if len(f.StallAt) != 0 || len(f.CrashAt) != 0 {

@@ -127,7 +127,7 @@ func NewSystem(k *sim.Kernel, cfg Config) (*System, error) {
 			// Remote MPB flag writes (flag-sized host stores) can vanish;
 			// the host's write-verify path recovers them.
 			chip.SetHostWriteDropper(func(tile, off, n int) bool {
-				return n <= 4 && inj.LoseFlagWrite(d)
+				return n <= 4 && inj.Inject(fault.FlagLoss, d)
 			})
 		}
 		sys.Injector = inj
