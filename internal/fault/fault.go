@@ -141,6 +141,26 @@ func (c *Config) DeviceFaultsArmed() bool {
 	return c != nil && (len(c.DevCrashAt) > 0 || len(c.DevLinkDownAt) > 0)
 }
 
+// CheckDevices refuses a device fault on a device that a system of n
+// devices does not have: such a fault would run and inject nothing.
+// Both engines call it, so both refuse a schedule with one message.
+func (c *Config) CheckDevices(n int) error {
+	if c == nil {
+		return nil
+	}
+	for _, s := range []struct {
+		key    string
+		faults []DeviceFault
+	}{{"devcrash", c.DevCrashAt}, {"devlinkdown", c.DevLinkDownAt}} {
+		for _, df := range s.faults {
+			if df.Dev < 0 || df.Dev >= n {
+				return fmt.Errorf("fault: %s at cycle %d names device %d, but the system has devices 0..%d", s.key, df.At, df.Dev, n-1)
+			}
+		}
+	}
+	return nil
+}
+
 // Default device-lifecycle timing: checkpoints every 500k cycles, a
 // failed device returns after 200k (≈ 2 watchdog periods), and the
 // membership manager lets in-flight committed traffic drain for 50k
@@ -542,7 +562,7 @@ func fnv1a(h uint64, s string) uint64 {
 }
 
 // ParseSpec parses the -fault flag grammar: comma-separated key=value
-// settings.
+// settings. A rate is per 10k decisions and must lie in [0, 10000].
 //
 //	seed=N            decision-stream seed
 //	drop=N            SIF drop rate per 10k packets
@@ -600,6 +620,7 @@ func applySetting(cfg *Config, key, val string) error {
 	// value is parsed once, after the switch. Errors stay token-relative:
 	// ParseSpec wraps them with the offending token and its byte offset.
 	var count *int
+	rate := false // count is a per-10k rate
 	var cyc *sim.Cycles
 	cycVal := val
 	switch key {
@@ -684,15 +705,18 @@ func applySetting(cfg *Config, key, val string) error {
 		if c == Class(len(classes)) {
 			return errors.New("unknown setting")
 		}
-		count = classes[c].rate(cfg)
-		if rate, extra, ok := strings.Cut(val, ":"); ok && c == Delay {
+		count, rate = classes[c].rate(cfg), true
+		if r, extra, ok := strings.Cut(val, ":"); ok && c == Delay {
 			// delay=N:CYCLES: the rate, then the extra latency.
-			val, cycVal, cyc = rate, extra, &cfg.DelayCycles
+			val, cycVal, cyc = r, extra, &cfg.DelayCycles
 		}
 	}
 	var err error
 	if count != nil {
 		*count, err = parseCount(val)
+		if err == nil && rate && (*count < 0 || *count > 10000) {
+			err = fmt.Errorf("rate %q per 10k outside [0, 10000]", val)
+		}
 	}
 	if cyc != nil && err == nil {
 		*cyc, err = parseCycles(cycVal)

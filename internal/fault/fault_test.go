@@ -358,6 +358,11 @@ func TestParseSpecErrorPositions(t *testing.T) {
 		{"retx=-3", `fault: spec token "retx=-3" at byte 0: negative cycle count "-3"`},
 		{"budget=-1", `fault: spec token "budget=-1" at byte 0: negative cycle count "-1"`},
 		{"watchdog=-1", `fault: spec token "watchdog=-1" at byte 0: negative cycle count "-1"`},
+		// A rate is per 10k decisions: below 0 or above 10 000 it names
+		// no probability.
+		{"seed=1,drop=-500", `fault: spec token "drop=-500" at byte 7: rate "-500" per 10k outside [0, 10000]`},
+		{"seed=1,mmio=20000", `fault: spec token "mmio=20000" at byte 7: rate "20000" per 10k outside [0, 10000]`},
+		{"delay=10001:50", `fault: spec token "delay=10001:50" at byte 0: rate "10001" per 10k outside [0, 10000]`},
 	}
 	for _, c := range cases {
 		_, err := ParseSpec(c.spec)

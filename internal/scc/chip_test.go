@@ -396,3 +396,41 @@ func TestUntouchedTileSnapshotWipeRestore(t *testing.T) {
 		t.Errorf("restored tile 5 reads %q", got[:7])
 	}
 }
+
+// A timed wait for an LMB store, woken or expired, allocates nothing once
+// the core has waited once: its deadline token is reused.
+func TestWaitLMBChangeForAllocatesNothing(t *testing.T) {
+	k := sim.NewKernel()
+	c := newTestChip(k)
+	var allocs float64
+	woke, expired, done := 0, 0, false
+	c.Launch(0, "waiter", func(ctx *Ctx) {
+		round := func() {
+			if ctx.WaitLMBChangeFor(0, 50) {
+				woke++
+			} else {
+				expired++
+			}
+		}
+		round()
+		allocs = testing.AllocsPerRun(200, round)
+		done = true
+	})
+	flag := []byte{7}
+	c.Launch(2, "writer", func(ctx *Ctx) {
+		for !done {
+			ctx.Delay(70)
+			ctx.WriteMPB(0, 0, 100, flag)
+			ctx.FlushWCB()
+		}
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if woke == 0 || expired == 0 {
+		t.Fatalf("%d woken and %d expired waits, want both", woke, expired)
+	}
+	if allocs != 0 {
+		t.Errorf("a WaitLMBChangeFor round allocates %v times, want 0", allocs)
+	}
+}

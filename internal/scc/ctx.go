@@ -277,10 +277,7 @@ func (c *Ctx) WaitLMBChangeFor(tile int, budget sim.Cycles) bool {
 		ch.Wait(c.Proc)
 		return true
 	}
-	to := ch.ArmTimeout(budget)
-	ok := ch.WaitOrTimeout(c.Proc, to)
-	to.Cancel()
-	return ok
+	return ch.WaitFor(c.Proc, budget)
 }
 
 // offChip returns the device's off-chip port, panicking for a standalone

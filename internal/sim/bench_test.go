@@ -158,3 +158,53 @@ func reportEventsPerSec(b *testing.B) {
 		b.ReportMetric(float64(b.N)/s, "events/s")
 	}
 }
+
+// BenchmarkWaitFor is one budgeted wait, a taskrt worker's idle nap: one
+// process waits with a 10-cycle budget while another signals every 14
+// cycles, so waits both wake and expire. One op is one WaitFor; after
+// the first it allocates nothing.
+//
+//	go test ./internal/sim -run=^$ -bench=WaitFor -benchmem
+func BenchmarkWaitFor(b *testing.B) {
+	k := NewKernel()
+	c := NewCond(k, "doorbell")
+	done := false
+	k.Spawn("waiter", func(p *Proc) {
+		for i := 0; i < b.N; i++ {
+			c.WaitFor(p, 10)
+		}
+		done = true
+	})
+	k.Spawn("signaller", func(p *Proc) {
+		for !done {
+			p.Delay(14)
+			c.Signal()
+		}
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	if err := k.Run(); err != nil {
+		b.Fatal(err)
+	}
+}
+
+// BenchmarkCondTwoWaiters is the two cores of a tile taking turns to nap
+// on the tile's Cond, each nap ended by its deadline, so the waiter list
+// never drains. One op is one wait; the array holding the waiters stays
+// at two slots however large b.N is.
+func BenchmarkCondTwoWaiters(b *testing.B) {
+	k := NewKernel()
+	c := NewCond(k, "tile")
+	for i := 0; i < 2; i++ {
+		k.SpawnAt(Cycles(5*i), "core", func(p *Proc) {
+			for n := i; n < b.N; n += 2 {
+				c.WaitFor(p, 10)
+			}
+		})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	if err := k.Run(); err != nil {
+		b.Fatal(err)
+	}
+}

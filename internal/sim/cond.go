@@ -16,7 +16,9 @@ type Cond struct {
 	// order by an expiring Timeout and is skipped. An expiry also moves
 	// head past leading empty slots and trims trailing ones, so the list
 	// spans only from its oldest to its newest live waiter however many
-	// timed waits expire on a Cond nobody signals.
+	// timed waits expire on a Cond nobody signals. A list that never
+	// drains (two processes taking turns to wait) is slid to the front of
+	// its array instead of growing it; see enqueue.
 	waiters []condWaiter
 	head    int
 }
@@ -36,12 +38,39 @@ func NewCond(k *Kernel, name string) *Cond {
 
 // Wait blocks the calling process until the condition is signalled.
 func (c *Cond) Wait(p *Proc) {
+	c.enqueue(p, nil)
+	p.park(c.reason)
+}
+
+// enqueue appends p, waiting under token t (nil for none), to the FIFO.
+// An append that would grow a full array while slots before head are
+// free first slides the waiters to the front, dropping the empty slots
+// between them: order is kept, and every moved token's slot follows its
+// waiter, so no wake moves.
+func (c *Cond) enqueue(p *Proc, t *Timeout) {
 	if c.head == len(c.waiters) {
 		c.waiters = c.waiters[:0]
 		c.head = 0
+	} else if c.head > 0 && len(c.waiters) == cap(c.waiters) {
+		n := 0
+		for _, w := range c.waiters[c.head:] {
+			if w.p == nil {
+				continue
+			}
+			if w.to != nil {
+				w.to.slot = n
+			}
+			c.waiters[n] = w
+			n++
+		}
+		clear(c.waiters[n:])
+		c.waiters = c.waiters[:n]
+		c.head = 0
 	}
-	c.waiters = append(c.waiters, condWaiter{p: p})
-	p.park(c.reason)
+	if t != nil {
+		t.slot = len(c.waiters)
+	}
+	c.waiters = append(c.waiters, condWaiter{p: p, to: t})
 }
 
 // Timeout is an armed deadline bound to one condition variable. It is a
@@ -53,8 +82,8 @@ type Timeout struct {
 	c   *Cond
 	seq uint64 // the kernel seq of the deadline event
 
-	// slot indexes c.waiters at the latest WaitOrTimeout under this
-	// token. Only one process waits under a token, one park at a time, so
+	// slot indexes c.waiters at the latest wait under this token; enqueue
+	// moves it along with its waiter. Only one process waits under a token, one park at a time, so
 	// that slot is the only one the expiry can wake; it is stale (emptied
 	// or reused) once the wait has ended, which the expiry detects.
 	slot int
@@ -63,6 +92,14 @@ type Timeout struct {
 	// done is set by Cancel: once the cancelled event is discarded, a
 	// second mark for its seq would never be consumed.
 	done bool
+}
+
+// procTimeout is the token a process's WaitFor calls reuse, with its
+// expire method value bound once. It is a type of its own so that an
+// ArmTimeout token does not carry the extra word.
+type procTimeout struct {
+	Timeout
+	fire func()
 }
 
 // ArmTimeout schedules a deadline d cycles from now. If the deadline
@@ -124,12 +161,33 @@ func (c *Cond) WaitOrTimeout(p *Proc, t *Timeout) bool {
 	if t.fired {
 		return false
 	}
-	if c.head == len(c.waiters) {
-		c.waiters = c.waiters[:0]
-		c.head = 0
+	c.enqueue(p, t)
+	p.park(c.reason)
+	return !t.fired
+}
+
+// WaitFor blocks like Wait for at most d cycles, reporting false when the
+// deadline passed first. It is ArmTimeout, WaitOrTimeout and Cancel in
+// one call, with the same event, seq and wakeups, but its token lives
+// only for the call: it is the calling process's own, reused by each of
+// its WaitFor calls, so a timed wait allocates nothing after the
+// process's first. The token is cancelled however the call ends, a Kill
+// that unwinds the park included, so no deadline outlives it.
+func (c *Cond) WaitFor(p *Proc, d Cycles) bool {
+	pt := p.timeout
+	if pt == nil {
+		pt = &procTimeout{}
+		pt.fire = pt.expire
+		p.timeout = pt
 	}
-	t.slot = len(c.waiters)
-	c.waiters = append(c.waiters, condWaiter{p: p, to: t})
+	// The previous call's event has fired or been cancelled: a cancelled
+	// event is discarded without running, so it cannot touch the token.
+	t := &pt.Timeout
+	t.c, t.fired, t.done = c, false, false
+	c.k.schedule(c.k.now+d, nil, pt.fire)
+	t.seq = c.k.seq
+	defer t.Cancel()
+	c.enqueue(p, t)
 	p.park(c.reason)
 	return !t.fired
 }

@@ -109,6 +109,7 @@ func (c *refCond) Broadcast() {
 // cancel.
 type condOps struct {
 	wait              func(*Proc)
+	waitFor           func(*Proc, Cycles) bool
 	arm               func(Cycles) (wait func(*Proc) bool, cancel func())
 	signal, broadcast func()
 }
@@ -116,7 +117,7 @@ type condOps struct {
 func condUnderTest(k *Kernel) condOps {
 	c := NewCond(k, "c")
 	return condOps{
-		wait: c.Wait,
+		wait: c.Wait, waitFor: c.WaitFor,
 		arm: func(d Cycles) (func(*Proc) bool, func()) {
 			to := c.ArmTimeout(d)
 			return func(p *Proc) bool { return c.WaitOrTimeout(p, to) }, to.Cancel
@@ -129,6 +130,13 @@ func refCondOps(k *Kernel) condOps {
 	c := newRefCond(k, "c")
 	return condOps{
 		wait: c.Wait,
+		// WaitFor is a fresh token armed, waited under and cancelled,
+		// the cancel deferred so a kill cannot skip it.
+		waitFor: func(p *Proc, d Cycles) bool {
+			to := c.ArmTimeout(d)
+			defer to.Cancel()
+			return c.WaitOrTimeout(p, to)
+		},
 		arm: func(d Cycles) (func(*Proc) bool, func()) {
 			to := c.ArmTimeout(d)
 			return func(p *Proc) bool { return c.WaitOrTimeout(p, to) }, to.Cancel
@@ -147,6 +155,7 @@ const (
 	stepCancel            // cancel the shared token
 	stepSignal            // Signal
 	stepBroadcast         // Broadcast
+	stepWaitFor           // WaitFor(arg)
 	numSteps
 )
 
@@ -232,6 +241,8 @@ func (s condScript) run(t *testing.T, mk func(*Kernel) condOps) string {
 					c.signal()
 				case stepBroadcast:
 					c.broadcast()
+				case stepWaitFor:
+					note(p, step, fmt.Sprint(c.waitFor(p, Cycles(st.arg))))
 				}
 			}
 			note(p, len(steps), "done")
@@ -260,9 +271,9 @@ func (s condScript) run(t *testing.T, mk func(*Kernel) condOps) string {
 
 // TestCondMatchesReferenceModel drives the slot-indexed Cond and the
 // linear-scan reference with the same seeded scripts — plain, shared-
-// and fresh-token waits, cancels, signals and broadcasts from processes
-// and callbacks, kills, and same-cycle signal/deadline ties — over 1–8
-// processes. Every wake must land on the same process, cycle and return
+// and fresh-token waits, WaitFor, cancels, signals and broadcasts from
+// processes and callbacks, kills, and same-cycle signal/deadline ties —
+// over 1–8 processes. Every wake must land on the same process, cycle and return
 // value, and the kernels must dispatch the same events.
 func TestCondMatchesReferenceModel(t *testing.T) {
 	for seed := int64(1); seed <= 400; seed++ {

@@ -110,8 +110,9 @@ func (h *eventHeap) pop() event {
 	return top
 }
 
-// procState tracks where a process is in its lifecycle.
-type procState int
+// procState tracks where a process is in its lifecycle. It is a byte so
+// that it packs beside Proc.daemon.
+type procState uint8
 
 const (
 	procNew procState = iota
@@ -188,10 +189,9 @@ func (k *Kernel) Events() uint64 { return k.dispatched }
 // Proc is a simulated process. Methods on Proc must only be called from
 // within the process's own body function.
 type Proc struct {
-	k     *Kernel
-	name  string
-	state procState
-	body  func(*Proc)
+	k    *Kernel
+	name string
+	body func(*Proc)
 
 	// next and yield are the two ends of the process's coroutine
 	// (iter.Pull), nil until its first dispatch: the run loop calls next
@@ -200,7 +200,12 @@ type Proc struct {
 	next  func() (struct{}, bool)
 	yield func(struct{}) bool
 
+	state  procState
 	daemon bool
+
+	// timeout is the token every Cond.WaitFor of this process reuses,
+	// nil until its first timed wait.
+	timeout *procTimeout
 
 	// blockReason is a human-readable description of what the process is
 	// waiting for; it appears in deadlock reports.

@@ -1,8 +1,11 @@
 package sim
 
 import (
+	"errors"
+	"fmt"
 	"runtime"
 	"testing"
+	"unsafe"
 )
 
 func TestWaitOrTimeoutExpires(t *testing.T) {
@@ -352,6 +355,102 @@ func TestTimedWaitAllocations(t *testing.T) {
 	}
 	if per := float64(least) / rounds; per > 2 {
 		t.Errorf("a timed-wait round allocates %.3f times, want at most 2", per)
+	}
+}
+
+// A WaitFor round, woken or expired, allocates nothing once the process
+// holds its token: the token and its bound expiry are made on the first
+// timed wait and reused by every one after it.
+func TestWaitForAllocatesNothing(t *testing.T) {
+	k := NewKernel()
+	c := NewCond(k, "flag")
+	var allocs float64
+	woke, expired, done := 0, 0, false
+	k.Spawn("waiter", func(p *Proc) {
+		round := func() {
+			if c.WaitFor(p, 10) {
+				woke++
+			} else {
+				expired++
+			}
+		}
+		for i := 0; i < 100; i++ { // warm the queues and the cancelled set
+			round()
+		}
+		allocs = testing.AllocsPerRun(1000, round)
+		done = true
+	})
+	k.Spawn("signaller", func(p *Proc) {
+		for !done {
+			p.Delay(14)
+			c.Signal()
+		}
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if woke == 0 || expired == 0 {
+		t.Fatalf("%d woken and %d expired waits, want both", woke, expired)
+	}
+	if allocs != 0 {
+		t.Errorf("a WaitFor round allocates %v times, want 0", allocs)
+	}
+}
+
+// A Kill that unwinds a WaitFor cancels its deadline: the event never
+// dispatches and the clock never reaches it.
+func TestWaitForKillCancelsDeadline(t *testing.T) {
+	k := NewKernel()
+	c := NewCond(k, "flag")
+	errKill := errors.New("kill")
+	p := k.Spawn("waiter", func(p *Proc) { c.WaitFor(p, 1000) })
+	k.At(10, func() { p.Kill(errKill) })
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if k.Now() != 10 || k.nCancelled != 0 {
+		t.Errorf("after the kill: now %d, %d cancelled marks left, want 10 and 0", k.Now(), k.nCancelled)
+	}
+}
+
+// Two processes taking turns to wait on one Cond never drain its waiter
+// list; the live waiters slide to the front of the array instead of
+// growing it.
+func TestCondTwoWaitersReuseArray(t *testing.T) {
+	k := NewKernel()
+	c := NewCond(k, "tile")
+	const rounds = 10000
+	most := 0
+	for i := 0; i < 2; i++ {
+		k.SpawnAt(Cycles(5*i), fmt.Sprintf("core%d", i), func(p *Proc) {
+			for r := 0; r < rounds; r++ {
+				if c.WaitFor(p, 10) {
+					t.Error("an unsignalled wait reported success")
+					return
+				}
+				most = max(most, cap(c.waiters))
+			}
+		})
+	}
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if most > 4 {
+		t.Errorf("the waiter array grew to %d slots for two waiters, want at most 4", most)
+	}
+	if want := Cycles(5 + 10*rounds); k.Now() != want {
+		t.Errorf("the last expiry landed at %d, want %d", k.Now(), want)
+	}
+}
+
+// Proc stays in the 96-byte size class: one more word moves every
+// process of every run to the next class.
+func TestProcSizeClass(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("size classes checked on 64-bit platforms")
+	}
+	if n := unsafe.Sizeof(Proc{}); n > 96 {
+		t.Errorf("Proc is %d bytes, want at most 96", n)
 	}
 }
 

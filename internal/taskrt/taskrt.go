@@ -223,6 +223,9 @@ type Runtime struct {
 	// scratch is each worker's landing buffer for staged reads, one MPB
 	// half, allocated on its first read. What lands there is never read.
 	scratch [][]byte
+	// free holds the buffers of task bodies that returned, by length,
+	// for the next fetch or Out access of that size to reuse.
+	free map[int][][]byte
 	// doneCycle is the kernel cycle the last task committed (valid after
 	// Run) — under re-execution it may precede the lost device's rejoin.
 	doneCycle sim.Cycles
@@ -230,7 +233,7 @@ type Runtime struct {
 
 // New creates an empty runtime.
 func New(cfg Config) *Runtime {
-	return &Runtime{cfg: cfg, byName: make(map[string]*Region)}
+	return &Runtime{cfg: cfg, byName: make(map[string]*Region), free: make(map[int][][]byte)}
 }
 
 // Region declares a data region. owner is the staging rank (-1 =
@@ -588,11 +591,13 @@ func (rt *Runtime) tryBody(r *rcce.Rank, t *Task) (retry bool) {
 func (rt *Runtime) runBody(r *rcce.Rank, t *Task) {
 	tc := &TaskCtx{rt: rt, r: r, t: t, bufs: make([][]byte, len(t.accesses))}
 	for i, a := range t.accesses {
+		buf := rt.buffer(a.Region.bytes)
 		if a.Mode == ModeIn || a.Mode == ModeInOut {
-			tc.bufs[i] = rt.fetch(r, a.Region)
+			rt.fetch(r, a.Region, buf)
 		} else {
-			tc.bufs[i] = make([]byte, a.Region.bytes)
+			clear(buf)
 		}
+		tc.bufs[i] = buf
 	}
 	if t.flops > 0 {
 		tc.ComputeFlops(t.flops)
@@ -605,6 +610,25 @@ func (rt *Runtime) runBody(r *rcce.Rank, t *Task) {
 			rt.publish(r, a.Region, tc.bufs[i], t.stamps[i])
 		}
 	}
+	// publish copied every output into its region, so the buffers go
+	// back for reuse. A body unwound by a device loss or a kill never
+	// gets here and drops its buffers: a stalled execution never shares
+	// one with its re-executed twin.
+	for _, buf := range tc.bufs {
+		rt.free[len(buf)] = append(rt.free[len(buf)], buf)
+	}
+}
+
+// buffer returns a task-body buffer of n bytes, reusing one a returned
+// body gave back. Its contents are stale: the caller overwrites or
+// clears it.
+func (rt *Runtime) buffer(n int) []byte {
+	if bufs := rt.free[n]; len(bufs) > 0 {
+		buf := bufs[len(bufs)-1]
+		rt.free[n] = bufs[:len(bufs)-1]
+		return buf
+	}
+	return make([]byte, n)
 }
 
 // finish marks a task done and releases its successors, pushing
@@ -718,12 +742,12 @@ func (rt *Runtime) reclaimLost(r *rcce.Rank, w int) bool {
 	return found
 }
 
-// fetch returns a private copy of a region's contents, charging the
-// movement from the owner's staging area when the region is remote.
-func (rt *Runtime) fetch(r *rcce.Rank, rg *Region) []byte {
-	buf := append([]byte(nil), rg.data...)
+// fetch copies a region's contents into buf, a private buffer of its
+// size, charging the movement from the owner's staging area when the
+// region is remote.
+func (rt *Runtime) fetch(r *rcce.Rank, rg *Region, buf []byte) {
+	copy(buf, rg.data)
 	rt.move(r, rg, true)
-	return buf
 }
 
 // publish stores a task's output buffer as the region's next version,
@@ -865,7 +889,8 @@ type TaskCtx struct {
 
 // Data returns the task-local buffer of a declared region: the fetched
 // contents for In/InOut, a zeroed output buffer for Out. Writes to
-// In-mode buffers are discarded.
+// In-mode buffers are discarded. The buffer is valid only until the body
+// returns: the runtime then hands it to a later task.
 func (tc *TaskCtx) Data(rg *Region) []byte {
 	for i, a := range tc.t.accesses {
 		if a.Region == rg {

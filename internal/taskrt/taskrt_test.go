@@ -1,6 +1,8 @@
 package taskrt
 
 import (
+	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -323,5 +325,81 @@ func TestBuildErrors(t *testing.T) {
 	}
 	if err := BuildKV(New(Config{}), 1, 32, 1, 1, 1); err == nil {
 		t.Error("kv shardBytes=32 accepted")
+	}
+}
+
+// A task body's buffers go back to the runtime when it returns. A body
+// that scribbles into its In buffer changes neither the region nor a
+// later task: an Out buffer handed out again reads as zeros, and an In
+// fetch reads exactly the committed version.
+func TestReusedBuffersStartClean(t *testing.T) {
+	const n = 64
+	want := make([]byte, n)
+	for i := range want {
+		want[i] = byte(i + 1)
+	}
+	// build returns the runtime and reports, once it ran, whether an Out
+	// buffer of the "zeros" task was the one "scribble" wrote into.
+	build := func(t *testing.T) (*Runtime, func() bool) {
+		rt := New(Config{Scheme: vscc.SchemeCachedGet})
+		var rgs []*Region
+		for _, name := range []string{"a", "b", "c", "d"} {
+			rg, err := rt.Region(name, n, -1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rgs = append(rgs, rg)
+		}
+		a, b, c, d := rgs[0], rgs[1], rgs[2], rgs[3]
+		var scribbled, zeroed []byte
+		bodies := []struct {
+			accs []Access
+			body func(*TaskCtx)
+		}{
+			{[]Access{Out(a)}, func(tc *TaskCtx) { copy(tc.Data(a), want) }},
+			{[]Access{Out(b), In(a)}, func(tc *TaskCtx) {
+				scribbled = tc.Data(a)
+				copy(tc.Data(b), scribbled)
+				for i := range scribbled {
+					scribbled[i] = 0xff
+				}
+			}},
+			{[]Access{Out(c), Out(d)}, func(tc *TaskCtx) {
+				for _, rg := range []*Region{c, d} {
+					buf := tc.Data(rg)
+					if !bytes.Equal(buf, make([]byte, n)) {
+						t.Errorf("Out buffer of %s reads %v, want zeros", rg.Name(), buf)
+					}
+					if scribbled != nil && &buf[0] == &scribbled[0] {
+						zeroed = buf
+					}
+				}
+			}},
+			{[]Access{In(a), In(b)}, func(tc *TaskCtx) {
+				for _, rg := range []*Region{a, b} {
+					if buf := tc.Data(rg); !bytes.Equal(buf, want) {
+						t.Errorf("In buffer of %s reads %v, want the committed %v", rg.Name(), buf, want)
+					}
+				}
+			}},
+		}
+		for i, bd := range bodies {
+			if _, err := rt.AddTask(fmt.Sprint("t", i), 0, bd.accs, bd.body); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return rt, func() bool { return zeroed != nil }
+	}
+
+	rt, reused := build(t)
+	if err := rt.RunSerial(2); err != nil {
+		t.Fatal(err)
+	}
+	if !reused() {
+		t.Error("no Out buffer reused the scribbled In buffer; the test checks nothing")
+	}
+	rt, _ = build(t)
+	if err := rt.Run(newSession(t, 2, 2, vscc.SchemeCachedGet)); err != nil {
+		t.Fatal(err)
 	}
 }

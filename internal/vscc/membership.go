@@ -194,11 +194,7 @@ func (m *Membership) AfterReplay(dev int, fn func()) {
 // toward or from it is held in the senders' journals until the rejoin.
 func (m *Membership) fail(df fault.DeviceFault, wipe bool) {
 	d := df.Dev
-	if d < 0 || d >= len(m.devs) {
-		m.pending-- // out-of-range device: the fault retires unused
-		return
-	}
-	rec := m.devs[d]
+	rec := m.devs[d] // in range: Config.resolve checked the schedule
 	started := rec.crash(downFor(df, m.rejoin), wipe,
 		func() { m.task.DeviceDown(d) },
 		func() { m.rejoined(rec, wipe) })

@@ -355,10 +355,7 @@ func (s *PDESSystem) armDeviceFaults(cfg fault.Config) {
 		pt.k.After(interval, tick)
 	}
 	for _, df := range cfg.DevCrashAt {
-		if df.Dev < 0 || df.Dev >= len(s.ports) {
-			continue
-		}
-		pt := s.ports[df.Dev]
+		pt := s.ports[df.Dev] // in range: Config.resolve checked the schedule
 		pt.k.At(df.At, func() { pt.fail(downFor(df, rejoin)) })
 	}
 }

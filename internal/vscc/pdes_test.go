@@ -319,3 +319,28 @@ func TestPDESRejectsUnsupportedConfigs(t *testing.T) {
 		t.Errorf("device-crash config rejected: %v", err)
 	}
 }
+
+// A device fault on a device the system does not have is refused when the
+// system is built, by both engines with the same message, instead of
+// running and injecting nothing.
+func TestDeviceFaultOnMissingDeviceRefused(t *testing.T) {
+	cases := []struct {
+		faults fault.Config
+		want   string
+	}{
+		{fault.Config{DevCrashAt: []fault.DeviceFault{{At: 1000, Dev: 7}}},
+			"fault: devcrash at cycle 1000 names device 7, but the system has devices 0..1"},
+		{fault.Config{DevCrashAt: []fault.DeviceFault{{At: 5, Dev: 1}}, DevLinkDownAt: []fault.DeviceFault{{At: 9, Dev: -1}}},
+			"fault: devlinkdown at cycle 9 names device -1, but the system has devices 0..1"},
+	}
+	for _, c := range cases {
+		cfg := Config{Devices: 2, Scheme: SchemeCachedGet, Faults: &c.faults}
+		_, classic := NewSystem(sim.NewKernel(), cfg)
+		_, pdes := NewPDESSystem(cfg, 1)
+		for _, err := range []error{classic, pdes} {
+			if err == nil || err.Error() != c.want {
+				t.Errorf("got %v, want %q", err, c.want)
+			}
+		}
+	}
+}

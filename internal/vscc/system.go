@@ -85,6 +85,9 @@ func (cfg Config) resolve() (chip scc.Params, fabric pcie.Params, hostTask host.
 	if cfg.Scheme == SchemeHWAccel && cfg.Devices > 2 {
 		return chip, fabric, hostTask, fmt.Errorf("vscc: the hardware-accelerated scheme is unstable beyond 2 devices (§2.3); got %d", cfg.Devices)
 	}
+	if err := cfg.Faults.CheckDevices(cfg.Devices); err != nil {
+		return chip, fabric, hostTask, err
+	}
 	chip, fabric, hostTask = scc.DefaultParams(), pcie.DefaultParams(), host.DefaultParams()
 	if cfg.HostParams != nil {
 		hostTask = *cfg.HostParams
